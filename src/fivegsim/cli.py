@@ -15,6 +15,7 @@ import sys
 from . import risk, scenarios, vectors
 from .flows import run_registration
 from .netsim import configure_logging
+from .policy import parse_bool
 from .worldfile import WorldFileError, load_world_file, single_network_world
 
 EXIT_OK = 0
@@ -68,7 +69,8 @@ def _scenario_report_text(report: scenarios.ScenarioReport, fmt: str) -> str:
 def _cmd_run(args) -> int:
     try:
         overrides = _parse_kv(args.set, "--set")
-        expectations = _parse_kv(args.expect, "--expect")
+        expectations = {name: parse_bool(raw)
+                        for name, raw in _parse_kv(args.expect, "--expect").items()}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -103,8 +105,7 @@ def _cmd_run(args) -> int:
     status = _write_output(text, args.out)
     if status != EXIT_OK:
         return status
-    for name, raw in expectations.items():
-        expected = raw.lower() in ("true", "1", "yes")
+    for name, expected in expectations.items():
         actual = report.outcome.get(name)
         if actual is None:
             print(f"error: no predicate {name!r} in {args.scenario}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Cryptographic core: identity concealment, challenge/response vectors,
-the key-derivation chain, message protection and signed reject messages.
+the key-derivation chain, message protection, the secure links built on
+it and signed reject messages.
 
 All keyed PRFs are HMAC-SHA-256 with domain labels read from
 ``data/kdf_labels.json``; the test oracle recomputes everything from that
@@ -29,7 +30,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
+from . import messages
 from .identity import (
+    KEY_PARENT,
     ConcealedIdentity,
     KeyHierarchy,
     LongTermCredential,
@@ -46,9 +49,11 @@ __all__ = [
     "Autn",
     "HomeNetworkKeyPair",
     "IntegrityFailure",
+    "LinkReject",
     "MacMismatch",
     "ProtectedMessage",
     "RejectSigningKeyPair",
+    "SecureLink",
     "SqnStale",
     "StubAlgorithm",
     "compute_auth_vector",
@@ -437,12 +442,6 @@ def _populate(hierarchy: KeyHierarchy, names: list[str], ctx: dict[str, bytes]) 
         hierarchy.record(child, parent, _derive_edge(hierarchy.get(parent), child, ctx))
 
 
-_FULL_ORDER = [
-    "k_seaf", "k_amf", "k_nas_int", "k_nas_enc", "k_gnb",
-    "k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc",
-]
-
-
 def derive_k_seaf(k_ausf: bytes, serving_network_name: str) -> bytes:
     """Single anchor-to-serving edge, used by the home network alone."""
     ctx = _chain_context(serving_network_name, "", b"\x00\x00", 0, 0)
@@ -461,7 +460,7 @@ def derive_key_chain(
     ctx = _chain_context(serving_network_name, supi, abba, nea_id, nia_id)
     hierarchy = KeyHierarchy()
     hierarchy.set_root("k_ausf", k_ausf)
-    _populate(hierarchy, _FULL_ORDER, ctx)
+    _populate(hierarchy, list(KEY_PARENT), ctx)
     return hierarchy
 
 
@@ -516,6 +515,10 @@ class AlgorithmRegistry:
         if alg_id not in cls._STATUS:
             raise ValueError(f"unknown algorithm id {alg_id}")
         return cls._STATUS[alg_id]
+
+    @classmethod
+    def implemented(cls, alg_id: int) -> bool:
+        return cls._STATUS.get(alg_id) is AlgorithmStatus.IMPLEMENTED
 
     @classmethod
     def require_implemented(cls, kind: str, alg_id: int) -> None:
@@ -592,6 +595,89 @@ def unprotect(
     if nea_id == 0:
         return msg.ciphertext
     return _aes_ctr(_aes_key(key_enc), _ctr_nonce(count, direction), msg.ciphertext)
+
+
+# COUNT is a 32-bit algorithm input.  A wrapper counted above it, or below
+# the next count its receiver expects, can never be a fresh message.
+COUNT_MAX = 2**32 - 1
+
+
+class LinkReject(enum.Enum):
+    """Why ``SecureLink.open`` refused a wrapper."""
+
+    DIRECTION = "direction"  # sent in the receiving end's own direction
+    ALGORITHM = "algorithm"  # header ids other than the negotiated ones
+    COUNT = "count"  # below the next expected (a replay) or outside 0..COUNT_MAX
+    INTEGRITY = "integrity"  # the tag does not verify
+
+
+_LINK_KEYS = {
+    messages.SecuredNas: ("k_nas_enc", "k_nas_int"),
+    messages.SecuredRrc: ("k_rrc_enc", "k_rrc_int"),
+    messages.SecuredUp: ("k_up_enc", "k_up_int"),
+}
+
+
+class SecureLink:
+    """One end of a protected NAS, RRC or user-plane link.
+
+    Holds the plane's two keys (picked from ``keys`` by wrapper type), the
+    negotiated algorithms, the direction this end sends in (0 uplink,
+    1 downlink) and one counter per direction.  ``open`` checks the header
+    against the link before any cryptography, so a relabeled, replayed or
+    out-of-range wrapper is a typed rejection, never an exception.
+    """
+
+    def __init__(self, wrapper: type, keys, nea_id: int, nia_id: int,
+                 direction: int):
+        enc_name, int_name = _LINK_KEYS[wrapper]
+        self.wrapper = wrapper
+        self.key_enc = keys.get(enc_name)
+        self.key_int = keys.get(int_name)
+        self.nea_id = nea_id
+        self.nia_id = nia_id
+        self.direction = direction
+        self.next_tx = 0
+        self.next_rx = 0
+
+    def seal(self, inner, integrity_only: bool = False):
+        """Protect one message under the next send count.  Security mode
+        commands go integrity-only: the peer must read the algorithms they
+        name before it can derive the keys."""
+        count = self.next_tx
+        self.next_tx = count + 1
+        nea_id = 0 if integrity_only else self.nea_id
+        sealed = protect(messages.encode(inner), nea_id, self.nia_id,
+                         self.key_enc, self.key_int, self.direction, count)
+        return self.wrapper(count=count, direction=self.direction, nea_id=nea_id,
+                            nia_id=self.nia_id, mac_tag=sealed.mac_tag,
+                            body=sealed.ciphertext)
+
+    def open(self, wrapper, integrity_only: bool = False) -> bytes | LinkReject:
+        """The inner plaintext, or why the wrapper was refused.  Only an
+        accepted wrapper advances the receive count.  Under null integrity
+        nothing vouches for a count, so there is no replay window: one
+        forged count must not block the packets after it."""
+        if wrapper.direction != 1 - self.direction:
+            return LinkReject.DIRECTION
+        nea_id = 0 if integrity_only else self.nea_id
+        if wrapper.nea_id != nea_id or wrapper.nia_id != self.nia_id:
+            return LinkReject.ALGORITHM
+        count = wrapper.count
+        if not (self.next_rx if self.nia_id else 0) <= count <= COUNT_MAX:
+            return LinkReject.COUNT
+        if len(wrapper.mac_tag) != MAC_I_LEN:
+            return LinkReject.INTEGRITY
+        try:
+            payload = unprotect(
+                ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
+                nea_id, self.nia_id, self.key_enc, self.key_int,
+                wrapper.direction, count,
+            )
+        except IntegrityFailure:
+            return LinkReject.INTEGRITY
+        self.next_rx = count + 1
+        return payload
 
 
 # ---------------------------------------------------------------------------

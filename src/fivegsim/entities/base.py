@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .. import messages
+from .. import crypto, messages
 
 
 def _snake(name: str) -> str:
@@ -19,6 +19,15 @@ def try_decode(data: bytes):
         return messages.decode(data)
     except Exception:
         return None
+
+
+def open_secured(link: crypto.SecureLink | None, wrapper):
+    """The message inside a protected wrapper, or None when there is no
+    link yet, the link refuses the wrapper or its plaintext is malformed."""
+    if link is None:
+        return None
+    payload = link.open(wrapper)
+    return None if isinstance(payload, crypto.LinkReject) else try_decode(payload)
 
 
 class Entity:

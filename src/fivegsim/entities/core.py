@@ -25,7 +25,7 @@ from ..identity import (
 )
 from ..netsim import Channel
 from ..policy import OperatorPolicy
-from .base import Entity, try_decode
+from .base import Entity, open_secured, try_decode
 
 
 class UnknownGuti(KeyError):
@@ -59,6 +59,7 @@ class AmfSession:
     supi_learned_at: int | None = None
     pei: str = ""
     context: SecurityContext | None = None
+    link: crypto.SecureLink | None = None
     guti: bytes | None = None
     renewing: bool = False
     sbi_sid: str = ""
@@ -303,42 +304,14 @@ class Amf(Entity):
             ng_ksi=session.ngksi, keys=keys, nea_id=nea, nia_id=nia,
             abba=self.abba, born_at=ctx.now,
         )
+        session.link = crypto.SecureLink(messages.SecuredNas, keys, nea, nia, direction=1)
         session.state = "smc_sent"
-        smc = messages.encode(messages.NasSecurityModeCommand(
+        self._send_protected_nas(ctx, session, messages.NasSecurityModeCommand(
             nea_id=nea, nia_id=nia, ngksi=session.ngksi, request_pei=True,
-        ))
-        count = session.context.next_dl()
-        protected = crypto.protect(
-            smc, 0, nia, None, keys.get("k_nas_int"), 1, count,
-        )
-        self._downlink(ctx, session, messages.encode(messages.SecuredNas(
-            count=count, direction=1, nea_id=0, nia_id=nia,
-            mac_tag=protected.mac_tag, body=protected.ciphertext,
-        )))
+        ), integrity_only=True)
 
     def _handle_secured_uplink(self, session: AmfSession, wrapper, ctx) -> None:
-        context = session.context
-        if context is None:
-            ctx.ignore()
-            return
-        if wrapper.count < context.nas_count_ul:
-            ctx.ignore()  # replayed or out-of-order: never processed twice
-            return
-        try:
-            payload = crypto.unprotect(
-                crypto.ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-                wrapper.nea_id, wrapper.nia_id,
-                context.keys.get("k_nas_enc"), context.keys.get("k_nas_int"),
-                0, wrapper.count,
-            )
-        except crypto.IntegrityFailure:
-            ctx.ignore()
-            return
-        context.accept_ul(wrapper.count)
-        inner = try_decode(payload)
-        if inner is None:
-            ctx.ignore()
-            return
+        inner = open_secured(session.link, wrapper)
         if isinstance(inner, messages.NasSecurityModeComplete):
             session.pei = inner.pei
             session.state = "nas_secured"
@@ -346,7 +319,7 @@ class Amf(Entity):
             session.up_node = target
             ctx.emit(Channel.N2, target, messages.InitialContextSetupRequest(
                 ran_ue_id=session.ran_ue_id, ue_radio_ref=session.ue_radio_ref,
-                k_gnb=context.keys.get("k_gnb"),
+                k_gnb=session.context.keys.get("k_gnb"),
                 nea_id=self.policy.rrc_nea, nia_id=self.policy.rrc_nia,
             ))
         elif isinstance(inner, messages.PduSessionRequest):
@@ -386,21 +359,12 @@ class Amf(Entity):
             self._timer_seq += 1
             self._timers[self._timer_seq] = ("renew", session.sid)
             ctx.timer(self.policy.context_renewal_interval, self._timer_seq)
-        accept = messages.encode(messages.RegistrationAccept(guti=temp.guti))
-        self._send_protected_nas(ctx, session, accept)
+        self._send_protected_nas(ctx, session, messages.RegistrationAccept(guti=temp.guti))
 
-    def _send_protected_nas(self, ctx, session: AmfSession, inner_bytes: bytes) -> None:
-        context = session.context
-        count = context.next_dl()
-        protected = crypto.protect(
-            inner_bytes, context.nea_id, context.nia_id,
-            context.keys.get("k_nas_enc"), context.keys.get("k_nas_int"),
-            1, count,
-        )
-        self._downlink(ctx, session, messages.encode(messages.SecuredNas(
-            count=count, direction=1, nea_id=context.nea_id, nia_id=context.nia_id,
-            mac_tag=protected.mac_tag, body=protected.ciphertext,
-        )))
+    def _send_protected_nas(self, ctx, session: AmfSession, inner,
+                            integrity_only: bool = False) -> None:
+        wrapper = session.link.seal(inner, integrity_only=integrity_only)
+        self._downlink(ctx, session, messages.encode(wrapper))
 
     # -- session setup ------------------------------------------------------------------
 
@@ -415,10 +379,8 @@ class Amf(Entity):
                      ran_ue_id=session.ran_ue_id,
                      up_ciphering=msg.up_ciphering, up_integrity=msg.up_integrity,
                  ))
-        self._send_protected_nas(ctx, session, messages.encode(
-            messages.PduSessionAccept(
-                up_ciphering=msg.up_ciphering, up_integrity=msg.up_integrity,
-            )
+        self._send_protected_nas(ctx, session, messages.PduSessionAccept(
+            up_ciphering=msg.up_ciphering, up_integrity=msg.up_integrity,
         ))
 
     # -- context renewal ------------------------------------------------------------------

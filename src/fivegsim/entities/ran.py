@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .. import crypto, messages
 from ..identity import KeyHierarchy
 from ..netsim import Channel
-from .base import Entity, try_decode
+from ..policy import up_algorithms
+from .base import Entity, open_secured
 
 
 @dataclass
@@ -46,13 +47,8 @@ class RadioUeContext:
     c_rnti: bytes
     slice_id: str
     as_keys: KeyHierarchy | None = None
-    nea_id: int = 0
-    nia_id: int = 0
-    up_nea: int = 0
-    up_nia: int = 0
-    rrc_count_dl: int = 0
-    rrc_count_ul: int = 0
-    up_count_ul: int = 0
+    rrc: crypto.SecureLink | None = None
+    up: crypto.SecureLink | None = None
     secured: bool = False
 
 
@@ -206,43 +202,20 @@ class GnbNode(Entity):
             self.ue_contexts[msg.ran_ue_id] = radio
             self.by_ue[msg.ue_radio_ref] = msg.ran_ue_id
         radio.as_keys = crypto.derive_as_keys(msg.k_gnb, msg.nea_id, msg.nia_id)
-        radio.nea_id = msg.nea_id
-        radio.nia_id = msg.nia_id
-        radio.rrc_count_dl = 0
-        radio.rrc_count_ul = 0
+        radio.rrc = crypto.SecureLink(messages.SecuredRrc, radio.as_keys,
+                                      msg.nea_id, msg.nia_id, direction=1)
+        radio.up = None  # its keys are gone; the next session setup rebuilds it
         radio.secured = False
         ctx.emit(Channel.N2, event.src,
                  messages.InitialContextSetupResponse(ran_ue_id=msg.ran_ue_id))
-        smc = messages.encode(messages.AsSecurityModeCommand(
-            nea_id=msg.nea_id, nia_id=msg.nia_id,
-        ))
-        count = radio.rrc_count_dl
-        radio.rrc_count_dl += 1
-        protected = crypto.protect(
-            smc, 0, msg.nia_id, None, radio.as_keys.get("k_rrc_int"), 1, count,
-        )
-        ctx.emit(Channel.RADIO_RRC, radio.ue_id, messages.SecuredRrc(
-            count=count, direction=1, nea_id=0, nia_id=msg.nia_id,
-            mac_tag=protected.mac_tag, body=protected.ciphertext,
+        ctx.emit(Channel.RADIO_RRC, radio.ue_id, radio.rrc.seal(
+            messages.AsSecurityModeCommand(nea_id=msg.nea_id, nia_id=msg.nia_id),
+            integrity_only=True,
         ))
 
     def on_secured_rrc(self, wrapper, event, ctx) -> None:
         radio = self._ue_ctx(event.src)
-        if radio is None or radio.as_keys is None or wrapper.direction != 0:
-            ctx.ignore()
-            return
-        try:
-            payload = crypto.unprotect(
-                crypto.ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-                wrapper.nea_id, wrapper.nia_id,
-                radio.as_keys.get("k_rrc_enc"), radio.as_keys.get("k_rrc_int"),
-                0, wrapper.count,
-            )
-        except crypto.IntegrityFailure:
-            ctx.ignore()
-            return
-        radio.rrc_count_ul = wrapper.count + 1
-        inner = try_decode(payload)
+        inner = open_secured(radio.rrc if radio else None, wrapper)
         if isinstance(inner, messages.AsSecurityModeComplete):
             radio.secured = True
             if self.amf_id:
@@ -253,31 +226,19 @@ class GnbNode(Entity):
 
     def on_pdu_resource_setup(self, msg, event, ctx) -> None:
         radio = self.ue_contexts.get(msg.ran_ue_id)
-        if radio is None:
+        if radio is None or radio.as_keys is None:
             ctx.ignore()
             return
-        radio.up_nea = 2 if msg.up_ciphering else 0
-        radio.up_nia = 2 if msg.up_integrity else 0
-        radio.up_count_ul = 0
+        nea, nia = up_algorithms(msg.up_ciphering, msg.up_integrity)
+        radio.up = crypto.SecureLink(messages.SecuredUp, radio.as_keys, nea, nia,
+                                     direction=1)
 
     def on_secured_up(self, wrapper, event, ctx) -> None:
         radio = self._ue_ctx(event.src)
-        if radio is None or radio.as_keys is None or wrapper.direction != 0:
-            ctx.ignore()
-            return
-        try:
-            payload = crypto.unprotect(
-                crypto.ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-                wrapper.nea_id, wrapper.nia_id,
-                radio.as_keys.get("k_up_enc"), radio.as_keys.get("k_up_int"),
-                0, wrapper.count,
-            )
-        except crypto.IntegrityFailure:
-            ctx.ignore()
-            return
-        radio.up_count_ul = wrapper.count + 1
-        inner = try_decode(payload)
+        inner = open_secured(radio.up if radio else None, wrapper)
         if isinstance(inner, messages.AppData) and self.upf_id:
             ctx.emit(Channel.N3, self.upf_id, messages.GtpData(
                 teid=self.by_ue[event.src], payload=inner.payload,
             ))
+        else:
+            ctx.ignore()

@@ -22,11 +22,19 @@ from ..identity import (
     format_supi,
 )
 from ..netsim import Channel
-from ..policy import cause_is_persistent
-from .base import Entity, try_decode
+from ..policy import cause_is_persistent, up_algorithms
+from .base import Entity, open_secured, try_decode
 
 REG_TIMER_MS = 200
 MAX_RETRANSMISSIONS = 2
+
+
+def _acceptable_algorithms(smc) -> bool:
+    """Bidding-down guard for security mode commands: implemented
+    algorithms only, never null integrity.  The command's own wrapper must
+    carry the same integrity id, which the link built from it enforces."""
+    implemented = crypto.AlgorithmRegistry.implemented
+    return smc.nia_id != 0 and implemented(smc.nea_id) and implemented(smc.nia_id)
 
 
 class UePhase(enum.Enum):
@@ -91,14 +99,9 @@ class Ue(Entity):
 
         self.context: SecurityContext | None = None
         self.as_keys: KeyHierarchy | None = None
-        self.as_nea = 0
-        self.as_nia = 0
-        self.rrc_count_ul = 0
-        self.rrc_count_dl = 0
-        self.up_active = False
-        self.up_nea = 0
-        self.up_nia = 0
-        self.up_count_ul = 0
+        self.nas_link: crypto.SecureLink | None = None
+        self.rrc_link: crypto.SecureLink | None = None
+        self.up_link: crypto.SecureLink | None = None
 
         self.guti: bytes | None = None
         self.serving_gnb: str | None = None
@@ -363,7 +366,7 @@ class Ue(Entity):
         return self.serving_plmn or self.home_plmn
 
     def _handle_nas_smc(self, wrapper, smc, ctx, reply_dst) -> None:
-        if self._pending_k_ausf is None:
+        if self._pending_k_ausf is None or not _acceptable_algorithms(smc):
             ctx.ignore()
             return
         keys = crypto.derive_key_chain(
@@ -374,21 +377,18 @@ class Ue(Entity):
             smc.nea_id,
             smc.nia_id,
         )
-        try:
-            crypto.unprotect(
-                crypto.ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-                0, wrapper.nia_id, None, keys.get("k_nas_int"), 1, wrapper.count,
-            )
-        except crypto.IntegrityFailure:
+        link = crypto.SecureLink(messages.SecuredNas, keys, smc.nea_id, smc.nia_id,
+                                 direction=0)
+        if isinstance(link.open(wrapper, integrity_only=True), crypto.LinkReject):
             ctx.ignore()
             return
-        context = SecurityContext(
+        self.context = SecurityContext(
             ng_ksi=smc.ngksi, keys=keys, nea_id=smc.nea_id, nia_id=smc.nia_id,
             abba=self._pending_abba, born_at=ctx.now,
         )
-        context.accept_dl(wrapper.count)
-        self.context = context
-        self.up_active = False
+        self.nas_link = link
+        self.rrc_link = self.up_link = None  # the radio side re-keys from this context
+        self._pending_k_ausf = None  # one command per challenge: replays find none
         complete = messages.NasSecurityModeComplete(
             pei=self.pei.pei if smc.request_pei else ""
         )
@@ -403,51 +403,15 @@ class Ue(Entity):
             self.attempt.timer_id = self._new_timer(ctx)
 
     def _emit_secured_nas(self, ctx, dst, inner) -> None:
-        context = self.context
-        count = context.next_ul()
-        protected = crypto.protect(
-            messages.encode(inner), context.nea_id, context.nia_id,
-            context.keys.get("k_nas_enc"), context.keys.get("k_nas_int"),
-            0, count,
-        )
-        ctx.emit(Channel.RADIO_NAS, dst, messages.SecuredNas(
-            count=count, direction=0, nea_id=context.nea_id,
-            nia_id=context.nia_id, mac_tag=protected.mac_tag,
-            body=protected.ciphertext,
-        ))
+        ctx.emit(Channel.RADIO_NAS, dst, self.nas_link.seal(inner))
 
     def on_secured_nas(self, wrapper, event, ctx) -> None:
-        if wrapper.direction != 1:
-            ctx.ignore()
-            return
-        reply_dst = event.src
         if wrapper.nea_id == 0:
             inner = try_decode(wrapper.body)
             if isinstance(inner, messages.NasSecurityModeCommand):
-                self._handle_nas_smc(wrapper, inner, ctx, reply_dst)
+                self._handle_nas_smc(wrapper, inner, ctx, event.src)
                 return
-        if self.context is None:
-            ctx.ignore()
-            return
-        context = self.context
-        if (wrapper.nea_id, wrapper.nia_id) != (context.nea_id, context.nia_id):
-            ctx.ignore()
-            return
-        if wrapper.count < context.nas_count_dl:
-            ctx.ignore()  # replayed or out-of-order: never processed twice
-            return
-        try:
-            payload = crypto.unprotect(
-                crypto.ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-                context.nea_id, context.nia_id,
-                context.keys.get("k_nas_enc"), context.keys.get("k_nas_int"),
-                1, wrapper.count,
-            )
-        except crypto.IntegrityFailure:
-            ctx.ignore()
-            return
-        context.accept_dl(wrapper.count)
-        inner = try_decode(payload)
+        inner = open_secured(self.nas_link, wrapper)
         if inner is None:
             ctx.ignore()
             return
@@ -465,58 +429,34 @@ class Ue(Entity):
                 self.up_node = self.config.nsa_up_node
             else:
                 self.up_node = self.serving_gnb
-        elif isinstance(inner, messages.PduSessionAccept):
-            self.up_nea = 2 if inner.up_ciphering else 0
-            self.up_nia = 2 if inner.up_integrity else 0
-            self.up_count_ul = 0
-            self.up_active = True
+        elif isinstance(inner, messages.PduSessionAccept) and self.as_keys is not None:
+            nea, nia = up_algorithms(inner.up_ciphering, inner.up_integrity)
+            self.up_link = crypto.SecureLink(messages.SecuredUp, self.as_keys, nea, nia,
+                                             direction=0)
         else:
             ctx.ignore()
 
     # -- AS security -------------------------------------------------------------
 
     def on_secured_rrc(self, wrapper, event, ctx) -> None:
-        if wrapper.direction != 1 or self.context is None:
+        smc = try_decode(wrapper.body) if wrapper.nea_id == 0 else None
+        if self.context is None or self.rrc_link is not None \
+                or not isinstance(smc, messages.AsSecurityModeCommand) \
+                or not _acceptable_algorithms(smc):
             ctx.ignore()
             return
-        if wrapper.nea_id == 0:
-            inner = try_decode(wrapper.body)
-            if isinstance(inner, messages.AsSecurityModeCommand):
-                keys = crypto.derive_as_keys(
-                    self.context.keys.get("k_gnb"), inner.nea_id, inner.nia_id
-                )
-                try:
-                    crypto.unprotect(
-                        crypto.ProtectedMessage(ciphertext=wrapper.body,
-                                                mac_tag=wrapper.mac_tag),
-                        0, wrapper.nia_id, None, keys.get("k_rrc_int"),
-                        1, wrapper.count,
-                    )
-                except crypto.IntegrityFailure:
-                    ctx.ignore()
-                    return
-                self.as_keys = keys
-                self.as_nea = inner.nea_id
-                self.as_nia = inner.nia_id
-                self.rrc_count_ul = 0
-                self.rrc_count_dl = wrapper.count + 1
-                complete = messages.encode(messages.AsSecurityModeComplete())
-                count = self.rrc_count_ul
-                self.rrc_count_ul += 1
-                protected = crypto.protect(
-                    complete, self.as_nea, self.as_nia,
-                    keys.get("k_rrc_enc"), keys.get("k_rrc_int"), 0, count,
-                )
-                ctx.emit(Channel.RADIO_RRC, event.src, messages.SecuredRrc(
-                    count=count, direction=0, nea_id=self.as_nea,
-                    nia_id=self.as_nia, mac_tag=protected.mac_tag,
-                    body=protected.ciphertext,
-                ))
-                if self.attempt is not None:
-                    self.attempt.awaiting = "reg_accept"
-                    self.attempt.timer_id = self._new_timer(ctx)
-                return
-        ctx.ignore()
+        keys = crypto.derive_as_keys(self.context.keys.get("k_gnb"), smc.nea_id, smc.nia_id)
+        link = crypto.SecureLink(messages.SecuredRrc, keys, smc.nea_id, smc.nia_id,
+                                 direction=0)
+        if isinstance(link.open(wrapper, integrity_only=True), crypto.LinkReject):
+            ctx.ignore()
+            return
+        self.as_keys = keys
+        self.rrc_link = link
+        ctx.emit(Channel.RADIO_RRC, event.src, link.seal(messages.AsSecurityModeComplete()))
+        if self.attempt is not None:
+            self.attempt.awaiting = "reg_accept"
+            self.attempt.timer_id = self._new_timer(ctx)
 
     # -- user plane ---------------------------------------------------------------
 
@@ -530,23 +470,11 @@ class Ue(Entity):
         )
 
     def on_trigger_app_data(self, msg, event, ctx) -> None:
-        if not self.up_active or self.as_keys is None:
+        if self.up_link is None:
             ctx.ignore()
             return
-        count = self.up_count_ul
-        self.up_count_ul += 1
-        protected = crypto.protect(
-            messages.encode(messages.AppData(payload=msg.payload)),
-            self.up_nea, self.up_nia,
-            self.as_keys.get("k_up_enc"), self.as_keys.get("k_up_int"),
-            0, count,
-        )
         ctx.emit(Channel.RADIO_RRC, self.up_node or self.serving_gnb,
-                 messages.SecuredUp(
-                     count=count, direction=0, nea_id=self.up_nea,
-                     nia_id=self.up_nia, mac_tag=protected.mac_tag,
-                     body=protected.ciphertext,
-                 ))
+                 self.up_link.seal(messages.AppData(payload=msg.payload)))
 
     # -- power cycle and timers ------------------------------------------------------
 
@@ -556,7 +484,7 @@ class Ue(Entity):
         self.forbidden_reject_keys.clear()
         self.context = None
         self.as_keys = None
-        self.up_active = False
+        self.nas_link = self.rrc_link = self.up_link = None
         self.guti = None
         self.serving_gnb = None
         self.serving_plmn = None

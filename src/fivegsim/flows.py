@@ -76,7 +76,7 @@ def establish_user_plane(world: World, ue_id: str,
                          horizon: int = 2_000) -> bool:
     trigger(world, ue_id, messages.TriggerPduSession())
     world.run_until(world.time + horizon)
-    return world.entities[ue_id].up_active
+    return world.entities[ue_id].up_link is not None
 
 
 def send_app_data(world: World, ue_id: str, payload: bytes,

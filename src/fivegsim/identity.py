@@ -9,7 +9,9 @@ derivation provenance.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field, replace
+from importlib import resources
 
 from .randomness import RandomStream
 
@@ -271,19 +273,18 @@ class LongTermCredential:
         return replace(self, sqn=self.sqn + 1)
 
 
-# Fixed derivation DAG: child -> parent.
-KEY_PARENT: dict[str, str] = {
-    "k_seaf": "k_ausf",
-    "k_amf": "k_seaf",
-    "k_nas_int": "k_amf",
-    "k_nas_enc": "k_amf",
-    "k_gnb": "k_amf",
-    "k_rrc_int": "k_gnb",
-    "k_rrc_enc": "k_gnb",
-    "k_up_int": "k_gnb",
-    "k_up_enc": "k_gnb",
-}
-KEY_NAMES: tuple[str, ...] = ("k_ausf",) + tuple(KEY_PARENT)
+def _load_key_parents() -> dict[str, str]:
+    with resources.files("fivegsim.data").joinpath("kdf_labels.json").open("rb") as fh:
+        chain = json.load(fh)["chain"]
+    return {child: spec["parent"] for child, spec in chain.items()}
+
+
+# Fixed derivation DAG, child -> parent in derivation order, as the
+# "chain" table of data/kdf_labels.json defines it.
+KEY_PARENT: dict[str, str] = _load_key_parents()
+# Every key name, the root (a parent that is nobody's child) first.
+KEY_NAMES: tuple[str, ...] = tuple(dict.fromkeys(
+    [p for p in KEY_PARENT.values() if p not in KEY_PARENT] + list(KEY_PARENT)))
 
 
 def key_ancestors(name: str) -> list[str]:
@@ -354,9 +355,6 @@ class KeyHierarchy:
                 raise DerivationOrderError(f"{name} present without derivation or root")
 
 
-NAS_COUNT_MAX = 2**24 - 1
-
-
 @dataclass
 class SecurityContext:
     """Per-session NAS security state shared by UE and AMF."""
@@ -366,8 +364,6 @@ class SecurityContext:
     nea_id: int
     nia_id: int
     abba: bytes = b"\x00\x00"
-    nas_count_ul: int = 0
-    nas_count_dl: int = 0
     born_at: int = 0
 
     def __post_init__(self):
@@ -377,27 +373,3 @@ class SecurityContext:
             raise ValueError("abba is 2 bytes")
         if self.nea_id not in (0, 1, 2, 3) or self.nia_id not in (0, 1, 2, 3):
             raise ValueError("algorithm ids are 0..3")
-
-    def next_ul(self) -> int:
-        count = self.nas_count_ul
-        if count >= NAS_COUNT_MAX:
-            raise ValueError("uplink NAS count exhausted")
-        self.nas_count_ul = count + 1
-        return count
-
-    def next_dl(self) -> int:
-        count = self.nas_count_dl
-        if count >= NAS_COUNT_MAX:
-            raise ValueError("downlink NAS count exhausted")
-        self.nas_count_dl = count + 1
-        return count
-
-    def accept_ul(self, count: int) -> None:
-        if count < self.nas_count_ul:
-            raise ValueError("uplink NAS count went backwards")
-        self.nas_count_ul = count + 1
-
-    def accept_dl(self, count: int) -> None:
-        if count < self.nas_count_dl:
-            raise ValueError("downlink NAS count went backwards")
-        self.nas_count_dl = count + 1

@@ -260,9 +260,6 @@ class World:
             raise ValueError(f"duplicate entity id {entity.entity_id}")
         self.entities[entity.entity_id] = entity
 
-    def remove_entity(self, entity_id: str) -> None:
-        self.entities.pop(entity_id, None)
-
     def attach_adversary(self, hook: AdversaryHook) -> str:
         self.adversaries.append(hook)
         return hook.adversary_id
@@ -406,6 +403,3 @@ class World:
                               payload, f"entity:{event.dst}")
         self.time = max(self.time, t_end)
         return self.transcript
-
-    def run_to_quiescence(self, t_max: int = 1_000_000) -> Transcript:
-        return self.run_until(t_max)

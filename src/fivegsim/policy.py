@@ -50,16 +50,24 @@ class OperatorPolicy:
     def rrc_nia(self) -> int:
         return 2
 
-    @property
-    def up_nea(self) -> int:
-        return 2 if self.up_ciphering else 0
-
-    @property
-    def up_nia(self) -> int:
-        return 2 if self.up_integrity else 0
-
     def with_overrides(self, **kwargs) -> "OperatorPolicy":
         return replace(self, **kwargs)
+
+
+def up_algorithms(ciphering: bool, integrity: bool) -> tuple[int, int]:
+    """(nea, nia) for a user-plane session: the AES-based algorithms where
+    the session's protection flags are on, the null ones elsewhere."""
+    return (2 if ciphering else 0), (2 if integrity else 0)
+
+
+def parse_bool(raw: str) -> bool:
+    """The one text-to-boolean rule: true/1/yes/on, false/0/no/off."""
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"boolean expected, got {raw!r}")
 
 
 _POLICY_PARSERS = {
@@ -96,12 +104,10 @@ def parse_policy_value(key: str, raw: str):
         if raw.lower() in ("never", "none"):
             return None
         return int(raw)
-    low = raw.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"boolean expected for {key}, got {raw!r}")
+    try:
+        return parse_bool(raw)
+    except ValueError:
+        raise ValueError(f"boolean expected for {key}, got {raw!r}") from None
 
 
 POLICY_KEYS = frozenset(_POLICY_PARSERS)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import crypto, messages
 from .entities import Sepp
+from .entities.base import open_secured, try_decode
 from .entities.ran import SliceAdmission
 from .flows import run_registration
 from .identity import LongTermCredential, format_supi
@@ -27,7 +28,13 @@ from .netsim import (
     RADIO_CHANNELS,
     World,
 )
-from .policy import CAUSE_ILLEGAL_UE, OperatorPolicy, POLICY_KEYS, parse_policy_value
+from .policy import (
+    CAUSE_ILLEGAL_UE,
+    OperatorPolicy,
+    POLICY_KEYS,
+    parse_bool,
+    parse_policy_value,
+)
 from .risk import Impact, Likelihood, RiskCell, place
 from .worldfile import WorldBuilder
 
@@ -214,13 +221,7 @@ def list_scenarios() -> list[ThreatScenario]:
 
 
 def _decode_all(payloads: list[bytes]) -> list:
-    out = []
-    for payload in payloads:
-        try:
-            out.append(messages.decode(payload))
-        except Exception:
-            pass
-    return out
+    return [m for m in map(try_decode, payloads) if m is not None]
 
 
 def _auth_params(decoded: list) -> list[tuple[bytes, bytes]]:
@@ -232,24 +233,8 @@ def _smc_params(decoded: list) -> list[tuple[int, int]]:
     params = []
     for m in decoded:
         if isinstance(m, messages.SecuredNas) and m.nea_id == 0:
-            try:
-                inner = messages.decode(m.body)
-            except Exception:
-                continue
+            inner = try_decode(m.body)
             if isinstance(inner, messages.NasSecurityModeCommand):
-                params.append((inner.nea_id, inner.nia_id))
-    return params
-
-
-def _as_smc_params(decoded: list) -> list[tuple[int, int]]:
-    params = []
-    for m in decoded:
-        if isinstance(m, messages.SecuredRrc) and m.nea_id == 0:
-            try:
-                inner = messages.decode(m.body)
-            except Exception:
-                continue
-            if isinstance(inner, messages.AsSecurityModeCommand):
                 params.append((inner.nea_id, inner.nia_id))
     return params
 
@@ -266,21 +251,16 @@ def _candidate_chains(decoded: list, k: bytes, supi: str, sn_name: str) -> list:
     return chains
 
 
-def _try_unprotect_nas(wrapper: messages.SecuredNas, keys) -> bytes | None:
-    key_enc = keys.get("k_nas_enc")
-    key_int = keys.get("k_nas_int")
-    if (wrapper.nea_id != 0 and key_enc is None) or \
-       (wrapper.nia_id != 0 and key_int is None):
+def _open_captured(wrapper, keys):
+    """The message inside a captured wrapper, opened as its receiver would
+    through a fresh link built from the adversary's keys and the captured
+    header; None when those keys do not open it."""
+    link = crypto.SecureLink(type(wrapper), keys, wrapper.nea_id, wrapper.nia_id,
+                             direction=1 - wrapper.direction)
+    if (wrapper.nea_id != 0 and link.key_enc is None) or \
+       (wrapper.nia_id != 0 and link.key_int is None):
         return None  # the adversary simply lacks the material
-    try:
-        return crypto.unprotect(
-            crypto.ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-            wrapper.nea_id, wrapper.nia_id,
-            key_enc, key_int,
-            wrapper.direction, wrapper.count,
-        )
-    except crypto.IntegrityFailure:
-        return None
+    return open_secured(link, wrapper)
 
 
 def recover_peis(observed: list[bytes], k: bytes, supi: str, sn_name: str) -> set[str]:
@@ -292,13 +272,7 @@ def recover_peis(observed: list[bytes], k: bytes, supi: str, sn_name: str) -> se
         for m in decoded:
             if not isinstance(m, messages.SecuredNas) or m.direction != 0:
                 continue
-            payload = _try_unprotect_nas(m, chain)
-            if payload is None:
-                continue
-            try:
-                inner = messages.decode(payload)
-            except Exception:
-                continue
+            inner = _open_captured(m, chain)
             if isinstance(inner, messages.NasSecurityModeComplete) and inner.pei:
                 recovered.add(inner.pei)
     return recovered
@@ -309,26 +283,10 @@ def decrypt_up_payloads(observed: list[bytes], as_keys_list: list) -> list[bytes
     decoded = _decode_all(observed)
     out = []
     for keys in as_keys_list:
-        key_enc = keys.get("k_up_enc")
-        key_int = keys.get("k_up_int")
         for m in decoded:
             if not isinstance(m, messages.SecuredUp):
                 continue
-            if (m.nea_id != 0 and key_enc is None) or \
-               (m.nia_id != 0 and key_int is None):
-                continue
-            try:
-                payload = crypto.unprotect(
-                    crypto.ProtectedMessage(ciphertext=m.body, mac_tag=m.mac_tag),
-                    m.nea_id, m.nia_id, key_enc, key_int,
-                    m.direction, m.count,
-                )
-            except crypto.IntegrityFailure:
-                continue
-            try:
-                inner = messages.decode(payload)
-            except Exception:
-                continue
+            inner = _open_captured(m, keys)
             if isinstance(inner, messages.AppData):
                 out.append(inner.payload)
     return out
@@ -526,14 +484,7 @@ def _run_ts04(seed: int, overrides: dict) -> tuple[World, dict]:
     world.run_until(HORIZON)
 
     stolen = spy.knowledge.keys.get("as_keys", {})
-
-    class _StolenKeys:
-        def get(self, name):
-            return stolen.get(name)
-
-    late_up = decrypt_up_payloads(
-        spy.knowledge.payloads(after=8000), [_StolenKeys()]
-    )
+    late_up = decrypt_up_payloads(spy.knowledge.payloads(after=8000), [stolen])
     outcome = {
         "context_extracted": bool(stolen),
         "attacker_decrypts_later_traffic": _MARKER_B in late_up,
@@ -660,17 +611,12 @@ def _run_ts08(seed: int, overrides: dict) -> tuple[World, dict]:
     world.run_until(HORIZON)
 
     stolen = spy.knowledge.keys.get("gnb_keys", {})
-
-    class _Stolen:
-        def get(self, name):
-            return stolen.get(name)
-
-    up = decrypt_up_payloads(spy.knowledge.payloads(), [_Stolen()])
-    nas_cracked = False
-    for m in _decode_all(spy.knowledge.payloads()):
-        if isinstance(m, messages.SecuredNas) and m.nea_id != 0:
-            if _try_unprotect_nas(m, _Stolen()) is not None:
-                nas_cracked = True
+    up = decrypt_up_payloads(spy.knowledge.payloads(), [stolen])
+    nas_cracked = any(
+        isinstance(m, messages.SecuredNas) and m.nea_id != 0
+        and _open_captured(m, stolen) is not None
+        for m in _decode_all(spy.knowledge.payloads())
+    )
     outcome = {
         "up_traffic_exposed": _MARKER_A in up,
         "nas_protected_from_gnb": not nas_cracked,
@@ -702,17 +648,11 @@ def _run_ts09(seed: int, overrides: dict) -> tuple[World, dict]:
     world.run_until(HORIZON)
 
     stolen = spy.knowledge.keys.get("amf_keys", {})
-
-    class _Stolen:
-        def get(self, name):
-            return stolen.get(name)
-
-    nas_cracked = False
-    for m in _decode_all(spy.knowledge.payloads(after=4000)):
-        if isinstance(m, messages.SecuredNas):
-            payload = _try_unprotect_nas(m, _Stolen())
-            if payload is not None and m.nea_id != 0:
-                nas_cracked = True
+    nas_cracked = any(
+        isinstance(m, messages.SecuredNas) and m.nea_id != 0
+        and _open_captured(m, stolen) is not None
+        for m in _decode_all(spy.knowledge.payloads(after=4000))
+    )
     outcome = {
         "nas_traffic_exposed": nas_cracked,
         "root_key_not_exposed": (
@@ -846,10 +786,10 @@ def _normalize_overrides(scenario: ThreatScenario, overrides: dict | None) -> di
         if key in POLICY_KEYS:
             out[key] = parse_policy_value(key, value) if isinstance(value, str) else value
         elif isinstance(value, str):
-            low = value.lower()
-            out[key] = (low in ("true", "1", "yes", "on")) if low in (
-                "true", "false", "1", "0", "yes", "no", "on", "off"
-            ) else int(value)
+            try:
+                out[key] = parse_bool(value)
+            except ValueError:
+                out[key] = int(value)
         else:
             out[key] = value
     return out

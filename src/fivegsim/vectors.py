@@ -8,7 +8,7 @@ repository (tests/data/known_answers.txt) and regenerated by the CLI's
 from __future__ import annotations
 
 from . import crypto
-from .identity import LongTermCredential, SubscriberIdentity, SuciScheme
+from .identity import KEY_PARENT, LongTermCredential, SubscriberIdentity, SuciScheme
 
 # Fixed inputs for every vector below.
 HOME_SEED = bytes(range(1, 33))
@@ -62,8 +62,7 @@ def generate_vectors() -> str:
         CHAIN_K_AUSF, SERVING_NETWORK, CHAIN_SUPI, CHAIN_ABBA, CHAIN_NEA, CHAIN_NIA
     )
     emit("chain_k_ausf", CHAIN_K_AUSF)
-    for name in ("k_seaf", "k_amf", "k_nas_int", "k_nas_enc", "k_gnb",
-                 "k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc"):
+    for name in KEY_PARENT:
         emit(f"chain_{name}", chain.get(name))
 
     return "\n".join(lines) + "\n"

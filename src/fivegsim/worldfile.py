@@ -256,10 +256,6 @@ def load_world_file(path: str) -> tuple[World, WorldBuilder]:
         raise WorldFileError(str(exc)) from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    return raw.lower() in ("true", "1", "yes", "on")
-
-
 def _build_from_parser(parser) -> tuple[World, WorldBuilder]:
     seed = 0
     if parser.has_section("world"):

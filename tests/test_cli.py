@@ -51,6 +51,16 @@ def test_expectation_pass_and_fail(capsys):
     assert "expectation failed" in err
 
 
+def test_expectation_uses_the_policy_boolean_parser(capsys):
+    code, _, _ = run_cli(capsys, "run", "--scenario", "TS_05", "--seed", "42",
+                         "--expect", "dos_persistent=on")
+    assert code == 0
+    code, _, err = run_cli(capsys, "run", "--scenario", "TS_05", "--seed", "42",
+                           "--expect", "dos_persistent=junk")
+    assert code == 2
+    assert "junk" in err
+
+
 def test_run_outputs_deterministic(capsys):
     _, first, _ = run_cli(capsys, "run", "--scenario", "TS_07", "--seed", "3")
     _, second, _ = run_cli(capsys, "run", "--scenario", "TS_07", "--seed", "3")

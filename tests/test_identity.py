@@ -197,18 +197,5 @@ def _context():
     return SecurityContext(ng_ksi=1, keys=h, nea_id=2, nia_id=2)
 
 
-def test_security_context_counts_never_decrease():
-    ctx = _context()
-    assert ctx.next_ul() == 0
-    assert ctx.next_ul() == 1
-    ctx.accept_ul(5)
-    with pytest.raises(ValueError):
-        ctx.accept_ul(3)
-    assert ctx.next_dl() == 0
-    ctx.accept_dl(2)
-    with pytest.raises(ValueError):
-        ctx.accept_dl(0)
-
-
 def test_security_context_default_abba_is_zero():
     assert _context().abba == b"\x00\x00"

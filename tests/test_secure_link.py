@@ -1,0 +1,330 @@
+"""SecureLink: one protection path for NAS, RRC and user-plane wrappers.
+
+The unit tests pin the link's per-direction counters and its rejection
+reasons.  The world tests replay, relabel and rewrite wrappers on the
+radio link; each attempt must end in a typed rejection from ``open`` and
+an ignored transition: no exception escapes the world and nothing is
+delivered twice.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from fivegsim import crypto, messages
+from fivegsim.entities.base import try_decode
+from fivegsim.flows import (
+    establish_user_plane,
+    find_amf_session,
+    radio_plaintext_count,
+    run_registration,
+    send_app_data,
+)
+from fivegsim.netsim import RADIO_CHANNELS, Action, AdversaryHook, Capability, Channel
+from fivegsim.policy import OperatorPolicy
+from fivegsim.worldfile import single_network_world
+
+KEYS = {
+    name: bytes([i + 1]) * 32
+    for i, name in enumerate(("k_nas_enc", "k_nas_int", "k_rrc_enc",
+                              "k_rrc_int", "k_up_enc", "k_up_int"))
+}
+WRAPPERS = (messages.SecuredNas, messages.SecuredRrc, messages.SecuredUp)
+INNER = messages.AppData(payload=b"inner-bytes")
+
+
+def _pair(wrapper=messages.SecuredNas, nea=2, nia=2):
+    """Two ends of one link: the uplink sender and its receiver."""
+    return (crypto.SecureLink(wrapper, KEYS, nea, nia, direction=0),
+            crypto.SecureLink(wrapper, KEYS, nea, nia, direction=1))
+
+
+# ---------------------------------------------------------------------------
+# The link itself
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
+@pytest.mark.parametrize("nea,nia", [(0, 0), (0, 2), (2, 0), (2, 2)])
+def test_seal_then_open_round_trip(wrapper, nea, nia):
+    ue_end, network_end = _pair(wrapper, nea, nia)
+    sealed = ue_end.seal(INNER)
+    assert type(sealed) is wrapper
+    assert (sealed.count, sealed.direction, sealed.nea_id, sealed.nia_id) == (0, 0, nea, nia)
+    assert (sealed.body == messages.encode(INNER)) == (nea == 0)
+    assert network_end.open(sealed) == messages.encode(INNER)
+
+
+def test_secure_link_counts_never_decrease():
+    ue_end, network_end = _pair()
+    first, second = ue_end.seal(INNER), ue_end.seal(INNER)
+    assert (first.count, second.count) == (0, 1)
+    assert network_end.open(second) == messages.encode(INNER)
+    assert network_end.open(first) is crypto.LinkReject.COUNT
+    assert network_end.open(second) is crypto.LinkReject.COUNT
+    # each direction keeps its own counter
+    assert network_end.seal(INNER).count == 0
+    assert ue_end.open(network_end.seal(INNER)) == messages.encode(INNER)
+
+
+def test_open_rejects_own_direction():
+    ue_end, _ = _pair()
+    assert ue_end.open(ue_end.seal(INNER)) is crypto.LinkReject.DIRECTION
+    relabeled = replace(ue_end.seal(INNER), direction=3)
+    assert _pair()[1].open(relabeled) is crypto.LinkReject.DIRECTION
+
+
+@pytest.mark.parametrize("header", [
+    {"nea_id": 0, "nia_id": 0}, {"nea_id": 0}, {"nia_id": 0},
+    {"nia_id": 1}, {"nia_id": 7}, {"nea_id": 3},
+])
+def test_open_pins_the_negotiated_algorithms(header):
+    ue_end, network_end = _pair()
+    relabeled = replace(ue_end.seal(INNER), **header)
+    assert network_end.open(relabeled) is crypto.LinkReject.ALGORITHM
+
+
+@pytest.mark.parametrize("count", [-1, 2**32, 2**63 - 1])
+def test_open_rejects_count_outside_window(count):
+    ue_end, network_end = _pair()
+    assert network_end.open(replace(ue_end.seal(INNER), count=count)) \
+        is crypto.LinkReject.COUNT
+
+
+def test_null_integrity_has_no_replay_window():
+    # nothing vouches for the count, so a forged one must not block later packets
+    ue_end, network_end = _pair(messages.SecuredUp, nea=2, nia=0)
+    forged = replace(ue_end.seal(INNER), count=10**6, body=b"\x00" * 8)
+    for _ in range(2):
+        assert isinstance(network_end.open(forged), bytes)
+    assert network_end.open(ue_end.seal(INNER)) == messages.encode(INNER)
+    assert network_end.open(replace(forged, count=-1)) is crypto.LinkReject.COUNT
+
+
+def test_open_accepts_count_max():
+    ue_end, network_end = _pair()
+    ue_end.next_tx = crypto.COUNT_MAX
+    assert network_end.open(ue_end.seal(INNER)) == messages.encode(INNER)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mac_tag", b"\x00\x00\x00\x01"), ("mac_tag", b"\x00"), ("body", b"\x00"),
+])
+def test_open_rejects_integrity_failure(field, value):
+    ue_end, network_end = _pair()
+    sealed = ue_end.seal(INNER)
+    assert network_end.open(replace(sealed, **{field: value})) \
+        is crypto.LinkReject.INTEGRITY
+    # a rejection never advances the counter: the genuine wrapper still opens
+    assert network_end.open(sealed) == messages.encode(INNER)
+
+
+def test_security_mode_command_is_integrity_only():
+    ue_end, network_end = _pair()
+    command = network_end.seal(INNER, integrity_only=True)
+    assert (command.nea_id, command.nia_id) == (0, 2)
+    assert command.body == messages.encode(INNER)
+    assert ue_end.open(command) is crypto.LinkReject.ALGORITHM
+    assert ue_end.open(command, integrity_only=True) == messages.encode(INNER)
+
+
+# ---------------------------------------------------------------------------
+# Attacks on the radio link
+# ---------------------------------------------------------------------------
+
+
+def _attach(world, handler, capability, channels=RADIO_CHANNELS):
+    world.attach_adversary(AdversaryHook(
+        adversary_id="mitm", vantage=frozenset(channels),
+        capabilities=frozenset({Capability.OBSERVE, capability}),
+        handler=handler))
+
+
+def _replay_first(wrapper_name: str, captured: list):
+    """Handler that re-sends the first uplink wrapper of a type once."""
+    def handler(world, hook, event):
+        if captured or event.src != "ue1" or \
+                messages.peek_type(event.payload) != wrapper_name:
+            return None
+        captured.append(messages.decode(event.payload))
+        return Action(inject=[(5, event.channel, event.src, event.dst, event.payload)])
+    return handler
+
+
+def _radio(builder):
+    gnb = builder.networks["net"].cells[0]
+    return gnb.ue_contexts[gnb.by_ue["ue1"]]
+
+
+def _delivered(world, channel, msg_type):
+    return [e for e in world.transcript.delivered({channel}) if e.msg_type == msg_type]
+
+
+def _assert_nothing_twice(world, builder):
+    active = [e.event.payload for e in _delivered(world, Channel.N2, "UeContextActive")]
+    assert len(active) == len(set(active))
+    payloads = [p for _, p in builder.networks["net"].upf.received]
+    assert len(payloads) == len(set(payloads))
+
+
+def _user_plane_world(seed):
+    world, builder = single_network_world(
+        seed=seed, policy=OperatorPolicy(up_integrity=True))
+    assert run_registration(world, "ue1").success
+    assert establish_user_plane(world, "ue1")
+    return world, builder
+
+
+def test_link_ends_agree_after_registration_and_traffic():
+    world, builder = _user_plane_world(30)
+    send_app_data(world, "ue1", b"one")
+    send_app_data(world, "ue1", b"two")
+    ue, radio = world.entities["ue1"], _radio(builder)
+    session = find_amf_session(builder.networks["net"].amf, ue)
+    # NAS: SMC, accept, session accept down; SMC complete, session request up
+    assert (session.link.next_tx, ue.nas_link.next_rx) == (3, 3)
+    assert (ue.nas_link.next_tx, session.link.next_rx) == (2, 2)
+    assert (radio.rrc.next_tx, ue.rrc_link.next_rx, ue.rrc_link.next_tx,
+            radio.rrc.next_rx) == (1, 1, 1, 1)
+    assert (ue.up_link.next_tx, radio.up.next_rx) == (2, 2)
+    assert (ue.up_link.nea_id, ue.up_link.nia_id) == (radio.up.nea_id, radio.up.nia_id) == (2, 2)
+
+
+def test_replayed_up_packet_reaches_upf_once():
+    world, builder = _user_plane_world(31)
+    captured: list = []
+    _attach(world, _replay_first("SecuredUp", captured), Capability.INJECT)
+    send_app_data(world, "ue1", b"pay-once")
+    assert [p for _, p in builder.networks["net"].upf.received] == [b"pay-once"]
+    assert _radio(builder).up.open(captured[0]) is crypto.LinkReject.COUNT
+
+
+def test_replayed_as_security_mode_complete_activates_once():
+    world, builder = single_network_world(seed=32)
+    captured: list = []
+    _attach(world, _replay_first("SecuredRrc", captured), Capability.INJECT)
+    assert run_registration(world, "ue1").success
+    assert len(_delivered(world, Channel.N2, "UeContextActive")) == 1
+    assert _radio(builder).rrc.open(captured[0]) is crypto.LinkReject.COUNT
+
+
+def test_replayed_nas_security_mode_command_ignored():
+    world, builder = single_network_world(seed=37)
+    assert run_registration(world, "ue1").success
+    ue = world.entities["ue1"]
+    link = ue.nas_link
+    command = next(
+        e.event.payload for e in _delivered(world, Channel.RADIO_NAS, "SecuredNas")
+        if e.event.dst == "ue1" and isinstance(
+            try_decode(messages.decode(e.event.payload).body),
+            messages.NasSecurityModeCommand))
+    world.schedule(world.time + 1, Channel.RADIO_NAS, "cell-a", "ue1", command,
+                   "adversary:mitm")
+    world.run_until(world.time + 100)
+    assert ue.phase.value == "registered" and ue.nas_link is link
+    assert establish_user_plane(world, "ue1")
+
+
+def test_replayed_as_security_mode_command_ignored():
+    world, builder = single_network_world(seed=38)
+    assert run_registration(world, "ue1").success
+    link = world.entities["ue1"].rrc_link
+    command = next(e.event.payload for e in _delivered(world, Channel.RADIO_RRC, "SecuredRrc")
+                   if e.event.dst == "ue1")
+    before = len(_delivered(world, Channel.RADIO_RRC, "SecuredRrc"))
+    world.schedule(world.time + 1, Channel.RADIO_RRC, "cell-a", "ue1", command,
+                   "adversary:mitm")
+    world.run_until(world.time + 100)
+    # only the replay itself: the UE answers nothing and keeps its link
+    assert len(_delivered(world, Channel.RADIO_RRC, "SecuredRrc")) == before + 1
+    assert world.entities["ue1"].rrc_link is link
+
+
+def test_null_algorithm_up_forgery_not_forwarded():
+    world, builder = _user_plane_world(33)
+    forged = messages.SecuredUp(
+        count=1000, direction=0, nea_id=0, nia_id=0, mac_tag=bytes(4),
+        body=messages.encode(messages.AppData(payload=b"FORGED")))
+    world.schedule(world.time + 1, Channel.RADIO_RRC, "ue1", "cell-a",
+                   messages.encode(forged), "adversary:mitm")
+    world.run_until(world.time + 100)
+    assert builder.networks["net"].upf.received == []
+    assert _radio(builder).up.open(forged) is crypto.LinkReject.ALGORITHM
+
+
+def test_null_algorithm_nas_forgery_opens_no_session():
+    world, builder = single_network_world(seed=34)
+    assert run_registration(world, "ue1").success
+    forged = messages.SecuredNas(
+        count=1000, direction=0, nea_id=0, nia_id=0, mac_tag=bytes(4),
+        body=messages.encode(messages.PduSessionRequest(slice_id="forged-slice")))
+    world.schedule(world.time + 1, Channel.RADIO_NAS, "ue1", "cell-a",
+                   messages.encode(forged), "adversary:mitm")
+    world.run_until(world.time + 500)
+    assert _delivered(world, Channel.SBI, "SmfSessionRequest") == []
+    session = find_amf_session(builder.networks["net"].amf, world.entities["ue1"])
+    assert session.link.open(forged) is crypto.LinkReject.ALGORITHM
+
+
+HEADERS = {
+    "nia=7": ({"nia_id": 7}, "ALGORITHM"),
+    "nia=1": ({"nia_id": 1}, "ALGORITHM"),
+    "count=2**32": ({"count": 2**32}, "COUNT"),
+    "count=-1": ({"count": -1}, "COUNT"),
+}
+
+
+def _receiver(builder, wrapper_name):
+    if wrapper_name == "SecuredNas":
+        return next(iter(builder.networks["net"].amf.sessions.values())).link
+    radio = _radio(builder)
+    return radio.rrc if wrapper_name == "SecuredRrc" else radio.up
+
+
+@pytest.mark.parametrize("wrapper_name", [w.__name__ for w in WRAPPERS])
+@pytest.mark.parametrize("header", list(HEADERS))
+def test_malformed_header_is_a_typed_rejection(wrapper_name, header):
+    change, reason = HEADERS[header]
+    world, builder = single_network_world(seed=35)
+    modified: list = []
+
+    def rewrite(w, hook, event):
+        if modified or event.src != "ue1" or \
+                messages.peek_type(event.payload) != wrapper_name:
+            return None
+        modified.append(replace(messages.decode(event.payload), **change))
+        return Action(replace_payload=messages.encode(modified[0]))
+
+    _attach(world, rewrite, Capability.MODIFY)
+    run_registration(world, "ue1")
+    establish_user_plane(world, "ue1")
+    send_app_data(world, "ue1", b"first")
+    send_app_data(world, "ue1", b"second")
+    assert modified
+    _assert_nothing_twice(world, builder)
+    assert _receiver(builder, wrapper_name).open(modified[0]) \
+        is crypto.LinkReject[reason]
+
+
+@pytest.mark.parametrize("inner_algorithms", [(0, 0), (0, 2)])
+def test_ue_refuses_null_integrity_security_mode_command(inner_algorithms):
+    world, _ = single_network_world(seed=36)
+    ue = world.entities["ue1"]
+    nea, nia = inner_algorithms
+
+    def bid_down(w, hook, event):
+        if messages.peek_type(event.payload) != "SecuredNas":
+            return None
+        wrapper = messages.decode(event.payload)
+        smc = try_decode(wrapper.body) if wrapper.nea_id == 0 else None
+        if not isinstance(smc, messages.NasSecurityModeCommand):
+            return None
+        body = messages.encode(replace(smc, nea_id=nea, nia_id=nia))
+        return Action(replace_payload=messages.encode(
+            replace(wrapper, nia_id=0, mac_tag=bytes(4), body=body)))
+
+    _attach(world, bid_down, Capability.MODIFY, {Channel.RADIO_NAS})
+    outcome = run_registration(world, "ue1")
+    assert not outcome.success
+    assert radio_plaintext_count(world.transcript, ue.pei.pei.encode()) == 0
+    assert ue.context is None and ue.nas_link is None
