@@ -14,6 +14,7 @@ import hashlib
 import hmac as hmac_mod
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from cryptography.exceptions import InvalidSignature
@@ -40,6 +41,7 @@ from .identity import (
     SuciScheme,
     UnsupportedScheme,
     format_supi,
+    key_ancestors,
 )
 from .randomness import RandomStream
 
@@ -145,7 +147,9 @@ class HomeNetworkKeyPair:
             )
         raise ValueError("null scheme has no key pair")
 
+    @cached_property
     def _private_key(self):
+        """The parsed private key, built on first use and kept."""
         if self.scheme == SuciScheme.PROFILE_A:
             return X25519PrivateKey.from_private_bytes(self.private_bytes)
         return ec.derive_private_key(
@@ -262,7 +266,7 @@ def deconceal_suci(
     if home_private is None or home_private.scheme != suci.scheme:
         raise ValueError("home private key missing or for the wrong scheme")
     shared = _ecies_shared(
-        suci.scheme, home_private._private_key(), suci.ephemeral_public_key
+        suci.scheme, home_private._private_key, suci.ephemeral_public_key
     )
     enc_key, icb, mac_key = _ecies_keys(shared, suci.ephemeral_public_key)
     expected = _hmac(mac_key, suci.ciphertext)[: _LABELS["ecies"]["tag_len"]]
@@ -442,6 +446,17 @@ def _populate(hierarchy: KeyHierarchy, names: list[str], ctx: dict[str, bytes]) 
         hierarchy.record(child, parent, _derive_edge(hierarchy.get(parent), child, ctx))
 
 
+def _below(key: str) -> list[str]:
+    """The keys derived from ``key``, directly or not, in KEY_PARENT order."""
+    return [name for name in KEY_PARENT if key in key_ancestors(name)]
+
+
+# The gNB derives the AS keys from k_gnb; the AMF derives the keys from
+# k_seaf down to k_gnb, which it hands to the gNB.
+_AS_KEYS = _below("k_gnb")
+_SERVING_KEYS = [name for name in _below("k_seaf") if name not in _AS_KEYS]
+
+
 def derive_k_seaf(k_ausf: bytes, serving_network_name: str) -> bytes:
     """Single anchor-to-serving edge, used by the home network alone."""
     ctx = _chain_context(serving_network_name, "", b"\x00\x00", 0, 0)
@@ -475,7 +490,7 @@ def derive_chain_from_seaf(
     ctx = _chain_context("", supi, abba, nea_id, nia_id)
     hierarchy = KeyHierarchy()
     hierarchy.set_root("k_seaf", k_seaf)
-    _populate(hierarchy, ["k_amf", "k_nas_int", "k_nas_enc", "k_gnb"], ctx)
+    _populate(hierarchy, _SERVING_KEYS, ctx)
     return hierarchy
 
 
@@ -484,7 +499,7 @@ def derive_as_keys(k_gnb: bytes, nea_id: int, nia_id: int) -> KeyHierarchy:
     ctx = _chain_context("", "", b"\x00\x00", nea_id, nia_id)
     hierarchy = KeyHierarchy()
     hierarchy.set_root("k_gnb", k_gnb)
-    _populate(hierarchy, ["k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc"], ctx)
+    _populate(hierarchy, _AS_KEYS, ctx)
     return hierarchy
 
 
@@ -704,6 +719,11 @@ class RejectSigningKeyPair:
         pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
         return cls(signing_key=seed, verification_key=pub)
 
+    @cached_property
+    def private_key(self) -> Ed25519PrivateKey:
+        """The parsed signing key, built on first use and kept."""
+        return Ed25519PrivateKey.from_private_bytes(self.signing_key)
+
 
 def _reject_message(reject_cause: int, cell_id: str, ue_nonce: bytes) -> bytes:
     ctx = _LABELS["reject_signature"]["context"].encode()
@@ -716,12 +736,17 @@ def _reject_message(reject_cause: int, cell_id: str, ue_nonce: bytes) -> bytes:
 
 
 def sign_reject(
-    signing_key: bytes, reject_cause: int, cell_id: str, ue_nonce: bytes
+    signing_key: RejectSigningKeyPair | bytes, reject_cause: int, cell_id: str,
+    ue_nonce: bytes,
 ) -> bytes:
-    """Sign a reject over (cause, cell, the UE's request nonce); 64 bytes out."""
-    if len(signing_key) != 32:
+    """Sign a reject over (cause, cell, the UE's request nonce); 64 bytes out.
+    ``signing_key`` is a key pair, whose parsed key is reused, or its seed."""
+    if isinstance(signing_key, RejectSigningKeyPair):
+        priv = signing_key.private_key
+    elif len(signing_key) != 32:
         raise ValueError("signing key is 32 bytes")
-    priv = Ed25519PrivateKey.from_private_bytes(signing_key)
+    else:
+        priv = Ed25519PrivateKey.from_private_bytes(signing_key)
     return priv.sign(_reject_message(reject_cause, cell_id, ue_nonce))
 
 

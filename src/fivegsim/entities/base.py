@@ -8,9 +8,11 @@ from .. import crypto, messages
 
 
 def _snake(name: str) -> str:
-    name = re.sub(r"([a-z])([A-Z])", r"\1_\2", name)
-    name = re.sub(r"([a-zA-Z])([0-9])", r"\1_\2", name)
-    return name.lower()
+    return re.sub(r"(?<=[a-z])(?=[A-Z])|(?<=[a-zA-Z])(?=[0-9])", "_", name).lower()
+
+
+# handler name -> message class, e.g. "on_attach_request_4g" -> AttachRequest4G
+_HANDLED = {"on_" + _snake(cls.__name__): cls for cls in messages._REGISTRY}
 
 
 def try_decode(data: bytes):
@@ -33,16 +35,25 @@ def open_secured(link: crypto.SecureLink | None, wrapper):
 class Entity:
     """Base class: dispatches a decoded message to ``on_<message_type>``.
 
-    Unknown message types are an explicit ignored transition, never a
-    fault; protocol errors are modeled as reject/failure messages.
+    Each subclass's table from message class to handler is built when the
+    class is created.  Unknown message types are an explicit ignored
+    transition, never a fault; protocol errors are reject/failure messages.
     """
+
+    _handlers: dict[type, object] = {}
+
+    def __init_subclass__(cls):
+        names = [name for name in dir(cls) if name.startswith("on_")]
+        if unknown := [name for name in names if name not in _HANDLED]:
+            raise TypeError(f"{cls.__name__}: no wire message for {', '.join(unknown)}")
+        cls._handlers = {_HANDLED[name]: getattr(cls, name) for name in names}
 
     def __init__(self, entity_id: str):
         self.entity_id = entity_id
 
     def step(self, msg, event, ctx) -> None:
-        handler = getattr(self, "on_" + _snake(type(msg).__name__), None)
+        handler = self._handlers.get(type(msg))
         if handler is None:
             ctx.ignore()
             return
-        handler(msg, event, ctx)
+        handler(self, msg, event, ctx)

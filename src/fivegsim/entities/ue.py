@@ -67,7 +67,8 @@ class Attempt:
     c_rnti: bytes = b""
     ue_nonce: bytes = b""
     awaiting: str | None = None
-    last_send: tuple | None = None  # (channel, dst, msg)
+    # (channel, dst, msg, link): a retransmission seals msg on the link again
+    last_send: tuple | None = None
     retries: int = MAX_RETRANSMISSIONS
     timer_id: int = -1
     rejects_seen: int = 0
@@ -137,7 +138,7 @@ class Ue(Entity):
     def _send_awaiting(self, ctx, channel, dst, msg, awaiting: str) -> None:
         attempt = self.attempt
         attempt.awaiting = awaiting
-        attempt.last_send = (channel, dst, msg)
+        attempt.last_send = (channel, dst, msg, None)
         attempt.timer_id = self._new_timer(ctx)
         ctx.emit(channel, dst, msg)
 
@@ -400,6 +401,7 @@ class Ue(Entity):
         self.phase = UePhase.NAS_SECURED
         if self.attempt is not None:
             self.attempt.awaiting = "as_smc"
+            self.attempt.last_send = (Channel.RADIO_NAS, reply_dst, complete, link)
             self.attempt.timer_id = self._new_timer(ctx)
 
     def _emit_secured_nas(self, ctx, dst, inner) -> None:
@@ -453,9 +455,11 @@ class Ue(Entity):
             return
         self.as_keys = keys
         self.rrc_link = link
-        ctx.emit(Channel.RADIO_RRC, event.src, link.seal(messages.AsSecurityModeComplete()))
+        complete = messages.AsSecurityModeComplete()
+        ctx.emit(Channel.RADIO_RRC, event.src, link.seal(complete))
         if self.attempt is not None:
             self.attempt.awaiting = "reg_accept"
+            self.attempt.last_send = (Channel.RADIO_RRC, event.src, complete, link)
             self.attempt.timer_id = self._new_timer(ctx)
 
     # -- user plane ---------------------------------------------------------------
@@ -505,8 +509,8 @@ class Ue(Entity):
             return
         if attempt.retries > 0:
             attempt.retries -= 1
-            channel, dst, message = attempt.last_send
+            channel, dst, message, link = attempt.last_send
             attempt.timer_id = self._new_timer(ctx)
-            ctx.emit(channel, dst, message)
+            ctx.emit(channel, dst, message if link is None else link.seal(message))
             return
         self._finish_attempt("timeout", ctx)

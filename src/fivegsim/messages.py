@@ -10,112 +10,108 @@ an on-path observer sees.
 
 from __future__ import annotations
 
+import functools
+import io
 import typing
 from dataclasses import dataclass, fields
 
-_REGISTRY: list[type] = []
-_BY_NAME: dict[str, type] = {}
+_REGISTRY: list[type] = []  # index = tag
 
 
 def wire(cls):
     """Register a dataclass as a wire message/struct."""
     cls = dataclass(cls)
     _REGISTRY.append(cls)
-    _BY_NAME[cls.__name__] = cls
     return cls
 
 
-def _tag(cls) -> int:
-    return _REGISTRY.index(cls)
+def _take(stream: io.BytesIO, n: int) -> bytes:
+    if len(raw := stream.read(n)) != n:
+        raise ValueError("truncated message")
+    return raw
 
 
-def _encode_value(value, ftype) -> bytes:
-    origin = typing.get_origin(ftype)
-    if origin is list:
+def _write_bytes(value, out: bytearray) -> None:
+    out += len(value).to_bytes(4, "big") + value
+
+
+def _read_bytes(stream: io.BytesIO) -> bytes:
+    return _take(stream, int.from_bytes(_take(stream, 4), "big"))
+
+
+# scalar type -> (write(value, out), read(stream) -> value)
+_SCALARS = {
+    int: (lambda value, out: out.extend(int(value).to_bytes(8, "big", signed=True)),
+          lambda stream: int.from_bytes(_take(stream, 8), "big", signed=True)),
+    bool: (lambda value, out: out.append(1 if value else 0),
+           lambda stream: _take(stream, 1) == b"\x01"),
+    bytes: (_write_bytes, _read_bytes),
+    str: (lambda value, out: _write_bytes(value.encode("utf-8"), out),
+          lambda stream: _read_bytes(stream).decode("utf-8")),
+}
+
+
+def _field_codec(ftype) -> tuple:
+    """(write, read) for a scalar, a list (2-byte count) or a wire struct (4-byte length)."""
+    if typing.get_origin(ftype) is list:
         (inner,) = typing.get_args(ftype)
-        out = len(value).to_bytes(2, "big")
-        for item in value:
-            out += _encode_value(item, inner)
-        return out
-    if ftype is int:
-        return int(value).to_bytes(8, "big", signed=True)
-    if ftype is bool:
-        return b"\x01" if value else b"\x00"
-    if ftype is bytes:
-        return len(value).to_bytes(4, "big") + value
-    if ftype is str:
-        raw = value.encode("utf-8")
-        return len(raw).to_bytes(4, "big") + raw
+        write_item, read_item = _field_codec(inner)
+
+        def write(value, out):
+            out += len(value).to_bytes(2, "big")
+            for item in value:
+                write_item(item, out)
+        return write, lambda stream: [
+            read_item(stream) for _ in range(int.from_bytes(_take(stream, 2), "big"))]
     if ftype in _REGISTRY:
-        body = _encode_body(value)
-        return len(body).to_bytes(4, "big") + body
+        def write(value, out):
+            start = len(out)
+            out += bytes(4)
+            _plan(ftype)[1](value, out)
+            out[start:start + 4] = (len(out) - start - 4).to_bytes(4, "big")
+        return write, lambda stream: _read_to(
+            ftype, stream, int.from_bytes(_take(stream, 4), "big"))
+    if ftype in _SCALARS:
+        return _SCALARS[ftype]
     raise TypeError(f"unsupported wire field type {ftype!r}")
 
 
-def _decode_value(data: bytes, pos: int, ftype):
-    origin = typing.get_origin(ftype)
-    if origin is list:
-        (inner,) = typing.get_args(ftype)
-        count = int.from_bytes(data[pos:pos + 2], "big")
-        pos += 2
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(data, pos, inner)
-            items.append(item)
-        return items, pos
-    if ftype is int:
-        return int.from_bytes(data[pos:pos + 8], "big", signed=True), pos + 8
-    if ftype is bool:
-        return data[pos] == 1, pos + 1
-    if ftype is bytes:
-        n = int.from_bytes(data[pos:pos + 4], "big")
-        pos += 4
-        return data[pos:pos + n], pos + n
-    if ftype is str:
-        n = int.from_bytes(data[pos:pos + 4], "big")
-        pos += 4
-        return data[pos:pos + n].decode("utf-8"), pos + n
-    if ftype in _REGISTRY:
-        n = int.from_bytes(data[pos:pos + 4], "big")
-        pos += 4
-        return _decode_body(ftype, data[pos:pos + n]), pos + n
-    raise TypeError(f"unsupported wire field type {ftype!r}")
-
-
-def _field_types(cls) -> list[tuple[str, object]]:
+@functools.cache
+def _plan(cls) -> tuple:
+    """(tag, write(msg, out), read(stream) -> msg) of a wire class, once."""
     hints = typing.get_type_hints(cls)
-    return [(f.name, hints[f.name]) for f in fields(cls)]
+    codecs = [(f.name, *_field_codec(hints[f.name])) for f in fields(cls)]
+
+    def write(msg, out):
+        for name, write_field, _ in codecs:
+            write_field(getattr(msg, name), out)
+    return (_REGISTRY.index(cls).to_bytes(2, "big"), write,
+            lambda stream: cls(*[read(stream) for _, _, read in codecs]))
 
 
-def _encode_body(msg) -> bytes:
-    out = b""
-    for name, ftype in _field_types(type(msg)):
-        out += _encode_value(getattr(msg, name), ftype)
-    return out
-
-
-def _decode_body(cls, data: bytes):
-    pos = 0
-    values = {}
-    for name, ftype in _field_types(cls):
-        values[name], pos = _decode_value(data, pos, ftype)
-    if pos != len(data):
+def _read_to(cls, stream: io.BytesIO, length: int):
+    """The ``cls`` message that fills the next ``length`` bytes."""
+    end = stream.tell() + length
+    msg = _plan(cls)[2](stream)
+    if stream.tell() != end:
         raise ValueError(f"trailing bytes decoding {cls.__name__}")
-    return cls(**values)
+    return msg
 
 
 def encode(msg) -> bytes:
     """Length-prefixed canonical encoding of a registered message."""
-    body = _tag(type(msg)).to_bytes(2, "big") + _encode_body(msg)
-    return len(body).to_bytes(4, "big") + body
+    tag, write, _ = _plan(type(msg))
+    out = bytearray(4) + tag  # the length is filled in below
+    write(msg, out)
+    out[:4] = (len(out) - 4).to_bytes(4, "big")
+    return bytes(out)
 
 
 def decode(data: bytes):
-    total = int.from_bytes(data[:4], "big")
-    if total != len(data) - 4:
+    if int.from_bytes(data[:4], "big") != len(data) - 4:
         raise ValueError("bad message framing")
-    cls = _REGISTRY[int.from_bytes(data[4:6], "big")]
-    return _decode_body(cls, data[6:])
+    body = data[6:]
+    return _read_to(_REGISTRY[int.from_bytes(data[4:6], "big")], io.BytesIO(body), len(body))
 
 
 def peek_type(data: bytes) -> str:

@@ -9,6 +9,7 @@ its export hashes identically across runs with the same seed.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import heapq
@@ -95,26 +96,41 @@ class TranscriptEntry:
         }
 
 
+_JSON = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) uses
+
+
+def _peek(payload: bytes) -> str:
+    """The payload's message type name, or "?" when it has none."""
+    try:
+        return messages.peek_type(payload)
+    except Exception:
+        return "?"
+
+
 class Transcript:
     """Append-only record of every delivered or dropped event."""
 
     def __init__(self):
         self.entries: list[TranscriptEntry] = []
 
-    def append(self, event: SimEvent, annotations: Annotations) -> None:
-        try:
-            msg_type = messages.peek_type(event.payload)
-        except Exception:
-            msg_type = "?"
+    def append(self, event: SimEvent, annotations: Annotations, msg_type: str) -> None:
+        """Record ``event``; ``msg_type`` is ``_peek`` of its payload."""
         self.entries.append(TranscriptEntry(event, msg_type, annotations))
 
+    def _lines(self):
+        return (_JSON.encode(entry.export()) for entry in self.entries)
+
     def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(entry.export(), sort_keys=True) for entry in self.entries
-        )
+        return "\n".join(self._lines())
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
+        """Digest of ``to_jsonl()``, fed one line at a time."""
+        digest = hashlib.sha256()
+        separator = b""
+        for line in self._lines():
+            digest.update(separator + line.encode())
+            separator = b"\n"
+        return digest.hexdigest()
 
     def delivered(self, channels=None):
         for entry in self.entries:
@@ -242,6 +258,7 @@ class World:
         self.seed = seed
         self.streams = StreamFactory(seed)
         self.entities: dict[str, object] = {}
+        self._cells: list = []  # entities with broadcast_info(), by id
         self.time = 0
         self._seq = 0
         self._queue: list[tuple[int, int, SimEvent]] = []
@@ -259,6 +276,8 @@ class World:
         if entity.entity_id in self.entities:
             raise ValueError(f"duplicate entity id {entity.entity_id}")
         self.entities[entity.entity_id] = entity
+        if callable(getattr(entity, "broadcast_info", None)):
+            bisect.insort(self._cells, entity, key=lambda e: e.entity_id)
 
     def attach_adversary(self, hook: AdversaryHook) -> str:
         self.adversaries.append(hook)
@@ -302,26 +321,13 @@ class World:
     # -- cells ---------------------------------------------------------------
 
     def active_cells(self) -> list[messages.CellInfo]:
-        cells = []
-        for entity_id in sorted(self.entities):
-            entity = self.entities[entity_id]
-            info = getattr(entity, "broadcast_info", None)
-            if callable(info):
-                cell = info()
-                if cell is not None:
-                    cells.append(cell)
-        return cells
+        cells = (entity.broadcast_info() for entity in self._cells)
+        return [cell for cell in cells if cell is not None]
 
     # -- main loop -----------------------------------------------------------
 
-    def _jam_applies(self, event: SimEvent) -> bool:
-        if event.channel not in RADIO_CHANNELS:
-            return False
-        try:
-            msg_type = messages.peek_type(event.payload)
-        except Exception:
-            return False
-        if msg_type not in _REGISTRATION_INITIATING:
+    def _jam_applies(self, event: SimEvent, msg_type: str) -> bool:
+        if event.channel not in RADIO_CHANNELS or msg_type not in _REGISTRATION_INITIATING:
             return False
         target = self.entities.get(event.dst)
         for jam in self.jams:
@@ -340,17 +346,18 @@ class World:
             _, _, event = heapq.heappop(self._queue)
             self.time = event.time
             annotations = Annotations(injected=event.origin.startswith("adversary:"))
+            msg_type = _peek(event.payload)
 
             if event.dst == "__world__":
                 fn = self._actions.pop(event.seq, None)
                 if fn is not None:
                     fn(self)
-                self.transcript.append(event, annotations)
+                self.transcript.append(event, annotations, msg_type)
                 continue
 
-            if self._jam_applies(event):
+            if self._jam_applies(event, msg_type):
                 annotations.dropped = True
-                self.transcript.append(event, annotations)
+                self.transcript.append(event, annotations, msg_type)
                 continue
 
             dropped = False
@@ -368,6 +375,7 @@ class World:
                 if action.replace_payload is not None and hook.can(Capability.MODIFY):
                     event.payload = action.replace_payload
                     annotations.modified = True
+                    msg_type = _peek(event.payload)
                 if action.inject and hook.can(Capability.INJECT):
                     for delay, channel, src, dst, payload in action.inject:
                         self.schedule(self.time + delay, channel, src, dst,
@@ -377,18 +385,18 @@ class World:
                     break
             if dropped:
                 annotations.dropped = True
-                self.transcript.append(event, annotations)
+                self.transcript.append(event, annotations, msg_type)
                 continue
 
             if event.dst == "__ether__":
-                self.transcript.append(event, annotations)
+                self.transcript.append(event, annotations, msg_type)
                 self.schedule(self.time + 1, Channel.INTERNAL, "__ether__", event.src,
                               messages.encode(messages.CellScanResponse(cells=self.active_cells())),
                               "world")
                 continue
 
             entity = self.entities.get(event.dst)
-            self.transcript.append(event, annotations)
+            self.transcript.append(event, annotations, msg_type)
             if entity is None:
                 continue  # removed or unknown node: explicit no-op
             try:

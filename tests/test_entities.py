@@ -546,3 +546,32 @@ def test_replayed_protected_message_is_ignored():
                                world.entities["ue1"])
     assert session.context.keys.get("k_nas_enc") == \
         outcome.ue_context.keys.get("k_nas_enc")
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lost_security_mode_complete_is_resent_sealed_afresh(seed):
+    # the first uplink SecuredNas (the UE's NAS security mode complete) is
+    # lost; the retransmission must carry that complete, not the
+    # AuthenticationResponse before it, under a fresh NAS count
+    from fivegsim.netsim import Action, AdversaryHook, Capability
+    world, _ = single_network_world(seed=seed)
+    dropped = []
+
+    def drop_first_secured_uplink(w, hook, event):
+        if not dropped and event.src == "ue1" \
+                and messages.peek_type(event.payload) == "SecuredNas":
+            dropped.append(messages.decode(event.payload))
+            return Action(drop=True)
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="loss", vantage=frozenset({Channel.RADIO_NAS}),
+        capabilities=frozenset({Capability.DROP}), handler=drop_first_secured_uplink))
+    outcome = run_registration(world, "ue1")
+    assert dropped
+    assert outcome.outcome == "registered"
+    resent = [messages.decode(e.event.payload) for e in world.transcript.delivered()
+              if e.event.src == "ue1" and e.msg_type == "SecuredNas"]
+    assert resent[0].count > dropped[0].count
+    ue_sent = [e.msg_type for e in world.transcript.entries if e.event.src == "ue1"]
+    assert ue_sent.count("AuthenticationResponse") == 1

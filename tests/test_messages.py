@@ -1,8 +1,15 @@
+import json
+import typing
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivegsim import messages
+from fivegsim.entities import Entity
+from fivegsim.netsim import Channel, World
 
 
 def test_round_trip_simple():
@@ -70,3 +77,105 @@ def test_all_wire_types_round_trip_defaults():
                 kwargs[f.name] = None
         msg = cls(**kwargs)
         assert messages.decode(messages.encode(msg)) == msg, cls.__name__
+
+
+# Hex of sample() for every wire class, recorded once: the wire format must
+# never move, whatever the codec's implementation.
+FROZEN_HEX = json.loads(
+    (Path(__file__).parent / "data" / "wire_samples.json").read_text())
+
+
+def sample(cls, salt=0):
+    """A fixed instance of a wire class: every field type, signed ints,
+    both booleans, non-ASCII text and nested structs in lists."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for i, f in enumerate(fields(cls)):
+        k = i + salt
+        ftype = hints[f.name]
+        if typing.get_origin(ftype) is list:
+            (inner,) = typing.get_args(ftype)
+            values[f.name] = ([f"{f.name}{k}", "é"] if inner is str
+                              else [sample(inner, k + 1), sample(inner, k + 2)])
+        elif ftype is bool:
+            values[f.name] = k % 2 == 0
+        elif ftype is int:
+            values[f.name] = (-1) ** k * (k * 0x0102030405 + 7)
+        elif ftype is bytes:
+            values[f.name] = bytes(range(k, k + 3 + k % 4))
+        elif ftype is str:
+            values[f.name] = f"{f.name}-{k}é"
+        else:
+            values[f.name] = sample(ftype, k + 1)
+    return cls(**values)
+
+
+def test_frozen_hex_covers_every_wire_class():
+    assert list(FROZEN_HEX) == [cls.__name__ for cls in messages._REGISTRY]
+
+
+@pytest.mark.parametrize("cls", messages._REGISTRY, ids=lambda cls: cls.__name__)
+def test_encoding_matches_frozen_hex(cls):
+    assert messages.encode(sample(cls)).hex() == FROZEN_HEX[cls.__name__]
+
+
+@pytest.mark.parametrize("cls", messages._REGISTRY, ids=lambda cls: cls.__name__)
+def test_sample_round_trips(cls):
+    msg = sample(cls)
+    raw = messages.encode(msg)
+    assert messages.decode(raw) == msg
+    assert messages.peek_type(raw) == cls.__name__
+
+
+def _framed(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+def _nested_trailing_byte() -> bytes:
+    # one byte appended to the CellInfo inside a CellScanResponse, with the
+    # CellInfo's length prefix and the outer framing counting it
+    raw = messages.encode(messages.CellScanResponse(cells=[sample(messages.CellInfo)]))
+    cell_len = int.from_bytes(raw[8:12], "big")
+    return _framed(raw[4:8] + (cell_len + 1).to_bytes(4, "big") + raw[12:] + b"\x00")
+
+
+_GOOD = messages.encode(messages.RegistrationRequest(
+    suci=b"\x01\x02", slice_id="embb", ue_nonce=b"12345678"))
+MALFORMED = {
+    "unknown_tag": _framed(len(messages._REGISTRY).to_bytes(2, "big") + _GOOD[6:]),
+    "trailing_byte": _framed(_GOOD[4:] + b"\x00"),
+    # the last field's 4-byte length prefix cut after two bytes
+    "truncated_length_prefix": _framed(_GOOD[4:-8 - 2]),
+    "nested_trailing_byte": _nested_trailing_byte(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_payload_is_a_decode_error_and_undecodable_at_the_bus(name):
+    payload = MALFORMED[name]
+    with pytest.raises((ValueError, IndexError)):
+        messages.decode(payload)
+
+    world = World(seed=0)
+    delivered = []
+
+    class Sink:
+        entity_id = "sink"
+
+        def step(self, msg, event, ctx):
+            delivered.append(msg)
+
+    world.add_entity(Sink())
+    for payload_at in (payload, _GOOD):
+        world.schedule(world.time + 1, Channel.INTERNAL, "world", "sink", payload_at, "world")
+    world.run_until(10)
+    assert delivered == [messages.decode(_GOOD)]
+    assert [e.event.payload for e in world.transcript.entries] == [payload, _GOOD]
+
+
+def test_misspelt_handler_fails_at_class_creation():
+    with pytest.raises(TypeError, match="on_timer_fird"):
+        class Clumsy(Entity):
+            def on_timer_fird(self, msg, event, ctx):
+                pass
+
