@@ -14,7 +14,7 @@ import hashlib
 import hmac as hmac_mod
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from cryptography.exceptions import InvalidSignature
@@ -719,11 +719,6 @@ class RejectSigningKeyPair:
         pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
         return cls(signing_key=seed, verification_key=pub)
 
-    @cached_property
-    def private_key(self) -> Ed25519PrivateKey:
-        """The parsed signing key, built on first use and kept."""
-        return Ed25519PrivateKey.from_private_bytes(self.signing_key)
-
 
 def _reject_message(reject_cause: int, cell_id: str, ue_nonce: bytes) -> bytes:
     ctx = _LABELS["reject_signature"]["context"].encode()
@@ -735,18 +730,17 @@ def _reject_message(reject_cause: int, cell_id: str, ue_nonce: bytes) -> bytes:
     )
 
 
+# a cell signs every reject with the same key: parse each seed once
+_ed25519_key = lru_cache(maxsize=64)(Ed25519PrivateKey.from_private_bytes)
+
+
 def sign_reject(
-    signing_key: RejectSigningKeyPair | bytes, reject_cause: int, cell_id: str,
-    ue_nonce: bytes,
+    signing_key: bytes, reject_cause: int, cell_id: str, ue_nonce: bytes
 ) -> bytes:
-    """Sign a reject over (cause, cell, the UE's request nonce); 64 bytes out.
-    ``signing_key`` is a key pair, whose parsed key is reused, or its seed."""
-    if isinstance(signing_key, RejectSigningKeyPair):
-        priv = signing_key.private_key
-    elif len(signing_key) != 32:
+    """Sign a reject over (cause, cell, the UE's request nonce); 64 bytes out."""
+    if len(signing_key) != 32:
         raise ValueError("signing key is 32 bytes")
-    else:
-        priv = Ed25519PrivateKey.from_private_bytes(signing_key)
+    priv = _ed25519_key(signing_key)
     return priv.sign(_reject_message(reject_cause, cell_id, ue_nonce))
 
 

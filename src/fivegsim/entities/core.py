@@ -348,6 +348,11 @@ class Amf(Entity):
         if session is None:
             ctx.ignore()
             return
+        if session.state == "registered":
+            # the UE resent its AS complete: its accept was lost
+            self._send_protected_nas(
+                ctx, session, messages.RegistrationAccept(guti=session.guti))
+            return
         if session.guti is not None:
             self.contexts.pop(session.guti.hex(), None)
         temp = self._allocator(ctx).allocate()

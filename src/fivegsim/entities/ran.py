@@ -64,7 +64,7 @@ class GnbNode(Entity):
         verification_key: bytes = b"",
         blacklist: list[str] | None = None,
         reject_cause: int | None = None,
-        reject_signing_key: crypto.RejectSigningKeyPair | None = None,
+        reject_signing_key: bytes = b"",
         admission: SliceAdmission | None = None,
         jam_suppression_enabled: bool = False,
     ):
@@ -146,7 +146,7 @@ class GnbNode(Entity):
     def on_registration_request(self, msg, event, ctx) -> None:
         if self.reject_cause is not None:
             signature = b""
-            if self.reject_signing_key is not None:
+            if self.reject_signing_key:
                 signature = crypto.sign_reject(
                     self.reject_signing_key, self.reject_cause,
                     self.entity_id, msg.ue_nonce,
@@ -160,7 +160,7 @@ class GnbNode(Entity):
     def on_attach_request_4g(self, msg, event, ctx) -> None:
         if self.reject_cause is not None:
             signature = b""
-            if self.reject_signing_key is not None:
+            if self.reject_signing_key:
                 signature = crypto.sign_reject(
                     self.reject_signing_key, self.reject_cause,
                     self.entity_id, msg.ue_nonce,

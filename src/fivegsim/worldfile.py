@@ -102,10 +102,10 @@ class WorldBuilder:
         policy = network.policy
         kind = "enb" if policy.mode == "NSA" else "gnb"
         verification_key = b""
-        signing_key = None
+        signing_key = b""
         if policy.signed_reject_enabled:
             verification_key = network.reject_keypair.verification_key
-            signing_key = network.reject_keypair
+            signing_key = network.reject_keypair.signing_key
         cell = GnbNode(
             cell_id, network.plmn, kind=kind, strength=strength,
             amf_id=network.amf.entity_id, upf_id=network.upf.entity_id,
@@ -124,12 +124,12 @@ class WorldBuilder:
                        kind: str = "gnb") -> GnbNode:
         """A cell the attacker operates: claims a network, rejects attaches."""
         verification_key = b""
-        signing_key = None
+        signing_key = b""
         if broadcast_own_key:
             pair = crypto.RejectSigningKeyPair.from_seed(
                 self._seed32(f"rogue:{cell_id}"))
             verification_key = pair.verification_key
-            signing_key = pair
+            signing_key = pair.signing_key
         cell = GnbNode(
             cell_id, plmn, kind=kind, strength=strength,
             reject_cause=reject_cause,

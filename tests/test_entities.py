@@ -1,6 +1,6 @@
 import pytest
 
-from fivegsim import messages
+from fivegsim import crypto, messages
 from fivegsim.entities import (
     NetworkNameMismatch,
     PeerRevoked,
@@ -15,6 +15,7 @@ from fivegsim.entities import (
     renew_context,
     validate_nf_token,
 )
+from fivegsim.entities.base import open_secured
 from fivegsim.entities.core import InvalidToken, Nrf, NfProducer
 from fivegsim.entities.ue import UePhase
 from fivegsim.flows import (
@@ -575,3 +576,39 @@ def test_lost_security_mode_complete_is_resent_sealed_afresh(seed):
     assert resent[0].count > dropped[0].count
     ue_sent = [e.msg_type for e in world.transcript.entries if e.event.src == "ue1"]
     assert ue_sent.count("AuthenticationResponse") == 1
+
+
+def test_lost_registration_accept_is_resent_without_a_second_context():
+    # the second downlink SecuredNas to the UE (after the integrity-only
+    # security mode command) carries the RegistrationAccept and is lost; the
+    # UE resends its AS security mode complete, the gNB reports the context
+    # active again, and the AMF must resend the same accept rather than
+    # register the UE a second time
+    from fivegsim.netsim import Action, AdversaryHook, Capability
+    world, builder = single_network_world(
+        seed=3, policy=OperatorPolicy(context_renewal_interval=50_000))
+    downlinks = []
+
+    def drop_first_accept(w, hook, event):
+        if event.dst == "ue1" and messages.peek_type(event.payload) == "SecuredNas":
+            downlinks.append(event.payload)
+            if len(downlinks) == 2:
+                return Action(drop=True)
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="loss", vantage=frozenset({Channel.RADIO_NAS}),
+        capabilities=frozenset({Capability.DROP}), handler=drop_first_accept))
+    outcome = run_registration(world, "ue1")
+    assert outcome.outcome == "registered"
+    assert [e.msg_type for e in world.transcript.delivered()].count("UeContextActive") == 2
+    amf = builder.networks["net"].amf
+    ue = world.entities["ue1"]
+    session = find_amf_session(amf, ue)
+    lost = messages.decode(downlinks[1])
+    link = crypto.SecureLink(messages.SecuredNas, ue.context.keys,
+                             lost.nea_id, lost.nia_id, direction=0)
+    assert isinstance(open_secured(link, lost), messages.RegistrationAccept)
+    assert session.guti == ue.guti
+    assert amf.contexts == {ue.guti.hex(): session.sid}
+    assert list(amf._timers.values()) == [("renew", session.sid)]
