@@ -1,6 +1,6 @@
 """Cryptographic core: identity concealment, challenge/response vectors,
 the key-derivation chain, message protection, the secure links built on
-it and signed reject messages.
+it and every Ed25519 signature (signed reject messages among them).
 
 All keyed PRFs are HMAC-SHA-256 with domain labels read from
 ``data/kdf_labels.json``; the test oracle recomputes everything from that
@@ -696,8 +696,30 @@ class SecureLink:
 
 
 # ---------------------------------------------------------------------------
-# Signed reject messages (pre-security-context network authentication)
+# Ed25519 signatures: signed reject messages (pre-security-context network
+# authentication), the roaming proxies' handshake and the NF service tokens
 # ---------------------------------------------------------------------------
+
+
+# a signer signs many messages with one key: parse each seed once
+_ed25519_key = lru_cache(maxsize=64)(Ed25519PrivateKey.from_private_bytes)
+
+
+def verification_key(seed: bytes) -> bytes:
+    """The raw 32-byte public key of an Ed25519 signing seed."""
+    return _ed25519_key(seed).public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+
+
+def sign(seed: bytes, message: bytes) -> bytes:
+    return _ed25519_key(seed).sign(message)
+
+
+def verify(key: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(key).verify(signature, message)
+        return True
+    except InvalidSignature:
+        return False
 
 
 @dataclass(frozen=True)
@@ -715,9 +737,7 @@ class RejectSigningKeyPair:
     def from_seed(cls, seed: bytes) -> "RejectSigningKeyPair":
         if len(seed) != 32:
             raise ValueError("seed must be 32 bytes")
-        priv = Ed25519PrivateKey.from_private_bytes(seed)
-        pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return cls(signing_key=seed, verification_key=pub)
+        return cls(signing_key=seed, verification_key=verification_key(seed))
 
 
 def _reject_message(reject_cause: int, cell_id: str, ue_nonce: bytes) -> bytes:
@@ -730,18 +750,13 @@ def _reject_message(reject_cause: int, cell_id: str, ue_nonce: bytes) -> bytes:
     )
 
 
-# a cell signs every reject with the same key: parse each seed once
-_ed25519_key = lru_cache(maxsize=64)(Ed25519PrivateKey.from_private_bytes)
-
-
 def sign_reject(
     signing_key: bytes, reject_cause: int, cell_id: str, ue_nonce: bytes
 ) -> bytes:
     """Sign a reject over (cause, cell, the UE's request nonce); 64 bytes out."""
     if len(signing_key) != 32:
         raise ValueError("signing key is 32 bytes")
-    priv = _ed25519_key(signing_key)
-    return priv.sign(_reject_message(reject_cause, cell_id, ue_nonce))
+    return sign(signing_key, _reject_message(reject_cause, cell_id, ue_nonce))
 
 
 def verify_reject(
@@ -755,9 +770,5 @@ def verify_reject(
         raise ValueError("verification key is 32 bytes")
     if len(signature) != 64:
         return False
-    pub = Ed25519PublicKey.from_public_bytes(verification_key)
-    try:
-        pub.verify(signature, _reject_message(reject_cause, cell_id, ue_nonce))
-        return True
-    except InvalidSignature:
-        return False
+    return verify(verification_key, _reject_message(reject_cause, cell_id, ue_nonce),
+                  signature)

@@ -5,13 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-
 from .. import crypto, messages
 from ..identity import (
     ConcealedIdentity,
@@ -125,6 +118,13 @@ class Amf(Entity):
             return self.sepp_id
         return self.ausf_id
 
+    def _sbi_session(self, msg, ctx) -> AmfSession | None:
+        """The session a core-side reply belongs to; None (ignored) if unknown."""
+        session = self.sessions.get(self.by_sbi.get(msg.session))
+        if session is None:
+            ctx.ignore()
+        return session
+
     def _new_sbi_sid(self, session: AmfSession) -> str:
         self._sbi_seq += 1
         sbi_sid = f"{self.entity_id}-a{self._sbi_seq}"
@@ -186,10 +186,8 @@ class Amf(Entity):
     # -- authentication (standalone path) ------------------------------------------
 
     def on_auth_response_sbi(self, msg, event, ctx) -> None:
-        sid = self.by_sbi.get(msg.session)
-        session = self.sessions.get(sid)
+        session = self._sbi_session(msg, ctx)
         if session is None:
-            ctx.ignore()
             return
         session.rand = msg.rand
         session.autn = msg.autn
@@ -201,10 +199,8 @@ class Amf(Entity):
         )))
 
     def on_auth_reject_sbi(self, msg, event, ctx) -> None:
-        sid = self.by_sbi.get(msg.session)
-        session = self.sessions.get(sid)
+        session = self._sbi_session(msg, ctx)
         if session is None:
-            ctx.ignore()
             return
         session.state = f"auth_rejected:{msg.cause}"
         self._downlink(ctx, session, messages.encode(messages.AuthenticationReject()))
@@ -212,10 +208,8 @@ class Amf(Entity):
     # -- authentication (legacy direct path) ----------------------------------------
 
     def on_udm_auth_response(self, msg, event, ctx) -> None:
-        sid = self.by_sbi.get(msg.session)
-        session = self.sessions.get(sid)
+        session = self._sbi_session(msg, ctx)
         if session is None:
-            ctx.ignore()
             return
         session.rand = msg.rand
         session.autn = msg.autn
@@ -272,10 +266,8 @@ class Amf(Entity):
         ))
 
     def on_confirm_response_sbi(self, msg, event, ctx) -> None:
-        sid = self.by_sbi.get(msg.session)
-        session = self.sessions.get(sid)
+        session = self._sbi_session(msg, ctx)
         if session is None:
-            ctx.ignore()
             return
         if not msg.success:
             session.state = "auth_failed:home_check"
@@ -317,6 +309,8 @@ class Amf(Entity):
             session.state = "nas_secured"
             target = self.engnb_id if session.nsa else session.gnb
             session.up_node = target
+            # UeContextActive comes from the target, under this RAN UE id
+            self.by_ran[(target, session.ran_ue_id)] = session.sid
             ctx.emit(Channel.N2, target, messages.InitialContextSetupRequest(
                 ran_ue_id=session.ran_ue_id, ue_radio_ref=session.ue_radio_ref,
                 k_gnb=session.context.keys.get("k_gnb"),
@@ -336,15 +330,7 @@ class Amf(Entity):
         pass  # registration continues when the radio side reports security up
 
     def on_ue_context_active(self, msg, event, ctx) -> None:
-        sid = None
-        for key, candidate in self.by_ran.items():
-            session = self.sessions.get(candidate)
-            if session and session.ran_ue_id == msg.ran_ue_id and (
-                key[0] == event.src or session.up_node == event.src
-            ):
-                sid = candidate
-                break
-        session = self.sessions.get(sid)
+        session = self.sessions.get(self.by_ran.get((event.src, msg.ran_ue_id)))
         if session is None:
             ctx.ignore()
             return
@@ -374,8 +360,7 @@ class Amf(Entity):
     # -- session setup ------------------------------------------------------------------
 
     def on_smf_session_response(self, msg, event, ctx) -> None:
-        sid = self.by_sbi.get(msg.session)
-        session = self.sessions.get(sid)
+        session = self._sbi_session(msg, ctx)
         if session is None or session.context is None:
             ctx.ignore()
             return
@@ -583,9 +568,7 @@ class Nrf(Entity):
         self.signing_seed = signing_seed
         self.token_ttl = token_ttl
         self.consumers: set[str] = set()
-        priv = Ed25519PrivateKey.from_private_bytes(signing_seed)
-        self.verification_key = priv.public_key().public_bytes(
-            Encoding.Raw, PublicFormat.Raw)
+        self.verification_key = crypto.verification_key(signing_seed)
 
     def register_consumer(self, consumer_id: str) -> None:
         self.consumers.add(consumer_id)
@@ -609,8 +592,7 @@ def authorize_nf(nrf: Nrf, consumer_id: str, producer_service: str, now: int) ->
         consumer_id=consumer_id, service=producer_service,
         expiry=now + nrf.token_ttl,
     ))
-    priv = Ed25519PrivateKey.from_private_bytes(nrf.signing_seed)
-    return body + priv.sign(body)
+    return body + crypto.sign(nrf.signing_seed, body)
 
 
 def validate_nf_token(producer: NfProducer, token: bytes, now: int) -> messages.NfToken:
@@ -618,11 +600,8 @@ def validate_nf_token(producer: NfProducer, token: bytes, now: int) -> messages.
     if len(token) < 64:
         raise InvalidToken("token too short")
     body, signature = token[:-64], token[-64:]
-    pub = Ed25519PublicKey.from_public_bytes(producer.nrf_verification_key)
-    try:
-        pub.verify(signature, body)
-    except InvalidSignature as exc:
-        raise InvalidToken("bad signature") from exc
+    if not crypto.verify(producer.nrf_verification_key, body, signature):
+        raise InvalidToken("bad signature")
     claim = messages.decode(body)
     if claim.service != producer.service:
         raise WrongAudience(f"token for {claim.service}, producer is {producer.service}")

@@ -130,9 +130,20 @@ class GnbNode(Entity):
 
     # -- NAS transport ------------------------------------------------------------
 
-    def _forward_initial(self, nas_bytes: bytes, event, ctx) -> None:
-        radio = self._ue_ctx(event.src)
-        if radio is None:
+    def _initial_nas(self, msg, event, ctx) -> None:
+        """A rejecting cell answers the attempt; any other forwards it."""
+        if self.reject_cause is not None:
+            signature = b""
+            if self.reject_signing_key:
+                signature = crypto.sign_reject(
+                    self.reject_signing_key, self.reject_cause,
+                    self.entity_id, msg.ue_nonce,
+                )
+            ctx.emit(Channel.RADIO_NAS, event.src, messages.RegistrationReject(
+                cause=self.reject_cause, signature=signature,
+            ))
+            return
+        if self._ue_ctx(event.src) is None:
             ctx.ignore()
             return
         ctx.emit(Channel.N2, self.amf_id, messages.InitialUeMessage(
@@ -140,36 +151,11 @@ class GnbNode(Entity):
             cell_id=self.entity_id,
             plmn=self.plmn,
             ue_radio_ref=event.src,
-            nas=nas_bytes,
+            nas=messages.encode(msg),
         ))
 
-    def on_registration_request(self, msg, event, ctx) -> None:
-        if self.reject_cause is not None:
-            signature = b""
-            if self.reject_signing_key:
-                signature = crypto.sign_reject(
-                    self.reject_signing_key, self.reject_cause,
-                    self.entity_id, msg.ue_nonce,
-                )
-            ctx.emit(Channel.RADIO_NAS, event.src, messages.RegistrationReject(
-                cause=self.reject_cause, signature=signature,
-            ))
-            return
-        self._forward_initial(messages.encode(msg), event, ctx)
-
-    def on_attach_request_4g(self, msg, event, ctx) -> None:
-        if self.reject_cause is not None:
-            signature = b""
-            if self.reject_signing_key:
-                signature = crypto.sign_reject(
-                    self.reject_signing_key, self.reject_cause,
-                    self.entity_id, msg.ue_nonce,
-                )
-            ctx.emit(Channel.RADIO_NAS, event.src, messages.RegistrationReject(
-                cause=self.reject_cause, signature=signature,
-            ))
-            return
-        self._forward_initial(messages.encode(msg), event, ctx)
+    on_registration_request = _initial_nas
+    on_attach_request_4g = _initial_nas
 
     def _forward_uplink(self, msg, event, ctx) -> None:
         radio = self._ue_ctx(event.src)

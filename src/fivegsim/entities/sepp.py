@@ -11,14 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-
-from .. import messages
+from .. import crypto, messages
+from ..identity import ConcealedIdentity
 from ..netsim import Channel
 from .base import Entity, try_decode
 
@@ -33,23 +27,6 @@ class PeerRevoked(PermissionError):
 
 class NetworkNameMismatch(ValueError):
     pass
-
-
-def _ed25519_public(seed: bytes) -> bytes:
-    priv = Ed25519PrivateKey.from_private_bytes(seed)
-    return priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-
-
-def _sign(seed: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
-
-
-def _verify(key: bytes, message: bytes, signature: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(key).verify(signature, message)
-        return True
-    except InvalidSignature:
-        return False
 
 
 def _hello_context(plmn: str, peer_plmn: str, nonce: bytes) -> bytes:
@@ -77,7 +54,7 @@ class Sepp(Entity):
         super().__init__(entity_id)
         self.plmn = plmn
         self.signing_seed = signing_seed
-        self.verification_key = _ed25519_public(signing_seed)
+        self.verification_key = crypto.verification_key(signing_seed)
         self.ausf_id = ausf_id
         self.peers = peers or {}
         self.allowlist = allowlist or {}
@@ -116,8 +93,8 @@ class Sepp(Entity):
         nonce = ctx.rng("nonce").take(16)
         ctx.emit(Channel.SEPP_LINK, peer_id, messages.SeppHello(
             plmn=self.plmn, peer_plmn=peer_plmn, nonce=nonce,
-            signature=_sign(self.signing_seed,
-                            _hello_context(self.plmn, peer_plmn, nonce)),
+            signature=crypto.sign(self.signing_seed,
+                                  _hello_context(self.plmn, peer_plmn, nonce)),
         ))
         return session
 
@@ -134,7 +111,6 @@ class Sepp(Entity):
 
     def on_auth_request_sbi(self, msg, event, ctx) -> None:
         # local AMF asks the home network of the concealed identity
-        from ..identity import ConcealedIdentity
         home_plmn = ConcealedIdentity.from_bytes(msg.suci).plmn
         self.routes_out[msg.session] = (event.src, home_plmn)
         if not self._forward_out(messages.encode(msg), home_plmn, ctx):
@@ -175,7 +151,7 @@ class Sepp(Entity):
             self.rejections.append("PeerRevoked")
             ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="PeerRevoked"))
             return
-        if msg.peer_plmn != self.plmn or not _verify(
+        if msg.peer_plmn != self.plmn or not crypto.verify(
             key, _hello_context(msg.plmn, msg.peer_plmn, msg.nonce), msg.signature
         ):
             self.rejections.append("BadSignature")
@@ -190,8 +166,8 @@ class Sepp(Entity):
         self._by_peer_id[event.src] = msg.plmn
         ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppHelloAck(
             plmn=self.plmn, peer_plmn=msg.plmn, echo_nonce=msg.nonce,
-            signature=_sign(self.signing_seed,
-                            _hello_context(self.plmn, msg.plmn, msg.nonce)),
+            signature=crypto.sign(self.signing_seed,
+                                  _hello_context(self.plmn, msg.plmn, msg.nonce)),
         ))
 
     def on_sepp_hello_ack(self, msg, event, ctx) -> None:
@@ -204,8 +180,8 @@ class Sepp(Entity):
         except (PeerUnknown, PeerRevoked):
             self.rejections.append("PeerInvalidOnAck")
             return
-        if not _verify(key, _hello_context(msg.plmn, self.plmn, msg.echo_nonce),
-                       msg.signature):
+        if not crypto.verify(key, _hello_context(msg.plmn, self.plmn, msg.echo_nonce),
+                             msg.signature):
             self.rejections.append("BadSignature")
             return
         session.established = True

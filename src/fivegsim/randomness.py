@@ -32,15 +32,6 @@ class RandomStream:
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
 
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling."""
         if bound <= 0:

@@ -16,15 +16,14 @@ from . import crypto, messages
 from .entities import Sepp
 from .entities.base import open_secured, try_decode
 from .entities.ran import SliceAdmission
-from .flows import run_registration
-from .identity import LongTermCredential, format_supi
+from .flows import run_registration, trigger
+from .identity import ConcealedIdentity, LongTermCredential, format_supi
 from .netsim import (
     Action,
     AdversaryHook,
     Capability,
     Channel,
     JamWindow,
-    Knowledge,
     RADIO_CHANNELS,
     World,
 )
@@ -36,7 +35,7 @@ from .policy import (
     parse_policy_value,
 )
 from .risk import Impact, Likelihood, RiskCell, place
-from .worldfile import WorldBuilder
+from .worldfile import NetworkHandles, WorldBuilder
 
 
 class UnknownScenario(KeyError):
@@ -292,15 +291,12 @@ def decrypt_up_payloads(observed: list[bytes], as_keys_list: list) -> list[bytes
     return out
 
 
-def _observer(adversary_id: str, channels, capabilities=None,
-              handler=None, cost_note: str = "") -> AdversaryHook:
-    return AdversaryHook(
-        adversary_id=adversary_id,
-        vantage=frozenset(channels),
-        capabilities=frozenset(capabilities or {Capability.OBSERVE}),
-        knowledge=Knowledge(),
-        handler=handler,
-        cost_note=cost_note,
+def _nas_opened(payloads: list[bytes], keys) -> bool:
+    """Whether the keys open any ciphered NAS message among the payloads."""
+    return any(
+        isinstance(m, messages.SecuredNas) and m.nea_id != 0
+        and _open_captured(m, keys) is not None
+        for m in _decode_all(payloads)
     )
 
 
@@ -311,6 +307,11 @@ def _observer(adversary_id: str, channels, capabilities=None,
 HORIZON = 30_000
 _MARKER_A = b"meter-reading-0042"
 _MARKER_B = b"meter-reading-0043"
+_REGISTER = messages.TriggerRegistration(target_cell="")
+_PDU_SESSION = messages.TriggerPduSession()
+# register, open a session, then send one marked payload
+_TRAFFIC_A = ((10, _REGISTER), (1000, _PDU_SESSION),
+              (1500, messages.TriggerAppData(payload=_MARKER_A)))
 
 
 def _base_policy(overrides: dict, **scenario_defaults) -> OperatorPolicy:
@@ -319,35 +320,45 @@ def _base_policy(overrides: dict, **scenario_defaults) -> OperatorPolicy:
     return policy.with_overrides(**policy_overrides) if policy_overrides else policy
 
 
-def _script_registration(world: World, ue_id: str, at: int) -> None:
-    world.schedule(at, Channel.INTERNAL, "world", ue_id,
-                   messages.encode(messages.TriggerRegistration(target_cell="")),
-                   "world")
+def _stage(seed: int, policy: OperatorPolicy, strength: int = 10,
+           **cell) -> tuple[WorldBuilder, NetworkHandles]:
+    """The common world: network "net" on PLMN 00101 with cell "cell-a"."""
+    builder = WorldBuilder(seed)
+    net = builder.add_network("net", "00101", policy)
+    builder.add_cell(net, "cell-a", strength=strength, **cell)
+    return builder, net
 
 
-def _script_msg(world: World, dst: str, msg, at: int) -> None:
-    world.schedule(at, Channel.INTERNAL, "world", dst,
-                   messages.encode(msg), "world")
+def _spy(world: World, scenario_id: str, adversary_id: str, channels=RADIO_CHANNELS,
+         capabilities=(), handler=None) -> AdversaryHook:
+    """Attach an observing adversary that carries the scenario's attack cost."""
+    hook = AdversaryHook(
+        adversary_id=adversary_id,
+        vantage=frozenset(channels),
+        capabilities=frozenset({Capability.OBSERVE, *capabilities}),
+        handler=handler,
+        cost_note=CATALOG[scenario_id].attack_cost,
+    )
+    world.attach_adversary(hook)
+    return hook
+
+
+def _script(world: World, dst: str, *steps) -> None:
+    """Schedule (time, control message) steps toward one entity."""
+    for at, msg in steps:
+        trigger(world, dst, msg, delay=at)
 
 
 def _run_ts01(seed: int, overrides: dict) -> tuple[World, dict]:
     policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    genuine = builder.add_network("net", "00101", policy)
-    builder.add_cell(genuine, "cell-a", strength=10)
+    builder, genuine = _stage(seed, policy)
     rogue_net = builder.add_network("rog", "00101", policy)
     rogue_cell = builder.add_cell(rogue_net, "rog-cell", strength=99)
     rogue_cell.active = False
     ue = builder.add_ue("ue1", genuine)
-    spy = _observer("insider", RADIO_CHANNELS,
-                    {Capability.OBSERVE, Capability.IMPERSONATE},
-                    cost_note=CATALOG["TS_01"].attack_cost)
     world = builder.world
-    world.attach_adversary(spy)
-
-    _script_registration(world, "ue1", 10)
-    _script_msg(world, "ue1", messages.TriggerPduSession(), 1000)
-    _script_msg(world, "ue1", messages.TriggerAppData(payload=_MARKER_A), 1500)
+    spy = _spy(world, "TS_01", "insider", capabilities={Capability.IMPERSONATE})
+    _script(world, "ue1", *_TRAFFIC_A)
 
     def steal(w: World) -> None:
         db = {supi: cred.k for supi, cred in genuine.udm.subscribers.items()}
@@ -361,8 +372,7 @@ def _run_ts01(seed: int, overrides: dict) -> tuple[World, dict]:
         rogue_cell.active = True
 
     world.schedule_action(2000, "udm-database-theft", steal)
-    _script_msg(world, "ue1", messages.PowerCycle(), 2100)
-    _script_registration(world, "ue1", 2500)
+    _script(world, "ue1", (2100, messages.PowerCycle()), (2500, _REGISTER))
     world.run_until(HORIZON)
 
     supi = format_supi(ue.identity)
@@ -402,10 +412,10 @@ def _run_ts02(seed: int, overrides: dict) -> tuple[World, dict]:
     if overrides.get("revoke_stolen_sepp"):
         home.sepp.revoke(partner.sepp.verification_key)
 
-    _script_registration(world, "ue1", 10)
-    _script_msg(world, atk.amf.entity_id,
-                messages.AdminSetNetworkName(serving_network_name="5G:00199"), 5000)
-    _script_registration(world, "ue2", 5100)
+    _script(world, "ue1", (10, _REGISTER))
+    _script(world, atk.amf.entity_id,
+            (5000, messages.AdminSetNetworkName(serving_network_name="5G:00199")))
+    _script(world, "ue2", (5100, _REGISTER))
     world.run_until(HORIZON)
 
     supi1 = format_supi(ue1.identity)
@@ -423,33 +433,22 @@ def _run_ts02(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts03(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10)
+    builder, net = _stage(seed, _base_policy(overrides))
     ue1 = builder.add_ue("ue1", net, msin="1000000001")
     ue2 = builder.add_ue("ue2", net, msin="1000000002")
-    spy = _observer("lab", RADIO_CHANNELS,
-                    cost_note=CATALOG["TS_03"].attack_cost)
+    world = builder.world
+    spy = _spy(world, "TS_03", "lab")
     spy.knowledge.grant("stolen_k", ue1.credential.k)
     spy.knowledge.grant("stolen_supi", format_supi(ue1.identity))
-    world = builder.world
-    world.attach_adversary(spy)
 
-    _script_registration(world, "ue1", 10)
-    _script_msg(world, "ue1", messages.TriggerPduSession(), 1000)
-    _script_msg(world, "ue1", messages.TriggerAppData(payload=_MARKER_A), 1500)
-    _script_registration(world, "ue2", 3000)
-    _script_msg(world, "ue2", messages.TriggerPduSession(), 4000)
-    _script_msg(world, "ue2", messages.TriggerAppData(payload=_MARKER_B), 4500)
+    _script(world, "ue1", *_TRAFFIC_A)
+    _script(world, "ue2", (3000, _REGISTER), (4000, _PDU_SESSION),
+            (4500, messages.TriggerAppData(payload=_MARKER_B)))
     world.run_until(HORIZON)
 
-    peis = recover_peis(
-        spy.knowledge.payloads(),
-        spy.knowledge.keys["stolen_k"],
-        spy.knowledge.keys["stolen_supi"],
-        "5G:00101",
-    )
+    held = spy.knowledge.keys
+    peis = recover_peis(spy.knowledge.payloads(), held["stolen_k"], held["stolen_supi"],
+                        "5G:00101")
     outcome = {
         "target_traffic_decrypted": ue1.pei.pei in peis,
         "other_devices_unaffected": ue2.pei.pei not in peis,
@@ -458,19 +457,11 @@ def _run_ts03(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts04(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10)
+    builder, net = _stage(seed, _base_policy(overrides))
     ue = builder.add_ue("ue1", net)
-    spy = _observer("malware", RADIO_CHANNELS,
-                    cost_note=CATALOG["TS_04"].attack_cost)
     world = builder.world
-    world.attach_adversary(spy)
-
-    _script_registration(world, "ue1", 10)
-    _script_msg(world, "ue1", messages.TriggerPduSession(), 1000)
-    _script_msg(world, "ue1", messages.TriggerAppData(payload=_MARKER_A), 1500)
+    spy = _spy(world, "TS_04", "malware")
+    _script(world, "ue1", *_TRAFFIC_A)
 
     def dump_context(w: World) -> None:
         if ue.context is not None:
@@ -479,8 +470,8 @@ def _run_ts04(seed: int, overrides: dict) -> tuple[World, dict]:
             spy.knowledge.grant("as_keys", dict(ue.as_keys.keys))
 
     world.schedule_action(4000, "me-context-dump", dump_context)
-    _script_msg(world, "ue1", messages.TriggerPduSession(), 8000)
-    _script_msg(world, "ue1", messages.TriggerAppData(payload=_MARKER_B), 8500)
+    _script(world, "ue1", (8000, _PDU_SESSION),
+            (8500, messages.TriggerAppData(payload=_MARKER_B)))
     world.run_until(HORIZON)
 
     stolen = spy.knowledge.keys.get("as_keys", {})
@@ -493,30 +484,24 @@ def _run_ts04(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts05(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
     blacklist = ["rogue-z"] if overrides.get("blacklist_rogue") else None
-    builder.add_cell(net, "cell-a", strength=5, blacklist=blacklist)
-    rogue = builder.add_rogue_cell(
+    builder, net = _stage(seed, _base_policy(overrides), strength=5, blacklist=blacklist)
+    builder.add_rogue_cell(
         "rogue-z", "00101", strength=99,
         reject_cause=CAUSE_ILLEGAL_UE, broadcast_own_key=True,
     )
     ue = builder.add_ue("ue1", net)
     world = builder.world
     probe: dict = {}
-
-    _script_registration(world, "ue1", 10)
-    _script_registration(world, "ue1", 2000)
+    _script(world, "ue1", (10, _REGISTER), (2000, _REGISTER))
 
     def snapshot(w: World) -> None:
         probe["phase"] = ue.phase.value
         probe["serving"] = ue.serving_gnb
 
     world.schedule_action(3900, "pre-powercycle-probe", snapshot)
-    _script_msg(world, "rogue-z", messages.AdminSetActive(active=False), 4000)
-    _script_msg(world, "ue1", messages.PowerCycle(), 4100)
-    _script_registration(world, "ue1", 5000)
+    _script(world, "rogue-z", (4000, messages.AdminSetActive(active=False)))
+    _script(world, "ue1", (4100, messages.PowerCycle()), (5000, _REGISTER))
     world.run_until(HORIZON)
 
     outcome = {
@@ -530,20 +515,13 @@ def _run_ts05(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts06(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides, nas_ciphering=False)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10)
+    builder, net = _stage(seed, _base_policy(overrides, nas_ciphering=False))
     ue = builder.add_ue("ue1", net)
-    spy = _observer("catcher", RADIO_CHANNELS,
-                    cost_note=CATALOG["TS_06"].attack_cost)
     world = builder.world
-    world.attach_adversary(spy)
-
-    _script_registration(world, "ue1", 10)
+    spy = _spy(world, "TS_06", "catcher")
+    _script(world, "ue1", (10, _REGISTER))
     world.run_until(HORIZON)
 
-    from .identity import ConcealedIdentity
     home_learned = any(
         isinstance(m, messages.RegistrationRequest)
         and ConcealedIdentity.from_bytes(m.suci).plmn == ue.identity.plmn
@@ -558,11 +536,8 @@ def _run_ts06(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts07(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10)
-    ue = builder.add_ue("ue1", net)
+    builder, net = _stage(seed, _base_policy(overrides))
+    builder.add_ue("ue1", net)
     world = builder.world
     world.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=3000,
                               kind="RachLogical", suppressed=True))
@@ -577,10 +552,7 @@ def _run_ts07(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts08(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    cell = builder.add_cell(net, "cell-a", strength=10)
+    builder, net = _stage(seed, _base_policy(overrides))
     ue1 = builder.add_ue("ue1", net, msin="1000000001")
     ue2 = builder.add_ue("ue2", net, msin="1000000002")
     world = builder.world
@@ -590,53 +562,36 @@ def _run_ts08(seed: int, overrides: dict) -> tuple[World, dict]:
             return Action(drop=True)
         return None
 
-    spy = _observer(
-        "implant", RADIO_CHANNELS,
-        {Capability.OBSERVE, Capability.DROP}, handler=tampered_cell,
-        cost_note=CATALOG["TS_08"].attack_cost,
-    )
-    world.attach_adversary(spy)
-
-    _script_registration(world, "ue1", 10)
-    _script_msg(world, "ue1", messages.TriggerPduSession(), 1000)
+    spy = _spy(world, "TS_08", "implant", capabilities={Capability.DROP},
+               handler=tampered_cell)
+    _script(world, "ue1", (10, _REGISTER), (1000, _PDU_SESSION))
 
     def lift_radio_keys(w: World) -> None:
-        for radio in cell.ue_contexts.values():
+        for radio in net.cells[0].ue_contexts.values():
             if radio.ue_id == "ue1" and radio.as_keys is not None:
                 spy.knowledge.grant("gnb_keys", dict(radio.as_keys.keys))
 
     world.schedule_action(4000, "gnb-key-lift", lift_radio_keys)
-    _script_msg(world, "ue1", messages.TriggerAppData(payload=_MARKER_A), 4500)
-    _script_registration(world, "ue2", 6100)
+    _script(world, "ue1", (4500, messages.TriggerAppData(payload=_MARKER_A)))
+    _script(world, "ue2", (6100, _REGISTER))
     world.run_until(HORIZON)
 
     stolen = spy.knowledge.keys.get("gnb_keys", {})
     up = decrypt_up_payloads(spy.knowledge.payloads(), [stolen])
-    nas_cracked = any(
-        isinstance(m, messages.SecuredNas) and m.nea_id != 0
-        and _open_captured(m, stolen) is not None
-        for m in _decode_all(spy.knowledge.payloads())
-    )
     outcome = {
         "up_traffic_exposed": _MARKER_A in up,
-        "nas_protected_from_gnb": not nas_cracked,
+        "nas_protected_from_gnb": not _nas_opened(spy.knowledge.payloads(), stolen),
         "dos_possible": ue2.last_outcome() == "timeout",
     }
     return world, outcome
 
 
 def _run_ts09(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10)
+    builder, net = _stage(seed, _base_policy(overrides))
     ue = builder.add_ue("ue1", net)
-    spy = _observer("nf-implant", RADIO_CHANNELS,
-                    cost_note=CATALOG["TS_09"].attack_cost)
     world = builder.world
-    world.attach_adversary(spy)
-
-    _script_registration(world, "ue1", 10)
+    spy = _spy(world, "TS_09", "nf-implant")
+    _script(world, "ue1", (10, _REGISTER))
 
     def dump_amf(w: World) -> None:
         for session in net.amf.sessions.values():
@@ -644,17 +599,12 @@ def _run_ts09(seed: int, overrides: dict) -> tuple[World, dict]:
                 spy.knowledge.grant("amf_keys", dict(session.context.keys.keys))
 
     world.schedule_action(4000, "amf-context-dump", dump_amf)
-    _script_msg(world, "ue1", messages.TriggerPduSession(), 5000)
+    _script(world, "ue1", (5000, _PDU_SESSION))
     world.run_until(HORIZON)
 
     stolen = spy.knowledge.keys.get("amf_keys", {})
-    nas_cracked = any(
-        isinstance(m, messages.SecuredNas) and m.nea_id != 0
-        and _open_captured(m, stolen) is not None
-        for m in _decode_all(spy.knowledge.payloads(after=4000))
-    )
     outcome = {
-        "nas_traffic_exposed": nas_cracked,
+        "nas_traffic_exposed": _nas_opened(spy.knowledge.payloads(after=4000), stolen),
         "root_key_not_exposed": (
             "k_ausf" not in stolen and ue.credential.k not in stolen.values()
         ),
@@ -663,24 +613,14 @@ def _run_ts09(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts10(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)  # links protected by default
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10)
+    builder, net = _stage(seed, _base_policy(overrides))  # links protected by default
     builder.add_ue("ue1", net)
-    spy = _observer(
-        "link-tap",
-        set(RADIO_CHANNELS) | {Channel.N2, Channel.N3},
-        cost_note=CATALOG["TS_10"].attack_cost,
-    )
+    world = builder.world
+    spy = _spy(world, "TS_10", "link-tap",
+               channels={*RADIO_CHANNELS, Channel.N2, Channel.N3})
     spy.knowledge.grant("link:N2", b"lifted")
     spy.knowledge.grant("link:N3", b"lifted")
-    world = builder.world
-    world.attach_adversary(spy)
-
-    _script_registration(world, "ue1", 10)
-    _script_msg(world, "ue1", messages.TriggerPduSession(), 1000)
-    _script_msg(world, "ue1", messages.TriggerAppData(payload=_MARKER_A), 1500)
+    _script(world, "ue1", *_TRAFFIC_A)
     world.run_until(HORIZON)
 
     k_gnb = None
@@ -689,9 +629,7 @@ def _run_ts10(seed: int, overrides: dict) -> tuple[World, dict]:
         if isinstance(m, messages.InitialContextSetupRequest):
             k_gnb = m.k_gnb
             alg = (m.nea_id, m.nia_id)
-    chains = []
-    if k_gnb is not None:
-        chains.append(crypto.derive_as_keys(k_gnb, *alg))
+    chains = [crypto.derive_as_keys(k_gnb, *alg)] if k_gnb is not None else []
     up = decrypt_up_payloads(spy.knowledge.payloads(), chains)
     outcome = {
         "k_gnb_extracted": k_gnb is not None,
@@ -701,17 +639,13 @@ def _run_ts10(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts11(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10)
+    builder, net = _stage(seed, _base_policy(overrides))
     if overrides.get("overlap_cell"):
         builder.add_cell(net, "cell-b", strength=7)
     ue = builder.add_ue("ue1", net)
     world = builder.world
-
-    _script_msg(world, "cell-a", messages.AdminSetActive(active=False), 100)
-    _script_registration(world, "ue1", 200)
+    _script(world, "cell-a", (100, messages.AdminSetActive(active=False)))
+    _script(world, "ue1", (200, _REGISTER))
     world.run_until(HORIZON)
 
     outcome = {
@@ -722,35 +656,25 @@ def _run_ts11(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts12(seed: int, overrides: dict) -> tuple[World, dict]:
-    policy = _base_policy(overrides)
     reserved_victim = int(overrides.get("reserved_for_victim", 0))
     capacity = 10
     reserved = {"slice-a": capacity - reserved_victim}
     if reserved_victim:
         reserved["slice-b"] = reserved_victim
-    builder = WorldBuilder(seed)
-    net = builder.add_network("net", "00101", policy)
-    builder.add_cell(net, "cell-a", strength=10,
-                     admission=SliceAdmission(capacity=capacity, reserved=reserved))
+    builder, _ = _stage(seed, _base_policy(overrides),
+                        admission=SliceAdmission(capacity=capacity, reserved=reserved))
     world = builder.world
-    flood = _observer("botnet", RADIO_CHANNELS,
-                      {Capability.OBSERVE, Capability.INJECT},
-                      cost_note=CATALOG["TS_12"].attack_cost)
-    world.attach_adversary(flood)
+    flood = _spy(world, "TS_12", "botnet", capabilities={Capability.INJECT})
 
     rng = world.streams.stream("ts12:inject")
-    for i in range(10):
-        world.schedule(100 + i, Channel.RADIO_RRC, f"bot{i}", "cell-a",
-                       messages.encode(messages.RrcConnectionRequest(
-                           c_rnti=rng.take(2), slice_id="slice-a",
-                           ue_nonce=rng.take(8))),
-                       f"adversary:{flood.adversary_id}")
-    for i in range(4):
-        world.schedule(200 + i, Channel.RADIO_RRC, f"victim{i}", "cell-a",
-                       messages.encode(messages.RrcConnectionRequest(
-                           c_rnti=rng.take(2), slice_id="slice-b",
-                           ue_nonce=rng.take(8))),
-                       f"adversary:{flood.adversary_id}")
+    fleets = (("bot", 10, "slice-a", 100), ("victim", 4, "slice-b", 200))
+    for prefix, count, slice_id, start in fleets:
+        for i in range(count):
+            world.schedule(start + i, Channel.RADIO_RRC, f"{prefix}{i}", "cell-a",
+                           messages.encode(messages.RrcConnectionRequest(
+                               c_rnti=rng.take(2), slice_id=slice_id,
+                               ue_nonce=rng.take(8))),
+                           f"adversary:{flood.adversary_id}")
     world.run_until(HORIZON)
 
     granted = {"bot": 0, "victim": 0}

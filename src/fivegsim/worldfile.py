@@ -20,6 +20,7 @@ from .identity import (
     LongTermCredential,
     SubscriberIdentity,
     SuciScheme,
+    format_supi,
 )
 from .netsim import AdversaryHook, Capability, Channel, Knowledge, World
 from .policy import OperatorPolicy, parse_policy_value
@@ -163,10 +164,8 @@ class WorldBuilder:
         mcc, mnc = home.plmn[:3], home.plmn[3:]
         identity = SubscriberIdentity(mcc=mcc, mnc=mnc, msin=msin)
         if pei is None:
-            digits = self.world.streams.stream(f"build:{ue_id}:pei")
-            pei = "".join(str(digits.below(10)) for _ in range(15))
+            pei = self.world.streams.stream(f"build:{ue_id}:pei").digits(15)
         credential = LongTermCredential(k=self._seed32(f"{ue_id}:k")[:16], sqn=1)
-        from .identity import format_supi
         home.udm.add_subscriber(format_supi(identity), LongTermCredential(
             k=credential.k, sqn=credential.sqn))
         policy = home.policy

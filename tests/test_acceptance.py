@@ -295,6 +295,9 @@ _KEY_FLOW_AUDIT = {
                    "k_up_enc", "k_up_int"), ()),
     "sign_reject": ((), ()),
     "verify_reject": ((), ()),
+    "verification_key": ((), ()),
+    "sign": ((), ()),
+    "verify": ((), ()),
     "load_labels": ((), ()),
 }
 

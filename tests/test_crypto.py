@@ -1,3 +1,4 @@
+import ast
 import pathlib
 
 import pytest
@@ -360,6 +361,23 @@ def test_reject_keypair_invariant():
     for msg_nonce in (b"a", b"b", b"c"):
         sig = crypto.sign_reject(pair.signing_key, 6, "cell-2", msg_nonce)
         assert crypto.verify_reject(pair.verification_key, 6, "cell-2", msg_nonce, sig)
+
+
+def test_only_crypto_imports_cryptography():
+    # every asymmetric key is parsed, and every signature made, in one module
+    package = pathlib.Path(crypto.__file__).parent
+    importers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "cryptography" for name in names):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"crypto.py"}
 
 
 # ---------------------------------------------------------------------------

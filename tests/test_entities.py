@@ -131,6 +131,27 @@ def test_guti_allocated_and_used_for_context():
     assert ue.guti is not None and ue.guti.hex() in amf.contexts
 
 
+def test_concurrent_registrations_across_cells_keep_their_sessions():
+    # each cell numbers its RAN UE ids from 1, so with 12 UEs on 3 cells the
+    # AMF sees every id from several cells while the registrations overlap
+    world, builder = single_network_world(seed=4, ue_count=12, cell_count=3)
+    amf = builder.networks["net"].amf
+    cells = {f"ue{i + 1}": "cell-" + "abc"[i % 3] for i in range(12)}
+    for i, (ue_id, cell) in enumerate(cells.items()):
+        trigger(world, ue_id, messages.TriggerRegistration(target_cell=cell),
+                delay=1 + 3 * i)
+    world.run_until(20_000)
+    ran_ids = [(s.gnb, s.ran_ue_id) for s in amf.sessions.values()]
+    assert len({rid for _, rid in ran_ids}) < len(set(ran_ids))  # ids collide
+    for ue_id, cell in cells.items():
+        ue = world.entities[ue_id]
+        assert ue.phase == UePhase.REGISTERED, ue_id
+        assert ue.serving_gnb == cell
+        session = find_amf_session(amf, ue)
+        assert session.context.keys.get("k_amf") == ue.context.keys.get("k_amf"), ue_id
+    assert len(amf.contexts) == 12
+
+
 def test_registration_continues_after_single_losses():
     # drop the first RegistrationRequest only: retransmission recovers
     from fivegsim.netsim import Action, AdversaryHook, Capability
