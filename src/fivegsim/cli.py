@@ -152,33 +152,30 @@ def _cmd_run_registration(args, overrides, expectations) -> int:
     return status
 
 
+def _span(low, high) -> str:
+    return low.label if low == high else f"{low.label} to {high.label}"
+
+
 def _cmd_list_scenarios(args) -> int:
     catalog = scenarios.list_scenarios()
+    cells = risk.build_risk_matrix(catalog)
     if args.format == "json":
-        records = []
-        for s in catalog:
-            likelihood = s.likelihood if isinstance(s.likelihood, tuple) else (s.likelihood,) * 2
-            impact = s.impact if isinstance(s.impact, tuple) else (s.impact,) * 2
-            records.append({
-                "id": s.scenario_id,
-                "title": s.title,
-                "stride": s.stride,
-                "assets": list(s.assets),
-                "likelihood": likelihood[1].label,
-                "likelihood_range": [v.label for v in likelihood],
-                "impact": impact[1].label,
-                "impact_range": [v.label for v in impact],
-                "predicates": list(s.predicates),
-                "mitigations": list(s.mitigations),
-            })
+        records = [{
+            "id": s.scenario_id,
+            "title": s.title,
+            "stride": s.stride,
+            "assets": list(s.assets),
+            "likelihood": cell.likelihood.label,
+            "likelihood_range": [v.label for v in cell.likelihood_range],
+            "impact": cell.impact.label,
+            "impact_range": [v.label for v in cell.impact_range],
+            "predicates": list(s.predicates),
+            "mitigations": list(s.mitigations),
+        } for s, cell in zip(catalog, cells)]
         return _write_output(json.dumps(records, indent=2) + "\n", args.out)
-    lines = []
-    for s in catalog:
-        likelihood = (s.likelihood[0].label + " to " + s.likelihood[1].label
-                      if isinstance(s.likelihood, tuple) else s.likelihood.label)
-        impact = (s.impact[0].label + " to " + s.impact[1].label
-                  if isinstance(s.impact, tuple) else s.impact.label)
-        lines.append(f"{s.scenario_id}  {s.stride:<6} {likelihood:<21} {impact:<22} {s.title}")
+    lines = [f"{s.scenario_id}  {s.stride:<6} {_span(*cell.likelihood_range):<21} "
+             f"{_span(*cell.impact_range):<22} {s.title}"
+             for s, cell in zip(catalog, cells)]
     return _write_output("\n".join(lines) + "\n", args.out)
 
 

@@ -128,24 +128,8 @@ class HomeNetworkKeyPair:
 
     @classmethod
     def from_seed(cls, scheme: SuciScheme, seed: bytes) -> "HomeNetworkKeyPair":
-        if len(seed) != 32:
-            raise ValueError("key seed must be 32 bytes")
-        if scheme == SuciScheme.PROFILE_A:
-            priv = X25519PrivateKey.from_private_bytes(seed)
-            pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-            return cls(scheme=scheme, private_bytes=seed, public_bytes=pub)
-        if scheme == SuciScheme.PROFILE_B:
-            scalar = int.from_bytes(seed, "big") % (_P256_ORDER - 1) + 1
-            priv = ec.derive_private_key(scalar, ec.SECP256R1())
-            pub = priv.public_key().public_bytes(
-                Encoding.X962, PublicFormat.CompressedPoint
-            )
-            return cls(
-                scheme=scheme,
-                private_bytes=scalar.to_bytes(32, "big"),
-                public_bytes=pub,
-            )
-        raise ValueError("null scheme has no key pair")
+        _, pub, private_bytes = _keypair(scheme, seed)
+        return cls(scheme=scheme, private_bytes=private_bytes, public_bytes=pub)
 
     @cached_property
     def _private_key(self):
@@ -157,17 +141,20 @@ class HomeNetworkKeyPair:
         )
 
 
-def _ephemeral_keypair(scheme: SuciScheme, randomness: bytes):
-    if len(randomness) != 32:
-        raise ValueError("ephemeral randomness must be 32 bytes")
+def _keypair(scheme: SuciScheme, secret: bytes):
+    """(private key, public bytes, private bytes) of a concealment scheme's
+    key pair from 32 secret bytes; P-256 maps them to a nonzero scalar."""
+    if len(secret) != 32:
+        raise ValueError("key pair secret must be 32 bytes")
     if scheme == SuciScheme.PROFILE_A:
-        priv = X25519PrivateKey.from_private_bytes(randomness)
-        pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return priv, pub
-    scalar = int.from_bytes(randomness, "big") % (_P256_ORDER - 1) + 1
-    priv = ec.derive_private_key(scalar, ec.SECP256R1())
-    pub = priv.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
-    return priv, pub
+        priv = X25519PrivateKey.from_private_bytes(secret)
+        return priv, priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw), secret
+    if scheme == SuciScheme.PROFILE_B:
+        scalar = int.from_bytes(secret, "big") % (_P256_ORDER - 1) + 1
+        priv = ec.derive_private_key(scalar, ec.SECP256R1())
+        pub = priv.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+        return priv, pub, scalar.to_bytes(32, "big")
+    raise ValueError("null scheme has no key pair")
 
 
 def _ecies_shared(scheme: SuciScheme, private_key, peer_public: bytes) -> bytes:
@@ -238,7 +225,7 @@ def conceal_supi(
         home_public_bytes = home_public
     if ephemeral_randomness is None:
         raise ValueError("ephemeral randomness required for ecies schemes")
-    eph_priv, eph_pub = _ephemeral_keypair(scheme, ephemeral_randomness)
+    eph_priv, eph_pub, _ = _keypair(scheme, ephemeral_randomness)
     shared = _ecies_shared(scheme, eph_priv, home_public_bytes)
     enc_key, icb, mac_key = _ecies_keys(shared, eph_pub)
     ciphertext = _aes_ctr(enc_key, icb, identity.msin.encode())

@@ -34,29 +34,29 @@ class RenewalDirective:
 @dataclass
 class AmfSession:
     sid: str
+    seq: int  # unique at the AMF: the RAN UE id toward an NSA en-gNB
     gnb: str
     ran_ue_id: int
     ue_radio_ref: str
     suci: bytes
-    slice_id: str
+    home_plmn: str
+    ngksi: int
     state: str = "new"
     nsa: bool = False
     rand: bytes = b""
-    autn: bytes = b""
     hxres: bytes = b""
     k_seaf: bytes = b""
     xres: bytes = b""  # NSA only: legacy direct check
     k_ausf: bytes = b""  # NSA only
-    ngksi: int = 0
     supi: str | None = None
     supi_learned_at: int | None = None
     pei: str = ""
     context: SecurityContext | None = None
     link: crypto.SecureLink | None = None
     guti: bytes | None = None
-    renewing: bool = False
     sbi_sid: str = ""
-    up_node: str = ""
+    # (radio node, RAN UE id) carrying the user plane, once NAS is secured
+    up_leg: tuple[str, int] | None = None
 
 
 class Amf(Entity):
@@ -111,10 +111,10 @@ class Amf(Entity):
             self._guti_alloc = GutiAllocator(ctx.rng("guti"))
         return self._guti_alloc
 
-    def _auth_route(self, suci_plmn: str) -> str:
+    def _auth_route(self, home_plmn: str) -> str:
         if self.policy.mode == "NSA":
             return self.udm_id
-        if suci_plmn != self.plmn and self.sepp_id:
+        if home_plmn != self.plmn and self.sepp_id:
             return self.sepp_id
         return self.ausf_id
 
@@ -137,6 +137,10 @@ class Amf(Entity):
             ran_ue_id=session.ran_ue_id, nas=nas_bytes,
         ))
 
+    def _reject(self, ctx, session: AmfSession, state: str) -> None:
+        session.state = state
+        self._downlink(ctx, session, messages.encode(messages.AuthenticationReject()))
+
     def _start_authentication(self, ctx, session: AmfSession) -> None:
         sbi_sid = self._new_sbi_sid(session)
         session.state = "auth_pending"
@@ -146,8 +150,7 @@ class Amf(Entity):
                 serving_network_name=self.serving_network_name,
             ))
             return
-        suci = ConcealedIdentity.from_bytes(session.suci)
-        ctx.emit(Channel.SBI, self._auth_route(suci.plmn), messages.AuthRequestSbi(
+        ctx.emit(Channel.SBI, self._auth_route(session.home_plmn), messages.AuthRequestSbi(
             session=sbi_sid, suci=session.suci,
             serving_network_name=self.serving_network_name,
         ))
@@ -160,50 +163,56 @@ class Amf(Entity):
             ctx.ignore()
             return
         self._session_seq += 1
-        sid = f"{self.entity_id}-s{self._session_seq}"
-        if isinstance(inner, messages.RegistrationRequest):
-            suci_bytes = inner.suci
-            nsa = False
-        elif isinstance(inner, messages.AttachRequest4G):
-            # legacy attach: identity arrives in clear; wrap it in the
-            # null-scheme container so the subscriber lookup is uniform
-            ident = parse_supi(inner.imsi)
-            suci_bytes = crypto.conceal_supi(ident, None, SuciScheme.NULL).to_bytes()
-            nsa = True
-        else:
+        seq = self._session_seq
+        try:
+            if isinstance(inner, messages.RegistrationRequest):
+                suci_bytes, nsa = inner.suci, False
+                home_plmn = ConcealedIdentity.from_bytes(suci_bytes).plmn
+            elif isinstance(inner, messages.AttachRequest4G):
+                # legacy attach: identity arrives in clear; wrap it in the
+                # null-scheme container so the subscriber lookup is uniform
+                ident = parse_supi(inner.imsi)
+                suci_bytes = crypto.conceal_supi(ident, None, SuciScheme.NULL).to_bytes()
+                nsa, home_plmn = True, ident.plmn
+            else:
+                ctx.ignore()
+                return
+        except ValueError:  # an identity that does not parse
             ctx.ignore()
             return
+        sid = f"{self.entity_id}-s{seq}"
         session = AmfSession(
-            sid=sid, gnb=event.src, ran_ue_id=msg.ran_ue_id,
-            ue_radio_ref=msg.ue_radio_ref, suci=suci_bytes,
-            slice_id=inner.slice_id, nsa=nsa,
+            sid=sid, seq=seq, gnb=event.src, ran_ue_id=msg.ran_ue_id,
+            ue_radio_ref=msg.ue_radio_ref, suci=suci_bytes, home_plmn=home_plmn,
+            ngksi=seq % 16, nsa=nsa,
         )
-        session.ngksi = self._session_seq % 16
         self.sessions[sid] = session
         self.by_ran[(event.src, msg.ran_ue_id)] = sid
         self._start_authentication(ctx, session)
 
     # -- authentication (standalone path) ------------------------------------------
 
+    def _challenge(self, ctx, session: AmfSession, vector) -> None:
+        """Send the challenge of a home vector (AuthResponseSbi or UdmAuthResponse)."""
+        session.rand = vector.rand
+        session.state = "challenge_sent"
+        self._downlink(ctx, session, messages.encode(messages.AuthenticationRequest(
+            rand=vector.rand, autn=vector.autn, ngksi=session.ngksi, abba=self.abba,
+        )))
+
     def on_auth_response_sbi(self, msg, event, ctx) -> None:
         session = self._sbi_session(msg, ctx)
         if session is None:
             return
-        session.rand = msg.rand
-        session.autn = msg.autn
         session.hxres = msg.hxres
         session.k_seaf = msg.k_seaf
-        session.state = "challenge_sent"
-        self._downlink(ctx, session, messages.encode(messages.AuthenticationRequest(
-            rand=msg.rand, autn=msg.autn, ngksi=session.ngksi, abba=self.abba,
-        )))
+        self._challenge(ctx, session, msg)
 
     def on_auth_reject_sbi(self, msg, event, ctx) -> None:
         session = self._sbi_session(msg, ctx)
         if session is None:
             return
-        session.state = f"auth_rejected:{msg.cause}"
-        self._downlink(ctx, session, messages.encode(messages.AuthenticationReject()))
+        self._reject(ctx, session, f"auth_rejected:{msg.cause}")
 
     # -- authentication (legacy direct path) ----------------------------------------
 
@@ -211,16 +220,11 @@ class Amf(Entity):
         session = self._sbi_session(msg, ctx)
         if session is None:
             return
-        session.rand = msg.rand
-        session.autn = msg.autn
         session.xres = msg.xres
         session.k_ausf = msg.k_ausf
         session.supi = msg.supi  # legacy trust model: home hands it over
         session.supi_learned_at = ctx.now
-        session.state = "challenge_sent"
-        self._downlink(ctx, session, messages.encode(messages.AuthenticationRequest(
-            rand=msg.rand, autn=msg.autn, ngksi=session.ngksi, abba=self.abba,
-        )))
+        self._challenge(ctx, session, msg)
 
     def on_udm_auth_reject(self, msg, event, ctx) -> None:
         self.on_auth_reject_sbi(msg, event, ctx)
@@ -246,22 +250,20 @@ class Amf(Entity):
     def _handle_auth_response(self, session: AmfSession, msg, ctx) -> None:
         if session.state != "challenge_sent":
             return  # duplicate or out-of-order response
+        if len(msg.res) != 16:
+            ctx.ignore()
+            return
         if session.nsa:
             if msg.res == session.xres:
                 self._establish_context(session, ctx, k_ausf=session.k_ausf)
             else:
-                session.state = "auth_failed:res_mismatch"
-                self._downlink(ctx, session,
-                               messages.encode(messages.AuthenticationReject()))
+                self._reject(ctx, session, "auth_failed:res_mismatch")
             return
         if crypto.res_hash(session.rand, msg.res) != session.hxres:
-            session.state = "auth_failed:hxres_mismatch"
-            self._downlink(ctx, session,
-                           messages.encode(messages.AuthenticationReject()))
+            self._reject(ctx, session, "auth_failed:hxres_mismatch")
             return
         session.state = "confirm_pending"
-        suci = ConcealedIdentity.from_bytes(session.suci)
-        ctx.emit(Channel.SBI, self._auth_route(suci.plmn), messages.ConfirmRequestSbi(
+        ctx.emit(Channel.SBI, self._auth_route(session.home_plmn), messages.ConfirmRequestSbi(
             session=session.sbi_sid, res=msg.res,
         ))
 
@@ -270,9 +272,7 @@ class Amf(Entity):
         if session is None:
             return
         if not msg.success:
-            session.state = "auth_failed:home_check"
-            self._downlink(ctx, session,
-                           messages.encode(messages.AuthenticationReject()))
+            self._reject(ctx, session, "auth_failed:home_check")
             return
         if session.state != "confirm_pending":
             return
@@ -307,12 +307,14 @@ class Amf(Entity):
         if isinstance(inner, messages.NasSecurityModeComplete):
             session.pei = inner.pei
             session.state = "nas_secured"
-            target = self.engnb_id if session.nsa else session.gnb
-            session.up_node = target
+            # an en-gNB serves UEs of several eNBs, whose RAN UE ids collide
+            target, ran_ue_id = session.up_leg = (
+                (self.engnb_id, session.seq) if session.nsa
+                else (session.gnb, session.ran_ue_id))
             # UeContextActive comes from the target, under this RAN UE id
-            self.by_ran[(target, session.ran_ue_id)] = session.sid
+            self.by_ran[session.up_leg] = session.sid
             ctx.emit(Channel.N2, target, messages.InitialContextSetupRequest(
-                ran_ue_id=session.ran_ue_id, ue_radio_ref=session.ue_radio_ref,
+                ran_ue_id=ran_ue_id, ue_radio_ref=session.ue_radio_ref,
                 k_gnb=session.context.keys.get("k_gnb"),
                 nea_id=self.policy.rrc_nea, nia_id=self.policy.rrc_nia,
             ))
@@ -343,7 +345,6 @@ class Amf(Entity):
             self.contexts.pop(session.guti.hex(), None)
         temp = self._allocator(ctx).allocate()
         session.guti = temp.guti
-        session.renewing = False
         session.state = "registered"
         self.contexts[temp.guti.hex()] = session.sid
         if self.policy.context_renewal_interval is not None:
@@ -364,9 +365,10 @@ class Amf(Entity):
         if session is None or session.context is None:
             ctx.ignore()
             return
-        ctx.emit(Channel.N2, session.up_node or session.gnb,
+        node, ran_ue_id = session.up_leg or (session.gnb, session.ran_ue_id)
+        ctx.emit(Channel.N2, node,
                  messages.PduResourceSetup(
-                     ran_ue_id=session.ran_ue_id,
+                     ran_ue_id=ran_ue_id,
                      up_ciphering=msg.up_ciphering, up_integrity=msg.up_integrity,
                  ))
         self._send_protected_nas(ctx, session, messages.PduSessionAccept(
@@ -380,19 +382,13 @@ class Amf(Entity):
         if purpose is None:
             ctx.ignore()
             return
-        kind, sid = purpose
-        if kind != "renew":
-            return
+        _, sid = purpose  # ("renew", session id)
         session = self.sessions.get(sid)
         if session is None or session.guti is None or session.state != "registered":
             return
-        for directive in renew_context(self, session.guti.hex(), ctx.now):
-            target = self.sessions.get(directive.session)
-            if target is None:
-                continue
-            target.renewing = True
-            target.state = "renewing"
-            self._start_authentication(ctx, target)
+        if renew_context(self, session.guti.hex(), ctx.now):
+            session.state = "renewing"
+            self._start_authentication(ctx, session)
 
 
 class Ausf(Entity):
@@ -420,7 +416,7 @@ class Ausf(Entity):
         if session is None:
             ctx.ignore()
             return
-        session.update(supi=msg.supi, xres=msg.xres, rand=msg.rand)
+        session.update(supi=msg.supi, xres=msg.xres)
         hxres = crypto.res_hash(msg.rand, msg.xres)
         k_seaf = crypto.derive_k_seaf(msg.k_ausf, session["serving_network_name"])
         ctx.emit(Channel.SBI, session["reply_to"], messages.AuthResponseSbi(
@@ -470,7 +466,7 @@ class Udm(Entity):
             ctx.emit(Channel.SBI, event.src, messages.UdmAuthReject(
                 session=msg.session, cause="UnsupportedScheme"))
             return
-        except (crypto.IntegrityFailure, ValueError, IndexError):
+        except (crypto.IntegrityFailure, ValueError):
             ctx.emit(Channel.SBI, event.src, messages.UdmAuthReject(
                 session=msg.session, cause="IntegrityFailure"))
             return

@@ -44,8 +44,6 @@ class SliceAdmission:
 @dataclass
 class RadioUeContext:
     ue_id: str
-    c_rnti: bytes
-    slice_id: str
     as_keys: KeyHierarchy | None = None
     rrc: crypto.SecureLink | None = None
     up: crypto.SecureLink | None = None
@@ -122,9 +120,7 @@ class GnbNode(Entity):
             rid = self._next_ran_ue_id
             self._next_ran_ue_id += 1
             self.by_ue[event.src] = rid
-        self.ue_contexts[rid] = RadioUeContext(
-            ue_id=event.src, c_rnti=msg.c_rnti, slice_id=msg.slice_id
-        )
+        self.ue_contexts[rid] = RadioUeContext(ue_id=event.src)
         ctx.emit(Channel.RADIO_RRC, event.src,
                  messages.RrcConnectionSetup(c_rnti=msg.c_rnti, ran_ue_id=rid))
 
@@ -183,8 +179,7 @@ class GnbNode(Entity):
         radio = self.ue_contexts.get(msg.ran_ue_id)
         if radio is None:
             # NSA user-plane node: context arrives without a prior RRC setup
-            radio = RadioUeContext(ue_id=msg.ue_radio_ref, c_rnti=b"\x00\x00",
-                                   slice_id="")
+            radio = RadioUeContext(ue_id=msg.ue_radio_ref)
             self.ue_contexts[msg.ran_ue_id] = radio
             self.by_ue[msg.ue_radio_ref] = msg.ran_ue_id
         radio.as_keys = crypto.derive_as_keys(msg.k_gnb, msg.nea_id, msg.nia_id)

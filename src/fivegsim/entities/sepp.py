@@ -35,7 +35,6 @@ def _hello_context(plmn: str, peer_plmn: str, nonce: bytes) -> bytes:
 
 @dataclass
 class SeppSession:
-    peer_plmn: str
     peer_id: str
     established: bool = False
     pending: list[bytes] = field(default_factory=list)
@@ -87,7 +86,7 @@ class Sepp(Entity):
         peer_id = self.peers.get(peer_plmn)
         if peer_id is None:
             return None
-        session = SeppSession(peer_plmn=peer_plmn, peer_id=peer_id)
+        session = SeppSession(peer_id=peer_id)
         self.sessions[peer_plmn] = session
         self._by_peer_id[peer_id] = peer_plmn
         nonce = ctx.rng("nonce").take(16)
@@ -111,7 +110,11 @@ class Sepp(Entity):
 
     def on_auth_request_sbi(self, msg, event, ctx) -> None:
         # local AMF asks the home network of the concealed identity
-        home_plmn = ConcealedIdentity.from_bytes(msg.suci).plmn
+        try:
+            home_plmn = ConcealedIdentity.from_bytes(msg.suci).plmn
+        except ValueError:
+            ctx.ignore()
+            return
         self.routes_out[msg.session] = (event.src, home_plmn)
         if not self._forward_out(messages.encode(msg), home_plmn, ctx):
             ctx.emit(Channel.SBI, event.src, messages.AuthRejectSbi(
@@ -140,16 +143,19 @@ class Sepp(Entity):
 
     # -- handshake -------------------------------------------------------------------
 
+    def _establish(self, plmn: str, peer_id: str) -> None:
+        session = self.sessions.setdefault(plmn, SeppSession(peer_id=peer_id))
+        session.peer_id = peer_id
+        session.established = True
+        self._by_peer_id[peer_id] = plmn
+
     def on_sepp_hello(self, msg, event, ctx) -> None:
         try:
             key = self._validate_peer(msg.plmn)
-        except PeerUnknown:
-            self.rejections.append("PeerUnknown")
-            ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="PeerUnknown"))
-            return
-        except PeerRevoked:
-            self.rejections.append("PeerRevoked")
-            ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="PeerRevoked"))
+        except (PeerUnknown, PeerRevoked) as exc:
+            reason = type(exc).__name__
+            self.rejections.append(reason)
+            ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason=reason))
             return
         if msg.peer_plmn != self.plmn or not crypto.verify(
             key, _hello_context(msg.plmn, msg.peer_plmn, msg.nonce), msg.signature
@@ -157,13 +163,7 @@ class Sepp(Entity):
             self.rejections.append("BadSignature")
             ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="BadSignature"))
             return
-        session = self.sessions.get(msg.plmn)
-        if session is None:
-            session = SeppSession(peer_plmn=msg.plmn, peer_id=event.src)
-            self.sessions[msg.plmn] = session
-        session.peer_id = event.src
-        session.established = True
-        self._by_peer_id[event.src] = msg.plmn
+        self._establish(msg.plmn, event.src)
         ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppHelloAck(
             plmn=self.plmn, peer_plmn=msg.plmn, echo_nonce=msg.nonce,
             signature=crypto.sign(self.signing_seed,
@@ -245,12 +245,6 @@ def establish_interconnect(sepp_a: Sepp, sepp_b: Sepp) -> tuple[str, str]:
     key_a = sepp_b._validate_peer(sepp_a.plmn)
     if key_b != sepp_b.verification_key or key_a != sepp_a.verification_key:
         raise PeerUnknown("allowlisted key does not match the peer's identity")
-    session_ab = SeppSession(peer_plmn=sepp_b.plmn, peer_id=sepp_b.entity_id,
-                             established=True)
-    session_ba = SeppSession(peer_plmn=sepp_a.plmn, peer_id=sepp_a.entity_id,
-                             established=True)
-    sepp_a.sessions[sepp_b.plmn] = session_ab
-    sepp_a._by_peer_id[sepp_b.entity_id] = sepp_b.plmn
-    sepp_b.sessions[sepp_a.plmn] = session_ba
-    sepp_b._by_peer_id[sepp_a.entity_id] = sepp_a.plmn
+    sepp_a._establish(sepp_b.plmn, sepp_b.entity_id)
+    sepp_b._establish(sepp_a.plmn, sepp_a.entity_id)
     return (sepp_a.plmn, sepp_b.plmn)

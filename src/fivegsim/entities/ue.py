@@ -27,6 +27,8 @@ from .base import Entity, open_secured, try_decode
 
 REG_TIMER_MS = 200
 MAX_RETRANSMISSIONS = 2
+# AuthenticationFailure cause -> outcome of the attempt it ends
+_AUTH_FAILURE_OUTCOMES = {"MacMismatch": "auth_failure_mac", "SqnStale": "auth_failure_sqn"}
 
 
 def _acceptable_algorithms(smc) -> bool:
@@ -63,8 +65,6 @@ class Attempt:
     cells: list = field(default_factory=list)
     excluded: set = field(default_factory=set)
     cell: messages.CellInfo | None = None
-    ran_ue_id: int = -1
-    c_rnti: bytes = b""
     ue_nonce: bytes = b""
     awaiting: str | None = None
     # (channel, dst, msg, link): a retransmission seals msg on the link again
@@ -114,10 +114,8 @@ class Ue(Entity):
         self.pinned_network_keys: dict[str, bytes] = {}
 
         # transient auth state
-        self._pending_rand: bytes | None = None
         self._pending_k_ausf: bytes | None = None
         self._pending_abba: bytes = b"\x00\x00"
-        self._pending_ngksi: int = 0
         self._renewing = False
 
     # -- helpers -------------------------------------------------------------
@@ -130,19 +128,21 @@ class Ue(Entity):
         prefix = "4G" if self.config.mode == "NSA" else "5G"
         return f"{prefix}:{plmn}"
 
-    def _new_timer(self, ctx) -> int:
-        self._timer_seq += 1
-        ctx.timer(REG_TIMER_MS, self._timer_seq)
-        return self._timer_seq
-
-    def _send_awaiting(self, ctx, channel, dst, msg, awaiting: str) -> None:
+    def _await(self, ctx, awaiting: str, channel, dst, msg, link=None) -> None:
+        """Wait for ``awaiting``; on timeout ``msg`` is resent, sealed again
+        on ``link`` when it has one."""
         attempt = self.attempt
         attempt.awaiting = awaiting
-        attempt.last_send = (channel, dst, msg, None)
-        attempt.timer_id = self._new_timer(ctx)
+        attempt.last_send = (channel, dst, msg, link)
+        self._timer_seq += 1
+        attempt.timer_id = self._timer_seq
+        ctx.timer(REG_TIMER_MS, self._timer_seq)
+
+    def _send_awaiting(self, ctx, channel, dst, msg, awaiting: str) -> None:
+        self._await(ctx, awaiting, channel, dst, msg)
         ctx.emit(channel, dst, msg)
 
-    def _finish_attempt(self, outcome: str, ctx=None) -> None:
+    def _finish_attempt(self, outcome: str) -> None:
         if self.attempt is None:
             return
         self.attempts_log.append({
@@ -202,18 +202,18 @@ class Ue(Entity):
     def _select_and_access(self, ctx) -> None:
         candidates = self._candidate_cells()
         if not candidates:
-            self._finish_attempt("no_cell", ctx)
+            self._finish_attempt("no_cell")
             return
         candidates.sort(key=lambda c: (-c.strength, c.cell_id))
         cell = candidates[0]
         attempt = self.attempt
         attempt.cell = cell
-        attempt.c_rnti = ctx.rng("crnti").take(2)
+        c_rnti = ctx.rng("crnti").take(2)
         attempt.ue_nonce = ctx.rng("nonce").take(8)
         self._send_awaiting(
             ctx, Channel.RADIO_RRC, cell.cell_id,
             messages.RrcConnectionRequest(
-                c_rnti=attempt.c_rnti,
+                c_rnti=c_rnti,
                 slice_id=self.config.slice_id,
                 ue_nonce=attempt.ue_nonce,
             ),
@@ -236,7 +236,6 @@ class Ue(Entity):
                 attempt.cell is None or event.src != attempt.cell.cell_id:
             ctx.ignore()
             return
-        attempt.ran_ue_id = msg.ran_ue_id
         self.phase = UePhase.REGISTRATION_INITIATED
         if self.config.mode == "NSA":
             request = messages.AttachRequest4G(
@@ -261,7 +260,7 @@ class Ue(Entity):
         if self.attempt is None:
             ctx.ignore()
             return
-        self._finish_attempt(f"rrc_rejected:{msg.cause}", ctx)
+        self._finish_attempt(f"rrc_rejected:{msg.cause}")
 
     # -- pre-security reject handling -------------------------------------------
 
@@ -273,40 +272,27 @@ class Ue(Entity):
             return
         cell = attempt.cell
         persistent = cause_is_persistent(msg.cause)
-        if self.config.signed_reject_enabled:
-            authentic = False
-            if msg.signature and cell.verification_key:
-                authentic = crypto.verify_reject(
-                    cell.verification_key, msg.cause, cell.cell_id,
-                    attempt.ue_nonce, msg.signature,
-                )
-                pinned = self.pinned_network_keys.get(cell.plmn)
-                if pinned is not None and pinned != cell.verification_key:
-                    authentic = False  # key does not match the pinned one
-            if authentic:
-                if persistent:
-                    # scope of the lockout is the signing key, not the plmn
-                    self.forbidden_reject_keys.add(cell.verification_key)
-                attempt.excluded.add(cell.cell_id)
-            else:
-                # unauthenticated reject: disregard it, avoid only this cell
-                attempt.excluded.add(cell.cell_id)
-            attempt.rejects_seen += 1
-            if attempt.rejects_seen > 8:
-                self._finish_attempt("rejected", ctx)
-                return
-            self._select_and_access(ctx)
-            return
-        # legacy behavior: an unauthenticated reject is honored
-        if persistent:
+        signed = self.config.signed_reject_enabled
+        if signed:
+            # authentic: signed with the cell's key, which is the key pinned
+            # for its network if there is one
+            key = cell.verification_key
+            if persistent and msg.signature and key \
+                    and self.pinned_network_keys.get(cell.plmn, key) == key \
+                    and crypto.verify_reject(key, msg.cause, cell.cell_id,
+                                             attempt.ue_nonce, msg.signature):
+                # scope of the lockout is the signing key, not the plmn
+                self.forbidden_reject_keys.add(key)
+        elif persistent:
+            # legacy behavior: an unauthenticated reject is honored
             self.forbidden_plmns.add(cell.plmn)
             self.phase = UePhase.PERMANENTLY_DEREGISTERED
-            self._finish_attempt("rejected_persistent", ctx)
+            self._finish_attempt("rejected_persistent")
             return
-        attempt.excluded.add(cell.cell_id)
+        attempt.excluded.add(cell.cell_id)  # any other reject: avoid only this cell
         attempt.rejects_seen += 1
-        if attempt.rejects_seen > 2:
-            self._finish_attempt("rejected", ctx)
+        if attempt.rejects_seen > (8 if signed else 2):
+            self._finish_attempt("rejected")
             return
         self._select_and_access(ctx)
 
@@ -318,29 +304,24 @@ class Ue(Entity):
         if not renewal and (attempt is None or attempt.awaiting != "auth_request"):
             ctx.ignore()
             return
-        reply_dst = event.src
+        try:
+            autn = crypto.Autn.from_bytes(msg.autn)
+        except ValueError:
+            ctx.ignore()
+            return
         try:
             res, new_window = crypto.ue_verify_challenge(
-                self.credential, msg.rand, crypto.Autn.from_bytes(msg.autn),
-                self.sqn_window,
-            )
-        except crypto.MacMismatch:
-            ctx.emit(Channel.RADIO_NAS, reply_dst,
-                     messages.AuthenticationFailure(cause="MacMismatch"))
+                self.credential, msg.rand, autn, self.sqn_window)
+        except (crypto.MacMismatch, crypto.SqnStale) as exc:
+            cause = type(exc).__name__
+            ctx.emit(Channel.RADIO_NAS, event.src,
+                     messages.AuthenticationFailure(cause=cause))
             if not renewal:
-                self._finish_attempt("auth_failure_mac", ctx)
-            return
-        except crypto.SqnStale:
-            ctx.emit(Channel.RADIO_NAS, reply_dst,
-                     messages.AuthenticationFailure(cause="SqnStale"))
-            if not renewal:
-                self._finish_attempt("auth_failure_sqn", ctx)
+                self._finish_attempt(_AUTH_FAILURE_OUTCOMES[cause])
             return
         self.sqn_window = new_window
         plmn = self.serving_plmn if renewal else attempt.cell.plmn
-        self._pending_rand = msg.rand
         self._pending_abba = msg.abba
-        self._pending_ngksi = msg.ngksi
         self._pending_k_ausf = crypto.ue_k_ausf(
             self.credential, msg.rand, self._serving_network_name(plmn)
         )
@@ -350,14 +331,14 @@ class Ue(Entity):
             self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
                                 messages.AuthenticationResponse(res=res), "nas_smc")
         else:
-            ctx.emit(Channel.RADIO_NAS, reply_dst,
+            ctx.emit(Channel.RADIO_NAS, event.src,
                      messages.AuthenticationResponse(res=res))
 
     def on_authentication_reject(self, msg, event, ctx) -> None:
         if self.attempt is None:
             ctx.ignore()
             return
-        self._finish_attempt("auth_rejected", ctx)
+        self._finish_attempt("auth_rejected")
 
     # -- NAS security ----------------------------------------------------------
 
@@ -400,9 +381,7 @@ class Ue(Entity):
             return
         self.phase = UePhase.NAS_SECURED
         if self.attempt is not None:
-            self.attempt.awaiting = "as_smc"
-            self.attempt.last_send = (Channel.RADIO_NAS, reply_dst, complete, link)
-            self.attempt.timer_id = self._new_timer(ctx)
+            self._await(ctx, "as_smc", Channel.RADIO_NAS, reply_dst, complete, link)
 
     def _emit_secured_nas(self, ctx, dst, inner) -> None:
         ctx.emit(Channel.RADIO_NAS, dst, self.nas_link.seal(inner))
@@ -426,7 +405,7 @@ class Ue(Entity):
                 key = self.attempt.cell.verification_key
                 if key:
                     self.pinned_network_keys.setdefault(self.attempt.cell.plmn, key)
-                self._finish_attempt("registered", ctx)
+                self._finish_attempt("registered")
             if self.config.mode == "NSA" and self.config.nsa_up_node:
                 self.up_node = self.config.nsa_up_node
             else:
@@ -458,9 +437,7 @@ class Ue(Entity):
         complete = messages.AsSecurityModeComplete()
         ctx.emit(Channel.RADIO_RRC, event.src, link.seal(complete))
         if self.attempt is not None:
-            self.attempt.awaiting = "reg_accept"
-            self.attempt.last_send = (Channel.RADIO_RRC, event.src, complete, link)
-            self.attempt.timer_id = self._new_timer(ctx)
+            self._await(ctx, "reg_accept", Channel.RADIO_RRC, event.src, complete, link)
 
     # -- user plane ---------------------------------------------------------------
 
@@ -498,19 +475,14 @@ class Ue(Entity):
 
     def on_timer_fired(self, msg, event, ctx) -> None:
         attempt = self.attempt
-        if attempt is None or attempt.timer_id != msg.timer_id:
+        # nothing is awaited before the first send (during the cell scan)
+        if attempt is None or attempt.timer_id != msg.timer_id or attempt.last_send is None:
             ctx.ignore()
             return
-        if attempt.awaiting in (None, "scan"):
-            ctx.ignore()
+        if attempt.retries == 0:
+            self._finish_attempt("timeout")
             return
-        if attempt.last_send is None:
-            self._finish_attempt("timeout", ctx)
-            return
-        if attempt.retries > 0:
-            attempt.retries -= 1
-            channel, dst, message, link = attempt.last_send
-            attempt.timer_id = self._new_timer(ctx)
-            ctx.emit(channel, dst, message if link is None else link.seal(message))
-            return
-        self._finish_attempt("timeout", ctx)
+        attempt.retries -= 1
+        channel, dst, message, link = attempt.last_send
+        self._await(ctx, attempt.awaiting, *attempt.last_send)
+        ctx.emit(channel, dst, message if link is None else link.seal(message))

@@ -167,37 +167,35 @@ class ConcealedIdentity:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ConcealedIdentity":
+        """Inverse of to_bytes; short, over-long or malformed input is a
+        ValueError (UnsupportedScheme for an unknown scheme byte)."""
+        pos = 0
+
+        def take(n: int) -> bytes:
+            nonlocal pos
+            if pos + n > len(data):
+                raise ValueError("truncated suci encoding")
+            pos += n
+            return data[pos - n:pos]
+
+        def take_prefixed() -> bytes:
+            return take(take(1)[0])
+
+        scheme_id = take(1)[0]
         try:
-            scheme = SuciScheme(data[0])
+            scheme = SuciScheme(scheme_id)
         except ValueError as exc:
-            raise UnsupportedScheme(f"unknown suci scheme id {data[0]}") from exc
-        mcc = data[1:4].decode()
-        mnc_len = data[4]
-        pos = 5
-        mnc = data[pos:pos + mnc_len].decode()
-        pos += mnc_len
+            raise UnsupportedScheme(f"unknown suci scheme id {scheme_id}") from exc
+        mcc = take(3).decode()
+        mnc = take_prefixed().decode()
         if scheme == SuciScheme.NULL:
-            ct_len = data[pos]
-            pos += 1
-            ct = data[pos:pos + ct_len]
-            if pos + ct_len != len(data):
-                raise ValueError("trailing bytes in suci encoding")
-            return cls(mcc=mcc, mnc=mnc, scheme=scheme, ciphertext=ct)
-        eph_len = data[pos]
-        pos += 1
-        eph = data[pos:pos + eph_len]
-        pos += eph_len
-        ct_len = data[pos]
-        pos += 1
-        ct = data[pos:pos + ct_len]
-        pos += ct_len
-        tag = data[pos:pos + 8]
-        if pos + 8 != len(data):
+            parts = {"ciphertext": take_prefixed()}
+        else:
+            parts = {"ephemeral_public_key": take_prefixed(),
+                     "ciphertext": take_prefixed(), "mac_tag": take(8)}
+        if pos != len(data):
             raise ValueError("trailing bytes in suci encoding")
-        return cls(
-            mcc=mcc, mnc=mnc, scheme=scheme, ciphertext=ct,
-            ephemeral_public_key=eph, mac_tag=tag,
-        )
+        return cls(mcc=mcc, mnc=mnc, scheme=scheme, **parts)
 
 
 class UnsupportedScheme(ValueError):

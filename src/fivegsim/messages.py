@@ -119,6 +119,18 @@ def peek_type(data: bytes) -> str:
     return _REGISTRY[int.from_bytes(data[4:6], "big")].__name__
 
 
+@dataclass
+class _Secured:
+    """The fields every protected wrapper carries, in wire order."""
+
+    count: int
+    direction: int
+    nea_id: int
+    nia_id: int
+    mac_tag: bytes
+    body: bytes
+
+
 # ---------------------------------------------------------------------------
 # Radio control plane (RRC)
 # ---------------------------------------------------------------------------
@@ -154,27 +166,13 @@ class AsSecurityModeComplete:
 
 
 @wire
-class SecuredRrc:
+class SecuredRrc(_Secured):
     """Integrity/ciphering wrapper for RRC signaling after AS security."""
-
-    count: int
-    direction: int
-    nea_id: int
-    nia_id: int
-    mac_tag: bytes
-    body: bytes
 
 
 @wire
-class SecuredUp:
+class SecuredUp(_Secured):
     """User-plane radio packet protected with the UP keys."""
-
-    count: int
-    direction: int
-    nea_id: int
-    nia_id: int
-    mac_tag: bytes
-    body: bytes
 
 
 @wire
@@ -262,15 +260,8 @@ class PduSessionAccept:
 
 
 @wire
-class SecuredNas:
+class SecuredNas(_Secured):
     """Integrity/ciphering wrapper for NAS messages after security mode setup."""
-
-    count: int
-    direction: int
-    nea_id: int
-    nia_id: int
-    mac_tag: bytes
-    body: bytes
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ class SimEvent:
 
 @dataclass
 class Annotations:
-    observed: bool = False
     modified: bool = False
     injected: bool = False
     dropped: bool = False
@@ -79,8 +78,8 @@ class TranscriptEntry:
     annotations: Annotations
 
     def export(self) -> dict:
-        # 'observed' is adversary-private: a purely passive adversary must
-        # leave the exported transcript byte-identical to an unobserved run.
+        # observations stay in the adversary's knowledge: a purely passive
+        # adversary leaves the export byte-identical to an unobserved run.
         return {
             "time": self.event.time,
             "seq": self.event.seq,
@@ -341,64 +340,56 @@ class World:
                     return True
         return False
 
+    def _run_hooks(self, event: SimEvent, annotations: Annotations) -> None:
+        """Pass ``event`` through each hook whose vantage covers its channel,
+        in attachment order, until one drops it."""
+        for hook in self.adversaries:
+            if event.channel not in hook.vantage:
+                continue
+            if hook.can(Capability.OBSERVE) and self.channel_readable(hook, event.channel):
+                hook.knowledge.see(event.channel, event.payload, event.time)
+            action = hook.handler(self, hook, event) if hook.handler is not None else None
+            if action is None:
+                continue
+            if action.replace_payload is not None and hook.can(Capability.MODIFY):
+                event.payload = action.replace_payload
+                annotations.modified = True
+            if action.inject and hook.can(Capability.INJECT):
+                for delay, channel, src, dst, payload in action.inject:
+                    self.schedule(self.time + delay, channel, src, dst,
+                                  payload, f"adversary:{hook.adversary_id}")
+            if action.drop and hook.can(Capability.DROP):
+                annotations.dropped = True
+                return
+
     def run_until(self, t_end: int) -> Transcript:
         while self._queue and self._queue[0][0] <= t_end:
             _, _, event = heapq.heappop(self._queue)
             self.time = event.time
             annotations = Annotations(injected=event.origin.startswith("adversary:"))
             msg_type = _peek(event.payload)
-
+            # settle the event's fate, record it once, then deliver it
             if event.dst == "__world__":
                 fn = self._actions.pop(event.seq, None)
                 if fn is not None:
                     fn(self)
-                self.transcript.append(event, annotations, msg_type)
-                continue
-
-            if self._jam_applies(event, msg_type):
+            elif self._jam_applies(event, msg_type):
                 annotations.dropped = True
-                self.transcript.append(event, annotations, msg_type)
-                continue
-
-            dropped = False
-            for hook in self.adversaries:
-                if event.channel not in hook.vantage:
-                    continue
-                if hook.can(Capability.OBSERVE) and self.channel_readable(hook, event.channel):
-                    hook.knowledge.see(event.channel, event.payload, event.time)
-                    annotations.observed = True
-                if hook.handler is None:
-                    continue
-                action = hook.handler(self, hook, event)
-                if action is None:
-                    continue
-                if action.replace_payload is not None and hook.can(Capability.MODIFY):
-                    event.payload = action.replace_payload
-                    annotations.modified = True
+            else:
+                self._run_hooks(event, annotations)
+                if annotations.modified:
                     msg_type = _peek(event.payload)
-                if action.inject and hook.can(Capability.INJECT):
-                    for delay, channel, src, dst, payload in action.inject:
-                        self.schedule(self.time + delay, channel, src, dst,
-                                      payload, f"adversary:{hook.adversary_id}")
-                if action.drop and hook.can(Capability.DROP):
-                    dropped = True
-                    break
-            if dropped:
-                annotations.dropped = True
-                self.transcript.append(event, annotations, msg_type)
+            self.transcript.append(event, annotations, msg_type)
+            if annotations.dropped:
                 continue
-
             if event.dst == "__ether__":
-                self.transcript.append(event, annotations, msg_type)
                 self.schedule(self.time + 1, Channel.INTERNAL, "__ether__", event.src,
                               messages.encode(messages.CellScanResponse(cells=self.active_cells())),
                               "world")
                 continue
-
             entity = self.entities.get(event.dst)
-            self.transcript.append(event, annotations, msg_type)
             if entity is None:
-                continue  # removed or unknown node: explicit no-op
+                continue  # the world itself, or an unknown node: explicit no-op
             try:
                 msg = messages.decode(event.payload)
             except Exception:

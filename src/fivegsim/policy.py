@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, replace
 from importlib import resources
 
 from .identity import SuciScheme
+
+Mode = typing.Literal["SA", "NSA"]
 
 
 @dataclass(frozen=True)
@@ -18,7 +21,7 @@ class OperatorPolicy:
     scheme is irrelevant: the legacy attach sends the identity in clear.
     """
 
-    mode: str = "SA"  # "SA" or "NSA"
+    mode: Mode = "SA"
     nas_ciphering: bool = True
     rrc_ciphering: bool = True
     up_ciphering: bool = True
@@ -31,7 +34,7 @@ class OperatorPolicy:
     jam_suppression_enabled: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("SA", "NSA"):
+        if self.mode not in typing.get_args(Mode):
             raise ValueError("mode is SA or NSA")
 
     @property
@@ -70,47 +73,30 @@ def parse_bool(raw: str) -> bool:
     raise ValueError(f"boolean expected, got {raw!r}")
 
 
-_POLICY_PARSERS = {
-    "mode": str,
-    "nas_ciphering": None,
-    "rrc_ciphering": None,
-    "up_ciphering": None,
-    "up_integrity": None,
-    "n2_link_protected": None,
-    "sbi_link_protected": None,
-    "signed_reject_enabled": None,
-    "jam_suppression_enabled": None,
-    "suci_scheme": "scheme",
-    "context_renewal_interval": "interval",
-}
+# policy key -> declared type, which selects the key's text parser
+_POLICY_TYPES = typing.get_type_hints(OperatorPolicy)
+POLICY_KEYS = frozenset(_POLICY_TYPES)
 
 
 def parse_policy_value(key: str, raw: str):
     """Parse one ``key=value`` policy override from text."""
-    if key not in _POLICY_PARSERS:
+    if key not in _POLICY_TYPES:
         raise KeyError(f"unknown policy key {key!r}")
-    kind = _POLICY_PARSERS[key]
-    if kind is str:
-        if raw not in ("SA", "NSA"):
-            raise ValueError("mode is SA or NSA")
-        return raw
-    if kind == "scheme":
-        table = {"null": SuciScheme.NULL, "profile_a": SuciScheme.PROFILE_A,
-                 "profile_b": SuciScheme.PROFILE_B}
-        if raw.lower() not in table:
+    kind = _POLICY_TYPES[key]
+    if kind is bool:
+        try:
+            return parse_bool(raw)
+        except ValueError:
+            raise ValueError(f"boolean expected for {key}, got {raw!r}") from None
+    if kind is SuciScheme:
+        if raw.upper() not in SuciScheme.__members__:
             raise ValueError(f"unknown suci scheme {raw!r}")
-        return table[raw.lower()]
-    if kind == "interval":
-        if raw.lower() in ("never", "none"):
-            return None
-        return int(raw)
-    try:
-        return parse_bool(raw)
-    except ValueError:
-        raise ValueError(f"boolean expected for {key}, got {raw!r}") from None
-
-
-POLICY_KEYS = frozenset(_POLICY_PARSERS)
+        return SuciScheme[raw.upper()]
+    if kind == int | None:
+        return None if raw.lower() in ("never", "none") else int(raw)
+    if raw not in typing.get_args(kind):  # a Literal of the allowed values
+        raise ValueError(f"{key} is {' or '.join(typing.get_args(kind))}, got {raw!r}")
+    return raw
 
 
 def load_reject_causes() -> dict[int, dict]:

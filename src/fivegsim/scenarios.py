@@ -707,15 +707,19 @@ def _normalize_overrides(scenario: ThreatScenario, overrides: dict | None) -> di
         if key not in allowed:
             raise InvalidOverride(
                 f"{key!r} is not a valid override for {scenario.scenario_id}")
-        if key in POLICY_KEYS:
-            out[key] = parse_policy_value(key, value) if isinstance(value, str) else value
-        elif isinstance(value, str):
-            try:
-                out[key] = parse_bool(value)
-            except ValueError:
-                out[key] = int(value)
-        else:
+        if not isinstance(value, str):
             out[key] = value
+            continue
+        try:
+            if key in POLICY_KEYS:
+                out[key] = parse_policy_value(key, value)
+            else:
+                try:
+                    out[key] = parse_bool(value)
+                except ValueError:
+                    out[key] = int(value)
+        except ValueError as exc:
+            raise InvalidOverride(f"{key}={value}: {exc}") from None
     return out
 
 

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from fivegsim.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -39,6 +41,16 @@ def test_unknown_override_rejected_before_execution(capsys):
                            "--set", "warp_drive=on")
     assert code == 2
     assert "warp_drive" in err
+
+
+@pytest.mark.parametrize("setting", [
+    "nas_ciphering=maybe", "mode=XX", "context_renewal_interval=soon",
+    "suci_scheme=rot13", "overlap_cell=maybe",
+])
+def test_malformed_override_value_exits_2(capsys, setting):
+    code, _, err = run_cli(capsys, "run", "--scenario", "TS_11", "--set", setting)
+    assert code == 2
+    assert err.startswith("error: ") and setting.split("=")[0] in err
 
 
 def test_expectation_pass_and_fail(capsys):

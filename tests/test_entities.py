@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fivegsim import crypto, messages
@@ -150,6 +152,68 @@ def test_concurrent_registrations_across_cells_keep_their_sessions():
         session = find_amf_session(amf, ue)
         assert session.context.keys.get("k_amf") == ue.context.keys.get("k_amf"), ue_id
     assert len(amf.contexts) == 12
+
+
+def test_nsa_engnb_keeps_ues_of_two_enbs_apart():
+    # each eNB numbers its UEs from 1; the shared en-gNB must not mix them up
+    world, builder = single_network_world(
+        seed=1, policy=OperatorPolicy(mode="NSA"), ue_count=2, cell_count=2)
+    net = builder.networks["net"]
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell="cell-a"), delay=1)
+    trigger(world, "ue2", messages.TriggerRegistration(target_cell="cell-b"), delay=4)
+    world.run_until(20_000)
+    for ue_id in ("ue1", "ue2"):
+        ue = world.entities[ue_id]
+        assert ue.phase == UePhase.REGISTERED, ue_id
+        session = find_amf_session(net.amf, ue)
+        assert session.context.keys.get("k_amf") == ue.context.keys.get("k_amf"), ue_id
+    assert len(net.engnb.ue_contexts) == 2
+    for ue_id in ("ue1", "ue2"):
+        assert establish_user_plane(world, ue_id)
+        send_app_data(world, ue_id, f"payload-of-{ue_id}".encode())
+    assert sorted(payload for _, payload in net.upf.received) == [
+        b"payload-of-ue1", b"payload-of-ue2"]
+
+
+def _set_field(name, value):
+    return lambda msg: dataclasses.replace(msg, **{name: value(getattr(msg, name))})
+
+
+# (message type, rewrite of the decoded message) for each field that once
+# raised out of the bus when a radio adversary mangled it
+MALFORMED_FIELDS = {
+    "autn_5_bytes": ("AuthenticationRequest", _set_field("autn", lambda v: v[:5])),
+    "res_3_bytes": ("AuthenticationResponse", _set_field("res", lambda v: v[:3])),
+    "suci_scheme_9": ("RegistrationRequest", _set_field("suci", lambda v: b"\x09" + v[1:])),
+    "suci_empty": ("RegistrationRequest", _set_field("suci", lambda v: b"")),
+    "suci_6_bytes": ("RegistrationRequest", _set_field("suci", lambda v: v[:6])),
+    "attach_bad_imsi": ("RegistrationRequest", lambda msg: messages.AttachRequest4G(
+        imsi="imsi-12", slice_id=msg.slice_id, ue_nonce=msg.ue_nonce)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_field_is_an_ignored_transition(case):
+    from fivegsim.netsim import RADIO_CHANNELS, Action, AdversaryHook, Capability
+    msg_type, rewrite = MALFORMED_FIELDS[case]
+    world, _ = single_network_world(seed=3, ue_count=2)
+    rewritten = []
+
+    def mangle(w, hook, event):
+        if "ue1" in (event.src, event.dst) and messages.peek_type(event.payload) == msg_type:
+            rewritten.append(event.seq)
+            return Action(replace_payload=messages.encode(
+                rewrite(messages.decode(event.payload))))
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="mangler", vantage=RADIO_CHANNELS,
+        capabilities=frozenset({Capability.MODIFY}), handler=mangle))
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""), delay=1)
+    trigger(world, "ue2", messages.TriggerRegistration(target_cell=""), delay=4)
+    world.run_until(20_000)  # nothing escapes
+    assert rewritten
+    assert world.entities["ue2"].phase == UePhase.REGISTERED
 
 
 def test_registration_continues_after_single_losses():
@@ -541,6 +605,16 @@ def test_garbage_injection_never_crashes_entities():
                            count=0, direction=1, nea_id=0, nia_id=2,
                            mac_tag=b"\x00" * 4, body=b"\xff\xff")),
                        "adversary:fuzz")
+    assert run_registration(world, "ue1").success
+
+
+def test_sepp_ignores_auth_request_with_unparsable_suci():
+    world, _ = roaming_world(seed=23)
+    for i, suci in enumerate((b"", b"\x09" + bytes(20), b"\x00001")):
+        world.schedule(1 + i, Channel.SBI, "attacker", "serv-sepp", messages.encode(
+            messages.AuthRequestSbi(session=f"forged-{i}", suci=suci,
+                                    serving_network_name="5G:00101")),
+            "adversary:fuzz")
     assert run_registration(world, "ue1").success
 
 
