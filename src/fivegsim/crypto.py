@@ -46,7 +46,6 @@ from .identity import (
 from .randomness import RandomStream
 
 __all__ = [
-    "AlgorithmRegistry",
     "AuthVector",
     "Autn",
     "HomeNetworkKeyPair",
@@ -495,37 +494,16 @@ def derive_as_keys(k_gnb: bytes, nea_id: int, nia_id: int) -> KeyHierarchy:
 # ---------------------------------------------------------------------------
 
 
-class AlgorithmStatus(enum.Enum):
-    IMPLEMENTED = "implemented"
-    STUB = "stub"
+# algorithm ids that run, and ids registered as stubs that refuse to produce bytes
+RUNNING_ALGORITHMS = frozenset({0, 2})  # null, AES-based
+STUB_ALGORITHMS = frozenset({1, 3})
 
 
-class AlgorithmRegistry:
-    """Registered ciphering/integrity algorithm ids and their build status.
-
-    Ids 0 (null) and 2 (AES-based) are implemented; 1 and 3 are registered
-    stubs that refuse to produce bytes.
-    """
-
-    _STATUS = {0: AlgorithmStatus.IMPLEMENTED, 1: AlgorithmStatus.STUB,
-               2: AlgorithmStatus.IMPLEMENTED, 3: AlgorithmStatus.STUB}
-
-    @classmethod
-    def status(cls, kind: str, alg_id: int) -> AlgorithmStatus:
-        if kind not in ("ciphering", "integrity"):
-            raise ValueError("kind is 'ciphering' or 'integrity'")
-        if alg_id not in cls._STATUS:
-            raise ValueError(f"unknown algorithm id {alg_id}")
-        return cls._STATUS[alg_id]
-
-    @classmethod
-    def implemented(cls, alg_id: int) -> bool:
-        return cls._STATUS.get(alg_id) is AlgorithmStatus.IMPLEMENTED
-
-    @classmethod
-    def require_implemented(cls, kind: str, alg_id: int) -> None:
-        if cls.status(kind, alg_id) is not AlgorithmStatus.IMPLEMENTED:
-            raise StubAlgorithm(f"{kind} algorithm {alg_id} is a stub in this build")
+def _require_running(kind: str, alg_id: int) -> None:
+    if alg_id in STUB_ALGORITHMS:
+        raise StubAlgorithm(f"{kind} algorithm {alg_id} is a stub in this build")
+    if alg_id not in RUNNING_ALGORITHMS:
+        raise ValueError(f"unknown algorithm id {alg_id}")
 
 
 MAC_I_LEN = 4
@@ -565,8 +543,8 @@ def protect(
     The null algorithms pass bytes through but the tag overhead is always
     present (four zero bytes under null integrity).
     """
-    AlgorithmRegistry.require_implemented("ciphering", nea_id)
-    AlgorithmRegistry.require_implemented("integrity", nia_id)
+    _require_running("ciphering", nea_id)
+    _require_running("integrity", nia_id)
     if nea_id == 0:
         ciphertext = payload
     else:
@@ -588,8 +566,8 @@ def unprotect(
     count: int,
 ) -> bytes:
     """Verify the tag (unless null integrity) and decipher."""
-    AlgorithmRegistry.require_implemented("ciphering", nea_id)
-    AlgorithmRegistry.require_implemented("integrity", nia_id)
+    _require_running("ciphering", nea_id)
+    _require_running("integrity", nia_id)
     if nia_id != 0:
         expected = _cmac_tag(key_int, count, direction, msg.ciphertext)
         if not hmac_mod.compare_digest(expected, msg.mac_tag):

@@ -17,8 +17,12 @@ from ..identity import (
     parse_supi,
 )
 from ..netsim import Channel
-from ..policy import OperatorPolicy
+from ..policy import OperatorPolicy, algorithms, serving_network_name
 from .base import Entity, open_secured, try_decode
+
+
+# no anti-bidding-down features are signalled, so every challenge carries ABBA 0x0000
+ABBA = b"\x00\x00"
 
 
 class UnknownGuti(KeyError):
@@ -77,8 +81,6 @@ class Amf(Entity):
         smf_id: str = "",
         sepp_id: str = "",
         engnb_id: str = "",
-        serving_network_name: str = "",
-        abba: bytes = b"\x00\x00",
     ):
         super().__init__(entity_id)
         self.plmn = plmn
@@ -88,9 +90,7 @@ class Amf(Entity):
         self.smf_id = smf_id
         self.sepp_id = sepp_id
         self.engnb_id = engnb_id
-        prefix = "4G" if policy.mode == "NSA" else "5G"
-        self.serving_network_name = serving_network_name or f"{prefix}:{plmn}"
-        self.abba = abba
+        self.serving_network_name = serving_network_name(policy.mode, plmn)
         self.sessions: dict[str, AmfSession] = {}
         self.by_ran: dict[tuple[str, int], str] = {}
         self.by_sbi: dict[str, str] = {}
@@ -126,11 +126,22 @@ class Amf(Entity):
         return session
 
     def _new_sbi_sid(self, session: AmfSession) -> str:
+        self.by_sbi.pop(session.sbi_sid, None)  # a re-authentication ends the last one
         self._sbi_seq += 1
         sbi_sid = f"{self.entity_id}-a{self._sbi_seq}"
         session.sbi_sid = sbi_sid
         self.by_sbi[sbi_sid] = session.sid
         return sbi_sid
+
+    def _retire(self, session: AmfSession) -> None:
+        """Drop a session from every index: its UE started a new registration."""
+        del self.sessions[session.sid]
+        self.by_sbi.pop(session.sbi_sid, None)
+        if session.guti is not None:
+            self.contexts.pop(session.guti.hex(), None)
+        for leg in ((session.gnb, session.ran_ue_id), session.up_leg):
+            if self.by_ran.get(leg) == session.sid:
+                del self.by_ran[leg]
 
     def _downlink(self, ctx, session: AmfSession, nas_bytes: bytes) -> None:
         ctx.emit(Channel.N2, session.gnb, messages.DownlinkNas(
@@ -144,13 +155,9 @@ class Amf(Entity):
     def _start_authentication(self, ctx, session: AmfSession) -> None:
         sbi_sid = self._new_sbi_sid(session)
         session.state = "auth_pending"
-        if self.policy.mode == "NSA":
-            ctx.emit(Channel.SBI, self.udm_id, messages.UdmAuthRequest(
-                session=sbi_sid, suci=session.suci,
-                serving_network_name=self.serving_network_name,
-            ))
-            return
-        ctx.emit(Channel.SBI, self._auth_route(session.home_plmn), messages.AuthRequestSbi(
+        request = (messages.UdmAuthRequest if self.policy.mode == "NSA"
+                   else messages.AuthRequestSbi)
+        ctx.emit(Channel.SBI, self._auth_route(session.home_plmn), request(
             session=sbi_sid, suci=session.suci,
             serving_network_name=self.serving_network_name,
         ))
@@ -180,6 +187,9 @@ class Amf(Entity):
         except ValueError:  # an identity that does not parse
             ctx.ignore()
             return
+        leg = (event.src, msg.ran_ue_id)
+        if leg in self.by_ran:  # a retransmission, or a UE registering anew
+            self._retire(self.sessions[self.by_ran[leg]])
         sid = f"{self.entity_id}-s{seq}"
         session = AmfSession(
             sid=sid, seq=seq, gnb=event.src, ran_ue_id=msg.ran_ue_id,
@@ -187,7 +197,7 @@ class Amf(Entity):
             ngksi=seq % 16, nsa=nsa,
         )
         self.sessions[sid] = session
-        self.by_ran[(event.src, msg.ran_ue_id)] = sid
+        self.by_ran[leg] = sid
         self._start_authentication(ctx, session)
 
     # -- authentication (standalone path) ------------------------------------------
@@ -197,7 +207,7 @@ class Amf(Entity):
         session.rand = vector.rand
         session.state = "challenge_sent"
         self._downlink(ctx, session, messages.encode(messages.AuthenticationRequest(
-            rand=vector.rand, autn=vector.autn, ngksi=session.ngksi, abba=self.abba,
+            rand=vector.rand, autn=vector.autn, ngksi=session.ngksi, abba=ABBA,
         )))
 
     def on_auth_response_sbi(self, msg, event, ctx) -> None:
@@ -283,18 +293,16 @@ class Amf(Entity):
 
     def _establish_context(self, session: AmfSession, ctx,
                            k_seaf: bytes = b"", k_ausf: bytes = b"") -> None:
-        nea, nia = self.policy.nas_nea, self.policy.nas_nia
+        nea, nia = algorithms(self.policy.nas_ciphering, True)
         if k_ausf:
             keys = crypto.derive_key_chain(
-                k_ausf, self.serving_network_name, session.supi, self.abba, nea, nia,
+                k_ausf, self.serving_network_name, session.supi, ABBA, nea, nia,
             )
         else:
-            keys = crypto.derive_chain_from_seaf(
-                k_seaf, session.supi, self.abba, nea, nia,
-            )
+            keys = crypto.derive_chain_from_seaf(k_seaf, session.supi, ABBA, nea, nia)
         session.context = SecurityContext(
             ng_ksi=session.ngksi, keys=keys, nea_id=nea, nia_id=nia,
-            abba=self.abba, born_at=ctx.now,
+            abba=ABBA, born_at=ctx.now,
         )
         session.link = crypto.SecureLink(messages.SecuredNas, keys, nea, nia, direction=1)
         session.state = "smc_sent"
@@ -313,10 +321,10 @@ class Amf(Entity):
                 else (session.gnb, session.ran_ue_id))
             # UeContextActive comes from the target, under this RAN UE id
             self.by_ran[session.up_leg] = session.sid
+            nea, nia = algorithms(self.policy.rrc_ciphering, True)
             ctx.emit(Channel.N2, target, messages.InitialContextSetupRequest(
                 ran_ue_id=ran_ue_id, ue_radio_ref=session.ue_radio_ref,
-                k_gnb=session.context.keys.get("k_gnb"),
-                nea_id=self.policy.rrc_nea, nia_id=self.policy.rrc_nia,
+                k_gnb=session.context.keys.get("k_gnb"), nea_id=nea, nia_id=nia,
             ))
         elif isinstance(inner, messages.PduSessionRequest):
             self._sbi_seq += 1
@@ -361,7 +369,8 @@ class Amf(Entity):
     # -- session setup ------------------------------------------------------------------
 
     def on_smf_session_response(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx)
+        # the SMF answers each request once, so its id goes with the answer
+        session = self.sessions.get(self.by_sbi.pop(msg.session, None))
         if session is None or session.context is None:
             ctx.ignore()
             return
@@ -387,7 +396,6 @@ class Amf(Entity):
         if session is None or session.guti is None or session.state != "registered":
             return
         if renew_context(self, session.guti.hex(), ctx.now):
-            session.state = "renewing"
             self._start_authentication(ctx, session)
 
 

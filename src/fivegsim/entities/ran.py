@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .. import crypto, messages
 from ..identity import KeyHierarchy
 from ..netsim import Channel
-from ..policy import up_algorithms
+from ..policy import algorithms
 from .base import Entity, open_secured
 
 
@@ -210,7 +210,7 @@ class GnbNode(Entity):
         if radio is None or radio.as_keys is None:
             ctx.ignore()
             return
-        nea, nia = up_algorithms(msg.up_ciphering, msg.up_integrity)
+        nea, nia = algorithms(msg.up_ciphering, msg.up_integrity)
         radio.up = crypto.SecureLink(messages.SecuredUp, radio.as_keys, nea, nia,
                                      direction=1)
 

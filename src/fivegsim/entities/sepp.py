@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .. import crypto, messages
 from ..identity import ConcealedIdentity
 from ..netsim import Channel
+from ..policy import serving_network_name
 from .base import Entity, try_decode
 
 
@@ -197,8 +198,8 @@ class Sepp(Entity):
 
     def check_forward_coherence(self, inner, peer_plmn: str) -> None:
         """Serving-network-name coherence for forwarded auth requests."""
-        if isinstance(inner, messages.AuthRequestSbi):
-            expected = f"5G:{peer_plmn}"
+        if isinstance(inner, messages.AuthRequestSbi):  # sent by standalone AMFs only
+            expected = serving_network_name("SA", peer_plmn)
             if inner.serving_network_name != expected:
                 raise NetworkNameMismatch(
                     f"claimed {inner.serving_network_name!r}, session is with {expected!r}"

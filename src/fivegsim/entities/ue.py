@@ -22,7 +22,7 @@ from ..identity import (
     format_supi,
 )
 from ..netsim import Channel
-from ..policy import cause_is_persistent, up_algorithms
+from ..policy import algorithms, cause_is_persistent, serving_network_name
 from .base import Entity, open_secured, try_decode
 
 REG_TIMER_MS = 200
@@ -32,18 +32,15 @@ _AUTH_FAILURE_OUTCOMES = {"MacMismatch": "auth_failure_mac", "SqnStale": "auth_f
 
 
 def _acceptable_algorithms(smc) -> bool:
-    """Bidding-down guard for security mode commands: implemented
-    algorithms only, never null integrity.  The command's own wrapper must
-    carry the same integrity id, which the link built from it enforces."""
-    implemented = crypto.AlgorithmRegistry.implemented
-    return smc.nia_id != 0 and implemented(smc.nea_id) and implemented(smc.nia_id)
+    """Bidding-down guard for security mode commands: algorithms that run
+    only, never null integrity.  The command's own wrapper must carry the
+    same integrity id, which the link built from it enforces."""
+    running = crypto.RUNNING_ALGORITHMS
+    return smc.nia_id != 0 and smc.nea_id in running and smc.nia_id in running
 
 
 class UePhase(enum.Enum):
     DEREGISTERED = "deregistered"
-    REGISTRATION_INITIATED = "registration_initiated"
-    AUTHENTICATING = "authenticating"
-    NAS_SECURED = "nas_secured"
     REGISTERED = "registered"
     PERMANENTLY_DEREGISTERED = "permanently_deregistered"
 
@@ -59,9 +56,7 @@ class UeConfig:
 
 @dataclass
 class Attempt:
-    attempt_id: int
     target_cell: str
-    started_at: int
     cells: list = field(default_factory=list)
     excluded: set = field(default_factory=set)
     cell: messages.CellInfo | None = None
@@ -94,8 +89,7 @@ class Ue(Entity):
         self.phase = UePhase.DEREGISTERED
         self.sqn_window = 0
         self.attempt: Attempt | None = None
-        self.attempts_log: list[dict] = []
-        self._attempt_seq = 0
+        self.attempts_log: list[str] = []  # outcome of each finished attempt
         self._timer_seq = 0
 
         self.context: SecurityContext | None = None
@@ -113,20 +107,11 @@ class Ue(Entity):
         self.forbidden_reject_keys: set[bytes] = set()
         self.pinned_network_keys: dict[str, bytes] = {}
 
-        # transient auth state
-        self._pending_k_ausf: bytes | None = None
-        self._pending_abba: bytes = b"\x00\x00"
-        self._renewing = False
+        # (k_ausf, serving network name, abba) of the challenge last answered,
+        # until a security mode command derives the key chain from it
+        self._challenge: tuple[bytes, str, bytes] | None = None
 
     # -- helpers -------------------------------------------------------------
-
-    @property
-    def home_plmn(self) -> str:
-        return self.identity.plmn
-
-    def _serving_network_name(self, plmn: str) -> str:
-        prefix = "4G" if self.config.mode == "NSA" else "5G"
-        return f"{prefix}:{plmn}"
 
     def _await(self, ctx, awaiting: str, channel, dst, msg, link=None) -> None:
         """Wait for ``awaiting``; on timeout ``msg`` is resent, sealed again
@@ -145,20 +130,11 @@ class Ue(Entity):
     def _finish_attempt(self, outcome: str) -> None:
         if self.attempt is None:
             return
-        self.attempts_log.append({
-            "attempt_id": self.attempt.attempt_id,
-            "outcome": outcome,
-            "cell": self.attempt.cell.cell_id if self.attempt.cell else None,
-            "started_at": self.attempt.started_at,
-        })
-        if outcome != "registered" and self.phase not in (
-            UePhase.REGISTERED, UePhase.PERMANENTLY_DEREGISTERED
-        ):
-            self.phase = UePhase.DEREGISTERED
+        self.attempts_log.append(outcome)
         self.attempt = None
 
     def last_outcome(self) -> str | None:
-        return self.attempts_log[-1]["outcome"] if self.attempts_log else None
+        return self.attempts_log[-1] if self.attempts_log else None
 
     # -- registration trigger and cell selection ------------------------------
 
@@ -167,12 +143,7 @@ class Ue(Entity):
             return  # one attempt at a time
         if self.phase == UePhase.REGISTERED:
             return
-        self._attempt_seq += 1
-        self.attempt = Attempt(
-            attempt_id=self._attempt_seq,
-            target_cell=msg.target_cell,
-            started_at=ctx.now,
-        )
+        self.attempt = Attempt(target_cell=msg.target_cell)
         self.attempt.awaiting = "scan"
         ctx.emit(Channel.INTERNAL, "__ether__", messages.CellScanRequest())
 
@@ -236,7 +207,6 @@ class Ue(Entity):
                 attempt.cell is None or event.src != attempt.cell.cell_id:
             ctx.ignore()
             return
-        self.phase = UePhase.REGISTRATION_INITIATED
         if self.config.mode == "NSA":
             request = messages.AttachRequest4G(
                 imsi=format_supi(self.identity),
@@ -320,14 +290,10 @@ class Ue(Entity):
                 self._finish_attempt(_AUTH_FAILURE_OUTCOMES[cause])
             return
         self.sqn_window = new_window
-        plmn = self.serving_plmn if renewal else attempt.cell.plmn
-        self._pending_abba = msg.abba
-        self._pending_k_ausf = crypto.ue_k_ausf(
-            self.credential, msg.rand, self._serving_network_name(plmn)
-        )
-        self._renewing = renewal
+        name = serving_network_name(
+            self.config.mode, self.serving_plmn if renewal else attempt.cell.plmn)
+        self._challenge = (crypto.ue_k_ausf(self.credential, msg.rand, name), name, msg.abba)
         if not renewal:
-            self.phase = UePhase.AUTHENTICATING
             self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
                                 messages.AuthenticationResponse(res=res), "nas_smc")
         else:
@@ -342,22 +308,13 @@ class Ue(Entity):
 
     # -- NAS security ----------------------------------------------------------
 
-    def _serving_cell_plmn(self) -> str:
-        if self.attempt is not None and self.attempt.cell is not None:
-            return self.attempt.cell.plmn
-        return self.serving_plmn or self.home_plmn
-
     def _handle_nas_smc(self, wrapper, smc, ctx, reply_dst) -> None:
-        if self._pending_k_ausf is None or not _acceptable_algorithms(smc):
+        if self._challenge is None or not _acceptable_algorithms(smc):
             ctx.ignore()
             return
+        k_ausf, name, abba = self._challenge
         keys = crypto.derive_key_chain(
-            self._pending_k_ausf,
-            self._serving_network_name(self._serving_cell_plmn()),
-            format_supi(self.identity),
-            self._pending_abba,
-            smc.nea_id,
-            smc.nia_id,
+            k_ausf, name, format_supi(self.identity), abba, smc.nea_id, smc.nia_id,
         )
         link = crypto.SecureLink(messages.SecuredNas, keys, smc.nea_id, smc.nia_id,
                                  direction=0)
@@ -366,20 +323,16 @@ class Ue(Entity):
             return
         self.context = SecurityContext(
             ng_ksi=smc.ngksi, keys=keys, nea_id=smc.nea_id, nia_id=smc.nia_id,
-            abba=self._pending_abba, born_at=ctx.now,
+            abba=abba, born_at=ctx.now,
         )
         self.nas_link = link
         self.rrc_link = self.up_link = None  # the radio side re-keys from this context
-        self._pending_k_ausf = None  # one command per challenge: replays find none
+        self._challenge = None  # one command per challenge: replays find none
         complete = messages.NasSecurityModeComplete(
             pei=self.pei.pei if smc.request_pei else ""
         )
         self._emit_secured_nas(ctx, reply_dst, complete)
-        if self._renewing:
-            self._renewing = False
-            # fresh AS keys follow via a new context setup on the radio side
-            return
-        self.phase = UePhase.NAS_SECURED
+        # a renewal has no attempt: fresh AS keys follow via a new context setup
         if self.attempt is not None:
             self._await(ctx, "as_smc", Channel.RADIO_NAS, reply_dst, complete, link)
 
@@ -411,7 +364,7 @@ class Ue(Entity):
             else:
                 self.up_node = self.serving_gnb
         elif isinstance(inner, messages.PduSessionAccept) and self.as_keys is not None:
-            nea, nia = up_algorithms(inner.up_ciphering, inner.up_integrity)
+            nea, nia = algorithms(inner.up_ciphering, inner.up_integrity)
             self.up_link = crypto.SecureLink(messages.SecuredUp, self.as_keys, nea, nia,
                                              direction=0)
         else:
@@ -470,8 +423,7 @@ class Ue(Entity):
         self.serving_gnb = None
         self.serving_plmn = None
         self.attempt = None
-        self._pending_k_ausf = None
-        self._renewing = False
+        self._challenge = None
 
     def on_timer_fired(self, msg, event, ctx) -> None:
         attempt = self.attempt

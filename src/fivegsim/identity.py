@@ -54,10 +54,6 @@ class SubscriberIdentity:
             raise ValueError("msin must be 1..10 digits")
 
     @property
-    def home_network_id(self) -> tuple[str, str]:
-        return (self.mcc, self.mnc)
-
-    @property
     def plmn(self) -> str:
         return self.mcc + self.mnc
 
@@ -139,10 +135,6 @@ class ConcealedIdentity:
                 raise ValueError(f"scheme {self.scheme.name} needs a {expected}-byte ephemeral key")
             if self.mac_tag is None or len(self.mac_tag) != 8:
                 raise ValueError("ecies schemes need an 8-byte tag")
-
-    @property
-    def home_network_id(self) -> tuple[str, str]:
-        return (self.mcc, self.mnc)
 
     @property
     def plmn(self) -> str:

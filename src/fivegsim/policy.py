@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .identity import SuciScheme
@@ -37,30 +37,19 @@ class OperatorPolicy:
         if self.mode not in typing.get_args(Mode):
             raise ValueError("mode is SA or NSA")
 
-    @property
-    def nas_nea(self) -> int:
-        return 2 if self.nas_ciphering else 0
 
-    @property
-    def nas_nia(self) -> int:
-        return 2
-
-    @property
-    def rrc_nea(self) -> int:
-        return 2 if self.rrc_ciphering else 0
-
-    @property
-    def rrc_nia(self) -> int:
-        return 2
-
-    def with_overrides(self, **kwargs) -> "OperatorPolicy":
-        return replace(self, **kwargs)
-
-
-def up_algorithms(ciphering: bool, integrity: bool) -> tuple[int, int]:
-    """(nea, nia) for a user-plane session: the AES-based algorithms where
-    the session's protection flags are on, the null ones elsewhere."""
+def algorithms(ciphering: bool, integrity: bool) -> tuple[int, int]:
+    """The one (nea, nia) rule for NAS, RRC and user-plane links: the
+    AES-based algorithms (id 2) where a protection flag is on, the null
+    ones (id 0) elsewhere.  NAS and RRC always run integrity."""
     return (2 if ciphering else 0), (2 if integrity else 0)
+
+
+def serving_network_name(mode: Mode, plmn: str) -> str:
+    """The serving network name that K_AUSF and K_SEAF are bound to:
+    ``5G:<plmn>`` for a standalone network, ``4G:<plmn>`` for the legacy
+    attach of NSA."""
+    return f"{'4G' if mode == 'NSA' else '5G'}:{plmn}"
 
 
 def parse_bool(raw: str) -> bool:

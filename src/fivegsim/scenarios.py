@@ -10,7 +10,7 @@ plus the granted material.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import crypto, messages
 from .entities import Sepp
@@ -33,6 +33,7 @@ from .policy import (
     POLICY_KEYS,
     parse_bool,
     parse_policy_value,
+    serving_network_name,
 )
 from .risk import Impact, Likelihood, RiskCell, place
 from .worldfile import NetworkHandles, WorldBuilder
@@ -315,9 +316,8 @@ _TRAFFIC_A = ((10, _REGISTER), (1000, _PDU_SESSION),
 
 
 def _base_policy(overrides: dict, **scenario_defaults) -> OperatorPolicy:
-    policy = OperatorPolicy(**scenario_defaults)
     policy_overrides = {k: v for k, v in overrides.items() if k in POLICY_KEYS}
-    return policy.with_overrides(**policy_overrides) if policy_overrides else policy
+    return replace(OperatorPolicy(**scenario_defaults), **policy_overrides)
 
 
 def _stage(seed: int, policy: OperatorPolicy, strength: int = 10,
@@ -377,7 +377,8 @@ def _run_ts01(seed: int, overrides: dict) -> tuple[World, dict]:
 
     supi = format_supi(ue.identity)
     stolen_k = spy.knowledge.keys["udm_db"][supi]
-    peis = recover_peis(spy.knowledge.payloads(), stolen_k, supi, "5G:00101")
+    peis = recover_peis(spy.knowledge.payloads(), stolen_k, supi,
+                        serving_network_name(genuine.policy.mode, genuine.plmn))
     outcome = {
         "all_subscriber_traffic_decryptable": ue.pei.pei in peis,
         "network_impersonation": (
@@ -448,7 +449,7 @@ def _run_ts03(seed: int, overrides: dict) -> tuple[World, dict]:
 
     held = spy.knowledge.keys
     peis = recover_peis(spy.knowledge.payloads(), held["stolen_k"], held["stolen_supi"],
-                        "5G:00101")
+                        serving_network_name(net.policy.mode, net.plmn))
     outcome = {
         "target_traffic_decrypted": ue1.pei.pei in peis,
         "other_devices_unaffected": ue2.pei.pei not in peis,

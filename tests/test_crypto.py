@@ -290,12 +290,17 @@ def test_protect_round_trip_aes():
 
 
 def test_stub_algorithms_refuse():
-    for nia in (1, 3):
-        with pytest.raises(crypto.StubAlgorithm):
-            crypto.protect(b"x", 0, nia, None, KEY_INT, 0, 0)
-    for nea in (1, 3):
-        with pytest.raises(crypto.StubAlgorithm):
-            crypto.protect(b"x", nea, 0, KEY_ENC, None, 0, 0)
+    """Ids 0 and 2 run, 1 and 3 are registered stubs and 7 is not registered,
+    for ciphering and integrity alike, in protect and in unprotect."""
+    assert crypto.RUNNING_ALGORITHMS == {0, 2} and crypto.STUB_ALGORITHMS == {1, 3}
+    sealed = crypto.protect(b"x", 0, 0, None, None, 0, 0)
+    for alg, error in ((1, crypto.StubAlgorithm), (3, crypto.StubAlgorithm), (7, ValueError)):
+        for nea, nia in ((alg, 0), (0, alg)):  # ciphering, then integrity
+            with pytest.raises(error):
+                crypto.protect(b"x", nea, nia, KEY_ENC, KEY_INT, 0, 0)
+            with pytest.raises(error):
+                crypto.unprotect(sealed, nea, nia, KEY_ENC, KEY_INT, 0, 0)
+    assert not issubclass(crypto.StubAlgorithm, ValueError)
 
 
 def test_tamper_detected_under_real_integrity():
@@ -396,9 +401,11 @@ def test_vector_file_values_match_frozen_kat():
 
 
 def test_algorithm_registry_statuses():
-    reg = crypto.AlgorithmRegistry
-    for kind in ("ciphering", "integrity"):
-        assert reg.status(kind, 0) is crypto.AlgorithmStatus.IMPLEMENTED
-        assert reg.status(kind, 2) is crypto.AlgorithmStatus.IMPLEMENTED
-        assert reg.status(kind, 1) is crypto.AlgorithmStatus.STUB
-        assert reg.status(kind, 3) is crypto.AlgorithmStatus.STUB
+    assert crypto.RUNNING_ALGORITHMS == {0, 2}
+    assert crypto.STUB_ALGORITHMS == {1, 3}
+    for nea, nia in ((0, 0), (2, 0), (0, 2), (2, 2)):  # implemented, both kinds
+        crypto.protect(b"x", nea, nia, KEY_ENC, KEY_INT, 0, 0)
+    for alg in (1, 3):  # stubs, ciphering then integrity
+        for nea, nia in ((alg, 0), (0, alg)):
+            with pytest.raises(crypto.StubAlgorithm):
+                crypto.protect(b"x", nea, nia, KEY_ENC, KEY_INT, 0, 0)

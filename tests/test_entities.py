@@ -4,6 +4,7 @@ import pytest
 
 from fivegsim import crypto, messages
 from fivegsim.entities import (
+    Amf,
     NetworkNameMismatch,
     PeerRevoked,
     PeerUnknown,
@@ -370,6 +371,11 @@ def test_renewal_replaces_keys_end_to_end():
     session = find_amf_session(amf, ue)
     for name in SHARED_KEYS:
         assert session.context.keys.get(name) == ue.context.keys.get(name)
+    # a renewal keeps the UE registered; its re-authentication drops the last
+    # SBI id and its new GUTI the last context
+    assert ue.phase == UePhase.REGISTERED
+    assert amf.by_sbi == {session.sbi_sid: session.sid}
+    assert amf.contexts == {ue.guti.hex(): session.sid}
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +409,14 @@ def test_establish_interconnect_checks():
 
 def test_forward_coherence_rejects_wrong_network_name():
     sepp = Sepp("h-sepp", "99902", bytes(range(32)))
-    request = messages.AuthRequestSbi(session="s1", suci=b"\x00",
-                                      serving_network_name="5G:00101")
-    sepp.check_forward_coherence(request, "00101")  # matches: no error
-    with pytest.raises(NetworkNameMismatch):
-        sepp.check_forward_coherence(request, "00199")
+    # the literal name, and the one a standalone AMF of PLMN 00101 builds
+    amf_name = Amf("v-amf", "00101", OperatorPolicy()).serving_network_name
+    for name in ("5G:00101", amf_name):
+        request = messages.AuthRequestSbi(session="s1", suci=b"\x00",
+                                          serving_network_name=name)
+        sepp.check_forward_coherence(request, "00101")  # matches: no error
+        with pytest.raises(NetworkNameMismatch):
+            sepp.check_forward_coherence(request, "00199")
 
 
 # ---------------------------------------------------------------------------
@@ -707,3 +716,50 @@ def test_lost_registration_accept_is_resent_without_a_second_context():
     assert session.guti == ue.guti
     assert amf.contexts == {ue.guti.hex(): session.sid}
     assert list(amf._timers.values()) == [("renew", session.sid)]
+
+
+def test_lost_challenge_leaves_one_amf_session():
+    # the first downlink AuthenticationRequest is lost, so the UE resends its
+    # RegistrationRequest on the same RAN leg; the AMF retires the session
+    # left waiting at challenge_sent instead of keeping it beside the new one
+    from fivegsim.netsim import Action, AdversaryHook, Capability
+    world, builder = single_network_world(seed=3)
+    lost = []
+
+    def drop_first_challenge(w, hook, event):
+        if not lost and event.dst == "ue1" \
+                and messages.peek_type(event.payload) == "AuthenticationRequest":
+            lost.append(event.payload)
+            return Action(drop=True)
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="loss", vantage=frozenset({Channel.RADIO_NAS}),
+        capabilities=frozenset({Capability.DROP}), handler=drop_first_challenge))
+    assert run_registration(world, "ue1").outcome == "registered"
+    assert lost
+    requests = [e for e in world.transcript.delivered() if e.msg_type == "InitialUeMessage"]
+    assert len(requests) == 2
+    amf = builder.networks["net"].amf
+    session = find_amf_session(amf, world.entities["ue1"])
+    assert list(amf.sessions) == [session.sid] and session.state == "registered"
+    assert amf.by_sbi == {session.sbi_sid: session.sid}
+
+
+@pytest.mark.parametrize("mode", ["SA", "NSA"])
+def test_re_registrations_keep_amf_indexes_constant(mode):
+    # each power cycle starts a new registration on the UE's RAN leg, which
+    # retires the previous session from every index of the AMF
+    world, builder = single_network_world(seed=22, policy=OperatorPolicy(mode=mode))
+    amf = builder.networks["net"].amf
+    sizes = []
+    for _ in range(20):
+        assert run_registration(world, "ue1").success
+        assert establish_user_plane(world, "ue1")
+        sizes.append((len(amf.sessions), len(amf.by_sbi), len(amf.contexts),
+                      len(amf.by_ran)))
+        trigger(world, "ue1", messages.PowerCycle())
+        world.run_until(world.time + 10)
+    # one session, its authentication SBI id and its context; the initial
+    # leg, plus the en-gNB leg in NSA
+    assert sizes == [(1, 1, 1, 1 if mode == "SA" else 2)] * 20

@@ -240,6 +240,23 @@ def test_replayed_as_security_mode_command_ignored():
     assert world.entities["ue1"].rrc_link is link
 
 
+def test_replayed_smf_session_response_keeps_the_up_links():
+    # a second SmfSessionResponse for the same request must not rebuild the
+    # user-plane links at count 0, which would reuse the AES-CTR keystream
+    world, builder = _user_plane_world(39)
+    response = _delivered(world, Channel.SBI, "SmfSessionResponse")[-1].event
+    send_app_data(world, "ue1", b"first")
+    ue_link, radio_link = world.entities["ue1"].up_link, _radio(builder).up
+    world.schedule(world.time + 1, Channel.SBI, response.src, response.dst,
+                   response.payload, "adversary:mitm")
+    world.run_until(world.time + 100)
+    send_app_data(world, "ue1", b"second")
+    assert world.entities["ue1"].up_link is ue_link and _radio(builder).up is radio_link
+    counts = [messages.decode(e.event.payload).count
+              for e in _delivered(world, Channel.RADIO_RRC, "SecuredUp")]
+    assert counts == [0, 1]
+
+
 def test_null_algorithm_up_forgery_not_forwarded():
     world, builder = _user_plane_world(33)
     forged = messages.SecuredUp(
