@@ -14,7 +14,7 @@ import hashlib
 import hmac as hmac_mod
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from importlib import resources
 
 from cryptography.exceptions import InvalidSignature
@@ -40,7 +40,6 @@ from .identity import (
     SubscriberIdentity,
     SuciScheme,
     UnsupportedScheme,
-    format_supi,
     key_ancestors,
 )
 from .randomness import RandomStream
@@ -76,7 +75,8 @@ __all__ = [
 
 _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
-DEFAULT_AMF_FIELD = b"\x80\x00"
+# the authentication management field every challenge carries
+_AMF_FIELD = b"\x80\x00"
 
 
 def load_labels() -> dict:
@@ -193,7 +193,7 @@ def _aes_ctr(key: bytes, icb: bytes, data: bytes) -> bytes:
 
 def conceal_supi(
     identity: SubscriberIdentity,
-    home_public: HomeNetworkKeyPair | bytes | None,
+    home_public: HomeNetworkKeyPair | None,
     scheme: SuciScheme,
     ephemeral_randomness: bytes | None = None,
 ) -> ConcealedIdentity:
@@ -213,19 +213,14 @@ def conceal_supi(
         )
     if home_public is None:
         raise ValueError(f"{scheme.name} requires the home network public key")
-    if isinstance(home_public, HomeNetworkKeyPair):
-        if home_public.scheme != scheme:
-            raise ValueError(
-                f"scheme {scheme.name} does not match key pair scheme "
-                f"{home_public.scheme.name}"
-            )
-        home_public_bytes = home_public.public_bytes
-    else:
-        home_public_bytes = home_public
+    if home_public.scheme != scheme:
+        raise ValueError(
+            f"scheme {scheme.name} does not match key pair scheme {home_public.scheme.name}"
+        )
     if ephemeral_randomness is None:
         raise ValueError("ephemeral randomness required for ecies schemes")
     eph_priv, eph_pub, _ = _keypair(scheme, ephemeral_randomness)
-    shared = _ecies_shared(scheme, eph_priv, home_public_bytes)
+    shared = _ecies_shared(scheme, eph_priv, home_public.public_bytes)
     enc_key, icb, mac_key = _ecies_keys(shared, eph_pub)
     ciphertext = _aes_ctr(enc_key, icb, identity.msin.encode())
     tag = _hmac(mac_key, ciphertext)[: _LABELS["ecies"]["tag_len"]]
@@ -331,16 +326,15 @@ def compute_auth_vector(
     cred: LongTermCredential,
     serving_network_name: str,
     rand: bytes,
-    amf_field: bytes = DEFAULT_AMF_FIELD,
 ) -> AuthVector:
     """Deterministic vector for a given challenge (home network side)."""
     sqn = _sqn_bytes(cred.sqn)
     sn = serving_network_name.encode()
-    mac = _aka_prf(cred.k, "mac", sqn=sqn, rand=rand, amf_field=amf_field)
+    mac = _aka_prf(cred.k, "mac", sqn=sqn, rand=rand, amf_field=_AMF_FIELD)
     ak = _aka_prf(cred.k, "ak", rand=rand)
     xres = _aka_prf(cred.k, "xres", rand=rand)
     k_ausf = _aka_prf(cred.k, "k_ausf", rand=rand, serving_network_name=sn)
-    autn = Autn(sqn_xor_ak=_xor(sqn, ak), amf_field=amf_field, mac=mac)
+    autn = Autn(sqn_xor_ak=_xor(sqn, ak), amf_field=_AMF_FIELD, mac=mac)
     return AuthVector(
         rand=rand, autn=autn, xres=xres, hxres=res_hash(rand, xres), k_ausf=k_ausf
     )
@@ -350,11 +344,10 @@ def generate_auth_vector(
     cred: LongTermCredential,
     serving_network_name: str,
     rng: RandomStream,
-    amf_field: bytes = DEFAULT_AMF_FIELD,
 ) -> tuple[AuthVector, LongTermCredential]:
     """Draw a fresh challenge and advance the stored sequence counter."""
     rand = rng.take(16)
-    vector = compute_auth_vector(cred, serving_network_name, rand, amf_field)
+    vector = compute_auth_vector(cred, serving_network_name, rand)
     return vector, cred.advanced()
 
 
@@ -410,13 +403,11 @@ def _derive_edge(parent_key: bytes, child: str, ctx: dict[str, bytes]) -> bytes:
 
 def _chain_context(
     serving_network_name: str,
-    supi: str | SubscriberIdentity,
+    supi: str,
     abba: bytes,
     nea_id: int,
     nia_id: int,
 ) -> dict[str, bytes]:
-    if isinstance(supi, SubscriberIdentity):
-        supi = format_supi(supi)
     return {
         "serving_network_name": serving_network_name.encode(),
         "supi": supi.encode(),
@@ -452,7 +443,7 @@ def derive_k_seaf(k_ausf: bytes, serving_network_name: str) -> bytes:
 def derive_key_chain(
     k_ausf: bytes,
     serving_network_name: str,
-    supi: str | SubscriberIdentity,
+    supi: str,
     abba: bytes,
     nea_id: int,
     nia_id: int,
@@ -467,7 +458,7 @@ def derive_key_chain(
 
 def derive_chain_from_seaf(
     k_seaf: bytes,
-    supi: str | SubscriberIdentity,
+    supi: str,
     abba: bytes,
     nea_id: int,
     nia_id: int,
@@ -666,17 +657,14 @@ class SecureLink:
 # ---------------------------------------------------------------------------
 
 
-# a signer signs many messages with one key: parse each seed once
-_ed25519_key = lru_cache(maxsize=64)(Ed25519PrivateKey.from_private_bytes)
-
-
 def verification_key(seed: bytes) -> bytes:
     """The raw 32-byte public key of an Ed25519 signing seed."""
-    return _ed25519_key(seed).public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    key = Ed25519PrivateKey.from_private_bytes(seed)
+    return key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
 def sign(seed: bytes, message: bytes) -> bytes:
-    return _ed25519_key(seed).sign(message)
+    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
 
 
 def verify(key: bytes, message: bytes, signature: bytes) -> bool:

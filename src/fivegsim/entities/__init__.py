@@ -22,7 +22,6 @@ from .sepp import (
     PeerRevoked,
     PeerUnknown,
     Sepp,
-    establish_interconnect,
 )
 from .ue import Ue, UePhase
 
@@ -30,6 +29,5 @@ __all__ = [
     "Amf", "Ausf", "Entity", "GnbNode", "NetworkNameMismatch", "Nrf",
     "PeerRevoked", "PeerUnknown", "Sepp", "Smf", "TokenExpired", "Ue",
     "UePhase", "Udm", "UnknownConsumer", "UnknownGuti", "Upf",
-    "WrongAudience", "authorize_nf", "establish_interconnect",
-    "renew_context", "validate_nf_token",
+    "WrongAudience", "authorize_nf", "renew_context", "validate_nf_token",
 ]

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .. import crypto, messages
 from ..identity import (
+    KEY_LEN,
     ConcealedIdentity,
     GutiAllocator,
     LongTermCredential,
@@ -214,6 +215,9 @@ class Amf(Entity):
         session = self._sbi_session(msg, ctx)
         if session is None:
             return
+        if len(msg.k_seaf) != KEY_LEN or len(msg.rand) != 16:
+            ctx.ignore()
+            return
         session.hxres = msg.hxres
         session.k_seaf = msg.k_seaf
         self._challenge(ctx, session, msg)
@@ -230,14 +234,16 @@ class Amf(Entity):
         session = self._sbi_session(msg, ctx)
         if session is None:
             return
+        if len(msg.k_ausf) != KEY_LEN:
+            ctx.ignore()
+            return
         session.xres = msg.xres
         session.k_ausf = msg.k_ausf
         session.supi = msg.supi  # legacy trust model: home hands it over
         session.supi_learned_at = ctx.now
         self._challenge(ctx, session, msg)
 
-    def on_udm_auth_reject(self, msg, event, ctx) -> None:
-        self.on_auth_reject_sbi(msg, event, ctx)
+    on_udm_auth_reject = on_auth_reject_sbi
 
     # -- NAS uplink -------------------------------------------------------------------
 
@@ -421,7 +427,7 @@ class Ausf(Entity):
 
     def on_udm_auth_response(self, msg, event, ctx) -> None:
         session = self.sessions.get(msg.session)
-        if session is None:
+        if session is None or len(msg.rand) != 16 or len(msg.xres) != 16:
             ctx.ignore()
             return
         session.update(supi=msg.supi, xres=msg.xres)
@@ -433,7 +439,7 @@ class Ausf(Entity):
         ))
 
     def on_udm_auth_reject(self, msg, event, ctx) -> None:
-        session = self.sessions.get(msg.session)
+        session = self.sessions.pop(msg.session, None)
         if session is None:
             ctx.ignore()
             return
@@ -446,6 +452,7 @@ class Ausf(Entity):
         if session is None or "xres" not in session:
             ctx.ignore()
             return
+        del self.sessions[msg.session]  # the confirm ends the authentication
         success = msg.res == session["xres"]
         ctx.emit(Channel.SBI, event.src, messages.ConfirmResponseSbi(
             session=msg.session, success=success,
@@ -469,25 +476,19 @@ class Udm(Entity):
     def on_udm_auth_request(self, msg, event, ctx) -> None:
         try:
             suci = ConcealedIdentity.from_bytes(msg.suci)
-            identity = crypto.deconceal_suci(suci, self.home_keypair)
+            supi = format_supi(crypto.deconceal_suci(suci, self.home_keypair))
+            cause = "" if supi in self.subscribers else "UnknownSubscriber"
         except UnsupportedScheme:
-            ctx.emit(Channel.SBI, event.src, messages.UdmAuthReject(
-                session=msg.session, cause="UnsupportedScheme"))
-            return
+            cause = "UnsupportedScheme"
         except (crypto.IntegrityFailure, ValueError):
+            cause = "IntegrityFailure"
+        if cause:
             ctx.emit(Channel.SBI, event.src, messages.UdmAuthReject(
-                session=msg.session, cause="IntegrityFailure"))
+                session=msg.session, cause=cause))
             return
-        supi = format_supi(identity)
-        credential = self.subscribers.get(supi)
-        if credential is None:
-            ctx.emit(Channel.SBI, event.src, messages.UdmAuthReject(
-                session=msg.session, cause="UnknownSubscriber"))
-            return
-        vector, advanced = crypto.generate_auth_vector(
-            credential, msg.serving_network_name, ctx.rng("rand"),
+        vector, self.subscribers[supi] = crypto.generate_auth_vector(
+            self.subscribers[supi], msg.serving_network_name, ctx.rng("rand"),
         )
-        self.subscribers[supi] = advanced
         ctx.emit(Channel.SBI, event.src, messages.UdmAuthResponse(
             session=msg.session, supi=supi, rand=vector.rand,
             autn=vector.autn.to_bytes(), xres=vector.xres, k_ausf=vector.k_ausf,
@@ -560,17 +561,15 @@ class NfProducer:
     nrf_verification_key: bytes
 
 
-DEFAULT_TOKEN_TTL = 10_000
+TOKEN_TTL = 10_000
 
 
 class Nrf(Entity):
     """Repository function acting as the token authorization server."""
 
-    def __init__(self, entity_id: str, signing_seed: bytes,
-                 token_ttl: int = DEFAULT_TOKEN_TTL):
+    def __init__(self, entity_id: str, signing_seed: bytes):
         super().__init__(entity_id)
         self.signing_seed = signing_seed
-        self.token_ttl = token_ttl
         self.consumers: set[str] = set()
         self.verification_key = crypto.verification_key(signing_seed)
 
@@ -594,7 +593,7 @@ def authorize_nf(nrf: Nrf, consumer_id: str, producer_service: str, now: int) ->
         raise UnknownConsumer(consumer_id)
     body = messages.encode(messages.NfToken(
         consumer_id=consumer_id, service=producer_service,
-        expiry=now + nrf.token_ttl,
+        expiry=now + TOKEN_TTL,
     ))
     return body + crypto.sign(nrf.signing_seed, body)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import crypto, messages
-from ..identity import KeyHierarchy
+from ..identity import KEY_LEN, KeyHierarchy
 from ..netsim import Channel
 from ..policy import algorithms
 from .base import Entity, open_secured
@@ -176,6 +176,10 @@ class GnbNode(Entity):
     # -- AS security --------------------------------------------------------------
 
     def on_initial_context_setup_request(self, msg, event, ctx) -> None:
+        if len(msg.k_gnb) != KEY_LEN \
+                or not {msg.nea_id, msg.nia_id} <= crypto.RUNNING_ALGORITHMS:
+            ctx.ignore()  # no radio keys from a key or algorithms that cannot serve
+            return
         radio = self.ue_contexts.get(msg.ran_ue_id)
         if radio is None:
             # NSA user-plane node: context arrives without a prior RRC setup

@@ -30,6 +30,10 @@ class NetworkNameMismatch(ValueError):
     pass
 
 
+# the answers that end an authentication, and with it the route it took
+_FINAL_ANSWERS = (messages.AuthRejectSbi, messages.ConfirmResponseSbi)
+
+
 def _hello_context(plmn: str, peer_plmn: str, nonce: bytes) -> bytes:
     return b"sepp-hello|" + plmn.encode() + b"|" + peer_plmn.encode() + b"|" + nonce
 
@@ -60,7 +64,6 @@ class Sepp(Entity):
         self.allowlist = allowlist or {}
         self.revoked: set[bytes] = set()
         self.sessions: dict[str, SeppSession] = {}  # by peer plmn
-        self._by_peer_id: dict[str, str] = {}  # peer entity id -> plmn
         self.routes_out: dict[str, tuple[str, str]] = {}  # sbi sid -> (requester, peer plmn)
         self.routes_in: dict[str, str] = {}  # sbi session -> peer sepp id
         self.rejections: list[str] = []
@@ -89,7 +92,6 @@ class Sepp(Entity):
             return None
         session = SeppSession(peer_id=peer_id)
         self.sessions[peer_plmn] = session
-        self._by_peer_id[peer_id] = peer_plmn
         nonce = ctx.rng("nonce").take(16)
         ctx.emit(Channel.SEPP_LINK, peer_id, messages.SeppHello(
             plmn=self.plmn, peer_plmn=peer_plmn, nonce=nonce,
@@ -116,8 +118,9 @@ class Sepp(Entity):
         except ValueError:
             ctx.ignore()
             return
-        self.routes_out[msg.session] = (event.src, home_plmn)
-        if not self._forward_out(messages.encode(msg), home_plmn, ctx):
+        if self._forward_out(messages.encode(msg), home_plmn, ctx):
+            self.routes_out[msg.session] = (event.src, home_plmn)
+        else:
             ctx.emit(Channel.SBI, event.src, messages.AuthRejectSbi(
                 session=msg.session, cause="PeerUnknown"))
 
@@ -135,6 +138,8 @@ class Sepp(Entity):
         if peer_id is None:
             ctx.ignore()
             return
+        if isinstance(msg, _FINAL_ANSWERS):
+            del self.routes_in[msg.session]
         ctx.emit(Channel.SEPP_LINK, peer_id,
                  messages.SeppForward(inner=messages.encode(msg)))
 
@@ -143,12 +148,6 @@ class Sepp(Entity):
     on_confirm_response_sbi = _return_in
 
     # -- handshake -------------------------------------------------------------------
-
-    def _establish(self, plmn: str, peer_id: str) -> None:
-        session = self.sessions.setdefault(plmn, SeppSession(peer_id=peer_id))
-        session.peer_id = peer_id
-        session.established = True
-        self._by_peer_id[peer_id] = plmn
 
     def on_sepp_hello(self, msg, event, ctx) -> None:
         try:
@@ -164,7 +163,9 @@ class Sepp(Entity):
             self.rejections.append("BadSignature")
             ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="BadSignature"))
             return
-        self._establish(msg.plmn, event.src)
+        session = self.sessions.setdefault(msg.plmn, SeppSession(peer_id=event.src))
+        session.peer_id = event.src
+        session.established = True
         ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppHelloAck(
             plmn=self.plmn, peer_plmn=msg.plmn, echo_nonce=msg.nonce,
             signature=crypto.sign(self.signing_seed,
@@ -206,9 +207,9 @@ class Sepp(Entity):
                 )
 
     def on_sepp_forward(self, msg, event, ctx) -> None:
-        peer_plmn = self._by_peer_id.get(event.src)
-        session = self.sessions.get(peer_plmn) if peer_plmn else None
-        if session is None or not session.established:
+        peer_plmn = next((plmn for plmn, session in self.sessions.items()
+                          if session.established and session.peer_id == event.src), None)
+        if peer_plmn is None:
             ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="NoSession"))
             return
         inner = try_decode(msg.inner)
@@ -229,23 +230,12 @@ class Sepp(Entity):
             ctx.emit(Channel.SBI, self.ausf_id, inner)
             return
         # a response coming back to the serving side
-        route = self.routes_out.get(getattr(inner, "session", None))
+        session_id = getattr(inner, "session", None)
+        route = self.routes_out.get(session_id)
         if route is None:
             ctx.ignore()
             return
+        if isinstance(inner, _FINAL_ANSWERS):
+            del self.routes_out[session_id]
         ctx.emit(Channel.SBI, route[0], inner)
 
-
-def establish_interconnect(sepp_a: Sepp, sepp_b: Sepp) -> tuple[str, str]:
-    """Direct mutual-authentication check between two proxies.
-
-    Returns the (plmn_a, plmn_b) session pair; raises PeerUnknown or
-    PeerRevoked when either side refuses the other.
-    """
-    key_b = sepp_a._validate_peer(sepp_b.plmn)
-    key_a = sepp_b._validate_peer(sepp_a.plmn)
-    if key_b != sepp_b.verification_key or key_a != sepp_a.verification_key:
-        raise PeerUnknown("allowlisted key does not match the peer's identity")
-    sepp_a._establish(sepp_b.plmn, sepp_b.entity_id)
-    sepp_b._establish(sepp_a.plmn, sepp_a.entity_id)
-    return (sepp_a.plmn, sepp_b.plmn)

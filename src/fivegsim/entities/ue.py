@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 from .. import crypto, messages
 from ..identity import (
@@ -308,36 +309,45 @@ class Ue(Entity):
 
     # -- NAS security ----------------------------------------------------------
 
+    def _accept_smc(self, ctx, wrapper, smc, derive, channel, dst, complete,
+                    awaiting: str):
+        """(keys, link) of a NAS or AS security mode command, keys from
+        ``derive(nea, nia)``, once ``complete`` is sent sealed on the link;
+        None (ignored) unless its algorithms run and its own tag verifies."""
+        if not _acceptable_algorithms(smc):
+            ctx.ignore()
+            return None
+        keys = derive(smc.nea_id, smc.nia_id)
+        link = crypto.SecureLink(type(wrapper), keys, smc.nea_id, smc.nia_id, direction=0)
+        if isinstance(link.open(wrapper, integrity_only=True), crypto.LinkReject):
+            ctx.ignore()
+            return None
+        ctx.emit(channel, dst, link.seal(complete))
+        # a renewal has no attempt: fresh AS keys follow via a new context setup
+        if self.attempt is not None:
+            self._await(ctx, awaiting, channel, dst, complete, link)
+        return keys, link
+
     def _handle_nas_smc(self, wrapper, smc, ctx, reply_dst) -> None:
-        if self._challenge is None or not _acceptable_algorithms(smc):
+        if self._challenge is None:
             ctx.ignore()
             return
         k_ausf, name, abba = self._challenge
-        keys = crypto.derive_key_chain(
-            k_ausf, name, format_supi(self.identity), abba, smc.nea_id, smc.nia_id,
-        )
-        link = crypto.SecureLink(messages.SecuredNas, keys, smc.nea_id, smc.nia_id,
-                                 direction=0)
-        if isinstance(link.open(wrapper, integrity_only=True), crypto.LinkReject):
-            ctx.ignore()
+        accepted = self._accept_smc(
+            ctx, wrapper, smc,
+            partial(crypto.derive_key_chain, k_ausf, name, format_supi(self.identity), abba),
+            Channel.RADIO_NAS, reply_dst,
+            messages.NasSecurityModeComplete(pei=self.pei.pei if smc.request_pei else ""),
+            "as_smc")
+        if accepted is None:
             return
+        keys, self.nas_link = accepted
         self.context = SecurityContext(
             ng_ksi=smc.ngksi, keys=keys, nea_id=smc.nea_id, nia_id=smc.nia_id,
             abba=abba, born_at=ctx.now,
         )
-        self.nas_link = link
         self.rrc_link = self.up_link = None  # the radio side re-keys from this context
         self._challenge = None  # one command per challenge: replays find none
-        complete = messages.NasSecurityModeComplete(
-            pei=self.pei.pei if smc.request_pei else ""
-        )
-        self._emit_secured_nas(ctx, reply_dst, complete)
-        # a renewal has no attempt: fresh AS keys follow via a new context setup
-        if self.attempt is not None:
-            self._await(ctx, "as_smc", Channel.RADIO_NAS, reply_dst, complete, link)
-
-    def _emit_secured_nas(self, ctx, dst, inner) -> None:
-        ctx.emit(Channel.RADIO_NAS, dst, self.nas_link.seal(inner))
 
     def on_secured_nas(self, wrapper, event, ctx) -> None:
         if wrapper.nea_id == 0:
@@ -375,22 +385,14 @@ class Ue(Entity):
     def on_secured_rrc(self, wrapper, event, ctx) -> None:
         smc = try_decode(wrapper.body) if wrapper.nea_id == 0 else None
         if self.context is None or self.rrc_link is not None \
-                or not isinstance(smc, messages.AsSecurityModeCommand) \
-                or not _acceptable_algorithms(smc):
+                or not isinstance(smc, messages.AsSecurityModeCommand):
             ctx.ignore()
             return
-        keys = crypto.derive_as_keys(self.context.keys.get("k_gnb"), smc.nea_id, smc.nia_id)
-        link = crypto.SecureLink(messages.SecuredRrc, keys, smc.nea_id, smc.nia_id,
-                                 direction=0)
-        if isinstance(link.open(wrapper, integrity_only=True), crypto.LinkReject):
-            ctx.ignore()
-            return
-        self.as_keys = keys
-        self.rrc_link = link
-        complete = messages.AsSecurityModeComplete()
-        ctx.emit(Channel.RADIO_RRC, event.src, link.seal(complete))
-        if self.attempt is not None:
-            self._await(ctx, "reg_accept", Channel.RADIO_RRC, event.src, complete, link)
+        accepted = self._accept_smc(
+            ctx, wrapper, smc, partial(crypto.derive_as_keys, self.context.keys.get("k_gnb")),
+            Channel.RADIO_RRC, event.src, messages.AsSecurityModeComplete(), "reg_accept")
+        if accepted is not None:
+            self.as_keys, self.rrc_link = accepted
 
     # -- user plane ---------------------------------------------------------------
 
@@ -398,10 +400,8 @@ class Ue(Entity):
         if self.phase != UePhase.REGISTERED or self.context is None:
             ctx.ignore()
             return
-        self._emit_secured_nas(
-            ctx, self.serving_gnb,
-            messages.PduSessionRequest(slice_id=self.config.slice_id),
-        )
+        ctx.emit(Channel.RADIO_NAS, self.serving_gnb, self.nas_link.seal(
+            messages.PduSessionRequest(slice_id=self.config.slice_id)))
 
     def on_trigger_app_data(self, msg, event, ctx) -> None:
         if self.up_link is None:

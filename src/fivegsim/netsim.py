@@ -196,7 +196,6 @@ class AdversaryHook:
     capabilities: frozenset
     knowledge: Knowledge = field(default_factory=Knowledge)
     handler: object = None  # callable(world, hook, event) -> Action | None
-    cost_note: str = ""  # scenario metadata only
 
     def can(self, capability: Capability) -> bool:
         return capability in self.capabilities
@@ -207,14 +206,11 @@ class JamWindow:
     target_cell: str
     t_start: int
     t_end: int
-    kind: str = "RachLogical"  # or "Physical"
     suppressed: bool = False
 
     def __post_init__(self):
         if self.t_start >= self.t_end:
             raise ValueError("jam window must have t_start < t_end")
-        if self.kind not in ("Physical", "RachLogical"):
-            raise ValueError("jam kind is Physical or RachLogical")
 
     def covers(self, t: int) -> bool:
         return self.t_start <= t < self.t_end

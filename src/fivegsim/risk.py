@@ -156,7 +156,8 @@ class UnsupportedFormat(ValueError):
     pass
 
 
-def render_report(cells: list[RiskCell], fmt: str, stride_by_id=None) -> bytes:
+def render_report(cells: list[RiskCell], fmt: str,
+                  stride_by_id: dict[str, str] | None = None) -> bytes:
     if fmt == "markdown":
         return _render_markdown(cells).encode()
     if fmt == "csv":
@@ -196,13 +197,10 @@ def _render_markdown(cells: list[RiskCell]) -> str:
 def _render_csv(cells: list[RiskCell], stride_by_id: dict) -> str:
     lines = ["id,stride,likelihood,impact_lo,impact_hi,level"]
     for cell in cells:
-        stride = stride_by_id.get(cell.scenario_id, "")
-        if not isinstance(stride, str):
-            stride = stride_letters(stride)
         lines.append(",".join([
-            cell.scenario_id, stride, cell.likelihood.label,
-            cell.impact_range[0].label, cell.impact_range[1].label,
-            cell.level.label,
+            cell.scenario_id, stride_by_id.get(cell.scenario_id, ""),
+            cell.likelihood.label, cell.impact_range[0].label,
+            cell.impact_range[1].label, cell.level.label,
         ]))
     return "\n".join(lines) + "\n"
 
@@ -210,12 +208,9 @@ def _render_csv(cells: list[RiskCell], stride_by_id: dict) -> str:
 def _render_json(cells: list[RiskCell], stride_by_id: dict) -> str:
     records = []
     for cell in cells:
-        stride = stride_by_id.get(cell.scenario_id, "")
-        if not isinstance(stride, str):
-            stride = stride_letters(stride)
         records.append({
             "id": cell.scenario_id,
-            "stride": stride,
+            "stride": stride_by_id.get(cell.scenario_id, ""),
             "likelihood": cell.likelihood.label,
             "likelihood_range": [r.label for r in cell.likelihood_range],
             "impact": cell.impact.label,

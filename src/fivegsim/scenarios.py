@@ -59,7 +59,6 @@ class ThreatScenario:
     mitigations: tuple[str, ...]
     threat_agents: str
     attack_cost: str
-    extra_overrides: tuple[str, ...] = ()
 
 
 @dataclass
@@ -108,7 +107,6 @@ CATALOG: dict[str, ThreatScenario] = {s.scenario_id: s for s in [
         ("revoke_stolen_sepp",),
         "criminal organizations, foreign government agencies",
         "~50k side-channel/fault lab work against the proxy key, plus rogue infrastructure",
-        extra_overrides=("revoke_stolen_sepp",),
     ),
     ThreatScenario(
         "TS_03", "Subscriber key extraction from one UICC",
@@ -137,7 +135,6 @@ CATALOG: dict[str, ThreatScenario] = {s.scenario_id: s for s in [
         ("signed_reject_enabled", "blacklist_rogue"),
         "criminal and terrorist organizations",
         "~5k software-defined radio with a minimal cell implementation",
-        extra_overrides=("blacklist_rogue",),
     ),
     ThreatScenario(
         "TS_06", "Identity catching on the radio link",
@@ -193,7 +190,6 @@ CATALOG: dict[str, ThreatScenario] = {s.scenario_id: s for s in [
         ("overlap_cell",),
         "hacktivists",
         "physical access to an insufficiently protected site",
-        extra_overrides=("overlap_cell",),
     ),
     ThreatScenario(
         "TS_12", "Priority-slice resource exhaustion",
@@ -203,7 +199,6 @@ CATALOG: dict[str, ThreatScenario] = {s.scenario_id: s for s in [
         ("reserved_for_victim",),
         "criminals, terrorists, an abusive sharing partner",
         "a fleet of devices admitted to the favored slice",
-        extra_overrides=("reserved_for_victim",),
     ),
 ]}
 
@@ -329,15 +324,14 @@ def _stage(seed: int, policy: OperatorPolicy, strength: int = 10,
     return builder, net
 
 
-def _spy(world: World, scenario_id: str, adversary_id: str, channels=RADIO_CHANNELS,
+def _spy(world: World, adversary_id: str, channels=RADIO_CHANNELS,
          capabilities=(), handler=None) -> AdversaryHook:
-    """Attach an observing adversary that carries the scenario's attack cost."""
+    """Attach an observing adversary with the given extra capabilities."""
     hook = AdversaryHook(
         adversary_id=adversary_id,
         vantage=frozenset(channels),
         capabilities=frozenset({Capability.OBSERVE, *capabilities}),
         handler=handler,
-        cost_note=CATALOG[scenario_id].attack_cost,
     )
     world.attach_adversary(hook)
     return hook
@@ -357,7 +351,7 @@ def _run_ts01(seed: int, overrides: dict) -> tuple[World, dict]:
     rogue_cell.active = False
     ue = builder.add_ue("ue1", genuine)
     world = builder.world
-    spy = _spy(world, "TS_01", "insider", capabilities={Capability.IMPERSONATE})
+    spy = _spy(world, "insider", capabilities={Capability.IMPERSONATE})
     _script(world, "ue1", *_TRAFFIC_A)
 
     def steal(w: World) -> None:
@@ -438,7 +432,7 @@ def _run_ts03(seed: int, overrides: dict) -> tuple[World, dict]:
     ue1 = builder.add_ue("ue1", net, msin="1000000001")
     ue2 = builder.add_ue("ue2", net, msin="1000000002")
     world = builder.world
-    spy = _spy(world, "TS_03", "lab")
+    spy = _spy(world, "lab")
     spy.knowledge.grant("stolen_k", ue1.credential.k)
     spy.knowledge.grant("stolen_supi", format_supi(ue1.identity))
 
@@ -461,7 +455,7 @@ def _run_ts04(seed: int, overrides: dict) -> tuple[World, dict]:
     builder, net = _stage(seed, _base_policy(overrides))
     ue = builder.add_ue("ue1", net)
     world = builder.world
-    spy = _spy(world, "TS_04", "malware")
+    spy = _spy(world, "malware")
     _script(world, "ue1", *_TRAFFIC_A)
 
     def dump_context(w: World) -> None:
@@ -519,7 +513,7 @@ def _run_ts06(seed: int, overrides: dict) -> tuple[World, dict]:
     builder, net = _stage(seed, _base_policy(overrides, nas_ciphering=False))
     ue = builder.add_ue("ue1", net)
     world = builder.world
-    spy = _spy(world, "TS_06", "catcher")
+    spy = _spy(world, "catcher")
     _script(world, "ue1", (10, _REGISTER))
     world.run_until(HORIZON)
 
@@ -540,8 +534,7 @@ def _run_ts07(seed: int, overrides: dict) -> tuple[World, dict]:
     builder, net = _stage(seed, _base_policy(overrides))
     builder.add_ue("ue1", net)
     world = builder.world
-    world.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=3000,
-                              kind="RachLogical", suppressed=True))
+    world.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=3000, suppressed=True))
 
     first = run_registration(world, "ue1", horizon=2800)
     second = run_registration(world, "ue1", horizon=5000)
@@ -563,8 +556,7 @@ def _run_ts08(seed: int, overrides: dict) -> tuple[World, dict]:
             return Action(drop=True)
         return None
 
-    spy = _spy(world, "TS_08", "implant", capabilities={Capability.DROP},
-               handler=tampered_cell)
+    spy = _spy(world, "implant", capabilities={Capability.DROP}, handler=tampered_cell)
     _script(world, "ue1", (10, _REGISTER), (1000, _PDU_SESSION))
 
     def lift_radio_keys(w: World) -> None:
@@ -591,7 +583,7 @@ def _run_ts09(seed: int, overrides: dict) -> tuple[World, dict]:
     builder, net = _stage(seed, _base_policy(overrides))
     ue = builder.add_ue("ue1", net)
     world = builder.world
-    spy = _spy(world, "TS_09", "nf-implant")
+    spy = _spy(world, "nf-implant")
     _script(world, "ue1", (10, _REGISTER))
 
     def dump_amf(w: World) -> None:
@@ -617,8 +609,7 @@ def _run_ts10(seed: int, overrides: dict) -> tuple[World, dict]:
     builder, net = _stage(seed, _base_policy(overrides))  # links protected by default
     builder.add_ue("ue1", net)
     world = builder.world
-    spy = _spy(world, "TS_10", "link-tap",
-               channels={*RADIO_CHANNELS, Channel.N2, Channel.N3})
+    spy = _spy(world, "link-tap", channels={*RADIO_CHANNELS, Channel.N2, Channel.N3})
     spy.knowledge.grant("link:N2", b"lifted")
     spy.knowledge.grant("link:N3", b"lifted")
     _script(world, "ue1", *_TRAFFIC_A)
@@ -665,7 +656,7 @@ def _run_ts12(seed: int, overrides: dict) -> tuple[World, dict]:
     builder, _ = _stage(seed, _base_policy(overrides),
                         admission=SliceAdmission(capacity=capacity, reserved=reserved))
     world = builder.world
-    flood = _spy(world, "TS_12", "botnet", capabilities={Capability.INJECT})
+    flood = _spy(world, "botnet", capabilities={Capability.INJECT})
 
     rng = world.streams.stream("ts12:inject")
     fleets = (("bot", 10, "slice-a", 100), ("victim", 4, "slice-b", 200))
@@ -702,7 +693,7 @@ _RUNNERS = {
 def _normalize_overrides(scenario: ThreatScenario, overrides: dict | None) -> dict:
     if not overrides:
         return {}
-    allowed = set(POLICY_KEYS) | set(scenario.extra_overrides)
+    allowed = set(POLICY_KEYS) | set(scenario.mitigations)
     out = {}
     for key, value in overrides.items():
         if key not in allowed:

@@ -121,8 +121,7 @@ class WorldBuilder:
 
     def add_rogue_cell(self, cell_id: str, plmn: str, strength: int,
                        reject_cause: int | None = 3,
-                       broadcast_own_key: bool = False,
-                       kind: str = "gnb") -> GnbNode:
+                       broadcast_own_key: bool = False) -> GnbNode:
         """A cell the attacker operates: claims a network, rejects attaches."""
         verification_key = b""
         signing_key = b""
@@ -132,8 +131,7 @@ class WorldBuilder:
             verification_key = pair.verification_key
             signing_key = pair.signing_key
         cell = GnbNode(
-            cell_id, plmn, kind=kind, strength=strength,
-            reject_cause=reject_cause,
+            cell_id, plmn, strength=strength, reject_cause=reject_cause,
             verification_key=verification_key, reject_signing_key=signing_key,
         )
         self.world.add_entity(cell)
@@ -194,10 +192,7 @@ def single_network_world(seed: int = 0, policy: OperatorPolicy | None = None,
     return builder.world, builder
 
 
-def roaming_world(seed: int = 0,
-                  serving_policy: OperatorPolicy | None = None,
-                  home_policy: OperatorPolicy | None = None,
-                  home_routed_data: bool = False,
+def roaming_world(seed: int = 0, home_routed_data: bool = False,
                   ) -> tuple[World, WorldBuilder]:
     """A subscriber of network B under coverage of network A only.
 
@@ -206,8 +201,8 @@ def roaming_world(seed: int = 0,
     visible difference is which user-plane function the data reaches.
     """
     builder = WorldBuilder(seed)
-    serving = builder.add_network("serv", "00101", serving_policy)
-    home = builder.add_network("home", "99902", home_policy)
+    serving = builder.add_network("serv", "00101")
+    home = builder.add_network("home", "99902")
     cell = builder.add_cell(serving, "cell-a", strength=10)
     if home_routed_data:
         cell.upf_id = home.upf.entity_id

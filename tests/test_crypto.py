@@ -120,8 +120,10 @@ def test_scheme_mismatch_rejected():
 
 
 def test_malformed_public_point_rejected():
+    malformed = crypto.HomeNetworkKeyPair(
+        scheme=SuciScheme.PROFILE_B, private_bytes=bytes(32), public_bytes=b"\xff" * 33)
     with pytest.raises(ValueError):
-        crypto.conceal_supi(TEST_IDENTITY, b"\xff" * 33, SuciScheme.PROFILE_B, bytes(32))
+        crypto.conceal_supi(TEST_IDENTITY, malformed, SuciScheme.PROFILE_B, bytes(32))
 
 
 def test_unknown_scheme_byte_rejected():

@@ -14,12 +14,12 @@ from fivegsim.entities import (
     UnknownGuti,
     WrongAudience,
     authorize_nf,
-    establish_interconnect,
     renew_context,
     validate_nf_token,
 )
 from fivegsim.entities.base import open_secured
-from fivegsim.entities.core import InvalidToken, Nrf, NfProducer
+from fivegsim.entities.core import TOKEN_TTL, InvalidToken, Nrf, NfProducer
+from fivegsim.entities.ran import SliceAdmission
 from fivegsim.entities.ue import UePhase
 from fivegsim.flows import (
     establish_user_plane,
@@ -32,7 +32,7 @@ from fivegsim.flows import (
 from fivegsim.identity import format_supi
 from fivegsim.netsim import Channel
 from fivegsim.policy import OperatorPolicy
-from fivegsim.worldfile import roaming_world, single_network_world
+from fivegsim.worldfile import WorldBuilder, roaming_world, single_network_world
 
 SHARED_KEYS = ("k_amf", "k_nas_int", "k_nas_enc", "k_gnb")
 
@@ -217,6 +217,78 @@ def test_malformed_field_is_an_ignored_transition(case):
     assert world.entities["ue2"].phase == UePhase.REGISTERED
 
 
+# (mode, message type, rewrite) for each N2 or SBI field that once raised
+# out of the bus when an adversary on an unprotected link mangled it
+MALFORMED_CORE_FIELDS = {
+    "k_gnb_5_bytes": ("SA", "InitialContextSetupRequest",
+                      _set_field("k_gnb", lambda v: v[:5])),
+    "k_gnb_5_bytes_en_gnb": ("NSA", "InitialContextSetupRequest",
+                             _set_field("k_gnb", lambda v: v[:5])),
+    "nia_stub_3": ("SA", "InitialContextSetupRequest", _set_field("nia_id", lambda v: 3)),
+    "nia_unknown_7": ("SA", "InitialContextSetupRequest", _set_field("nia_id", lambda v: 7)),
+    "nea_negative": ("SA", "InitialContextSetupRequest", _set_field("nea_id", lambda v: -1)),
+    "k_seaf_5_bytes": ("SA", "AuthResponseSbi", _set_field("k_seaf", lambda v: v[:5])),
+    "k_ausf_5_bytes_nsa": ("NSA", "UdmAuthResponse", _set_field("k_ausf", lambda v: v[:5])),
+    "rand_5_bytes": ("SA", "UdmAuthResponse", _set_field("rand", lambda v: v[:5])),
+    "xres_5_bytes": ("SA", "UdmAuthResponse", _set_field("xres", lambda v: v[:5])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CORE_FIELDS))
+def test_malformed_core_field_is_an_ignored_transition(case):
+    # the first such message is mangled; the entity that takes it ignores it,
+    # and the UE's retransmission lets both registrations finish
+    from fivegsim.netsim import Action, AdversaryHook, Capability
+    mode, msg_type, rewrite = MALFORMED_CORE_FIELDS[case]
+    policy = OperatorPolicy(mode=mode, n2_link_protected=False, sbi_link_protected=False)
+    world, _ = single_network_world(seed=3, policy=policy, ue_count=2)
+    rewritten = []
+
+    def mangle(w, hook, event):
+        if not rewritten and messages.peek_type(event.payload) == msg_type:
+            rewritten.append(event.seq)
+            return Action(replace_payload=messages.encode(
+                rewrite(messages.decode(event.payload))))
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="mangler", vantage=frozenset({Channel.N2, Channel.SBI}),
+        capabilities=frozenset({Capability.MODIFY}), handler=mangle))
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""), delay=1)
+    trigger(world, "ue2", messages.TriggerRegistration(target_cell=""), delay=4)
+    world.run_until(20_000)  # nothing escapes
+    assert rewritten
+    for ue_id in ("ue1", "ue2"):
+        assert world.entities[ue_id].phase == UePhase.REGISTERED, ue_id
+
+
+def test_short_challenge_rand_is_ignored_by_the_amf():
+    # a 5-byte rand in the home vector, then a forged 16-byte response on the
+    # radio before the UE can refuse the challenge: the AMF must not hash them
+    from fivegsim.netsim import Action, AdversaryHook, Capability
+    policy = OperatorPolicy(sbi_link_protected=False)
+    world, builder = single_network_world(seed=3, policy=policy)
+    forged = messages.encode(messages.AuthenticationResponse(res=bytes(16)))
+    rewritten = []
+
+    def mangle(w, hook, event):
+        if not rewritten and messages.peek_type(event.payload) == "AuthResponseSbi":
+            rewritten.append(event.seq)
+            msg = messages.decode(event.payload)
+            return Action(
+                replace_payload=messages.encode(dataclasses.replace(msg, rand=msg.rand[:5])),
+                inject=[(2, Channel.RADIO_NAS, "ue1", "cell-a", forged)])
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="mangler", vantage=frozenset({Channel.SBI}),
+        capabilities=frozenset({Capability.MODIFY, Capability.INJECT}), handler=mangle))
+    assert run_registration(world, "ue1").success  # nothing escapes
+    assert rewritten
+    assert [e.annotations.injected for e in world.transcript.entries
+            if e.msg_type == "AuthenticationResponse"][0]
+
+
 def test_registration_continues_after_single_losses():
     # drop the first RegistrationRequest only: retransmission recovers
     from fivegsim.netsim import Action, AdversaryHook, Capability
@@ -327,6 +399,35 @@ def test_unsigned_reject_is_ignored_when_mitigation_on():
     assert world.entities["ue1"].serving_gnb == "cell-a"
 
 
+@pytest.mark.parametrize("mode, sbi_path", [
+    ("SA", ["AuthRequestSbi:net-ausf", "UdmAuthRequest:net-udm",
+            "UdmAuthReject:net-ausf", "AuthRejectSbi:net-amf"]),
+    ("NSA", ["UdmAuthRequest:net-udm", "UdmAuthReject:net-amf"]),
+])
+def test_unknown_subscriber_is_rejected_by_the_home_network(mode, sbi_path):
+    world, builder = single_network_world(seed=14, policy=OperatorPolicy(mode=mode))
+    net = builder.networks["net"]
+    net.udm.subscribers.clear()
+    assert run_registration(world, "ue1").outcome == "auth_rejected"
+    sbi = [f"{e.msg_type}:{e.event.dst}" for e in world.transcript.delivered({Channel.SBI})]
+    assert sbi == sbi_path
+    [session] = net.amf.sessions.values()
+    assert session.state == "auth_rejected:UnknownSubscriber"
+    assert session.context is None
+
+
+def test_full_slice_admission_refuses_the_connection():
+    builder = WorldBuilder(seed=15)
+    net = builder.add_network("net", "00101")
+    builder.add_cell(net, "cell-a", admission=SliceAdmission(capacity=0))
+    builder.add_ue("ue1", net)
+    world = builder.world
+    assert run_registration(world, "ue1").outcome == "rrc_rejected:congestion"
+    assert [e.msg_type for e in world.transcript.delivered({Channel.RADIO_RRC})] == [
+        "RrcConnectionRequest", "RrcConnectionReject"]
+    assert world.entities["cell-a"].ue_contexts == {}
+
+
 # ---------------------------------------------------------------------------
 # Context renewal
 # ---------------------------------------------------------------------------
@@ -395,16 +496,36 @@ def test_roaming_registration_through_proxies():
 
 
 def test_establish_interconnect_checks():
-    a = Sepp("a-sepp", "00101", bytes(range(32)))
-    b = Sepp("b-sepp", "99902", bytes(range(32, 64)))
-    with pytest.raises(PeerUnknown):
-        establish_interconnect(a, b)
-    a.allowlist["99902"] = b.verification_key
-    b.allowlist["00101"] = a.verification_key
-    assert establish_interconnect(a, b) == ("00101", "99902")
-    b.revoke(a.verification_key)
-    with pytest.raises(PeerRevoked):
-        establish_interconnect(a, b)
+    # the home proxy refuses a serving proxy that it does not allowlist, that
+    # it revoked, or whose hello does not verify under the allowlisted key
+    def refuse_unknown(home, serving):
+        del home.allowlist[serving.plmn]
+
+    def refuse_revoked(home, serving):
+        home.revoke(serving.verification_key)
+
+    def refuse_other_key(home, serving):
+        home.allowlist[serving.plmn] = home.verification_key
+
+    for tamper, reason in ((None, None), (refuse_unknown, PeerUnknown.__name__),
+                           (refuse_revoked, PeerRevoked.__name__),
+                           (refuse_other_key, "BadSignature")):
+        world, builder = roaming_world(seed=16)
+        serving, home = builder.networks["serv"].sepp, builder.networks["home"].sepp
+        if tamper is not None:
+            tamper(home, serving)
+        outcome = run_registration(world, "ue1")
+        if reason is None:
+            assert outcome.success
+            assert serving.rejections == home.rejections == []
+            assert serving.sessions["99902"].established
+            assert home.sessions["00101"].established
+        else:
+            assert not outcome.success, reason
+            assert home.rejections == [reason]
+            assert serving.rejections == [f"peer:{reason}"]
+            assert "00101" not in home.sessions
+            assert not serving.sessions["99902"].established
 
 
 def test_forward_coherence_rejects_wrong_network_name():
@@ -454,7 +575,7 @@ def test_token_expiry():
     producer = NfProducer(service="nsmf-pdusession",
                           nrf_verification_key=nrf.verification_key)
     with pytest.raises(TokenExpired):
-        validate_nf_token(producer, token, now=100 + nrf.token_ttl)
+        validate_nf_token(producer, token, now=100 + TOKEN_TTL)
 
 
 def test_token_unknown_consumer_and_forgery():
@@ -746,20 +867,28 @@ def test_lost_challenge_leaves_one_amf_session():
     assert amf.by_sbi == {session.sbi_sid: session.sid}
 
 
-@pytest.mark.parametrize("mode", ["SA", "NSA"])
+@pytest.mark.parametrize("mode", ["SA", "NSA", "roaming"])
 def test_re_registrations_keep_amf_indexes_constant(mode):
     # each power cycle starts a new registration on the UE's RAN leg, which
-    # retires the previous session from every index of the AMF
-    world, builder = single_network_world(seed=22, policy=OperatorPolicy(mode=mode))
-    amf = builder.networks["net"].amf
+    # retires the previous session from every index of the AMF; the AUSF and
+    # the two proxies forget an authentication once its confirm has passed
+    if mode == "roaming":
+        world, builder = roaming_world(seed=22)
+        serving, home = builder.networks["serv"], builder.networks["home"]
+    else:
+        world, builder = single_network_world(seed=22, policy=OperatorPolicy(mode=mode))
+        serving = home = builder.networks["net"]
+    amf, ausf = serving.amf, home.ausf
     sizes = []
     for _ in range(20):
         assert run_registration(world, "ue1").success
         assert establish_user_plane(world, "ue1")
         sizes.append((len(amf.sessions), len(amf.by_sbi), len(amf.contexts),
-                      len(amf.by_ran)))
+                      len(amf.by_ran), len(ausf.sessions)))
+        if mode == "roaming":
+            assert serving.sepp.routes_out == {} and home.sepp.routes_in == {}
         trigger(world, "ue1", messages.PowerCycle())
         world.run_until(world.time + 10)
     # one session, its authentication SBI id and its context; the initial
     # leg, plus the en-gNB leg in NSA
-    assert sizes == [(1, 1, 1, 1 if mode == "SA" else 2)] * 20
+    assert sizes == [(1, 1, 1, 1 if mode != "NSA" else 2, 0)] * 20

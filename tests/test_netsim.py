@@ -179,8 +179,6 @@ def test_jam_window_validation():
         JamWindow(target_cell="c", t_start=5, t_end=5)
     with pytest.raises(ValueError):
         JamWindow(target_cell="c", t_start=9, t_end=5)
-    with pytest.raises(ValueError):
-        JamWindow(target_cell="c", t_start=0, t_end=5, kind="Thermal")
 
 
 def test_jam_drops_only_access_attempts_in_window():
