@@ -13,10 +13,10 @@ import bisect
 import enum
 import hashlib
 import heapq
-import json
 import logging
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote  # the escaper JSONEncoder uses
 
 from . import messages
 from .randomness import RandomStream, StreamFactory
@@ -53,7 +53,7 @@ class TimeInPast(ValueError):
     """Attempt to schedule an event before the current simulated time."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     time: int
     seq: int
@@ -64,38 +64,34 @@ class SimEvent:
     origin: str = ""  # "entity:<id>", "adversary:<id>" or "world"
 
 
-@dataclass
+@dataclass(slots=True)
 class Annotations:
     modified: bool = False
     injected: bool = False
     dropped: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TranscriptEntry:
     event: SimEvent
     msg_type: str
     annotations: Annotations
 
-    def export(self) -> dict:
-        # observations stay in the adversary's knowledge: a purely passive
-        # adversary leaves the export byte-identical to an unobserved run.
-        return {
-            "time": self.event.time,
-            "seq": self.event.seq,
-            "channel": self.event.channel.value,
-            "src": self.event.src,
-            "dst": self.event.dst,
-            "msg": self.msg_type,
-            "payload": self.event.payload.hex(),
-            "origin": self.event.origin,
-            "modified": self.annotations.modified,
-            "injected": self.annotations.injected,
-            "dropped": self.annotations.dropped,
-        }
+
+# One exported line: the bytes json.dumps(..., sort_keys=True) writes for the
+# entry's 11 fields.  Observations stay in the adversary's knowledge, so a
+# purely passive adversary leaves the export byte-identical to an unobserved run.
+_LINE = ('{"channel": %s, "dropped": %s, "dst": %s, "injected": %s, "modified": %s, '
+         '"msg": %s, "origin": %s, "payload": "%s", "seq": %d, "src": %s, "time": %d}')
+_FLAG = ("false", "true")
 
 
-_JSON = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) uses
+def _line(entry: TranscriptEntry) -> str:
+    event, notes = entry.event, entry.annotations
+    return _LINE % (_quote(event.channel.value), _FLAG[notes.dropped], _quote(event.dst),
+                    _FLAG[notes.injected], _FLAG[notes.modified], _quote(entry.msg_type),
+                    _quote(event.origin), event.payload.hex(), event.seq,
+                    _quote(event.src), event.time)
 
 
 def _peek(payload: bytes) -> str:
@@ -116,17 +112,14 @@ class Transcript:
         """Record ``event``; ``msg_type`` is ``_peek`` of its payload."""
         self.entries.append(TranscriptEntry(event, msg_type, annotations))
 
-    def _lines(self):
-        return (_JSON.encode(entry.export()) for entry in self.entries)
-
     def to_jsonl(self) -> str:
-        return "\n".join(self._lines())
+        return "\n".join(map(_line, self.entries))
 
     def sha256(self) -> str:
         """Digest of ``to_jsonl()``, fed one line at a time."""
         digest = hashlib.sha256()
         separator = b""
-        for line in self._lines():
+        for line in map(_line, self.entries):
             digest.update(separator + line.encode())
             separator = b"\n"
         return digest.hexdigest()

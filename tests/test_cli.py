@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -192,14 +193,18 @@ def test_missing_world_file_exits_3(capsys):
 
 def test_transcript_export(capsys, tmp_path):
     transcript = tmp_path / "events.jsonl"
-    code, _, _ = run_cli(capsys, "run", "--scenario", "registration",
-                         "--seed", "1", "--transcript", str(transcript))
+    code, out, _ = run_cli(capsys, "run", "--scenario", "registration",
+                           "--seed", "1", "--transcript", str(transcript))
     assert code == 0
     lines = transcript.read_text().strip().split("\n")
     assert lines
     first = json.loads(lines[0])
     assert {"time", "seq", "channel", "src", "dst", "payload", "msg",
             "origin", "modified", "injected", "dropped"} <= set(first)
+    # the exported file and the reported digest come from the same lines
+    exported = transcript.read_bytes()
+    assert exported.endswith(b"\n")
+    assert hashlib.sha256(exported[:-1]).hexdigest() == json.loads(out)["transcript_sha256"]
 
 
 def test_scenario_override_file(capsys, tmp_path):

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from fivegsim import messages
@@ -5,11 +9,14 @@ from fivegsim.flows import run_registration
 from fivegsim.netsim import (
     Action,
     AdversaryHook,
+    Annotations,
     Capability,
     Channel,
     JamWindow,
     Knowledge,
+    SimEvent,
     TimeInPast,
+    Transcript,
     World,
 )
 from fivegsim.policy import OperatorPolicy
@@ -219,6 +226,52 @@ def test_transcript_scan_counts_payload_bytes():
     world, _ = single_network_world(seed=3)
     run_registration(world, "ue1")
     assert world.transcript.scan_payloads(b"\x00" * 200) == 0
+
+
+# Strings JSON must escape: non-ASCII, quote, backslash, newline, control
+# characters, U+2028 and a character outside the BMP.
+_AWKWARD = ["ue-\u00fc1", 'a"b', "back\\slash", "line\nbreak", "ctl\x01\x1f",
+            "sep\u2028x", "sat\U0001f4e1"]
+
+
+def _reference_export(entry) -> dict:
+    """The transcript line as a dict, for json.dumps(..., sort_keys=True)."""
+    return {
+        "time": entry.event.time,
+        "seq": entry.event.seq,
+        "channel": entry.event.channel.value,
+        "src": entry.event.src,
+        "dst": entry.event.dst,
+        "msg": entry.msg_type,
+        "payload": entry.event.payload.hex(),
+        "origin": entry.event.origin,
+        "modified": entry.annotations.modified,
+        "injected": entry.annotations.injected,
+        "dropped": entry.annotations.dropped,
+    }
+
+
+def test_transcript_lines_match_json_dumps():
+    transcript = Transcript()
+    channels = list(Channel)
+    flags = list(itertools.product((False, True), repeat=3))
+    for i, (text, (dropped, modified, injected)) in enumerate(
+            itertools.product(_AWKWARD, flags)):
+        event = SimEvent(time=2**40 + 7 * i, seq=2**41 + i,
+                         channel=channels[i % len(channels)],
+                         src=f"src {text}", dst=f"{text} dst",
+                         payload=b"" if i % 2 else bytes(range(200)) * 7,
+                         origin=f"adversary:{text}")
+        transcript.append(event, Annotations(modified=modified, injected=injected,
+                                             dropped=dropped), f"Msg{text}")
+    assert len(transcript.entries) == len(_AWKWARD) * 8
+    assert len(transcript.entries[0].event.payload) == 1400
+
+    exported = transcript.to_jsonl()
+    assert exported.isascii()
+    assert exported.split("\n") == [json.dumps(_reference_export(entry), sort_keys=True)
+                                    for entry in transcript.entries]
+    assert transcript.sha256() == hashlib.sha256(exported.encode()).hexdigest()
 
 
 def test_knowledge_payload_filters():
