@@ -27,7 +27,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import CTR
 from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
@@ -186,7 +188,7 @@ def _ecies_keys(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes, bytes]:
 
 
 def _aes_ctr(key: bytes, icb: bytes, data: bytes) -> bytes:
-    cipher = Cipher(algorithms.AES(key), modes.CTR(icb))
+    cipher = Cipher(AES(key), CTR(icb))
     enc = cipher.encryptor()
     return enc.update(data) + enc.finalize()
 
@@ -515,7 +517,7 @@ def _ctr_nonce(count: int, direction: int) -> bytes:
 
 
 def _cmac_tag(key_int: bytes, count: int, direction: int, ciphertext: bytes) -> bytes:
-    mac = CMAC(algorithms.AES(_aes_key(key_int)))
+    mac = CMAC(AES(_aes_key(key_int)))
     mac.update(count.to_bytes(4, "big") + bytes([direction & 1]) + ciphertext)
     return mac.finalize()[:MAC_I_LEN]
 

@@ -11,7 +11,7 @@ an on-path observer sees.
 from __future__ import annotations
 
 import functools
-import io
+import struct
 import typing
 from dataclasses import dataclass, fields
 
@@ -25,29 +25,23 @@ def wire(cls):
     return cls
 
 
-def _take(stream: io.BytesIO, n: int) -> bytes:
-    if len(raw := stream.read(n)) != n:
-        raise ValueError("truncated message")
-    return raw
+_INT, _U32, _U16, _U8 = (struct.Struct(f).unpack_from for f in (">q", ">I", ">H", ">B"))
 
 
 def _write_bytes(value, out: bytearray) -> None:
     out += len(value).to_bytes(4, "big") + value
 
 
-def _read_bytes(stream: io.BytesIO) -> bytes:
-    return _take(stream, int.from_bytes(_take(stream, 4), "big"))
-
-
-# scalar type -> (write(value, out), read(stream) -> value)
+# scalar type -> (write(value, out), read(data, pos) -> (value, next pos))
 _SCALARS = {
     int: (lambda value, out: out.extend(int(value).to_bytes(8, "big", signed=True)),
-          lambda stream: int.from_bytes(_take(stream, 8), "big", signed=True)),
+          lambda data, pos: (_INT(data, pos)[0], pos + 8)),
     bool: (lambda value, out: out.append(1 if value else 0),
-           lambda stream: _take(stream, 1) == b"\x01"),
-    bytes: (_write_bytes, _read_bytes),
+           lambda data, pos: (_U8(data, pos)[0] == 1, pos + 1)),
+    bytes: (_write_bytes,
+            lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])], end)),
     str: (lambda value, out: _write_bytes(value.encode("utf-8"), out),
-          lambda stream: _read_bytes(stream).decode("utf-8")),
+          lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])].decode(), end)),
 }
 
 
@@ -61,16 +55,20 @@ def _field_codec(ftype) -> tuple:
             out += len(value).to_bytes(2, "big")
             for item in value:
                 write_item(item, out)
-        return write, lambda stream: [
-            read_item(stream) for _ in range(int.from_bytes(_take(stream, 2), "big"))]
+
+        def read(data, pos):
+            items, pos = [], pos + 2
+            for _ in range(_U16(data, pos - 2)[0]):  # a forged count fails at the first gap
+                item, pos = read_item(data, pos)
+                items.append(item)
+            return items, pos
+        return write, read
     if ftype in _REGISTRY:
         def write(value, out):
-            start = len(out)
-            out += bytes(4)
-            _plan(ftype)[1](value, out)
-            out[start:start + 4] = (len(out) - start - 4).to_bytes(4, "big")
-        return write, lambda stream: _read_to(
-            ftype, stream, int.from_bytes(_take(stream, 4), "big"))
+            _plan(ftype)[1](value, body := bytearray())
+            _write_bytes(body, out)
+        return write, lambda data, pos: (
+            _read(ftype, data, pos + 4, end := pos + 4 + _U32(data, pos)[0]), end)
     if ftype in _SCALARS:
         return _SCALARS[ftype]
     raise TypeError(f"unsupported wire field type {ftype!r}")
@@ -78,40 +76,41 @@ def _field_codec(ftype) -> tuple:
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """(tag, write(msg, out), read(stream) -> msg) of a wire class, once."""
+    """(tag, write(msg, out), field readers) of a wire class, once."""
     hints = typing.get_type_hints(cls)
     codecs = [(f.name, *_field_codec(hints[f.name])) for f in fields(cls)]
 
     def write(msg, out):
         for name, write_field, _ in codecs:
             write_field(getattr(msg, name), out)
-    return (_REGISTRY.index(cls).to_bytes(2, "big"), write,
-            lambda stream: cls(*[read(stream) for _, _, read in codecs]))
+    return _REGISTRY.index(cls).to_bytes(2, "big"), write, tuple(read for *_, read in codecs)
 
 
-def _read_to(cls, stream: io.BytesIO, length: int):
-    """The ``cls`` message that fills the next ``length`` bytes."""
-    end = stream.tell() + length
-    msg = _plan(cls)[2](stream)
-    if stream.tell() != end:
-        raise ValueError(f"trailing bytes decoding {cls.__name__}")
-    return msg
+def _read(cls, data: bytes, pos: int, end: int):
+    """The ``cls`` message whose fields fill ``data[pos:end]``."""
+    values = []
+    for read in _plan(cls)[2]:
+        value, pos = read(data, pos)
+        values.append(value)
+    if pos != end:  # past ``end`` too: a short slice still moves ``pos`` its full width
+        raise ValueError(f"length mismatch decoding {cls.__name__}")
+    return cls(*values)
 
 
 def encode(msg) -> bytes:
     """Length-prefixed canonical encoding of a registered message."""
     tag, write, _ = _plan(type(msg))
-    out = bytearray(4) + tag  # the length is filled in below
-    write(msg, out)
-    out[:4] = (len(out) - 4).to_bytes(4, "big")
-    return bytes(out)
+    write(msg, body := bytearray(tag))
+    return len(body).to_bytes(4, "big") + body
 
 
 def decode(data: bytes):
-    if int.from_bytes(data[:4], "big") != len(data) - 4:
-        raise ValueError("bad message framing")
-    body = data[6:]
-    return _read_to(_REGISTRY[int.from_bytes(data[4:6], "big")], io.BytesIO(body), len(body))
+    try:
+        if _U32(data, 0)[0] != len(data) - 4:
+            raise ValueError("bad message framing")
+        return _read(_REGISTRY[_U16(data, 4)[0]], data, 6, len(data))
+    except struct.error as exc:  # an unpacker ran past the end of ``data``
+        raise ValueError(f"truncated message: {exc}") from None
 
 
 def peek_type(data: bytes) -> str:

@@ -2,19 +2,26 @@
 
 Everything here is rebuilt from scratch on top of hashlib.sha256 alone:
 HMAC is re-derived from its padding definition, AES-128 is a table
-implementation, and both curves use their textbook group laws.  None of
-it calls into fivegsim or the cryptography package, so agreement between
-these functions and the package is a genuine dual-route check.
+implementation, and both curves use their textbook group laws.  The wire
+decoder reads through an ``io.BytesIO`` with one closure per field, the
+codec's first design.  None of it calls into fivegsim or the cryptography
+package, so agreement between these functions and the package is a
+genuine dual-route check.
 
-The only shared input is the domain-label file src/fivegsim/data/
-kdf_labels.json, which is the protocol definition itself.
+The shared inputs are the domain-label file src/fivegsim/data/
+kdf_labels.json, which is the protocol definition itself, and the list of
+wire classes that ``decode_wire`` is given.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
 import json
 import pathlib
+import typing
+from dataclasses import fields
 
 LABELS = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent
@@ -342,3 +349,65 @@ def key_chain(k_ausf: bytes, sn_name: str, supi: str, abba: bytes,
         msg = spec["label"].encode() + b"\x00" + _context_bytes(spec["context"], ctx)
         keys[child] = hmac_sha256(keys[spec["parent"]], msg)
     return keys
+
+
+# ---------------------------------------------------------------------------
+# Wire decoder: one stream, one closure per field
+# ---------------------------------------------------------------------------
+
+def _take(stream: io.BytesIO, n: int) -> bytes:
+    if len(raw := stream.read(n)) != n:
+        raise ValueError("truncated message")
+    return raw
+
+
+def _read_bytes(stream: io.BytesIO) -> bytes:
+    return _take(stream, int.from_bytes(_take(stream, 4), "big"))
+
+
+_SCALAR_READERS = {
+    int: lambda stream: int.from_bytes(_take(stream, 8), "big", signed=True),
+    bool: lambda stream: _take(stream, 1) == b"\x01",
+    bytes: _read_bytes,
+    str: lambda stream: _read_bytes(stream).decode("utf-8"),
+}
+
+
+def _field_reader(ftype, registry: tuple):
+    """read(stream) for a scalar, a list (2-byte count) or a wire struct (4-byte length)."""
+    if typing.get_origin(ftype) is list:
+        (inner,) = typing.get_args(ftype)
+        read_item = _field_reader(inner, registry)
+        return lambda stream: [
+            read_item(stream) for _ in range(int.from_bytes(_take(stream, 2), "big"))]
+    if ftype in registry:
+        return lambda stream: _read_to(
+            ftype, registry, stream, int.from_bytes(_take(stream, 4), "big"))
+    if ftype in _SCALAR_READERS:
+        return _SCALAR_READERS[ftype]
+    raise TypeError(f"unsupported wire field type {ftype!r}")
+
+
+@functools.cache
+def _reader(cls, registry: tuple):
+    hints = typing.get_type_hints(cls)
+    readers = [_field_reader(hints[f.name], registry) for f in fields(cls)]
+    return lambda stream: cls(*[read(stream) for read in readers])
+
+
+def _read_to(cls, registry: tuple, stream: io.BytesIO, length: int):
+    """The ``cls`` message that fills the next ``length`` bytes."""
+    end = stream.tell() + length
+    msg = _reader(cls, registry)(stream)
+    if stream.tell() != end:
+        raise ValueError(f"trailing bytes decoding {cls.__name__}")
+    return msg
+
+
+def decode_wire(registry: tuple, data: bytes):
+    """The message framed in ``data``; ``registry[tag]`` is the wire class of a tag."""
+    if int.from_bytes(data[:4], "big") != len(data) - 4:
+        raise ValueError("bad message framing")
+    body = data[6:]
+    return _read_to(registry[int.from_bytes(data[4:6], "big")], registry,
+                    io.BytesIO(body), len(body))

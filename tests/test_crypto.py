@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -385,6 +386,17 @@ def test_only_crypto_imports_cryptography():
             if any(name.split(".")[0] == "cryptography" for name in names):
                 importers.add(path.relative_to(package).as_posix())
     assert importers == {"crypto.py"}
+
+
+def test_cipher_classes_are_bound_at_import():
+    # cryptography wraps some modules (ciphers.algorithms, ciphers.modes) in a
+    # ModuleType subclass whose every attribute lookup runs a Python
+    # __getattr__; crypto binds the classes it needs instead of the modules
+    wrapped = sorted(name for name, value in vars(crypto).items()
+                     if isinstance(value, types.ModuleType)
+                     and value.__name__.split(".")[0] == "cryptography"
+                     and type(value) is not types.ModuleType)
+    assert wrapped == []
 
 
 # ---------------------------------------------------------------------------

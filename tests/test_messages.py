@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fivegsim import messages
 from fivegsim.entities import Entity
 from fivegsim.netsim import Channel, World
@@ -150,12 +151,9 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_payload_is_a_decode_error_and_undecodable_at_the_bus(name):
-    payload = MALFORMED[name]
-    with pytest.raises((ValueError, IndexError)):
-        messages.decode(payload)
-
+def _deliver(payloads):
+    """(messages a sink entity receives, the world) after ``payloads`` are
+    sent to it, in order, at time 1."""
     world = World(seed=0)
     delivered = []
 
@@ -166,11 +164,85 @@ def test_malformed_payload_is_a_decode_error_and_undecodable_at_the_bus(name):
             delivered.append(msg)
 
     world.add_entity(Sink())
-    for payload_at in (payload, _GOOD):
-        world.schedule(world.time + 1, Channel.INTERNAL, "world", "sink", payload_at, "world")
+    for payload in payloads:
+        world.schedule(world.time + 1, Channel.INTERNAL, "world", "sink", payload, "world")
     world.run_until(10)
+    return delivered, world
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_payload_is_a_decode_error_and_undecodable_at_the_bus(name):
+    payload = MALFORMED[name]
+    with pytest.raises((ValueError, IndexError)):
+        messages.decode(payload)
+
+    delivered, world = _deliver([payload, _GOOD])
     assert delivered == [messages.decode(_GOOD)]
     assert [e.event.payload for e in world.transcript.entries] == [payload, _GOOD]
+
+
+def _refused_variants(cls) -> list[bytes]:
+    """Every proper prefix of ``sample(cls)``'s fields and every one-byte
+    extension of them, each behind the class tag with a correct outer length."""
+    raw = messages.encode(sample(cls))
+    tag, body = raw[4:6], raw[6:]
+    return ([_framed(tag + body[:cut]) for cut in range(len(body))]
+            + [_framed(tag + body + bytes([extra])) for extra in range(256)])
+
+
+@pytest.mark.parametrize("cls", messages._REGISTRY, ids=lambda cls: cls.__name__)
+def test_every_prefix_and_extension_is_refused(cls):
+    variants = _refused_variants(cls)
+    for payload in variants:
+        with pytest.raises((ValueError, IndexError)):
+            messages.decode(payload)
+
+    delivered, world = _deliver([*variants, _GOOD])
+    assert delivered == [messages.decode(_GOOD)]
+    assert len(world.transcript.entries) == len(variants) + 1
+
+
+def _mutate(body: bytes, kind: str, at: int, value: int) -> bytes:
+    at %= len(body) + 1
+    if kind == "flip" and at < len(body):
+        return body[:at] + bytes([body[at] ^ 1 << value % 8]) + body[at + 1:]
+    if kind == "delete":
+        return body[:at] + body[at + 1:]
+    if kind == "insert":
+        return body[:at] + bytes([value % 256]) + body[at:]
+    if kind == "forge_length":  # a 4-byte length or 2-byte count written over the body
+        width = 4 if value % 2 else 2
+        return body[:at] + (value >> 1).to_bytes(4, "big")[-width:] + body[at + width:]
+    return body[:at]  # truncate
+
+
+_MUTATION = st.tuples(st.sampled_from(["flip", "delete", "insert", "forge_length", "truncate"]),
+                      st.integers(0, 400), st.integers(0, 2**33 - 1))
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except (ValueError, IndexError):
+        return "refused"
+
+
+@given(st.sampled_from(messages._REGISTRY), st.integers(0, 3),
+       st.lists(_MUTATION, min_size=1, max_size=4), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_mutated_payloads_decode_as_the_reference_decoder_does(cls, salt, mutations, reframe):
+    raw = messages.encode(sample(cls, salt))
+    body = raw[4:]
+    for mutation in mutations:
+        body = _mutate(body, *mutation)
+    payload = _framed(body) if reframe else raw[:4] + body
+    codec = _outcome(messages.decode, payload)
+    if len(payload) < 6:
+        # a tag cut short: the reference decoder reads the one byte left as
+        # a tag and accepts it for a class without fields
+        assert codec == "refused"
+    else:
+        assert codec == _outcome(oracles.decode_wire, tuple(messages._REGISTRY), payload)
 
 
 def test_misspelt_handler_fails_at_class_creation():
