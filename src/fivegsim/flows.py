@@ -16,7 +16,7 @@ DEFAULT_HORIZON = 20_000
 def trigger(world: World, ue_id: str, msg, delay: int = 1) -> None:
     """Schedule an internal control message toward a device."""
     world.schedule(world.time + delay, Channel.INTERNAL, "world", ue_id,
-                   messages.encode(msg), "world")
+                   messages.encode(msg), "world", msg)
 
 
 @dataclass

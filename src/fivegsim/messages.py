@@ -6,6 +6,14 @@ by the fields in declaration order (ints as 8-byte big-endian, byte
 strings and text length-prefixed, lists counted).  Transcripts mirror the
 same bytes as hex, so byte-level scans of a transcript see exactly what
 an on-path observer sees.
+
+Each wire class's codec is compiled the first time the class is encoded
+or decoded, never at import: one writer that returns the body from a
+single ``b"".join`` and one reader that walks the body by offset.  In
+both, one precompiled ``struct`` covers each run of consecutive
+fixed-width values (ints, booleans, length prefixes and list counts).
+The classes are plain, mutable dataclasses: the bus hands the sender's
+object to the receiver, so a handler must never change a message it got.
 """
 
 from __future__ import annotations
@@ -25,36 +33,17 @@ def wire(cls):
     return cls
 
 
-_INT, _U32, _U16, _U8 = (struct.Struct(f).unpack_from for f in (">q", ">I", ">H", ">B"))
+_HEAD = struct.Struct(">IH").pack  # frame length, type tag
+_U32, _U16 = (struct.Struct(f).unpack_from for f in (">I", ">H"))
+_PACK = {code: struct.Struct(">" + code).pack for code in "qIH?"}
+_UNPACK = {code: struct.Struct(">" + code).unpack_from for code in "qB"}
 
 
-def _write_bytes(value, out: bytearray) -> None:
-    out += len(value).to_bytes(4, "big") + value
-
-
-# scalar type -> (write(value, out), read(data, pos) -> (value, next pos))
-_SCALARS = {
-    int: (lambda value, out: out.extend(int(value).to_bytes(8, "big", signed=True)),
-          lambda data, pos: (_INT(data, pos)[0], pos + 8)),
-    bool: (lambda value, out: out.append(1 if value else 0),
-           lambda data, pos: (_U8(data, pos)[0] == 1, pos + 1)),
-    bytes: (_write_bytes,
-            lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])], end)),
-    str: (lambda value, out: _write_bytes(value.encode("utf-8"), out),
-          lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])].decode(), end)),
-}
-
-
-def _field_codec(ftype) -> tuple:
-    """(write, read) for a scalar, a list (2-byte count) or a wire struct (4-byte length)."""
+def _item_codec(ftype) -> tuple:
+    """(write(value) -> bytes, read(data, pos) -> (value, next pos)) of one list item."""
     if typing.get_origin(ftype) is list:
         (inner,) = typing.get_args(ftype)
-        write_item, read_item = _field_codec(inner)
-
-        def write(value, out):
-            out += len(value).to_bytes(2, "big")
-            for item in value:
-                write_item(item, out)
+        write_item, read_item = _item_codec(inner)
 
         def read(data, pos):
             items, pos = [], pos + 2
@@ -62,60 +51,172 @@ def _field_codec(ftype) -> tuple:
                 item, pos = read_item(data, pos)
                 items.append(item)
             return items, pos
-        return write, read
+        return (lambda value: _PACK["H"](len(value)) + b"".join(map(write_item, value))), read
+    if ftype is int:
+        return (lambda value: _PACK["q"](int(value))), (
+            lambda data, pos: (_UNPACK["q"](data, pos)[0], pos + 8))
+    if ftype is bool:
+        return _PACK["?"], lambda data, pos: (_UNPACK["B"](data, pos)[0] == 1, pos + 1)
+    if ftype is bytes:
+        return (lambda value: _PACK["I"](len(value)) + value), (
+            lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])], end))
+    if ftype is str:
+        return (lambda value: _PACK["I"](len(raw := value.encode())) + raw), (
+            lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])].decode(), end))
     if ftype in _REGISTRY:
-        def write(value, out):
-            _plan(ftype)[1](value, body := bytearray())
-            _write_bytes(body, out)
-        return write, lambda data, pos: (
-            _read(ftype, data, pos + 4, end := pos + 4 + _U32(data, pos)[0]), end)
-    if ftype in _SCALARS:
-        return _SCALARS[ftype]
+        _, write, read = _plan(ftype)
+        return (lambda value: _PACK["I"](len(body := write(value))) + body), (
+            lambda data, pos: (read(data, pos + 4, end := pos + 4 + _U32(data, pos)[0]), end))
     raise TypeError(f"unsupported wire field type {ftype!r}")
+
+
+def _define(name: str, params: str, lines: list[str], env: dict):
+    exec(f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines), env)
+    return env[name]
+
+
+class _Runs:
+    """Source of a compiled writer or reader, with its runs of fixed-width
+    values handed to one precompiled ``struct`` each."""
+
+    def __init__(self):
+        self.env: dict = {}
+        self.lines: list[str] = []
+        self.codes = ""  # struct codes of the open run
+        self.values: list[str] = []  # its values: expressions, or names to unpack into
+
+    def fixed(self, code: str, value: str) -> None:
+        self.codes += code
+        self.values.append(value)
+
+    def bind(self, value) -> str:
+        """A global name of the compiled function for ``value``."""
+        name = f"_g{len(self.env)}"
+        self.env[name] = value
+        return name
+
+
+def _compile_writer(cls, hints: dict):
+    """write(msg) -> the body of ``msg``, its fields in wire order."""
+    src, parts = _Runs(), []
+
+    def pack():  # close the open run
+        if src.values:
+            packer = src.bind(struct.Struct(">" + src.codes).pack)
+            parts.append(f"{packer}({', '.join(src.values)})")
+            src.codes, src.values = "", []
+
+    for i, f in enumerate(fields(cls)):
+        ftype, value = hints[f.name], f"msg.{f.name}"
+        if ftype is int:
+            src.fixed("q", f"int({value})")
+        elif ftype is bool:
+            src.fixed("?", value)
+        elif typing.get_origin(ftype) is list:
+            src.fixed("H", f"len(v{i} := {value})")
+            pack()
+            (inner,) = typing.get_args(ftype)
+            parts.append(f"*map({src.bind(_item_codec(inner)[0])}, v{i})")
+        else:
+            if ftype is str:
+                value = f"{value}.encode()"
+            elif ftype in _REGISTRY:
+                value = f"{src.bind(_plan(ftype)[1])}({value})"
+            elif ftype is not bytes:
+                raise TypeError(f"unsupported wire field type {ftype!r}")
+            src.fixed("I", f"len(v{i} := {value})")
+            pack()
+            parts.append(f"v{i}")
+    pack()
+    body = f"{src.bind(b''.join)}(({', '.join(parts)},))" if parts else 'b""'
+    return _define("write", "msg", [f"return {body}"], src.env)
+
+
+def _compile_reader(cls, hints: dict):
+    """read(data, pos, end) -> the ``cls`` message whose fields fill ``data[pos:end]``."""
+    src, args = _Runs(), []
+
+    def unpack() -> int:  # close the open run; its width, which ``pos`` has yet to step past
+        if not src.values:
+            return 0
+        unpacker = src.bind(struct.Struct(">" + src.codes).unpack_from)
+        src.lines.append(f"{', '.join(src.values)}, = {unpacker}(data, pos)")
+        width, src.codes, src.values = struct.calcsize(">" + src.codes), "", []
+        return width
+
+    for i, f in enumerate(fields(cls)):
+        ftype = hints[f.name]
+        if ftype is int:
+            src.fixed("q", f"v{i}")
+            args.append(f"v{i}")
+        elif ftype is bool:
+            src.fixed("B", f"v{i}")
+            args.append(f"v{i} == 1")
+        elif typing.get_origin(ftype) is list:
+            (inner,) = typing.get_args(ftype)
+            src.fixed("H", f"n{i}")
+            src.lines += [f"pos += {unpack()}",
+                          f"v{i} = []",
+                          f"for _ in range(n{i}):",  # a forged count fails at the first gap
+                          f"    item, pos = {src.bind(_item_codec(inner)[1])}(data, pos)",
+                          f"    v{i}.append(item)"]
+            args.append(f"v{i}")
+        else:
+            src.fixed("I", f"n{i}")
+            start = f"pos + {unpack()}"
+            if ftype is bytes:
+                value = f"data[{start}:(pos := {start} + n{i})]"
+            elif ftype is str:
+                value = f"data[{start}:(pos := {start} + n{i})].decode()"
+            elif ftype in _REGISTRY:
+                value = f"{src.bind(_plan(ftype)[2])}(data, {start}, (pos := {start} + n{i}))"
+            else:
+                raise TypeError(f"unsupported wire field type {ftype!r}")
+            src.lines.append(f"v{i} = {value}")
+            args.append(f"v{i}")
+    if width := unpack():
+        src.lines.append(f"pos += {width}")
+    # past ``end`` too: a short slice still moves ``pos`` its full width
+    src.lines += ["if pos != end:",
+                  f"    raise ValueError('length mismatch decoding {cls.__name__}')",
+                  f"return {src.bind(cls)}({', '.join(args)})"]
+    return _define("read", "data, pos, end", src.lines, src.env)
 
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """(tag, write(msg, out), field readers) of a wire class, once."""
+    """(tag, write(msg) -> body, read(data, pos, end) -> msg) of a wire
+    class, compiled at its first use."""
     hints = typing.get_type_hints(cls)
-    codecs = [(f.name, *_field_codec(hints[f.name])) for f in fields(cls)]
-
-    def write(msg, out):
-        for name, write_field, _ in codecs:
-            write_field(getattr(msg, name), out)
-    return _REGISTRY.index(cls).to_bytes(2, "big"), write, tuple(read for *_, read in codecs)
-
-
-def _read(cls, data: bytes, pos: int, end: int):
-    """The ``cls`` message whose fields fill ``data[pos:end]``."""
-    values = []
-    for read in _plan(cls)[2]:
-        value, pos = read(data, pos)
-        values.append(value)
-    if pos != end:  # past ``end`` too: a short slice still moves ``pos`` its full width
-        raise ValueError(f"length mismatch decoding {cls.__name__}")
-    return cls(*values)
+    write, read = _compile_writer(cls, hints), _compile_reader(cls, hints)
+    return _REGISTRY.index(cls), write, read
 
 
 def encode(msg) -> bytes:
     """Length-prefixed canonical encoding of a registered message."""
     tag, write, _ = _plan(type(msg))
-    write(msg, body := bytearray(tag))
-    return len(body).to_bytes(4, "big") + body
+    try:
+        body = write(msg)
+        return _HEAD(len(body) + 2, tag) + body
+    except struct.error as exc:  # an int, a length or a count past its width
+        raise OverflowError(str(exc)) from None
 
 
 def decode(data: bytes):
     try:
         if _U32(data, 0)[0] != len(data) - 4:
             raise ValueError("bad message framing")
-        return _read(_REGISTRY[_U16(data, 4)[0]], data, 6, len(data))
+        return _plan(_REGISTRY[_U16(data, 4)[0]])[2](data, 6, len(data))
     except struct.error as exc:  # an unpacker ran past the end of ``data``
         raise ValueError(f"truncated message: {exc}") from None
 
 
 def peek_type(data: bytes) -> str:
-    """Message type name without a full decode."""
-    return _REGISTRY[int.from_bytes(data[4:6], "big")].__name__
+    """Message type name without a full decode; a frame cut inside its
+    tag is refused, as ``decode`` refuses it."""
+    if len(data) < 6:
+        raise ValueError("truncated message: no type tag")
+    return _REGISTRY[_U16(data, 4)[0]].__name__
 
 
 @dataclass

@@ -5,6 +5,12 @@ passes the jamming model and then every attached adversary hook in
 registration order; hooks may observe, drop, modify or inject depending
 on their capabilities.  A transcript records every delivery and drop, and
 its export hashes identically across runs with the same seed.
+
+A message an entity emits travels as its encoded payload and, beside the
+event in the queue entry, as the object itself: the receiver gets that
+object and the bus never decodes what an entity just encoded.  Only bytes
+no entity encoded -- ``emit_raw``, a raw ``schedule``, an injection, a
+payload a hook rewrote -- are decoded, and refused when malformed.
 """
 
 from __future__ import annotations
@@ -216,14 +222,15 @@ class StepContext:
         self._world = world
         self.entity_id = entity_id
         self.now = world.time
-        self.out: list[tuple[int, Channel, str, bytes]] = []
+        # (delay, channel, dst, payload, the message object or None for raw bytes)
+        self.out: list[tuple] = []
         self.ignored = False
 
     def emit(self, channel: Channel, dst: str, msg, delay: int = 1) -> None:
-        self.out.append((delay, channel, dst, messages.encode(msg)))
+        self.out.append((delay, channel, dst, messages.encode(msg), msg))
 
     def emit_raw(self, channel: Channel, dst: str, payload: bytes, delay: int = 1) -> None:
-        self.out.append((delay, channel, dst, payload))
+        self.out.append((delay, channel, dst, payload, None))
 
     def timer(self, delay: int, timer_id: int) -> None:
         self.emit(Channel.INTERNAL, self.entity_id, messages.TimerFired(timer_id=timer_id), delay)
@@ -249,7 +256,9 @@ class World:
         self._cells: list = []  # entities with broadcast_info(), by id
         self.time = 0
         self._seq = 0
-        self._queue: list[tuple[int, int, SimEvent]] = []
+        # (time, seq, event, the payload's message object or None): the object
+        # rides beside the event, so the transcript never holds one
+        self._queue: list[tuple[int, int, SimEvent, object]] = []
         self.transcript = Transcript()
         self.adversaries: list[AdversaryHook] = []
         self.jams: list[JamWindow] = []
@@ -277,19 +286,22 @@ class World:
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, time: int, channel: Channel, src: str, dst: str,
-                 payload: bytes, origin: str) -> SimEvent:
+                 payload: bytes, origin: str, msg=None) -> SimEvent:
+        """Queue ``payload`` for delivery at ``time``.  ``msg``, when given,
+        is the message ``payload`` encodes, handed to the receiver as is;
+        without it the receiver gets ``payload`` decoded."""
         if time < self.time:
             raise TimeInPast(f"cannot schedule at {time}, now is {self.time}")
         event = SimEvent(time=time, seq=self._seq, channel=channel, src=src,
                          dst=dst, payload=payload, origin=origin)
         self._seq += 1
-        heapq.heappush(self._queue, (time, event.seq, event))
+        heapq.heappush(self._queue, (time, event.seq, event, msg))
         return event
 
     def schedule_message(self, delay: int, channel: Channel, src: str, dst: str,
                          msg, origin: str | None = None) -> SimEvent:
         return self.schedule(self.time + delay, channel, src, dst,
-                             messages.encode(msg), origin or f"entity:{src}")
+                             messages.encode(msg), origin or f"entity:{src}", msg)
 
     def schedule_action(self, time: int, label: str, fn) -> None:
         """Run a scripted world mutation at a fixed time (deterministic)."""
@@ -353,10 +365,10 @@ class World:
 
     def run_until(self, t_end: int) -> Transcript:
         while self._queue and self._queue[0][0] <= t_end:
-            _, _, event = heapq.heappop(self._queue)
+            _, _, event, msg = heapq.heappop(self._queue)
             self.time = event.time
             annotations = Annotations(injected=event.origin.startswith("adversary:"))
-            msg_type = _peek(event.payload)
+            msg_type = _peek(event.payload) if msg is None else type(msg).__name__
             # settle the event's fate, record it once, then deliver it
             if event.dst == "__world__":
                 fn = self._actions.pop(event.seq, None)
@@ -365,29 +377,33 @@ class World:
             elif self._jam_applies(event, msg_type):
                 annotations.dropped = True
             else:
+                payload = event.payload
                 self._run_hooks(event, annotations)
                 if annotations.modified:
                     msg_type = _peek(event.payload)
+                if event.payload is not payload:
+                    msg = None  # the receiver gets the adversary's bytes, decoded
             self.transcript.append(event, annotations, msg_type)
             if annotations.dropped:
                 continue
             if event.dst == "__ether__":
+                reply = messages.CellScanResponse(cells=self.active_cells())
                 self.schedule(self.time + 1, Channel.INTERNAL, "__ether__", event.src,
-                              messages.encode(messages.CellScanResponse(cells=self.active_cells())),
-                              "world")
+                              messages.encode(reply), "world", reply)
                 continue
             entity = self.entities.get(event.dst)
             if entity is None:
                 continue  # the world itself, or an unknown node: explicit no-op
-            try:
-                msg = messages.decode(event.payload)
-            except Exception:
-                log.info("undecodable payload for %s ignored", event.dst)
-                continue
+            if msg is None:  # bytes no entity encoded: raw, injected or rewritten
+                try:
+                    msg = messages.decode(event.payload)
+                except Exception:
+                    log.info("undecodable payload for %s ignored", event.dst)
+                    continue
             ctx = StepContext(self, event.dst)
             entity.step(msg, event, ctx)
-            for delay, channel, dst, payload in ctx.out:
+            for delay, channel, dst, payload, sent in ctx.out:
                 self.schedule(self.time + delay, channel, event.dst, dst,
-                              payload, f"entity:{event.dst}")
+                              payload, f"entity:{event.dst}", sent)
         self.time = max(self.time, t_end)
         return self.transcript

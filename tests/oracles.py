@@ -3,14 +3,14 @@
 Everything here is rebuilt from scratch on top of hashlib.sha256 alone:
 HMAC is re-derived from its padding definition, AES-128 is a table
 implementation, and both curves use their textbook group laws.  The wire
-decoder reads through an ``io.BytesIO`` with one closure per field, the
-codec's first design.  None of it calls into fivegsim or the cryptography
-package, so agreement between these functions and the package is a
-genuine dual-route check.
+encoder and decoder write and read through an ``io.BytesIO`` with one
+closure per field, the codec's first design.  None of it calls into
+fivegsim or the cryptography package, so agreement between these
+functions and the package is a genuine dual-route check.
 
 The shared inputs are the domain-label file src/fivegsim/data/
 kdf_labels.json, which is the protocol definition itself, and the list of
-wire classes that ``decode_wire`` is given.
+wire classes that ``encode_wire`` and ``decode_wire`` are given.
 """
 
 from __future__ import annotations
@@ -411,3 +411,62 @@ def decode_wire(registry: tuple, data: bytes):
     body = data[6:]
     return _read_to(registry[int.from_bytes(data[4:6], "big")], registry,
                     io.BytesIO(body), len(body))
+
+
+# ---------------------------------------------------------------------------
+# Wire encoder: one stream, one closure per field
+# ---------------------------------------------------------------------------
+
+def _write_bytes(stream: io.BytesIO, value: bytes) -> None:
+    stream.write(len(value).to_bytes(4, "big"))
+    stream.write(value)
+
+
+_SCALAR_WRITERS = {
+    int: lambda stream, value: stream.write(int(value).to_bytes(8, "big", signed=True)),
+    bool: lambda stream, value: stream.write(b"\x01" if value else b"\x00"),
+    bytes: _write_bytes,
+    str: lambda stream, value: _write_bytes(stream, value.encode("utf-8")),
+}
+
+
+def _field_writer(ftype, registry: tuple):
+    """write(stream, value) for a scalar, a list (2-byte count) or a wire struct (4-byte length)."""
+    if typing.get_origin(ftype) is list:
+        (inner,) = typing.get_args(ftype)
+        write_item = _field_writer(inner, registry)
+
+        def write_list(stream, value):
+            stream.write(len(value).to_bytes(2, "big"))
+            for item in value:
+                write_item(stream, item)
+        return write_list
+    if ftype in registry:
+        return lambda stream, value: _write_bytes(stream, _body(ftype, value, registry))
+    if ftype in _SCALAR_WRITERS:
+        return _SCALAR_WRITERS[ftype]
+    raise TypeError(f"unsupported wire field type {ftype!r}")
+
+
+@functools.cache
+def _writer(cls, registry: tuple):
+    hints = typing.get_type_hints(cls)
+    writers = [(f.name, _field_writer(hints[f.name], registry)) for f in fields(cls)]
+
+    def write(stream, msg):
+        for name, write_field in writers:
+            write_field(stream, getattr(msg, name))
+    return write
+
+
+def _body(cls, msg, registry: tuple) -> bytes:
+    """The fields of ``msg`` written as those of ``cls``."""
+    stream = io.BytesIO()
+    _writer(cls, registry)(stream, msg)
+    return stream.getvalue()
+
+
+def encode_wire(registry: tuple, msg) -> bytes:
+    """The framed encoding of ``msg``; its tag is its class's index in ``registry``."""
+    body = registry.index(type(msg)).to_bytes(2, "big") + _body(type(msg), msg, registry)
+    return len(body).to_bytes(4, "big") + body

@@ -1,0 +1,144 @@
+"""The bus hands a message that an entity encoded to its receiver as the
+object the sender built, without decoding the payload; raw, injected and
+rewritten bytes are decoded as before.  These tests pin that no receiver
+can tell the two apart, that the adversary's bytes still win, and how
+much codec work a registration costs.
+"""
+
+import dataclasses
+import json
+from collections import Counter
+
+import pytest
+
+import test_golden
+from fivegsim import messages
+from fivegsim.entities import Entity
+from fivegsim.flows import trigger
+from fivegsim.netsim import Action, AdversaryHook, Capability, Channel
+from fivegsim.worldfile import single_network_world
+
+
+def _assert_same(got, want) -> None:
+    """Equal field by field, with identical types all the way down."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for item, wanted in zip(got, want):
+            _assert_same(item, wanted)
+    else:
+        assert got == want
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Wrap ``Entity.step``: a carried message must equal its payload
+    decoded, and after the handler every received message must still
+    encode to its payload.  Returns the count of carried and decoded
+    deliveries."""
+    decode, step = messages.decode, Entity.step
+    decoded: dict[int, object] = {}  # id -> every object decode returned, kept alive
+    tally = Counter()
+
+    def recording_decode(data):
+        msg = decode(data)
+        decoded[id(msg)] = msg
+        return msg
+
+    def checked_step(self, msg, event, ctx):
+        if decoded.get(id(msg)) is msg:
+            tally["decoded"] += 1
+        else:
+            tally["carried"] += 1
+            _assert_same(msg, decode(event.payload))
+        step(self, msg, event, ctx)
+        assert messages.encode(msg) == event.payload, \
+            f"{type(self).__name__} changed the {type(msg).__name__} it received"
+
+    monkeypatch.setattr(messages, "decode", recording_decode)
+    monkeypatch.setattr(Entity, "step", checked_step)
+    return tally
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return json.loads(test_golden.GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", test_golden.CASES)
+def test_a_carried_message_is_its_payload_decoded(case, golden, checked_steps):
+    assert test_golden.digest(case) == golden[case]
+    # TS_12's worlds only inject: no message an entity sends reaches another
+    assert checked_steps["carried"] > 0 or case.startswith("TS_12")
+
+
+def _rrc_request(slice_id: str) -> messages.RrcConnectionRequest:
+    return messages.RrcConnectionRequest(c_rnti=b"\xee\xee", slice_id=slice_id,
+                                         ue_nonce=bytes(8))
+
+
+@pytest.mark.parametrize("how", ["action", "in_place"])
+@pytest.mark.parametrize("replacement", ["forged", "garbage"])
+def test_a_rewritten_payload_reaches_the_receiver_as_the_adversary_wrote_it(
+        how, replacement, monkeypatch):
+    world, _ = single_network_world(seed=3)
+    payload = (messages.encode(_rrc_request("forged")) if replacement == "forged"
+               else b"\x00\x00\x00\x02\xde\xad")
+    rewritten = []
+
+    def rewrite(w, hook, event):
+        if rewritten or messages.peek_type(event.payload) != "RrcConnectionRequest":
+            return None
+        rewritten.append(event.seq)
+        if how == "action":
+            return Action(replace_payload=payload)
+        event.payload = payload  # a handler that writes the event itself
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="mitm", vantage=frozenset({Channel.RADIO_RRC}),
+        capabilities=frozenset({Capability.MODIFY}), handler=rewrite))
+    received, step = [], Entity.step
+
+    def recording_step(self, msg, event, ctx):
+        received.append((event.seq, msg))
+        step(self, msg, event, ctx)
+
+    monkeypatch.setattr(Entity, "step", recording_step)
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
+    world.run_until(20_000)
+
+    (seq,) = rewritten
+    got = [msg for at, msg in received if at == seq]
+    assert got == ([_rrc_request("forged")] if replacement == "forged" else [])
+    entry = next(e for e in world.transcript.entries if e.event.seq == seq)
+    assert entry.event.payload == payload
+
+
+# A storm of 50 registrations on three cells, and the codec calls it may
+# make per registration (a registration's 33 bus events included).
+STORM_UES = 50
+CODEC_BUDGET = {"encode": 41, "decode": 11, "peek_type": 3}
+
+
+def test_codec_work_per_registration_stays_within_budget(monkeypatch):
+    calls = Counter()
+    for name in CODEC_BUDGET:
+        def counted(*args, _name=name, _fn=getattr(messages, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(messages, name, counted)
+    world, _ = single_network_world(seed=5, ue_count=STORM_UES, cell_count=3)
+    ues = [world.entities[f"ue{i + 1}"] for i in range(STORM_UES)]
+    for i, ue in enumerate(ues):
+        trigger(world, ue.entity_id, messages.TriggerRegistration(target_cell=""),
+                delay=1 + i % 10)
+    world.run_until(1_000_000)
+
+    assert [ue.last_outcome() for ue in ues] == ["registered"] * STORM_UES
+    per_registration = {name: calls[name] / STORM_UES for name in CODEC_BUDGET}
+    assert all(per_registration[name] <= CODEC_BUDGET[name] for name in CODEC_BUDGET), \
+        per_registration

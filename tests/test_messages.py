@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import typing
 from dataclasses import fields
@@ -33,6 +35,17 @@ def test_round_trip_nested_list():
 def test_peek_type():
     msg = messages.TimerFired(timer_id=7)
     assert messages.peek_type(messages.encode(msg)) == "TimerFired"
+
+
+@pytest.mark.parametrize("size", range(6))
+def test_frame_cut_inside_its_tag_has_no_type(size):
+    # every prefix of a correct 4-byte length over a one-byte tag
+    frame = bytes.fromhex("0000000104")[:size]
+    for read in (messages.peek_type, messages.decode):
+        with pytest.raises(ValueError):
+            read(frame)
+    _, world = _deliver([frame])
+    assert [e.msg_type for e in world.transcript.entries] == ["?"]
 
 
 def test_framing_checked():
@@ -243,6 +256,80 @@ def test_mutated_payloads_decode_as_the_reference_decoder_does(cls, salt, mutati
         assert codec == "refused"
     else:
         assert codec == _outcome(oracles.decode_wire, tuple(messages._REGISTRY), payload)
+
+
+def _values(ftype):
+    """Any value the codec takes for a field of type ``ftype``."""
+    if typing.get_origin(ftype) is list:
+        return st.lists(_values(typing.get_args(ftype)[0]), max_size=3)
+    scalars = {int: st.integers(-2**63, 2**63 - 1), bool: st.booleans(),
+               bytes: st.binary(max_size=40), str: st.text(max_size=12)}
+    return scalars[ftype] if ftype in scalars else _instances(ftype)
+
+
+def _instances(cls):
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{f.name: _values(hints[f.name]) for f in fields(cls)})
+
+
+@given(st.sampled_from(messages._REGISTRY).flatmap(_instances))
+@settings(max_examples=400, deadline=None)
+def test_encoding_matches_the_reference_encoder(msg):
+    raw = messages.encode(msg)
+    assert raw == oracles.encode_wire(tuple(messages._REGISTRY), msg)
+    assert messages.decode(raw) == msg
+
+
+@pytest.mark.parametrize("ftype, value", [
+    (list[int], [-1, 2**63 - 1, 0]), (list[bool], [True, False]),
+    (list[bytes], [b"", b"\x00\x01"]), (list[list[str]], [["a", "é"], []]),
+], ids=str)
+def test_list_of_any_field_type_matches_the_reference_codec(ftype, value):
+    # no wire class declares these lists yet; a later one may
+    write, read = messages._item_codec(ftype)
+    reference = io.BytesIO()
+    oracles._field_writer(ftype, tuple(messages._REGISTRY))(reference, value)
+    assert write(value) == reference.getvalue()
+    assert read(reference.getvalue(), 0) == (value, len(reference.getvalue()))
+
+
+def _cell(**change):
+    return dataclasses.replace(sample(messages.CellInfo), **change)
+
+
+# Inputs outside the wire types: the codec takes what the reference encoder
+# takes, with the same value, and refuses the rest with the same exception.
+ODD_INPUTS = {
+    "int_too_large": messages.TimerFired(timer_id=2**63),
+    "int_too_small": messages.TimerFired(timer_id=-2**63 - 1),
+    "float_for_int": messages.TimerFired(timer_id=7.9),
+    "text_for_int": messages.TimerFired(timer_id="12"),
+    "none_for_int": messages.TimerFired(timer_id=None),
+    "truthy_text_for_bool": messages.AdminSetActive(active="no"),
+    "bytearray_for_bytes": messages.AppData(payload=bytearray(b"\x01\x02")),
+    "text_for_bytes": messages.AppData(payload="\x01"),
+    "bytes_for_text": messages.WorldAction(label=b"x"),
+    "lone_surrogate": messages.WorldAction(label="\ud800"),
+    "list_too_long": messages.CellScanResponse(cells=[sample(messages.CellInfo)] * 2**16),
+    "text_for_list": messages.CellScanResponse(cells="ab"),
+    "wrong_struct": messages.CellScanResponse(cells=[messages.TimerFired(timer_id=1)]),
+    "nested_int_too_large": messages.CellScanResponse(cells=[_cell(strength=2**64)]),
+    "nested_text_for_list": _cell(blacklist=[1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_INPUTS))
+def test_odd_inputs_encode_as_the_reference_encoder_does(name):
+    msg = ODD_INPUTS[name]
+
+    def outcome(encode, *args):
+        try:
+            return encode(*args)
+        except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+            return type(exc)
+
+    assert outcome(messages.encode, msg) == outcome(
+        oracles.encode_wire, tuple(messages._REGISTRY), msg)
 
 
 def test_misspelt_handler_fails_at_class_creation():
