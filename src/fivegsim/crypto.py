@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
-from cryptography.hazmat.primitives.ciphers.modes import CTR
+from cryptography.hazmat.primitives.ciphers.modes import CTR, ECB
 from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
@@ -188,6 +188,7 @@ def _ecies_keys(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes, bytes]:
 
 
 def _aes_ctr(key: bytes, icb: bytes, data: bytes) -> bytes:
+    """AES-128-CTR from a full 16-byte initial counter block (ECIES)."""
     cipher = Cipher(AES(key), CTR(icb))
     enc = cipher.encryptor()
     return enc.update(data) + enc.finalize()
@@ -512,8 +513,50 @@ class ProtectedMessage:
             raise ValueError(f"mac tag is {MAC_I_LEN} bytes")
 
 
-def _ctr_nonce(count: int, direction: int) -> bytes:
-    return count.to_bytes(4, "big") + bytes([direction & 1]) + b"\x00" * 11
+# 8-byte big-endian block indices: the low half of a message's counter blocks
+_BLOCK_INDEX = tuple(i.to_bytes(8, "big") for i in range(128))
+# DIRECTION and the zero bits after it, up to the block index
+_DIRECTION_PAD = (b"\x00\x00\x00\x00", b"\x01\x00\x00\x00")
+
+
+class _Keystream:
+    """128-NEA2 under one ciphering key, from one AES-ECB context.
+
+    A message's counter blocks start at COUNT (4 bytes) || DIRECTION
+    (1 byte) || 11 zero bytes (TS 33.501 Annex D) and count up (CTR mode,
+    SP 800-38A).  Block i never carries out of the low 8 bytes, so it is
+    COUNT || DIRECTION || 000 || i, and the ECB encryption of those blocks
+    laid end to end is the whole keystream.  The context is built at the
+    first message and only ever gets whole blocks, so nothing is left
+    buffered in it from one message to the next.
+    """
+
+    __slots__ = ("_key", "_ecb")
+
+    def __init__(self, key32: bytes | None):
+        self._key = key32
+        self._ecb = None
+
+    def apply(self, count: int, direction: int, data: bytes) -> bytes:
+        """``data`` XOR its keystream: enciphers and deciphers alike."""
+        nonce = count.to_bytes(4, "big") + _DIRECTION_PAD[direction & 1]
+        ecb = self._ecb
+        if ecb is None:
+            ecb = self._ecb = Cipher(AES(_aes_key(self._key)), ECB()).encryptor()
+        size = len(data)
+        if not size:
+            return b""  # no counter blocks: a bare nonce would be a partial block
+        blocks = (size + 15) >> 4
+        index = (_BLOCK_INDEX[:blocks] if blocks <= len(_BLOCK_INDEX)
+                 else [i.to_bytes(8, "big") for i in range(blocks)])
+        stream = ecb.update(nonce + nonce.join(index))
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(stream[:size], "big")).to_bytes(size, "big")
+
+
+def _keystream(key_enc: bytes | _Keystream | None) -> _Keystream:
+    """A link's own keystream, or a one-shot one for a raw key."""
+    return key_enc if type(key_enc) is _Keystream else _Keystream(key_enc)
 
 
 def _cmac_tag(key_int: bytes, count: int, direction: int, ciphertext: bytes) -> bytes:
@@ -526,7 +569,7 @@ def protect(
     payload: bytes,
     nea_id: int,
     nia_id: int,
-    key_enc: bytes | None,
+    key_enc: bytes | _Keystream | None,
     key_int: bytes | None,
     direction: int,
     count: int,
@@ -534,14 +577,15 @@ def protect(
     """Apply ciphering and integrity protection to one message.
 
     The null algorithms pass bytes through but the tag overhead is always
-    present (four zero bytes under null integrity).
+    present (four zero bytes under null integrity).  ``key_enc`` is the raw
+    ciphering key or a ``SecureLink``'s keystream built from it.
     """
     _require_running("ciphering", nea_id)
     _require_running("integrity", nia_id)
     if nea_id == 0:
         ciphertext = payload
     else:
-        ciphertext = _aes_ctr(_aes_key(key_enc), _ctr_nonce(count, direction), payload)
+        ciphertext = _keystream(key_enc).apply(count, direction, payload)
     if nia_id == 0:
         tag = b"\x00" * MAC_I_LEN
     else:
@@ -553,7 +597,7 @@ def unprotect(
     msg: ProtectedMessage,
     nea_id: int,
     nia_id: int,
-    key_enc: bytes | None,
+    key_enc: bytes | _Keystream | None,
     key_int: bytes | None,
     direction: int,
     count: int,
@@ -567,7 +611,7 @@ def unprotect(
             raise IntegrityFailure("message tag mismatch")
     if nea_id == 0:
         return msg.ciphertext
-    return _aes_ctr(_aes_key(key_enc), _ctr_nonce(count, direction), msg.ciphertext)
+    return _keystream(key_enc).apply(count, direction, msg.ciphertext)
 
 
 # COUNT is a 32-bit algorithm input.  A wrapper counted above it, or below
@@ -607,6 +651,7 @@ class SecureLink:
         self.wrapper = wrapper
         self.key_enc = keys.get(enc_name)
         self.key_int = keys.get(int_name)
+        self._stream = _Keystream(self.key_enc)  # its AES context comes with use
         self.nea_id = nea_id
         self.nia_id = nia_id
         self.direction = direction
@@ -621,7 +666,7 @@ class SecureLink:
         self.next_tx = count + 1
         nea_id = 0 if integrity_only else self.nea_id
         sealed = protect(messages.encode(inner), nea_id, self.nia_id,
-                         self.key_enc, self.key_int, self.direction, count)
+                         self._stream, self.key_int, self.direction, count)
         return self.wrapper(count=count, direction=self.direction, nea_id=nea_id,
                             nia_id=self.nia_id, mac_tag=sealed.mac_tag,
                             body=sealed.ciphertext)
@@ -644,7 +689,7 @@ class SecureLink:
         try:
             payload = unprotect(
                 ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-                nea_id, self.nia_id, self.key_enc, self.key_int,
+                nea_id, self.nia_id, self._stream, self.key_int,
                 wrapper.direction, count,
             )
         except IntegrityFailure:
@@ -679,20 +724,25 @@ def verify(key: bytes, message: bytes, signature: bytes) -> bool:
 
 @dataclass(frozen=True)
 class RejectSigningKeyPair:
-    """Ed25519 pair a network uses to sign pre-context reject messages."""
+    """Ed25519 pair a network uses to sign pre-context reject messages.
+
+    Only the seed is kept; the verification key is derived at its first
+    read, so a network whose cells sign no rejects never parses it.
+    """
 
     signing_key: bytes
-    verification_key: bytes
 
     def __post_init__(self):
-        if len(self.signing_key) != 32 or len(self.verification_key) != 32:
-            raise ValueError("keys are 32 bytes")
+        if len(self.signing_key) != 32:
+            raise ValueError("seed must be 32 bytes")
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "RejectSigningKeyPair":
-        if len(seed) != 32:
-            raise ValueError("seed must be 32 bytes")
-        return cls(signing_key=seed, verification_key=verification_key(seed))
+        return cls(signing_key=seed)
+
+    @cached_property
+    def verification_key(self) -> bytes:
+        return verification_key(self.signing_key)
 
 
 def _reject_message(reject_cause: int, cell_id: str, ue_nonce: bytes) -> bytes:

@@ -70,11 +70,16 @@ class SimEvent:
     origin: str = ""  # "entity:<id>", "adversary:<id>" or "world"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Annotations:
     modified: bool = False
     injected: bool = False
     dropped: bool = False
+
+
+# the eight possible annotations, one shared instance each, by (modified, injected, dropped)
+_NOTES = {(m, i, d): Annotations(m, i, d)
+          for m in (False, True) for i in (False, True) for d in (False, True)}
 
 
 @dataclass(slots=True)
@@ -253,6 +258,7 @@ class World:
         self.seed = seed
         self.streams = StreamFactory(seed)
         self.entities: dict[str, object] = {}
+        self._origins: dict[str, str] = {}  # entity id -> "entity:<id>", one string each
         self._cells: list = []  # entities with broadcast_info(), by id
         self.time = 0
         self._seq = 0
@@ -273,6 +279,7 @@ class World:
         if entity.entity_id in self.entities:
             raise ValueError(f"duplicate entity id {entity.entity_id}")
         self.entities[entity.entity_id] = entity
+        self._origins[entity.entity_id] = "entity:" + entity.entity_id
         if callable(getattr(entity, "broadcast_info", None)):
             bisect.insort(self._cells, entity, key=lambda e: e.entity_id)
 
@@ -292,10 +299,10 @@ class World:
         without it the receiver gets ``payload`` decoded."""
         if time < self.time:
             raise TimeInPast(f"cannot schedule at {time}, now is {self.time}")
-        event = SimEvent(time=time, seq=self._seq, channel=channel, src=src,
-                         dst=dst, payload=payload, origin=origin)
-        self._seq += 1
-        heapq.heappush(self._queue, (time, event.seq, event, msg))
+        seq = self._seq
+        self._seq = seq + 1
+        event = SimEvent(time, seq, channel, src, dst, payload, origin)
+        heapq.heappush(self._queue, (time, seq, event, msg))
         return event
 
     def schedule_message(self, delay: int, channel: Channel, src: str, dst: str,
@@ -341,69 +348,85 @@ class World:
                     return True
         return False
 
-    def _run_hooks(self, event: SimEvent, annotations: Annotations) -> None:
+    def _run_hooks(self, event: SimEvent) -> tuple[bool, bool]:
         """Pass ``event`` through each hook whose vantage covers its channel,
-        in attachment order, until one drops it."""
+        in attachment order, until one drops it.  Returns (modified, dropped).
+        A handler may also write ``event.payload`` itself: that counts as a
+        modification when its hook may MODIFY and is undone when it may not."""
+        modified = False
         for hook in self.adversaries:
             if event.channel not in hook.vantage:
                 continue
             if hook.can(Capability.OBSERVE) and self.channel_readable(hook, event.channel):
                 hook.knowledge.see(event.channel, event.payload, event.time)
-            action = hook.handler(self, hook, event) if hook.handler is not None else None
+            if hook.handler is None:
+                continue
+            before = event.payload
+            action = hook.handler(self, hook, event)
+            if event.payload is not before:
+                if hook.can(Capability.MODIFY):
+                    modified = True
+                else:
+                    event.payload = before
             if action is None:
                 continue
             if action.replace_payload is not None and hook.can(Capability.MODIFY):
                 event.payload = action.replace_payload
-                annotations.modified = True
+                modified = True
             if action.inject and hook.can(Capability.INJECT):
                 for delay, channel, src, dst, payload in action.inject:
                     self.schedule(self.time + delay, channel, src, dst,
                                   payload, f"adversary:{hook.adversary_id}")
             if action.drop and hook.can(Capability.DROP):
-                annotations.dropped = True
-                return
+                return modified, True
+        return modified, False
 
     def run_until(self, t_end: int) -> Transcript:
-        while self._queue and self._queue[0][0] <= t_end:
-            _, _, event, msg = heapq.heappop(self._queue)
-            self.time = event.time
-            annotations = Annotations(injected=event.origin.startswith("adversary:"))
+        queue, entities, transcript = self._queue, self.entities, self.transcript
+        origins = self._origins
+        while queue and queue[0][0] <= t_end:
+            _, _, event, msg = heapq.heappop(queue)
+            self.time = now = event.time
+            dst = event.dst
             msg_type = _peek(event.payload) if msg is None else type(msg).__name__
-            # settle the event's fate, record it once, then deliver it
-            if event.dst == "__world__":
+            modified = dropped = False
+            # settle the event's fate, record it once, then deliver it; the jam
+            # scan and the hooks run only while the world has jams or hooks
+            # (checked per event: a scheduled action may add either)
+            if dst == "__world__":
                 fn = self._actions.pop(event.seq, None)
                 if fn is not None:
                     fn(self)
-            elif self._jam_applies(event, msg_type):
-                annotations.dropped = True
-            else:
-                payload = event.payload
-                self._run_hooks(event, annotations)
-                if annotations.modified:
+            elif self.jams and self._jam_applies(event, msg_type):
+                dropped = True
+            elif self.adversaries:
+                modified, dropped = self._run_hooks(event)
+                if modified:  # the receiver gets the adversary's bytes, decoded
                     msg_type = _peek(event.payload)
-                if event.payload is not payload:
-                    msg = None  # the receiver gets the adversary's bytes, decoded
-            self.transcript.append(event, annotations, msg_type)
-            if annotations.dropped:
+                    msg = None
+            transcript.append(event, _NOTES[modified, event.origin.startswith("adversary:"),
+                                            dropped], msg_type)
+            if dropped:
                 continue
-            if event.dst == "__ether__":
+            if dst == "__ether__":
                 reply = messages.CellScanResponse(cells=self.active_cells())
-                self.schedule(self.time + 1, Channel.INTERNAL, "__ether__", event.src,
+                self.schedule(now + 1, Channel.INTERNAL, "__ether__", event.src,
                               messages.encode(reply), "world", reply)
                 continue
-            entity = self.entities.get(event.dst)
+            entity = entities.get(dst)
             if entity is None:
                 continue  # the world itself, or an unknown node: explicit no-op
             if msg is None:  # bytes no entity encoded: raw, injected or rewritten
                 try:
                     msg = messages.decode(event.payload)
                 except Exception:
-                    log.info("undecodable payload for %s ignored", event.dst)
+                    log.info("undecodable payload for %s ignored", dst)
                     continue
-            ctx = StepContext(self, event.dst)
+            ctx = StepContext(self, dst)
             entity.step(msg, event, ctx)
-            for delay, channel, dst, payload, sent in ctx.out:
-                self.schedule(self.time + delay, channel, event.dst, dst,
-                              payload, f"entity:{event.dst}", sent)
+            if ctx.out:
+                origin = origins[dst]
+                for delay, channel, to, payload, sent in ctx.out:
+                    self.schedule(now + delay, channel, dst, to, payload, origin, sent)
         self.time = max(self.time, t_end)
         return self.transcript

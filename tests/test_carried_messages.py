@@ -12,10 +12,10 @@ from collections import Counter
 import pytest
 
 import test_golden
-from fivegsim import messages
+from fivegsim import crypto, messages
 from fivegsim.entities import Entity
 from fivegsim.flows import trigger
-from fivegsim.netsim import Action, AdversaryHook, Capability, Channel
+from fivegsim.netsim import Action, AdversaryHook, Annotations, Capability, Channel
 from fivegsim.worldfile import single_network_world
 
 
@@ -118,10 +118,77 @@ def test_a_rewritten_payload_reaches_the_receiver_as_the_adversary_wrote_it(
     assert entry.event.payload == payload
 
 
+def _write_first_rrc_request(world, capabilities, payload: bytes):
+    """Attach a hook on RADIO_RRC whose handler sets ``event.payload`` of the
+    first ``RrcConnectionRequest`` itself, with no Action; returns the
+    (seq, original payload) it rewrote."""
+    rewritten = []
+
+    def rewrite(w, hook, event):
+        if rewritten or messages.peek_type(event.payload) != "RrcConnectionRequest":
+            return None
+        rewritten.append((event.seq, event.payload))
+        event.payload = payload
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="mitm", vantage=frozenset({Channel.RADIO_RRC}),
+        capabilities=frozenset(capabilities), handler=rewrite))
+    return rewritten
+
+
+@pytest.fixture
+def received(monkeypatch):
+    """Every (seq, message) an entity is handed, in delivery order."""
+    deliveries, step = [], Entity.step
+
+    def recording_step(self, msg, event, ctx):
+        deliveries.append((event.seq, msg))
+        step(self, msg, event, ctx)
+
+    monkeypatch.setattr(Entity, "step", recording_step)
+    return deliveries
+
+
+def test_a_payload_written_in_place_under_modify_is_recorded_as_a_modification(received):
+    world, _ = single_network_world(seed=3)
+    forged = messages.AppData(payload=b"forged")
+    rewritten = _write_first_rrc_request(world, {Capability.MODIFY},
+                                         messages.encode(forged))
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
+    world.run_until(20_000)
+
+    ((seq, _),) = rewritten
+    entry = next(e for e in world.transcript.entries if e.event.seq == seq)
+    assert entry.annotations == Annotations(modified=True)
+    assert entry.msg_type == "AppData"  # read from the payload the handler wrote
+    assert entry.event.payload == messages.encode(forged)
+    assert [msg for at, msg in received if at == seq] == [forged]
+
+
+def test_a_payload_written_in_place_without_modify_is_undone(received):
+    world, _ = single_network_world(seed=3)
+    rewritten = _write_first_rrc_request(
+        world, {Capability.OBSERVE}, messages.encode(_rrc_request("forged")))
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
+    world.run_until(20_000)
+
+    ((seq, original),) = rewritten
+    entry = next(e for e in world.transcript.entries if e.event.seq == seq)
+    assert entry.annotations == Annotations()
+    assert (entry.msg_type, entry.event.payload) == ("RrcConnectionRequest", original)
+    (got,) = [msg for at, msg in received if at == seq]
+    assert got.slice_id != "forged" and messages.encode(got) == original
+    assert world.entities["ue1"].last_outcome() == "registered"
+
+
 # A storm of 50 registrations on three cells, and the codec calls it may
 # make per registration (a registration's 33 bus events included).
 STORM_UES = 50
 CODEC_BUDGET = {"encode": 41, "decode": 11, "peek_type": 3}
+# AES cipher contexts per registration: one each to conceal and deconceal
+# the SUCI, then one per secure link, however many messages it carries
+ECIES_CONTEXTS = 2
 
 
 def test_codec_work_per_registration_stays_within_budget(monkeypatch):
@@ -131,6 +198,17 @@ def test_codec_work_per_registration_stays_within_budget(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(messages, name, counted)
+
+    def counted_cipher(*args, _fn=crypto.Cipher):
+        calls["cipher"] += 1
+        return _fn(*args)
+
+    def counted_link(self, *args, _fn=crypto.SecureLink.__init__, **kwargs):
+        calls["link"] += 1
+        _fn(self, *args, **kwargs)
+
+    monkeypatch.setattr(crypto, "Cipher", counted_cipher)
+    monkeypatch.setattr(crypto.SecureLink, "__init__", counted_link)
     world, _ = single_network_world(seed=5, ue_count=STORM_UES, cell_count=3)
     ues = [world.entities[f"ue{i + 1}"] for i in range(STORM_UES)]
     for i, ue in enumerate(ues):
@@ -139,6 +217,10 @@ def test_codec_work_per_registration_stays_within_budget(monkeypatch):
     world.run_until(1_000_000)
 
     assert [ue.last_outcome() for ue in ues] == ["registered"] * STORM_UES
-    per_registration = {name: calls[name] / STORM_UES for name in CODEC_BUDGET}
+    per_registration = {name: calls[name] / STORM_UES for name in calls}
     assert all(per_registration[name] <= CODEC_BUDGET[name] for name in CODEC_BUDGET), \
+        per_registration
+    # 6 today: 4 links (NAS and RRC, each end) carry 6 ciphered messages
+    assert per_registration["link"] <= 4, per_registration
+    assert per_registration["cipher"] <= ECIES_CONTEXTS + per_registration["link"], \
         per_registration

@@ -331,6 +331,30 @@ def test_protect_round_trip_property(payload, count, direction):
     assert crypto.unprotect(msg, 2, 2, KEY_ENC, KEY_INT, direction, count) == payload
 
 
+# bodies around the 16-byte block, a full-size packet and one longer than the
+# 128 precomputed block indices
+KEYSTREAM_SIZES = (0, 1, 15, 16, 17, 1400, 16 * 128 + 5)
+
+
+def ctr_icb(count: int, direction: int) -> bytes:
+    """The initial counter block of one message: COUNT, DIRECTION, zeros."""
+    return count.to_bytes(4, "big") + bytes([direction]) + bytes(11)
+
+
+def keystream_body(size: int, salt: int = 0) -> bytes:
+    return bytes((i * 7 + salt) % 256 for i in range(size))
+
+
+@pytest.mark.parametrize("size", KEYSTREAM_SIZES)
+@pytest.mark.parametrize("count", [0, crypto.COUNT_MAX])
+@pytest.mark.parametrize("direction", [0, 1])
+def test_ciphering_is_aes_ctr_from_count_and_direction(size, count, direction):
+    body = keystream_body(size)
+    sealed = crypto.protect(body, 2, 0, KEY_ENC, None, direction, count)
+    assert sealed.ciphertext == oracles.aes128_ctr(KEY_ENC[16:], ctr_icb(count, direction), body)
+    assert crypto.unprotect(sealed, 2, 0, KEY_ENC, None, direction, count) == body
+
+
 def test_count_direction_bind_the_tag():
     msg = crypto.protect(b"secret", 2, 2, KEY_ENC, KEY_INT, 0, 3)
     with pytest.raises(crypto.IntegrityFailure):

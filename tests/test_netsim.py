@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -209,6 +210,33 @@ def test_jam_suppression_requires_policy_and_flag():
     world2.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=2_000,
                                suppressed=True))
     assert run_registration(world2, "ue1", horizon=1_800).outcome == "timeout"
+
+
+def test_a_jam_or_hook_added_by_a_scheduled_action_applies_to_later_events():
+    # the bus looks for jams and hooks at every event, not once per run_until
+    jammed, _ = single_network_world(seed=7)
+    jammed.schedule_action(0, "jam", lambda w: w.apply_jam(
+        JamWindow(target_cell="cell-a", t_start=0, t_end=2_000)))
+    assert run_registration(jammed, "ue1", horizon=1_800).outcome == "timeout"
+
+    tapped, _ = single_network_world(seed=7)
+    eve = AdversaryHook(adversary_id="eve", vantage=frozenset({Channel.RADIO_NAS}),
+                        capabilities=frozenset({Capability.OBSERVE}))
+    tapped.schedule_action(0, "tap", lambda w: w.attach_adversary(eve))
+    assert run_registration(tapped, "ue1").success
+    assert eve.knowledge.seen
+
+
+def test_annotations_are_frozen_and_shared():
+    world, _ = single_network_world(seed=8)
+    world.schedule(5, Channel.RADIO_RRC, "bot", "cell-a", b"\x00", "adversary:flood")
+    run_registration(world, "ue1")
+    notes = [entry.annotations for entry in world.transcript.entries]
+    assert notes.count(Annotations(injected=True)) == 1
+    # every entry holds one of two instances: the clean one and the injected one
+    assert len({id(n) for n in notes}) == 2 and len(notes) > 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        notes[0].dropped = True
 
 
 def test_injected_events_are_annotated():

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+import oracles
 from fivegsim import crypto, messages
 from fivegsim.entities.base import try_decode
 from fivegsim.flows import (
@@ -23,6 +24,7 @@ from fivegsim.flows import (
 from fivegsim.netsim import RADIO_CHANNELS, Action, AdversaryHook, Capability, Channel
 from fivegsim.policy import OperatorPolicy
 from fivegsim.worldfile import single_network_world
+from test_crypto import ctr_icb, keystream_body
 
 KEYS = {
     name: bytes([i + 1]) * 32
@@ -65,6 +67,43 @@ def test_secure_link_counts_never_decrease():
     # each direction keeps its own counter
     assert network_end.seal(INNER).count == 0
     assert ue_end.open(network_end.seal(INNER)) == messages.encode(INNER)
+
+
+# a run of bodies of mixed sizes: empty ones, partial blocks, whole blocks,
+# full-size packets and one past the precomputed block indices
+MIXED_SIZES = (17, 0, 1400, 1, 16, 0, 2053, 15, 64, 0, 1400)
+
+
+@pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
+def test_a_link_seals_as_one_shot_protect_calls_do(wrapper):
+    """One AES context serves every message of a link; each body equals a
+    fresh protect call with the raw key, and matches the CTR oracle."""
+    ue_end, network_end = _pair(wrapper)
+    enc_name, int_name = crypto._LINK_KEYS[wrapper]
+    for count, size in enumerate(MIXED_SIZES):
+        inner = messages.AppData(payload=keystream_body(size, salt=count))
+        plaintext = messages.encode(inner)
+        sealed = ue_end.seal(inner)
+        one_shot = crypto.protect(plaintext, 2, 2, KEYS[enc_name], KEYS[int_name], 0, count)
+        assert (sealed.body, sealed.mac_tag) == (one_shot.ciphertext, one_shot.mac_tag)
+        assert sealed.body == oracles.aes128_ctr(KEYS[enc_name][16:], ctr_icb(count, 0),
+                                                 plaintext)
+        assert network_end.open(sealed) == plaintext
+
+
+@pytest.mark.parametrize("first", [0, crypto.COUNT_MAX + 1 - len(MIXED_SIZES)])
+def test_a_link_opens_empty_and_long_bodies_between_others(first):
+    """Empty bodies reach the receiving link's keystream too (``seal``
+    always has a header to cipher); the messages after them still open."""
+    _, network_end = _pair(messages.SecuredUp)
+    network_end.next_rx = first
+    key_enc, key_int = KEYS["k_up_enc"], KEYS["k_up_int"]
+    for count, size in enumerate(MIXED_SIZES, start=first):
+        body = keystream_body(size, salt=count)
+        one_shot = crypto.protect(body, 2, 2, key_enc, key_int, 0, count)
+        wrapper = messages.SecuredUp(count=count, direction=0, nea_id=2, nia_id=2,
+                                     mac_tag=one_shot.mac_tag, body=one_shot.ciphertext)
+        assert network_end.open(wrapper) == body
 
 
 def test_open_rejects_own_direction():
