@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .identity import (
     ConcealedIdentity,
     EquipmentIdentity,
-    KeyHierarchy,
     LongTermCredential,
     SecurityContext,
     SubscriberIdentity,
@@ -55,7 +54,7 @@ from .scenarios import (
 __all__ = [
     "Action", "AdversaryHook", "CATALOG", "Capability", "Channel",
     "ComponentKind", "ConcealedIdentity", "EquipmentIdentity", "Impact",
-    "JamWindow", "KeyHierarchy", "Knowledge", "Likelihood",
+    "JamWindow", "Knowledge", "Likelihood",
     "LongTermCredential", "OperatorPolicy", "RiskLevel", "ScenarioReport",
     "SecurityContext", "SimEvent", "Stride", "SubscriberIdentity",
     "SuciScheme", "TemporaryIdentity", "ThreatScenario", "Transcript",

@@ -13,6 +13,7 @@ import enum
 import hashlib
 import hmac as hmac_mod
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -35,14 +36,12 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import messages
 from .identity import (
-    KEY_PARENT,
+    KEY_LEN,
     ConcealedIdentity,
-    KeyHierarchy,
     LongTermCredential,
     SubscriberIdentity,
     SuciScheme,
     UnsupportedScheme,
-    key_ancestors,
 )
 from .randomness import RandomStream
 
@@ -87,6 +86,11 @@ def load_labels() -> dict:
 
 
 _LABELS = load_labels()
+
+# Fixed derivation DAG, child -> parent, parents before children: the
+# "chain" table of data/kdf_labels.json, which lists it in that order.
+KEY_PARENT: dict[str, str] = {
+    child: spec["parent"] for child, spec in _LABELS["chain"].items()}
 
 
 class IntegrityFailure(Exception):
@@ -420,15 +424,24 @@ def _chain_context(
     }
 
 
-def _populate(hierarchy: KeyHierarchy, names: list[str], ctx: dict[str, bytes]) -> None:
+def _derive_from(root: str, key: bytes, names: Iterable[str],
+                 ctx: dict[str, bytes]) -> dict[str, bytes]:
+    """``{root: key}`` plus each of ``names`` derived from its parent, in order."""
+    if len(key) != KEY_LEN:
+        raise ValueError(f"{root} must be {KEY_LEN} bytes")
+    keys = {root: key}
     for child in names:
-        parent = _LABELS["chain"][child]["parent"]
-        hierarchy.record(child, parent, _derive_edge(hierarchy.get(parent), child, ctx))
+        keys[child] = _derive_edge(keys[KEY_PARENT[child]], child, ctx)
+    return keys
 
 
-def _below(key: str) -> list[str]:
-    """The keys derived from ``key``, directly or not, in KEY_PARENT order."""
-    return [name for name in KEY_PARENT if key in key_ancestors(name)]
+def _below(root: str) -> list[str]:
+    """The keys derived from ``root``, directly or not, in KEY_PARENT order."""
+    below: list[str] = []
+    for child, parent in KEY_PARENT.items():
+        if parent == root or parent in below:
+            below.append(child)
+    return below
 
 
 # The gNB derives the AS keys from k_gnb; the AMF derives the keys from
@@ -450,13 +463,10 @@ def derive_key_chain(
     abba: bytes,
     nea_id: int,
     nia_id: int,
-) -> KeyHierarchy:
+) -> dict[str, bytes]:
     """Populate the whole derivation DAG from the anchor key (UE side)."""
     ctx = _chain_context(serving_network_name, supi, abba, nea_id, nia_id)
-    hierarchy = KeyHierarchy()
-    hierarchy.set_root("k_ausf", k_ausf)
-    _populate(hierarchy, list(KEY_PARENT), ctx)
-    return hierarchy
+    return _derive_from("k_ausf", k_ausf, KEY_PARENT, ctx)
 
 
 def derive_chain_from_seaf(
@@ -465,22 +475,16 @@ def derive_chain_from_seaf(
     abba: bytes,
     nea_id: int,
     nia_id: int,
-) -> KeyHierarchy:
+) -> dict[str, bytes]:
     """Serving-network chain: the AMF never sees the anchor key above k_seaf."""
     ctx = _chain_context("", supi, abba, nea_id, nia_id)
-    hierarchy = KeyHierarchy()
-    hierarchy.set_root("k_seaf", k_seaf)
-    _populate(hierarchy, _SERVING_KEYS, ctx)
-    return hierarchy
+    return _derive_from("k_seaf", k_seaf, _SERVING_KEYS, ctx)
 
 
-def derive_as_keys(k_gnb: bytes, nea_id: int, nia_id: int) -> KeyHierarchy:
+def derive_as_keys(k_gnb: bytes, nea_id: int, nia_id: int) -> dict[str, bytes]:
     """Radio-side chain: the gNB starts from k_gnb and derives only AS keys."""
     ctx = _chain_context("", "", b"\x00\x00", nea_id, nia_id)
-    hierarchy = KeyHierarchy()
-    hierarchy.set_root("k_gnb", k_gnb)
-    _populate(hierarchy, _AS_KEYS, ctx)
-    return hierarchy
+    return _derive_from("k_gnb", k_gnb, _AS_KEYS, ctx)
 
 
 # ---------------------------------------------------------------------------

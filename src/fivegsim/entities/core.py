@@ -31,12 +31,6 @@ class UnknownGuti(KeyError):
 
 
 @dataclass
-class RenewalDirective:
-    guti: str
-    session: str
-
-
-@dataclass
 class AmfSession:
     sid: str
     seq: int  # unique at the AMF: the RAN UE id toward an NSA en-gNB
@@ -99,7 +93,7 @@ class Amf(Entity):
         self._session_seq = 0
         self._sbi_seq = 0
         self._timer_seq = 0
-        self._timers: dict[int, tuple] = {}
+        self._timers: dict[int, str] = {}  # renewal timer id -> session id
         self._guti_alloc: GutiAllocator | None = None
 
     # -- helpers ---------------------------------------------------------------
@@ -363,7 +357,7 @@ class Amf(Entity):
         self.contexts[temp.guti.hex()] = session.sid
         if self.policy.context_renewal_interval is not None:
             self._timer_seq += 1
-            self._timers[self._timer_seq] = ("renew", session.sid)
+            self._timers[self._timer_seq] = session.sid
             ctx.timer(self.policy.context_renewal_interval, self._timer_seq)
         self._send_protected_nas(ctx, session, messages.RegistrationAccept(guti=temp.guti))
 
@@ -393,11 +387,10 @@ class Amf(Entity):
     # -- context renewal ------------------------------------------------------------------
 
     def on_timer_fired(self, msg, event, ctx) -> None:
-        purpose = self._timers.pop(msg.timer_id, None)
-        if purpose is None:
+        sid = self._timers.pop(msg.timer_id, None)
+        if sid is None:
             ctx.ignore()
             return
-        _, sid = purpose  # ("renew", session id)
         session = self.sessions.get(sid)
         if session is None or session.guti is None or session.state != "registered":
             return
@@ -613,15 +606,13 @@ def validate_nf_token(producer: NfProducer, token: bytes, now: int) -> messages.
     return claim
 
 
-def renew_context(amf: Amf, guti: str, now: int) -> list[RenewalDirective]:
-    """Decide whether a held context is due for a forced renewal."""
+def renew_context(amf: Amf, guti: str, now: int) -> bool:
+    """Whether a held context is due for a forced renewal."""
     sid = amf.contexts.get(guti)
     if sid is None:
         raise UnknownGuti(guti)
     session = amf.sessions[sid]
     interval = amf.policy.context_renewal_interval
     if interval is None or session.context is None:
-        return []
-    if now - session.context.born_at >= interval:
-        return [RenewalDirective(guti=guti, session=sid)]
-    return []
+        return False
+    return now - session.context.born_at >= interval

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import crypto, messages
-from ..identity import KEY_LEN, KeyHierarchy
+from ..identity import KEY_LEN
 from ..netsim import Channel
 from ..policy import algorithms
 from .base import Entity, open_secured
@@ -44,7 +44,7 @@ class SliceAdmission:
 @dataclass
 class RadioUeContext:
     ue_id: str
-    as_keys: KeyHierarchy | None = None
+    as_keys: dict[str, bytes] | None = None
     rrc: crypto.SecureLink | None = None
     up: crypto.SecureLink | None = None
     secured: bool = False

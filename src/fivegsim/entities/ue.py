@@ -15,7 +15,6 @@ from functools import partial
 from .. import crypto, messages
 from ..identity import (
     EquipmentIdentity,
-    KeyHierarchy,
     LongTermCredential,
     SecurityContext,
     SubscriberIdentity,
@@ -94,7 +93,7 @@ class Ue(Entity):
         self._timer_seq = 0
 
         self.context: SecurityContext | None = None
-        self.as_keys: KeyHierarchy | None = None
+        self.as_keys: dict[str, bytes] | None = None
         self.nas_link: crypto.SecureLink | None = None
         self.rrc_link: crypto.SecureLink | None = None
         self.up_link: crypto.SecureLink | None = None

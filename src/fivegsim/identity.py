@@ -1,17 +1,16 @@
-"""Subscriber and equipment identifiers plus the derived-key hierarchy.
+"""Subscriber and equipment identifiers plus the per-session security state.
 
 Covers the permanent identity (SUPI), its concealed form (SUCI), the
 equipment identity (PEI), temporary identifiers (5G-GUTI / S-TMSI), the
-long-term subscriber credential and the per-session key chain with
-derivation provenance.
+long-term subscriber credential and the per-session security context,
+whose keys are a plain name -> key dict that ``crypto`` derives along the
+chain of ``data/kdf_labels.json``.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from dataclasses import dataclass, replace
 
 from .randomness import RandomStream
 
@@ -263,94 +262,12 @@ class LongTermCredential:
         return replace(self, sqn=self.sqn + 1)
 
 
-def _load_key_parents() -> dict[str, str]:
-    with resources.files("fivegsim.data").joinpath("kdf_labels.json").open("rb") as fh:
-        chain = json.load(fh)["chain"]
-    return {child: spec["parent"] for child, spec in chain.items()}
-
-
-# Fixed derivation DAG, child -> parent in derivation order, as the
-# "chain" table of data/kdf_labels.json defines it.
-KEY_PARENT: dict[str, str] = _load_key_parents()
-# Every key name, the root (a parent that is nobody's child) first.
-KEY_NAMES: tuple[str, ...] = tuple(dict.fromkeys(
-    [p for p in KEY_PARENT.values() if p not in KEY_PARENT] + list(KEY_PARENT)))
-
-
-def key_ancestors(name: str) -> list[str]:
-    """Ancestor chain of a key name, nearest parent first."""
-    chain = []
-    while name in KEY_PARENT:
-        name = KEY_PARENT[name]
-        chain.append(name)
-    return chain
-
-
-class DerivationOrderError(ValueError):
-    """A key was recorded before its parent, or with an edge outside the DAG."""
-
-
-@dataclass
-class KeyHierarchy:
-    """Populated derived keys plus the ordered log of derivation edges.
-
-    Keys may only be recorded once their parent is present; entities that
-    never see the upper chain (the serving AMF starts at k_seaf, the gNB
-    at k_gnb) declare those keys as roots.
-    """
-
-    keys: dict[str, bytes] = field(default_factory=dict)
-    derivation_log: list[tuple[str, str]] = field(default_factory=list)
-    roots: set[str] = field(default_factory=set)
-
-    def set_root(self, name: str, key: bytes) -> None:
-        if name not in KEY_NAMES:
-            raise DerivationOrderError(f"unknown key name {name}")
-        if len(key) != KEY_LEN:
-            raise ValueError(f"{name} must be {KEY_LEN} bytes")
-        if self.keys:
-            raise DerivationOrderError("root must be set before any derivation")
-        self.roots.add(name)
-        self.keys[name] = key
-
-    def record(self, child: str, parent: str, key: bytes) -> None:
-        if KEY_PARENT.get(child) != parent:
-            raise DerivationOrderError(f"{parent} -> {child} is not a derivation edge")
-        if parent not in self.keys:
-            raise DerivationOrderError(f"parent {parent} not derived yet for {child}")
-        if child in self.keys:
-            raise DerivationOrderError(f"{child} already derived")
-        if len(key) != KEY_LEN:
-            raise ValueError(f"{child} must be {KEY_LEN} bytes")
-        self.keys[child] = key
-        self.derivation_log.append((child, parent))
-
-    def get(self, name: str) -> bytes:
-        return self.keys[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.keys
-
-    def validate(self) -> None:
-        """Check topological consistency of the log against the fixed DAG."""
-        seen = set(self.roots)
-        for child, parent in self.derivation_log:
-            if KEY_PARENT.get(child) != parent:
-                raise DerivationOrderError(f"edge {parent} -> {child} outside DAG")
-            if parent not in seen:
-                raise DerivationOrderError(f"{child} logged before parent {parent}")
-            seen.add(child)
-        for name in self.keys:
-            if name not in seen:
-                raise DerivationOrderError(f"{name} present without derivation or root")
-
-
 @dataclass
 class SecurityContext:
     """Per-session NAS security state shared by UE and AMF."""
 
     ng_ksi: int
-    keys: KeyHierarchy
+    keys: dict[str, bytes]  # key name -> key, as crypto derives them
     nea_id: int
     nia_id: int
     abba: bytes = b"\x00\x00"

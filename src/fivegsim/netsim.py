@@ -375,6 +375,8 @@ class World:
                 modified = True
             if action.inject and hook.can(Capability.INJECT):
                 for delay, channel, src, dst, payload in action.inject:
+                    if delay < 0:
+                        continue  # nothing can be sent into the past: ignored
                     self.schedule(self.time + delay, channel, src, dst,
                                   payload, f"adversary:{hook.adversary_id}")
             if action.drop and hook.can(Capability.DROP):

@@ -460,9 +460,9 @@ def _run_ts04(seed: int, overrides: dict) -> tuple[World, dict]:
 
     def dump_context(w: World) -> None:
         if ue.context is not None:
-            spy.knowledge.grant("nas_keys", dict(ue.context.keys.keys))
+            spy.knowledge.grant("nas_keys", dict(ue.context.keys))
         if ue.as_keys is not None:
-            spy.knowledge.grant("as_keys", dict(ue.as_keys.keys))
+            spy.knowledge.grant("as_keys", dict(ue.as_keys))
 
     world.schedule_action(4000, "me-context-dump", dump_context)
     _script(world, "ue1", (8000, _PDU_SESSION),
@@ -562,7 +562,7 @@ def _run_ts08(seed: int, overrides: dict) -> tuple[World, dict]:
     def lift_radio_keys(w: World) -> None:
         for radio in net.cells[0].ue_contexts.values():
             if radio.ue_id == "ue1" and radio.as_keys is not None:
-                spy.knowledge.grant("gnb_keys", dict(radio.as_keys.keys))
+                spy.knowledge.grant("gnb_keys", dict(radio.as_keys))
 
     world.schedule_action(4000, "gnb-key-lift", lift_radio_keys)
     _script(world, "ue1", (4500, messages.TriggerAppData(payload=_MARKER_A)))
@@ -589,7 +589,7 @@ def _run_ts09(seed: int, overrides: dict) -> tuple[World, dict]:
     def dump_amf(w: World) -> None:
         for session in net.amf.sessions.values():
             if session.context is not None:
-                spy.knowledge.grant("amf_keys", dict(session.context.keys.keys))
+                spy.knowledge.grant("amf_keys", dict(session.context.keys))
 
     world.schedule_action(4000, "amf-context-dump", dump_amf)
     _script(world, "ue1", (5000, _PDU_SESSION))

@@ -4,11 +4,8 @@ from hypothesis import strategies as st
 
 from fivegsim.identity import (
     ConcealedIdentity,
-    DerivationOrderError,
     EquipmentIdentity,
     GutiAllocator,
-    KEY_PARENT,
-    KeyHierarchy,
     LongTermCredential,
     SecurityContext,
     SubscriberIdentity,
@@ -134,67 +131,8 @@ def test_credential_sqn_monotone():
     assert cred.sqn == 5  # original untouched
 
 
-def _full_chain_edges():
-    # parents before children: fixed DAG in dependency order
-    order = ["k_seaf", "k_amf", "k_nas_int", "k_nas_enc", "k_gnb",
-             "k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc"]
-    return [(child, KEY_PARENT[child]) for child in order]
-
-
-def test_key_hierarchy_accepts_topological_order():
-    h = KeyHierarchy()
-    h.set_root("k_ausf", bytes(32))
-    for child, parent in _full_chain_edges():
-        h.record(child, parent, bytes(32))
-    h.validate()
-
-
-def test_key_hierarchy_rejects_child_before_parent():
-    h = KeyHierarchy()
-    h.set_root("k_ausf", bytes(32))
-    with pytest.raises(DerivationOrderError):
-        h.record("k_amf", "k_seaf", bytes(32))
-
-
-def test_key_hierarchy_rejects_non_dag_edge():
-    h = KeyHierarchy()
-    h.set_root("k_ausf", bytes(32))
-    h.record("k_seaf", "k_ausf", bytes(32))
-    with pytest.raises(DerivationOrderError):
-        h.record("k_ausf", "k_seaf", bytes(32))  # child -> ancestor
-    with pytest.raises(DerivationOrderError):
-        h.record("k_gnb", "k_seaf", bytes(32))  # skips a level
-
-
-@given(st.permutations([c for c, _ in _full_chain_edges()]))
-@settings(max_examples=200, deadline=None)
-def test_key_hierarchy_random_orders_only_topological(order):
-    edges = dict(_full_chain_edges())
-    h = KeyHierarchy()
-    h.set_root("k_ausf", bytes(32))
-    ok = True
-    try:
-        for child in order:
-            h.record(child, edges[child], bytes(32))
-    except DerivationOrderError:
-        ok = False
-    # the attempt succeeds exactly when the order was topological
-    seen = {"k_ausf"}
-    topological = True
-    for child in order:
-        if edges[child] not in seen:
-            topological = False
-            break
-        seen.add(child)
-    assert ok == topological
-    if ok:
-        h.validate()
-
-
 def _context():
-    h = KeyHierarchy()
-    h.set_root("k_ausf", bytes(32))
-    return SecurityContext(ng_ksi=1, keys=h, nea_id=2, nia_id=2)
+    return SecurityContext(ng_ksi=1, keys={"k_ausf": bytes(32)}, nea_id=2, nia_id=2)
 
 
 def test_security_context_default_abba_is_zero():

@@ -250,6 +250,29 @@ def test_injected_events_are_annotated():
     assert injected and injected[0].event.src == "bot"
 
 
+def test_injection_into_the_past_is_ignored():
+    # an INJECT item with a negative delay cannot be scheduled: it is ignored,
+    # with no queue entry and no transcript line, and the run goes on
+    payload = messages.encode(messages.RrcConnectionRequest(
+        c_rnti=b"\x00\x01", slice_id="embb", ue_nonce=b"n" * 8))
+    calls = []
+
+    def into_the_past(w, hook, event):
+        calls.append(event.seq)
+        return Action(inject=[(-5, Channel.RADIO_RRC, "bot", "cell-a", payload)])
+
+    world, _ = single_network_world(seed=3)
+    world.attach_adversary(AdversaryHook(
+        adversary_id="past", vantage=frozenset({Channel.RADIO_RRC}),
+        capabilities=frozenset({Capability.INJECT}), handler=into_the_past))
+    assert run_registration(world, "ue1").success
+    assert calls
+    assert not any(e.annotations.injected for e in world.transcript.entries)
+    clean, _ = single_network_world(seed=3)
+    run_registration(clean, "ue1")
+    assert world.transcript.sha256() == clean.transcript.sha256()
+
+
 def test_transcript_scan_counts_payload_bytes():
     world, _ = single_network_world(seed=3)
     run_registration(world, "ue1")
