@@ -122,14 +122,13 @@ def _cmd_run_registration(args, overrides, expectations) -> int:
             return EXIT_WORLD
     else:
         world, builder = single_network_world(seed=args.seed)
-    world.seed = args.seed
     outcomes = {}
     for ue_id in sorted(builder.ues):
         outcome = run_registration(world, ue_id)
         outcomes[ue_id] = outcome.outcome
     payload = {
         "run": "registration",
-        "seed": args.seed,
+        "seed": world.seed,
         "outcomes": outcomes,
         "transcript_sha256": world.transcript.sha256(),
     }

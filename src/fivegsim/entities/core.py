@@ -113,11 +113,13 @@ class Amf(Entity):
             return self.sepp_id
         return self.ausf_id
 
-    def _sbi_session(self, msg, ctx) -> AmfSession | None:
-        """The session a core-side reply belongs to; None (ignored) if unknown."""
+    def _sbi_session(self, msg, ctx, state: str) -> AmfSession | None:
+        """The session a core-side reply belongs to, in the step that waits
+        for it; None (ignored) if unknown or in any other step."""
         session = self.sessions.get(self.by_sbi.get(msg.session))
-        if session is None:
+        if session is None or session.state != state:
             ctx.ignore()
+            return None
         return session
 
     def _new_sbi_sid(self, session: AmfSession) -> str:
@@ -206,7 +208,7 @@ class Amf(Entity):
         )))
 
     def on_auth_response_sbi(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx)
+        session = self._sbi_session(msg, ctx, "auth_pending")
         if session is None:
             return
         if len(msg.k_seaf) != KEY_LEN or len(msg.rand) != 16:
@@ -217,7 +219,7 @@ class Amf(Entity):
         self._challenge(ctx, session, msg)
 
     def on_auth_reject_sbi(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx)
+        session = self._sbi_session(msg, ctx, "auth_pending")
         if session is None:
             return
         self._reject(ctx, session, f"auth_rejected:{msg.cause}")
@@ -225,7 +227,7 @@ class Amf(Entity):
     # -- authentication (legacy direct path) ----------------------------------------
 
     def on_udm_auth_response(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx)
+        session = self._sbi_session(msg, ctx, "auth_pending")
         if session is None:
             return
         if len(msg.k_ausf) != KEY_LEN:
@@ -248,18 +250,18 @@ class Amf(Entity):
             ctx.ignore()
             return
         inner = try_decode(msg.nas)
-        if isinstance(inner, messages.AuthenticationResponse):
+        if isinstance(inner, messages.SecuredNas):
+            self._handle_secured_uplink(session, inner, ctx)
+        elif session.state != "challenge_sent":  # a duplicate, late or forged answer
+            ctx.ignore()
+        elif isinstance(inner, messages.AuthenticationResponse):
             self._handle_auth_response(session, inner, ctx)
         elif isinstance(inner, messages.AuthenticationFailure):
             session.state = f"auth_failure:{inner.cause}"
-        elif isinstance(inner, messages.SecuredNas):
-            self._handle_secured_uplink(session, inner, ctx)
         else:
             ctx.ignore()
 
     def _handle_auth_response(self, session: AmfSession, msg, ctx) -> None:
-        if session.state != "challenge_sent":
-            return  # duplicate or out-of-order response
         if len(msg.res) != 16:
             ctx.ignore()
             return
@@ -278,13 +280,11 @@ class Amf(Entity):
         ))
 
     def on_confirm_response_sbi(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx)
+        session = self._sbi_session(msg, ctx, "confirm_pending")
         if session is None:
             return
         if not msg.success:
             self._reject(ctx, session, "auth_failed:home_check")
-            return
-        if session.state != "confirm_pending":
             return
         # the one transition where the serving network learns the identity
         session.supi = msg.supi

@@ -8,10 +8,13 @@ same bytes as hex, so byte-level scans of a transcript see exactly what
 an on-path observer sees.
 
 Each wire class's codec is compiled the first time the class is encoded
-or decoded, never at import: one writer that returns the body from a
-single ``b"".join`` and one reader that walks the body by offset.  In
-both, one precompiled ``struct`` covers each run of consecutive
-fixed-width values (ints, booleans, length prefixes and list counts).
+or decoded, never at import, by one walk over its field types
+(``_compile``) that emits two functions together: a writer that returns
+the body from a single ``b"".join`` and a reader that walks the body by
+offset.  A list field's item type goes through the same walk, as one
+value without a class.  In both functions, one precompiled ``struct``
+covers each run of consecutive fixed-width values (ints, booleans,
+length prefixes and list counts).
 The classes are plain, mutable dataclasses: the bus hands the sender's
 object to the receiver, so a handler must never change a message it got.
 """
@@ -35,39 +38,6 @@ def wire(cls):
 
 _HEAD = struct.Struct(">IH").pack  # frame length, type tag
 _U32, _U16 = (struct.Struct(f).unpack_from for f in (">I", ">H"))
-_PACK = {code: struct.Struct(">" + code).pack for code in "qIH?"}
-_UNPACK = {code: struct.Struct(">" + code).unpack_from for code in "qB"}
-
-
-def _item_codec(ftype) -> tuple:
-    """(write(value) -> bytes, read(data, pos) -> (value, next pos)) of one list item."""
-    if typing.get_origin(ftype) is list:
-        (inner,) = typing.get_args(ftype)
-        write_item, read_item = _item_codec(inner)
-
-        def read(data, pos):
-            items, pos = [], pos + 2
-            for _ in range(_U16(data, pos - 2)[0]):  # a forged count fails at the first gap
-                item, pos = read_item(data, pos)
-                items.append(item)
-            return items, pos
-        return (lambda value: _PACK["H"](len(value)) + b"".join(map(write_item, value))), read
-    if ftype is int:
-        return (lambda value: _PACK["q"](int(value))), (
-            lambda data, pos: (_UNPACK["q"](data, pos)[0], pos + 8))
-    if ftype is bool:
-        return _PACK["?"], lambda data, pos: (_UNPACK["B"](data, pos)[0] == 1, pos + 1)
-    if ftype is bytes:
-        return (lambda value: _PACK["I"](len(value)) + value), (
-            lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])], end))
-    if ftype is str:
-        return (lambda value: _PACK["I"](len(raw := value.encode())) + raw), (
-            lambda data, pos: (data[pos + 4:(end := pos + 4 + _U32(data, pos)[0])].decode(), end))
-    if ftype in _REGISTRY:
-        _, write, read = _plan(ftype)
-        return (lambda value: _PACK["I"](len(body := write(value))) + body), (
-            lambda data, pos: (read(data, pos + 4, end := pos + 4 + _U32(data, pos)[0]), end))
-    raise TypeError(f"unsupported wire field type {ftype!r}")
 
 
 def _define(name: str, params: str, lines: list[str], env: dict):
@@ -95,92 +65,79 @@ class _Runs:
         self.env[name] = value
         return name
 
+    def close(self, method: str) -> tuple[str, str]:
+        """Close the open run: the global name of its struct's ``method``, and its values."""
+        name = self.bind(getattr(struct.Struct(">" + self.codes), method))
+        values, self.codes, self.values = ", ".join(self.values), "", []
+        return name, values
 
-def _compile_writer(cls, hints: dict):
-    """write(msg) -> the body of ``msg``, its fields in wire order."""
-    src, parts = _Runs(), []
 
-    def pack():  # close the open run
-        if src.values:
-            packer = src.bind(struct.Struct(">" + src.codes).pack)
-            parts.append(f"{packer}({', '.join(src.values)})")
-            src.codes, src.values = "", []
+def _compile(values: list, cls=None) -> tuple:
+    """(write, read) of ``values``, ``(expression, wire type)`` pairs in wire
+    order, from one walk over their types.  Of a class's fields:
+    write(msg) -> body and read(data, pos, end) -> msg.  Of one list item
+    (no class): write(item) -> bytes and read(data, pos) -> (item, next pos)."""
+    w, r, parts, args = _Runs(), _Runs(), [], []
 
-    for i, f in enumerate(fields(cls)):
-        ftype, value = hints[f.name], f"msg.{f.name}"
+    def close() -> int:  # close the open runs; their width, which ``pos`` has yet to step past
+        if not r.values:
+            return 0
+        width = struct.calcsize(">" + r.codes)
+        packer, packed = w.close("pack")
+        parts.append(f"{packer}({packed})")
+        unpacker, names = r.close("unpack_from")
+        r.lines.append(f"{names}, = {unpacker}(data, pos)")
+        return width
+
+    for i, (value, ftype) in enumerate(values):
+        args.append(f"v{i}")
         if ftype is int:
-            src.fixed("q", f"int({value})")
+            w.fixed("q", f"int({value})")
+            r.fixed("q", f"v{i}")
         elif ftype is bool:
-            src.fixed("?", value)
+            w.fixed("?", value)
+            r.fixed("B", f"v{i}")
+            args[-1] += " == 1"
         elif typing.get_origin(ftype) is list:
-            src.fixed("H", f"len(v{i} := {value})")
-            pack()
             (inner,) = typing.get_args(ftype)
-            parts.append(f"*map({src.bind(_item_codec(inner)[0])}, v{i})")
+            write_item, read_item = _compile([("item", inner)])
+            w.fixed("H", f"len(v{i} := {value})")
+            r.fixed("H", f"n{i}")
+            r.lines.append(f"pos += {close()}")
+            parts.append(f"*map({w.bind(write_item)}, v{i})")
+            r.lines += [f"v{i} = []",
+                        f"for _ in range(n{i}):",  # a forged count fails at the first gap
+                        f"    item, pos = {r.bind(read_item)}(data, pos)",
+                        f"    v{i}.append(item)"]
         else:
             if ftype is str:
                 value = f"{value}.encode()"
             elif ftype in _REGISTRY:
-                value = f"{src.bind(_plan(ftype)[1])}({value})"
+                value = f"{w.bind(_plan(ftype)[1])}({value})"
             elif ftype is not bytes:
                 raise TypeError(f"unsupported wire field type {ftype!r}")
-            src.fixed("I", f"len(v{i} := {value})")
-            pack()
+            w.fixed("I", f"len(v{i} := {value})")
+            r.fixed("I", f"n{i}")
+            start = f"pos + {close()}"
             parts.append(f"v{i}")
-    pack()
-    body = f"{src.bind(b''.join)}(({', '.join(parts)},))" if parts else 'b""'
-    return _define("write", "msg", [f"return {body}"], src.env)
-
-
-def _compile_reader(cls, hints: dict):
-    """read(data, pos, end) -> the ``cls`` message whose fields fill ``data[pos:end]``."""
-    src, args = _Runs(), []
-
-    def unpack() -> int:  # close the open run; its width, which ``pos`` has yet to step past
-        if not src.values:
-            return 0
-        unpacker = src.bind(struct.Struct(">" + src.codes).unpack_from)
-        src.lines.append(f"{', '.join(src.values)}, = {unpacker}(data, pos)")
-        width, src.codes, src.values = struct.calcsize(">" + src.codes), "", []
-        return width
-
-    for i, f in enumerate(fields(cls)):
-        ftype = hints[f.name]
-        if ftype is int:
-            src.fixed("q", f"v{i}")
-            args.append(f"v{i}")
-        elif ftype is bool:
-            src.fixed("B", f"v{i}")
-            args.append(f"v{i} == 1")
-        elif typing.get_origin(ftype) is list:
-            (inner,) = typing.get_args(ftype)
-            src.fixed("H", f"n{i}")
-            src.lines += [f"pos += {unpack()}",
-                          f"v{i} = []",
-                          f"for _ in range(n{i}):",  # a forged count fails at the first gap
-                          f"    item, pos = {src.bind(_item_codec(inner)[1])}(data, pos)",
-                          f"    v{i}.append(item)"]
-            args.append(f"v{i}")
-        else:
-            src.fixed("I", f"n{i}")
-            start = f"pos + {unpack()}"
-            if ftype is bytes:
-                value = f"data[{start}:(pos := {start} + n{i})]"
-            elif ftype is str:
-                value = f"data[{start}:(pos := {start} + n{i})].decode()"
+            read = f"data[{start}:(pos := {start} + n{i})]"
+            if ftype is str:
+                read += ".decode()"
             elif ftype in _REGISTRY:
-                value = f"{src.bind(_plan(ftype)[2])}(data, {start}, (pos := {start} + n{i}))"
-            else:
-                raise TypeError(f"unsupported wire field type {ftype!r}")
-            src.lines.append(f"v{i} = {value}")
-            args.append(f"v{i}")
-    if width := unpack():
-        src.lines.append(f"pos += {width}")
+                read = f"{r.bind(_plan(ftype)[2])}(data, {start}, (pos := {start} + n{i}))"
+            r.lines.append(f"v{i} = {read}")
+    if width := close():
+        r.lines.append(f"pos += {width}")
+    body = f"{w.bind(b''.join)}(({', '.join(parts)},))" if parts else 'b""'
+    if cls is None:
+        write = _define("write", "item", [f"return {body}"], w.env)
+        return write, _define("read", "data, pos", r.lines + [f"return {args[0]}, pos"], r.env)
     # past ``end`` too: a short slice still moves ``pos`` its full width
-    src.lines += ["if pos != end:",
-                  f"    raise ValueError('length mismatch decoding {cls.__name__}')",
-                  f"return {src.bind(cls)}({', '.join(args)})"]
-    return _define("read", "data, pos, end", src.lines, src.env)
+    r.lines += ["if pos != end:",
+                f"    raise ValueError('length mismatch decoding {cls.__name__}')",
+                f"return {r.bind(cls)}({', '.join(args)})"]
+    write = _define("write", "msg", [f"return {body}"], w.env)
+    return write, _define("read", "data, pos, end", r.lines, r.env)
 
 
 @functools.cache
@@ -188,8 +145,8 @@ def _plan(cls) -> tuple:
     """(tag, write(msg) -> body, read(data, pos, end) -> msg) of a wire
     class, compiled at its first use."""
     hints = typing.get_type_hints(cls)
-    write, read = _compile_writer(cls, hints), _compile_reader(cls, hints)
-    return _REGISTRY.index(cls), write, read
+    values = [(f"msg.{f.name}", hints[f.name]) for f in fields(cls)]
+    return (_REGISTRY.index(cls), *_compile(values, cls))
 
 
 def encode(msg) -> bytes:

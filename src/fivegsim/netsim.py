@@ -284,6 +284,10 @@ class World:
             bisect.insort(self._cells, entity, key=lambda e: e.entity_id)
 
     def attach_adversary(self, hook: AdversaryHook) -> str:
+        """Attach ``hook``; its vantage is wire channels only, never the
+        internal timers and triggers of the entities."""
+        if not hook.vantage <= WIRE_CHANNELS:
+            raise ValueError(f"adversary {hook.adversary_id!r} vantage is not wire channels only")
         self.adversaries.append(hook)
         return hook.adversary_id
 

@@ -23,7 +23,7 @@ from .identity import (
     format_supi,
 )
 from .netsim import AdversaryHook, Capability, Channel, Knowledge, World
-from .policy import OperatorPolicy, parse_policy_value
+from .policy import OperatorPolicy, parse_bool, parse_policy_value
 
 
 @dataclass
@@ -271,12 +271,12 @@ def _build_from_parser(parser) -> tuple[World, WorldBuilder]:
         if parts[0] == "cell":
             net = networks_by_name[parser.get(section, "network")]
             strength = parser.getint(section, "strength", fallback=10)
-            if parser.getboolean(section, "rogue", fallback=False):
+            if parse_bool(parser.get(section, "rogue", fallback="false")):
                 builder.add_rogue_cell(
                     parts[1], net.plmn, strength,
                     reject_cause=parser.getint(section, "reject_cause", fallback=3),
-                    broadcast_own_key=parser.getboolean(
-                        section, "broadcast_own_key", fallback=False),
+                    broadcast_own_key=parse_bool(
+                        parser.get(section, "broadcast_own_key", fallback="false")),
                 )
             else:
                 builder.add_cell(net, parts[1], strength)

@@ -5,8 +5,24 @@ import pathlib
 import pytest
 
 from fivegsim.cli import main
+from fivegsim.flows import run_registration
+from fivegsim.worldfile import load_world_file
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+# one network with one honest cell and one UE
+WORLD_HEAD = """
+[network home]
+plmn = 00101
+
+[cell cell-a]
+network = home
+
+[ue ue1]
+network = home
+
+"""
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +190,44 @@ msin = 5550001111
                            "--world", str(world_file))
     assert code == 0
     assert json.loads(out)["outcomes"]["ue1"] == "registered"
+
+
+def test_registration_run_reports_the_seed_of_its_world_file(capsys, tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD + "[world]\nseed = 3\n")
+    world, builder = load_world_file(str(world_file))
+    run_registration(world, "ue1")
+    for seed in (["--seed", "9"], []):
+        code, out, _ = run_cli(capsys, "run", "--scenario", "registration",
+                               "--world", str(world_file), *seed, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["seed"] == 3
+        assert payload["transcript_sha256"] == world.transcript.sha256()
+
+
+def test_world_file_rogue_cell_reads_the_policy_booleans(capsys, tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD + "[cell rogue-1]\nnetwork = home\nrogue = On\n"
+                          "broadcast_own_key = yes\n")
+    world, _ = load_world_file(str(world_file))
+    rogue = world.entities["rogue-1"]
+    assert rogue.reject_cause == 3 and len(rogue.broadcast_info().verification_key) == 32
+    assert world.entities["cell-a"].reject_cause is None
+    world_file.write_text(WORLD_HEAD + "[cell rogue-1]\nnetwork = home\nrogue = maybe\n")
+    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
+                           "--world", str(world_file))
+    assert code == 3
+    assert "maybe" in err
+
+
+def test_world_file_adversary_on_the_internal_channel_exits_3(capsys, tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD + "[adversary eve]\nchannels = Internal\n")
+    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
+                           "--world", str(world_file))
+    assert code == 3
+    assert "wire channels only" in err
 
 
 def test_world_file_parse_error_exits_3(capsys, tmp_path):

@@ -479,6 +479,38 @@ def test_renewal_replaces_keys_end_to_end():
     assert amf.contexts == {ue.guti.hex(): session.sid}
 
 
+# One answer of each kind, injected after the UE registered: each belongs to
+# a step the session has left, so none may move it out of ``registered``.
+STALE_ANSWERS = {
+    "authentication_failure": (Channel.RADIO_NAS, "ue1", "cell-a",
+                               messages.AuthenticationFailure(cause="MacMismatch")),
+    "confirm_failure": (Channel.SBI, "net-ausf", "net-amf",
+                        messages.ConfirmResponseSbi(session="net-amf-a1", success=False, supi="")),
+    "auth_reject": (Channel.SBI, "net-ausf", "net-amf",
+                    messages.AuthRejectSbi(session="net-amf-a1", cause="x")),
+    "auth_response": (Channel.SBI, "net-ausf", "net-amf", messages.AuthResponseSbi(
+        session="net-amf-a1", rand=bytes(16), autn=bytes(16), hxres=bytes(16), k_seaf=bytes(32))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_ANSWERS))
+def test_authentication_answer_is_taken_only_in_the_step_that_waits_for_it(case):
+    world, builder = single_network_world(
+        seed=3, policy=OperatorPolicy(context_renewal_interval=3000))
+    assert run_registration(world, "ue1", horizon=2500).success
+    amf, ue = builder.networks["net"].amf, world.entities["ue1"]
+    session = find_amf_session(amf, ue)
+    assert (session.state, session.sbi_sid) == ("registered", "net-amf-a1")
+    born_at = session.context.born_at
+    channel, src, dst, msg = STALE_ANSWERS[case]
+    world.schedule(world.time + 1, channel, src, dst, messages.encode(msg), "attacker")
+    world.run_until(world.time + 10_000)
+    # the stale answer is ignored and the context renewal still fires
+    assert session.state == "registered"
+    assert session.context.born_at > born_at
+    assert ue.phase == UePhase.REGISTERED
+
+
 # ---------------------------------------------------------------------------
 # Roaming and interconnect
 # ---------------------------------------------------------------------------

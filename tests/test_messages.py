@@ -286,7 +286,7 @@ def test_encoding_matches_the_reference_encoder(msg):
 ], ids=str)
 def test_list_of_any_field_type_matches_the_reference_codec(ftype, value):
     # no wire class declares these lists yet; a later one may
-    write, read = messages._item_codec(ftype)
+    write, read = messages._compile([("item", ftype)])
     reference = io.BytesIO()
     oracles._field_writer(ftype, tuple(messages._REGISTRY))(reference, value)
     assert write(value) == reference.getvalue()

@@ -16,6 +16,7 @@ from fivegsim.netsim import (
     JamWindow,
     Knowledge,
     SimEvent,
+    WIRE_CHANNELS,
     TimeInPast,
     Transcript,
     World,
@@ -88,12 +89,25 @@ def test_passive_adversary_never_alters_transcript():
     observed, _ = single_network_world(seed=9)
     observed.attach_adversary(AdversaryHook(
         adversary_id="eve",
-        vantage=frozenset(Channel),
+        vantage=WIRE_CHANNELS,
         capabilities=frozenset({Capability.OBSERVE}),
     ))
     run_registration(observed, "ue1")
     assert base.transcript.to_jsonl() == observed.transcript.to_jsonl()
     assert base.transcript.sha256() == observed.transcript.sha256()
+
+
+@pytest.mark.parametrize("vantage", [frozenset(Channel), frozenset({Channel.INTERNAL})],
+                         ids=["every_channel", "internal"])
+def test_adversary_vantage_is_wire_channels_only(vantage):
+    # the internal channel carries timers and triggers, the app data among
+    # them in plaintext: no adversary may stand on it
+    world, _ = single_network_world(seed=3)
+    with pytest.raises(ValueError, match="wire channels only"):
+        world.attach_adversary(AdversaryHook(
+            adversary_id="eve", vantage=vantage,
+            capabilities=frozenset({Capability.OBSERVE})))
+    assert world.adversaries == []
 
 
 def test_adversary_without_observe_gets_no_bytes():
