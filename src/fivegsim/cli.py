@@ -34,6 +34,14 @@ def _parse_kv(pairs: list[str], what: str) -> dict[str, str]:
     return out
 
 
+def seed(raw: str) -> int:
+    """A world seed: an unsigned 64-bit integer."""
+    value = int(raw)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be 0..2^64-1, got {raw}")
+    return value
+
+
 def _write_output(data: str, path: str | None) -> int:
     if path is None:
         sys.stdout.write(data)
@@ -199,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True,
                        help="TS_01..TS_12 or 'registration'")
     run_p.add_argument("--world", help="world description file")
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=seed, default=0)
     run_p.add_argument("--format", default="json",
                        choices=["json", "markdown", "csv"])
     run_p.add_argument("--out", help="output path (default: stdout)")

@@ -109,8 +109,21 @@ class StubAlgorithm(Exception):
     """Algorithm id is registered but not implemented in this build."""
 
 
+_sha256 = hashlib.sha256
+# RFC 2104 pads as bytes.translate tables: each byte of the zero-padded
+# key XOR 0x36 for the inner hash, XOR 0x5c for the outer one
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 def _hmac(key: bytes, msg: bytes) -> bytes:
-    return hmac_mod.new(key, msg, hashlib.sha256).digest()
+    """HMAC-SHA-256 from two SHA-256 calls; a key over the 64-byte block
+    is hashed first."""
+    if len(key) > 64:
+        key = _sha256(key).digest()
+    key = key.ljust(64, b"\x00")
+    inner = _sha256(key.translate(_IPAD) + msg).digest()
+    return _sha256(key.translate(_OPAD) + inner).digest()
 
 
 def _aes_key(key32: bytes) -> bytes:
@@ -125,7 +138,11 @@ def _aes_key(key32: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class HomeNetworkKeyPair:
-    """Asymmetric pair the home network publishes for identity concealment."""
+    """Asymmetric pair the home network publishes for identity concealment.
+
+    Each key is parsed at its first use and kept with the pair; a pair
+    built from a seed keeps the private key that derived its public one.
+    """
 
     scheme: SuciScheme
     private_bytes: bytes
@@ -133,17 +150,22 @@ class HomeNetworkKeyPair:
 
     @classmethod
     def from_seed(cls, scheme: SuciScheme, seed: bytes) -> "HomeNetworkKeyPair":
-        _, pub, private_bytes = _keypair(scheme, seed)
-        return cls(scheme=scheme, private_bytes=private_bytes, public_bytes=pub)
+        priv, pub, private_bytes = _keypair(scheme, seed)
+        pair = cls(scheme=scheme, private_bytes=private_bytes, public_bytes=pub)
+        vars(pair)["_private_key"] = priv
+        return pair
 
     @cached_property
     def _private_key(self):
-        """The parsed private key, built on first use and kept."""
         if self.scheme == SuciScheme.PROFILE_A:
             return X25519PrivateKey.from_private_bytes(self.private_bytes)
         return ec.derive_private_key(
             int.from_bytes(self.private_bytes, "big"), ec.SECP256R1()
         )
+
+    @cached_property
+    def _public_key(self):
+        return _parse_public(self.scheme, self.public_bytes)
 
 
 def _keypair(scheme: SuciScheme, secret: bytes):
@@ -162,12 +184,20 @@ def _keypair(scheme: SuciScheme, secret: bytes):
     raise ValueError("null scheme has no key pair")
 
 
-def _ecies_shared(scheme: SuciScheme, private_key, peer_public: bytes) -> bytes:
+def _parse_public(scheme: SuciScheme, encoded: bytes):
     try:
         if scheme == SuciScheme.PROFILE_A:
-            return private_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
-        peer = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), peer_public)
-        return private_key.exchange(ec.ECDH(), peer)
+            return X25519PublicKey.from_public_bytes(encoded)
+        return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), encoded)
+    except ValueError as exc:
+        raise ValueError(f"malformed public point for {scheme.name}") from exc
+
+
+def _ecies_shared(scheme: SuciScheme, private_key, peer_key) -> bytes:
+    try:
+        if scheme == SuciScheme.PROFILE_A:
+            return private_key.exchange(peer_key)
+        return private_key.exchange(ec.ECDH(), peer_key)
     except ValueError as exc:
         raise ValueError(f"malformed public point for {scheme.name}") from exc
 
@@ -227,7 +257,7 @@ def conceal_supi(
     if ephemeral_randomness is None:
         raise ValueError("ephemeral randomness required for ecies schemes")
     eph_priv, eph_pub, _ = _keypair(scheme, ephemeral_randomness)
-    shared = _ecies_shared(scheme, eph_priv, home_public.public_bytes)
+    shared = _ecies_shared(scheme, eph_priv, home_public._public_key)
     enc_key, icb, mac_key = _ecies_keys(shared, eph_pub)
     ciphertext = _aes_ctr(enc_key, icb, identity.msin.encode())
     tag = _hmac(mac_key, ciphertext)[: _LABELS["ecies"]["tag_len"]]
@@ -254,7 +284,8 @@ def deconceal_suci(
     if home_private is None or home_private.scheme != suci.scheme:
         raise ValueError("home private key missing or for the wrong scheme")
     shared = _ecies_shared(
-        suci.scheme, home_private._private_key, suci.ephemeral_public_key
+        suci.scheme, home_private._private_key,
+        _parse_public(suci.scheme, suci.ephemeral_public_key),
     )
     enc_key, icb, mac_key = _ecies_keys(shared, suci.ephemeral_public_key)
     expected = _hmac(mac_key, suci.ciphertext)[: _LABELS["ecies"]["tag_len"]]
@@ -311,15 +342,20 @@ def _sqn_bytes(sqn: int) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """Bytewise XOR of two strings of the same length."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+# name -> (label bytes, input names, output length) of each AKA function
+_AKA = {name: (spec["label"].encode(), tuple(spec["inputs"]), spec["length"])
+        for name, spec in _LABELS["aka"].items()}
 
 
 def _aka_prf(k: bytes, name: str, **inputs: bytes) -> bytes:
-    spec = _LABELS["aka"][name]
-    msg = spec["label"].encode()
-    for part in spec["inputs"]:
+    msg, names, length = _AKA[name]
+    for part in names:
         msg += inputs[part]
-    return _hmac(k, msg)[: spec["length"]]
+    return _hmac(k, msg)[:length]
 
 
 def res_hash(rand: bytes, res_or_xres: bytes) -> bytes:
@@ -394,18 +430,20 @@ def ue_k_ausf(cred: LongTermCredential, rand: bytes, serving_network_name: str) 
 # ---------------------------------------------------------------------------
 
 
-def _context_bytes(names: list[str], ctx: dict[str, bytes]) -> bytes:
-    out = b""
-    for name in names:
-        value = ctx[name]
-        out += len(value).to_bytes(2, "big") + value
-    return out
+# child -> (label bytes || 0x00, context input names) of each chain edge
+_EDGES = {child: (spec["label"].encode() + b"\x00", tuple(spec["context"]))
+          for child, spec in _LABELS["chain"].items()}
 
 
 def _derive_edge(parent_key: bytes, child: str, ctx: dict[str, bytes]) -> bytes:
-    spec = _LABELS["chain"][child]
-    msg = spec["label"].encode() + b"\x00" + _context_bytes(spec["context"], ctx)
+    msg, names = _EDGES[child]
+    for name in names:
+        msg += ctx[name]
     return _hmac(parent_key, msg)
+
+
+def _field(value: bytes) -> bytes:
+    return len(value).to_bytes(2, "big") + value
 
 
 def _chain_context(
@@ -415,12 +453,13 @@ def _chain_context(
     nea_id: int,
     nia_id: int,
 ) -> dict[str, bytes]:
+    """Each context input as it enters an edge: 2-byte length, then value."""
     return {
-        "serving_network_name": serving_network_name.encode(),
-        "supi": supi.encode(),
-        "abba": abba,
-        "nea_id": bytes([nea_id]),
-        "nia_id": bytes([nia_id]),
+        "serving_network_name": _field(serving_network_name.encode()),
+        "supi": _field(supi.encode()),
+        "abba": _field(abba),
+        "nea_id": _field(bytes([nea_id])),
+        "nia_id": _field(bytes([nia_id])),
     }
 
 

@@ -4,6 +4,7 @@ token-authorization service."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .. import crypto, messages
 from ..identity import (
@@ -490,14 +491,18 @@ class Udm(Entity):
 
 class Smf(Entity):
     """Session management: answers session requests with the user-plane
-    protection policy; also a token-protected service producer."""
+    protection policy; also a producer of a service whose tokens the NRF
+    signs.  The NRF's key is read at the first token check."""
 
-    def __init__(self, entity_id: str, policy: OperatorPolicy,
-                 nrf_verification_key: bytes = b""):
+    def __init__(self, entity_id: str, policy: OperatorPolicy, nrf: Nrf):
         super().__init__(entity_id)
         self.policy = policy
-        self.producer = NfProducer(service="nsmf-pdusession",
-                                   nrf_verification_key=nrf_verification_key)
+        self.nrf = nrf
+
+    @cached_property
+    def producer(self) -> NfProducer:
+        return NfProducer(service="nsmf-pdusession",
+                          nrf_verification_key=self.nrf.verification_key)
 
     def on_smf_session_request(self, msg, event, ctx) -> None:
         ctx.emit(Channel.SBI, event.src, messages.SmfSessionResponse(
@@ -558,13 +563,22 @@ TOKEN_TTL = 10_000
 
 
 class Nrf(Entity):
-    """Repository function acting as the token authorization server."""
+    """Repository function acting as the token authorization server.
+
+    Its verification key is derived from the seed at its first read, so a
+    world that checks no token never parses it.
+    """
 
     def __init__(self, entity_id: str, signing_seed: bytes):
         super().__init__(entity_id)
+        if len(signing_seed) != 32:
+            raise ValueError("signing seed must be 32 bytes")
         self.signing_seed = signing_seed
         self.consumers: set[str] = set()
-        self.verification_key = crypto.verification_key(signing_seed)
+
+    @cached_property
+    def verification_key(self) -> bytes:
+        return crypto.verification_key(self.signing_seed)
 
     def register_consumer(self, consumer_id: str) -> None:
         self.consumers.add(consumer_id)

@@ -10,6 +10,7 @@ established with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .. import crypto, messages
 from ..identity import ConcealedIdentity
@@ -56,9 +57,10 @@ class Sepp(Entity):
         allowlist: dict[str, bytes] | None = None,  # plmn -> verification key
     ):
         super().__init__(entity_id)
+        if len(signing_seed) != 32:
+            raise ValueError("signing seed must be 32 bytes")
         self.plmn = plmn
         self.signing_seed = signing_seed
-        self.verification_key = crypto.verification_key(signing_seed)
         self.ausf_id = ausf_id
         self.peers = peers or {}
         self.allowlist = allowlist or {}
@@ -67,6 +69,12 @@ class Sepp(Entity):
         self.routes_out: dict[str, tuple[str, str]] = {}  # sbi sid -> (requester, peer plmn)
         self.routes_in: dict[str, str] = {}  # sbi session -> peer sepp id
         self.rejections: list[str] = []
+
+    @cached_property
+    def verification_key(self) -> bytes:
+        """Derived from the seed at its first read: only a peer's allowlist
+        and a revocation name it."""
+        return crypto.verification_key(self.signing_seed)
 
     def revoke(self, verification_key: bytes) -> None:
         self.revoked.add(verification_key)

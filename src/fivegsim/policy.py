@@ -16,9 +16,10 @@ Mode = typing.Literal["SA", "NSA"]
 class OperatorPolicy:
     """Per-network security feature switches.
 
-    ``context_renewal_interval`` is in simulated milliseconds; None means
-    the network never forces a renewal.  In NSA mode the concealment
-    scheme is irrelevant: the legacy attach sends the identity in clear.
+    ``context_renewal_interval`` is in simulated milliseconds, 0 or more;
+    None means the network never forces a renewal.  In NSA mode the
+    concealment scheme is irrelevant: the legacy attach sends the identity
+    in clear.
     """
 
     mode: Mode = "SA"
@@ -36,6 +37,9 @@ class OperatorPolicy:
     def __post_init__(self):
         if self.mode not in typing.get_args(Mode):
             raise ValueError("mode is SA or NSA")
+        interval = self.context_renewal_interval
+        if interval is not None and interval < 0:
+            raise ValueError(f"context_renewal_interval is 0 or more, got {interval}")
 
 
 def algorithms(ciphering: bool, integrity: bool) -> tuple[int, int]:

@@ -312,7 +312,10 @@ _TRAFFIC_A = ((10, _REGISTER), (1000, _PDU_SESSION),
 
 def _base_policy(overrides: dict, **scenario_defaults) -> OperatorPolicy:
     policy_overrides = {k: v for k, v in overrides.items() if k in POLICY_KEYS}
-    return replace(OperatorPolicy(**scenario_defaults), **policy_overrides)
+    try:
+        return replace(OperatorPolicy(**scenario_defaults), **policy_overrides)
+    except ValueError as exc:  # a value the policy refuses
+        raise InvalidOverride(str(exc)) from None
 
 
 def _stage(seed: int, policy: OperatorPolicy, strength: int = 10,

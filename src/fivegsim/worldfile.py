@@ -68,7 +68,7 @@ class WorldBuilder:
         udm = Udm(f"{name}-udm", plmn, home_keypair)
         ausf = Ausf(f"{name}-ausf", plmn, udm.entity_id)
         nrf = Nrf(f"{name}-nrf", self._seed32(f"{name}:nrfkey"))
-        smf = Smf(f"{name}-smf", policy, nrf.verification_key)
+        smf = Smf(f"{name}-smf", policy, nrf)
         upf = Upf(f"{name}-upf")
         amf = Amf(
             f"{name}-amf", plmn, policy,

@@ -70,6 +70,30 @@ def test_malformed_override_value_exits_2(capsys, setting):
     assert err.startswith("error: ") and setting.split("=")[0] in err
 
 
+@pytest.mark.parametrize("scenario", ["TS_01", "registration"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "2**64"])
+def test_out_of_range_seed_exits_2(capsys, scenario, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", scenario, "--seed", seed])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0]
+
+
+def test_largest_seed_runs(capsys):
+    code, out, _ = run_cli(capsys, "run", "--scenario", "TS_01",
+                           "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
+
+
+def test_negative_renewal_interval_exits_2(capsys):
+    code, _, err = run_cli(capsys, "run", "--scenario", "TS_04",
+                           "--set", "context_renewal_interval=-5")
+    assert code == 2
+    assert err.startswith("error: ") and "context_renewal_interval" in err
+
+
 def test_expectation_pass_and_fail(capsys):
     code, _, _ = run_cli(capsys, "run", "--scenario", "TS_05", "--seed", "42",
                          "--expect", "dos_persistent=true")
@@ -237,6 +261,15 @@ def test_world_file_parse_error_exits_3(capsys, tmp_path):
                            "--world", str(bad))
     assert code == 3
     assert "world file" in err
+
+
+def test_world_file_negative_renewal_interval_exits_3(capsys, tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text("[policy]\ncontext_renewal_interval = -5\n" + WORLD_HEAD)
+    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
+                           "--world", str(world_file))
+    assert code == 3
+    assert "context_renewal_interval" in err
 
 
 def test_missing_world_file_exits_3(capsys):

@@ -1,6 +1,8 @@
 import ast
+import hmac
 import pathlib
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from fivegsim.identity import (
     SuciScheme,
     UnsupportedScheme,
 )
+from fivegsim.flows import run_registration
 from fivegsim.randomness import RandomStream
 from fivegsim.vectors import generate_vectors, parse_vectors
+from fivegsim.worldfile import roaming_world, single_network_world
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -45,6 +49,22 @@ TEST_IDENTITY = SubscriberIdentity(mcc="001", mnc="01", msin="0123456789")
 
 def _keypair(scheme):
     return crypto.HomeNetworkKeyPair.from_seed(scheme, HOME_SEED)
+
+
+# ---------------------------------------------------------------------------
+# HMAC-SHA-256
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key_len", [0, 16, 32, 64, 65, 100])
+def test_hmac_matches_the_standard_library(key_len):
+    # oracles.hmac_sha256 builds HMAC the same two-hash way; the standard
+    # library's hmac module is the independent reference
+    rng = RandomStream(7, f"hmac-{key_len}")
+    key = rng.take(key_len) if key_len else b""
+    for msg_len in (0, 1, 31, 55, 56, 64, 65, 200):
+        msg = rng.take(msg_len) if msg_len else b""
+        assert crypto._hmac(key, msg) == hmac.new(key, msg, "sha256").digest(), msg_len
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +432,48 @@ def test_reject_keypair_invariant():
     for msg_nonce in (b"a", b"b", b"c"):
         sig = crypto.sign_reject(pair.signing_key, 6, "cell-2", msg_nonce)
         assert crypto.verify_reject(pair.verification_key, 6, "cell-2", msg_nonce, sig)
+
+
+# ---------------------------------------------------------------------------
+# Key parses: each holder parses a key once, at its first use
+# ---------------------------------------------------------------------------
+
+
+def _count_key_parses(monkeypatch) -> Counter:
+    """Count the key constructors crypto calls, by the names it binds."""
+    parses = Counter()
+
+    def counted(cls, method):
+        def parse(*args, _fn=getattr(cls, method)):
+            parses[cls.__name__] += 1
+            return _fn(*args)
+        monkeypatch.setattr(crypto, cls.__name__,
+                            types.SimpleNamespace(**{method: parse}))
+
+    counted(crypto.X25519PrivateKey, "from_private_bytes")
+    counted(crypto.X25519PublicKey, "from_public_bytes")
+    counted(crypto.Ed25519PrivateKey, "from_private_bytes")
+    return parses
+
+
+def test_key_parses_of_ten_registrations(monkeypatch):
+    parses = _count_key_parses(monkeypatch)
+    world, builder = single_network_world(3, ue_count=10)
+    for ue_id in sorted(builder.ues):
+        assert run_registration(world, ue_id).success
+    # the home key once and one ephemeral key per concealment; the home
+    # public key once and each ephemeral one at its deconcealment; the NRF
+    # seed never, for no token is checked
+    assert parses == {"X25519PrivateKey": 11, "X25519PublicKey": 11}
+
+
+def test_key_parses_of_a_roaming_registration(monkeypatch):
+    parses = _count_key_parses(monkeypatch)
+    world, _ = roaming_world(3)
+    assert run_registration(world, "ue1").success
+    # each proxy's seed for the other's allowlist and to sign its half of
+    # the handshake; neither NRF's seed
+    assert parses["Ed25519PrivateKey"] == 4
 
 
 def test_only_crypto_imports_cryptography():

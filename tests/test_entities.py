@@ -448,6 +448,17 @@ def test_renew_context_directive_logic():
     assert renew_context(amf, guti, due) is True
 
 
+@pytest.mark.parametrize("interval", [0, 1000, None])
+def test_renewal_interval_of_zero_or_more_is_accepted(interval):
+    assert OperatorPolicy(context_renewal_interval=interval) \
+        .context_renewal_interval == interval
+
+
+def test_negative_renewal_interval_is_refused():
+    with pytest.raises(ValueError, match="context_renewal_interval"):
+        OperatorPolicy(context_renewal_interval=-5)
+
+
 def test_renewal_never_interval_produces_no_directives():
     world, builder = single_network_world(seed=14)
     run_registration(world, "ue1")
@@ -581,6 +592,20 @@ def _nrf():
     nrf = Nrf("nrf", bytes(range(64, 96)))
     nrf.register_consumer("amf-1")
     return nrf
+
+
+# A seed is refused when its holder is built, not at the first read of the
+# verification key, which may come in the middle of a run.
+@pytest.mark.parametrize("length", [0, 31, 33, 64])
+def test_nrf_refuses_a_seed_that_is_not_32_bytes(length):
+    with pytest.raises(ValueError, match="32 bytes"):
+        Nrf("nrf", bytes(length))
+
+
+@pytest.mark.parametrize("length", [0, 31, 33, 64])
+def test_sepp_refuses_a_seed_that_is_not_32_bytes(length):
+    with pytest.raises(ValueError, match="32 bytes"):
+        Sepp("sepp", "00101", bytes(length))
 
 
 def test_token_round_trip():
