@@ -1,7 +1,8 @@
-"""Common entity machinery: message dispatch by type name."""
+"""Common entity machinery: message dispatch by type name and state."""
 
 from __future__ import annotations
 
+import enum
 import re
 
 from .. import crypto, messages
@@ -32,28 +33,71 @@ def open_secured(link: crypto.SecureLink | None, wrapper):
     return None if isinstance(payload, crypto.LinkReject) else try_decode(payload)
 
 
-class Entity:
-    """Base class: dispatches a decoded message to ``on_<message_type>``.
+class State(enum.Enum):
+    """A step of an entity's state machine.  Members are singletons, so
+    they hash by identity, which keeps ``Entity.step``'s table lookup in C."""
 
-    Each subclass's table from message class to handler is built when the
-    class is created.  Unknown message types are an explicit ignored
-    transition, never a fault; protocol errors are reject/failure messages.
+    __hash__ = object.__hash__
+
+
+def takes(*states, find=None, message=None):
+    """Declare the states in which the handler below runs (see ``Entity``)."""
+    def declare(handler):
+        handler.states, handler.find, handler.message = states, find, message
+        return handler
+    return declare
+
+
+_NO_ROW = (None, {})
+
+
+class Entity:
+    """Base class: dispatches a decoded message to its handler.
+
+    ``on_<message_type>`` handles its message class, in any state unless
+    ``takes`` declares the states it runs in (``takes(message=...)`` names
+    the class of a handler named otherwise).  Both tables are built when
+    the class is created: ``_handlers`` and ``_states``, message class ->
+    ``(find, {state: handler})``.  Without ``find`` the state is the
+    entity's ``state``; with it, the state is that of the session ``find(
+    entity, msg, event)`` returns, and the handler gets the session too.
+    ``step`` checks the tables once, before it dispatches: an unknown
+    message type, a session not found or a state outside the table is an
+    ignored transition, never a fault; protocol errors are reject/failure
+    messages.
     """
 
     _handlers: dict[type, object] = {}
+    _states: dict[type, tuple] = {}
+    state = None  # an entity with no state table of its own
 
     def __init_subclass__(cls):
-        names = [name for name in dir(cls) if name.startswith("on_")]
-        if unknown := [name for name in names if name not in _HANDLED]:
-            raise TypeError(f"{cls.__name__}: no wire message for {', '.join(unknown)}")
-        cls._handlers = {_HANDLED[name]: getattr(cls, name) for name in names}
+        cls._handlers, cls._states = {}, {}
+        for name in dir(cls):
+            handler = getattr(cls, name)
+            if name.startswith("on_") and name not in _HANDLED:
+                raise TypeError(f"{cls.__name__}: no wire message for {name}")
+            if hasattr(handler, "states"):
+                _, by_state = cls._states.setdefault(
+                    handler.message or _HANDLED[name], (handler.find, {}))
+                by_state.update(dict.fromkeys(handler.states, handler))
+            elif name.startswith("on_"):
+                cls._handlers[_HANDLED[name]] = handler
 
     def __init__(self, entity_id: str):
         self.entity_id = entity_id
 
     def step(self, msg, event, ctx) -> None:
         handler = self._handlers.get(type(msg))
+        if handler is not None:
+            handler(self, msg, event, ctx)
+            return
+        find, by_state = self._states.get(type(msg), _NO_ROW)
+        session = self if find is None else find(self, msg, event)
+        handler = None if session is None else by_state.get(session.state)
         if handler is None:
             ctx.ignore()
-            return
-        handler(self, msg, event, ctx)
+        elif find is None:
+            handler(self, msg, event, ctx)
+        else:
+            handler(self, session, msg, ctx)

@@ -20,7 +20,7 @@ from ..identity import (
 )
 from ..netsim import Channel
 from ..policy import OperatorPolicy, algorithms, serving_network_name
-from .base import Entity, open_secured, try_decode
+from .base import _NO_ROW, Entity, State, open_secured, takes, try_decode
 
 
 # no anti-bidding-down features are signalled, so every challenge carries ABBA 0x0000
@@ -29,6 +29,22 @@ ABBA = b"\x00\x00"
 
 class UnknownGuti(KeyError):
     """renew_context was asked about a context the AMF does not hold."""
+
+
+class AmfState(State):
+    """The step an AMF session is in; ``Amf._states`` says which message
+    each step takes.  The last three end an authentication, with the cause
+    in ``AmfSession.cause``."""
+
+    AUTH_PENDING = "auth_pending"
+    CHALLENGE_SENT = "challenge_sent"
+    CONFIRM_PENDING = "confirm_pending"
+    SMC_SENT = "smc_sent"
+    NAS_SECURED = "nas_secured"
+    REGISTERED = "registered"
+    AUTH_REJECTED = "auth_rejected"  # the home network's reject
+    AUTH_FAILURE = "auth_failure"  # the UE's AuthenticationFailure
+    AUTH_FAILED = "auth_failed"  # the serving or home check of RES
 
 
 @dataclass
@@ -41,7 +57,8 @@ class AmfSession:
     suci: bytes
     home_plmn: str
     ngksi: int
-    state: str = "new"
+    state: AmfState = AmfState.AUTH_PENDING
+    cause: str = ""  # why a terminal state ended the authentication
     nsa: bool = False
     rand: bytes = b""
     hxres: bytes = b""
@@ -89,7 +106,8 @@ class Amf(Entity):
         self.serving_network_name = serving_network_name(policy.mode, plmn)
         self.sessions: dict[str, AmfSession] = {}
         self.by_ran: dict[tuple[str, int], str] = {}
-        self.by_sbi: dict[str, str] = {}
+        self.by_sbi: dict[str, str] = {}  # authentication SBI id -> session id
+        self.by_pdu: dict[str, str] = {}  # PDU session SBI id -> session id, until answered
         self.contexts: dict[str, str] = {}  # guti hex -> session id
         self._session_seq = 0
         self._sbi_seq = 0
@@ -114,14 +132,23 @@ class Amf(Entity):
             return self.sepp_id
         return self.ausf_id
 
-    def _sbi_session(self, msg, ctx, state: str) -> AmfSession | None:
-        """The session a core-side reply belongs to, in the step that waits
-        for it; None (ignored) if unknown or in any other step."""
-        session = self.sessions.get(self.by_sbi.get(msg.session))
-        if session is None or session.state != state:
-            ctx.ignore()
-            return None
-        return session
+    # how each message class finds its session (see ``Entity``)
+
+    def _by_leg(self, msg, event) -> AmfSession | None:
+        return self.sessions.get(self.by_ran.get((event.src, msg.ran_ue_id)))
+
+    def _by_sbi(self, msg, event) -> AmfSession | None:
+        return self.sessions.get(self.by_sbi.get(msg.session))
+
+    def _by_pdu(self, msg, event) -> AmfSession | None:
+        # the SMF answers each request once, so its id goes with the answer
+        return self.sessions.get(self.by_pdu.pop(msg.session, None))
+
+    def _by_timer(self, msg, event) -> AmfSession | None:
+        return self.sessions.get(self._timers.pop(msg.timer_id, None))
+
+    def _in_uplink_nas(self, msg, event) -> None:
+        return None  # NAS reaches the AMF only inside an UplinkNas, with its session
 
     def _new_sbi_sid(self, session: AmfSession) -> str:
         self.by_sbi.pop(session.sbi_sid, None)  # a re-authentication ends the last one
@@ -146,13 +173,13 @@ class Amf(Entity):
             ran_ue_id=session.ran_ue_id, nas=nas_bytes,
         ))
 
-    def _reject(self, ctx, session: AmfSession, state: str) -> None:
-        session.state = state
+    def _reject(self, ctx, session: AmfSession, state: AmfState, cause: str) -> None:
+        session.state, session.cause = state, cause
         self._downlink(ctx, session, messages.encode(messages.AuthenticationReject()))
 
     def _start_authentication(self, ctx, session: AmfSession) -> None:
         sbi_sid = self._new_sbi_sid(session)
-        session.state = "auth_pending"
+        session.state = AmfState.AUTH_PENDING
         request = (messages.UdmAuthRequest if self.policy.mode == "NSA"
                    else messages.AuthRequestSbi)
         ctx.emit(Channel.SBI, self._auth_route(session.home_plmn), request(
@@ -203,15 +230,13 @@ class Amf(Entity):
     def _challenge(self, ctx, session: AmfSession, vector) -> None:
         """Send the challenge of a home vector (AuthResponseSbi or UdmAuthResponse)."""
         session.rand = vector.rand
-        session.state = "challenge_sent"
+        session.state = AmfState.CHALLENGE_SENT
         self._downlink(ctx, session, messages.encode(messages.AuthenticationRequest(
             rand=vector.rand, autn=vector.autn, ngksi=session.ngksi, abba=ABBA,
         )))
 
-    def on_auth_response_sbi(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx, "auth_pending")
-        if session is None:
-            return
+    @takes(AmfState.AUTH_PENDING, find=_by_sbi)
+    def on_auth_response_sbi(self, session, msg, ctx) -> None:
         if len(msg.k_seaf) != KEY_LEN or len(msg.rand) != 16:
             ctx.ignore()
             return
@@ -219,18 +244,14 @@ class Amf(Entity):
         session.k_seaf = msg.k_seaf
         self._challenge(ctx, session, msg)
 
-    def on_auth_reject_sbi(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx, "auth_pending")
-        if session is None:
-            return
-        self._reject(ctx, session, f"auth_rejected:{msg.cause}")
+    @takes(AmfState.AUTH_PENDING, find=_by_sbi)
+    def on_auth_reject_sbi(self, session, msg, ctx) -> None:
+        self._reject(ctx, session, AmfState.AUTH_REJECTED, msg.cause)
 
     # -- authentication (legacy direct path) ----------------------------------------
 
-    def on_udm_auth_response(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx, "auth_pending")
-        if session is None:
-            return
+    @takes(AmfState.AUTH_PENDING, find=_by_sbi)
+    def on_udm_auth_response(self, session, msg, ctx) -> None:
         if len(msg.k_ausf) != KEY_LEN:
             ctx.ignore()
             return
@@ -244,25 +265,19 @@ class Amf(Entity):
 
     # -- NAS uplink -------------------------------------------------------------------
 
-    def on_uplink_nas(self, msg, event, ctx) -> None:
-        sid = self.by_ran.get((event.src, msg.ran_ue_id))
-        session = self.sessions.get(sid)
-        if session is None:
+    @takes(*AmfState, find=_by_leg)
+    def on_uplink_nas(self, session, msg, ctx) -> None:
+        # the NAS message inside takes its own class's row of the table
+        inner = try_decode(msg.nas)
+        find, by_state = self._states.get(type(inner), _NO_ROW)
+        handler = by_state.get(session.state) if find is Amf._in_uplink_nas else None
+        if handler is None:
             ctx.ignore()
             return
-        inner = try_decode(msg.nas)
-        if isinstance(inner, messages.SecuredNas):
-            self._handle_secured_uplink(session, inner, ctx)
-        elif session.state != "challenge_sent":  # a duplicate, late or forged answer
-            ctx.ignore()
-        elif isinstance(inner, messages.AuthenticationResponse):
-            self._handle_auth_response(session, inner, ctx)
-        elif isinstance(inner, messages.AuthenticationFailure):
-            session.state = f"auth_failure:{inner.cause}"
-        else:
-            ctx.ignore()
+        handler(self, session, inner, ctx)
 
-    def _handle_auth_response(self, session: AmfSession, msg, ctx) -> None:
+    @takes(AmfState.CHALLENGE_SENT, find=_in_uplink_nas)
+    def on_authentication_response(self, session, msg, ctx) -> None:
         if len(msg.res) != 16:
             ctx.ignore()
             return
@@ -270,22 +285,24 @@ class Amf(Entity):
             if msg.res == session.xres:
                 self._establish_context(session, ctx, k_ausf=session.k_ausf)
             else:
-                self._reject(ctx, session, "auth_failed:res_mismatch")
+                self._reject(ctx, session, AmfState.AUTH_FAILED, "res_mismatch")
             return
         if crypto.res_hash(session.rand, msg.res) != session.hxres:
-            self._reject(ctx, session, "auth_failed:hxres_mismatch")
+            self._reject(ctx, session, AmfState.AUTH_FAILED, "hxres_mismatch")
             return
-        session.state = "confirm_pending"
+        session.state = AmfState.CONFIRM_PENDING
         ctx.emit(Channel.SBI, self._auth_route(session.home_plmn), messages.ConfirmRequestSbi(
             session=session.sbi_sid, res=msg.res,
         ))
 
-    def on_confirm_response_sbi(self, msg, event, ctx) -> None:
-        session = self._sbi_session(msg, ctx, "confirm_pending")
-        if session is None:
-            return
+    @takes(AmfState.CHALLENGE_SENT, find=_in_uplink_nas)
+    def on_authentication_failure(self, session, msg, ctx) -> None:
+        session.state, session.cause = AmfState.AUTH_FAILURE, msg.cause
+
+    @takes(AmfState.CONFIRM_PENDING, find=_by_sbi)
+    def on_confirm_response_sbi(self, session, msg, ctx) -> None:
         if not msg.success:
-            self._reject(ctx, session, "auth_failed:home_check")
+            self._reject(ctx, session, AmfState.AUTH_FAILED, "home_check")
             return
         # the one transition where the serving network learns the identity
         session.supi = msg.supi
@@ -306,16 +323,19 @@ class Amf(Entity):
             abba=ABBA, born_at=ctx.now,
         )
         session.link = crypto.SecureLink(messages.SecuredNas, keys, nea, nia, direction=1)
-        session.state = "smc_sent"
+        session.state = AmfState.SMC_SENT
         self._send_protected_nas(ctx, session, messages.NasSecurityModeCommand(
             nea_id=nea, nia_id=nia, ngksi=session.ngksi, request_pei=True,
         ), integrity_only=True)
 
-    def _handle_secured_uplink(self, session: AmfSession, wrapper, ctx) -> None:
+    # in any step: a renewal's re-authentication keeps the old link until
+    # its security mode command replaces it
+    @takes(*AmfState, find=_in_uplink_nas)
+    def on_secured_nas(self, session, wrapper, ctx) -> None:
         inner = open_secured(session.link, wrapper)
         if isinstance(inner, messages.NasSecurityModeComplete):
             session.pei = inner.pei
-            session.state = "nas_secured"
+            session.state = AmfState.NAS_SECURED
             # an en-gNB serves UEs of several eNBs, whose RAN UE ids collide
             target, ran_ue_id = session.up_leg = (
                 (self.engnb_id, session.seq) if session.nsa
@@ -330,7 +350,7 @@ class Amf(Entity):
         elif isinstance(inner, messages.PduSessionRequest):
             self._sbi_seq += 1
             sbi_sid = f"{self.entity_id}-p{self._sbi_seq}"
-            self.by_sbi[sbi_sid] = session.sid
+            self.by_pdu[sbi_sid] = session.sid
             ctx.emit(Channel.SBI, self.smf_id, messages.SmfSessionRequest(
                 session=sbi_sid, slice_id=inner.slice_id,
             ))
@@ -340,27 +360,24 @@ class Amf(Entity):
     def on_initial_context_setup_response(self, msg, event, ctx) -> None:
         pass  # registration continues when the radio side reports security up
 
-    def on_ue_context_active(self, msg, event, ctx) -> None:
-        session = self.sessions.get(self.by_ran.get((event.src, msg.ran_ue_id)))
-        if session is None:
-            ctx.ignore()
-            return
-        if session.state == "registered":
-            # the UE resent its AS complete: its accept was lost
-            self._send_protected_nas(
-                ctx, session, messages.RegistrationAccept(guti=session.guti))
-            return
+    @takes(AmfState.NAS_SECURED, find=_by_leg)
+    def on_ue_context_active(self, session, msg, ctx) -> None:
         if session.guti is not None:
             self.contexts.pop(session.guti.hex(), None)
         temp = self._allocator(ctx).allocate()
         session.guti = temp.guti
-        session.state = "registered"
+        session.state = AmfState.REGISTERED
         self.contexts[temp.guti.hex()] = session.sid
         if self.policy.context_renewal_interval is not None:
             self._timer_seq += 1
             self._timers[self._timer_seq] = session.sid
             ctx.timer(self.policy.context_renewal_interval, self._timer_seq)
         self._send_protected_nas(ctx, session, messages.RegistrationAccept(guti=temp.guti))
+
+    @takes(AmfState.REGISTERED, find=_by_leg, message=messages.UeContextActive)
+    def _resend_accept(self, session, msg, ctx) -> None:
+        """The UE resent its AS complete: its accept was lost."""
+        self._send_protected_nas(ctx, session, messages.RegistrationAccept(guti=session.guti))
 
     def _send_protected_nas(self, ctx, session: AmfSession, inner,
                             integrity_only: bool = False) -> None:
@@ -369,12 +386,9 @@ class Amf(Entity):
 
     # -- session setup ------------------------------------------------------------------
 
-    def on_smf_session_response(self, msg, event, ctx) -> None:
-        # the SMF answers each request once, so its id goes with the answer
-        session = self.sessions.get(self.by_sbi.pop(msg.session, None))
-        if session is None or session.context is None:
-            ctx.ignore()
-            return
+    # a PDU session's id is made only once its request came over the NAS link
+    @takes(*AmfState, find=_by_pdu)
+    def on_smf_session_response(self, session, msg, ctx) -> None:
         node, ran_ue_id = session.up_leg or (session.gnb, session.ran_ue_id)
         ctx.emit(Channel.N2, node,
                  messages.PduResourceSetup(
@@ -387,14 +401,8 @@ class Amf(Entity):
 
     # -- context renewal ------------------------------------------------------------------
 
-    def on_timer_fired(self, msg, event, ctx) -> None:
-        sid = self._timers.pop(msg.timer_id, None)
-        if sid is None:
-            ctx.ignore()
-            return
-        session = self.sessions.get(sid)
-        if session is None or session.guti is None or session.state != "registered":
-            return
+    @takes(AmfState.REGISTERED, find=_by_timer)
+    def on_timer_fired(self, session, msg, ctx) -> None:
         if renew_context(self, session.guti.hex(), ctx.now):
             self._start_authentication(ctx, session)
 

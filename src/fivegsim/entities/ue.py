@@ -8,7 +8,6 @@ cycling and user-plane traffic.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -23,7 +22,7 @@ from ..identity import (
 )
 from ..netsim import Channel
 from ..policy import algorithms, cause_is_persistent, serving_network_name
-from .base import Entity, open_secured, try_decode
+from .base import Entity, State, open_secured, takes, try_decode
 
 REG_TIMER_MS = 200
 MAX_RETRANSMISSIONS = 2
@@ -39,10 +38,25 @@ def _acceptable_algorithms(smc) -> bool:
     return smc.nia_id != 0 and smc.nea_id in running and smc.nia_id in running
 
 
-class UePhase(enum.Enum):
+class UePhase(State):
     DEREGISTERED = "deregistered"
     REGISTERED = "registered"
     PERMANENTLY_DEREGISTERED = "permanently_deregistered"
+
+
+class Awaiting(State):
+    """The step of a running registration attempt: what it waits for."""
+
+    SCAN = "scan"
+    RRC_SETUP = "rrc_setup"
+    AUTH_REQUEST = "auth_request"
+    NAS_SMC = "nas_smc"
+    AS_SMC = "as_smc"
+    REG_ACCEPT = "reg_accept"
+
+
+# the steps after the attempt picked a cell and sent to it
+_ON_CELL = tuple(step for step in Awaiting if step is not Awaiting.SCAN)
 
 
 @dataclass
@@ -61,7 +75,7 @@ class Attempt:
     excluded: set = field(default_factory=set)
     cell: messages.CellInfo | None = None
     ue_nonce: bytes = b""
-    awaiting: str | None = None
+    awaiting: Awaiting = Awaiting.SCAN
     # (channel, dst, msg, link): a retransmission seals msg on the link again
     last_send: tuple | None = None
     retries: int = MAX_RETRANSMISSIONS
@@ -111,9 +125,15 @@ class Ue(Entity):
         # until a security mode command derives the key chain from it
         self._challenge: tuple[bytes, str, bytes] | None = None
 
+    @property
+    def state(self) -> Awaiting | UePhase:
+        """The running attempt's step, or the phase when no attempt runs;
+        ``Ue._states`` says which message each state takes."""
+        return self.phase if self.attempt is None else self.attempt.awaiting
+
     # -- helpers -------------------------------------------------------------
 
-    def _await(self, ctx, awaiting: str, channel, dst, msg, link=None) -> None:
+    def _await(self, ctx, awaiting: Awaiting, channel, dst, msg, link=None) -> None:
         """Wait for ``awaiting``; on timeout ``msg`` is resent, sealed again
         on ``link`` when it has one."""
         attempt = self.attempt
@@ -123,13 +143,11 @@ class Ue(Entity):
         attempt.timer_id = self._timer_seq
         ctx.timer(REG_TIMER_MS, self._timer_seq)
 
-    def _send_awaiting(self, ctx, channel, dst, msg, awaiting: str) -> None:
+    def _send_awaiting(self, ctx, channel, dst, msg, awaiting: Awaiting) -> None:
         self._await(ctx, awaiting, channel, dst, msg)
         ctx.emit(channel, dst, msg)
 
     def _finish_attempt(self, outcome: str) -> None:
-        if self.attempt is None:
-            return
         self.attempts_log.append(outcome)
         self.attempt = None
 
@@ -138,13 +156,10 @@ class Ue(Entity):
 
     # -- registration trigger and cell selection ------------------------------
 
+    # one attempt at a time, and none while registered
+    @takes(UePhase.DEREGISTERED, UePhase.PERMANENTLY_DEREGISTERED)
     def on_trigger_registration(self, msg, event, ctx) -> None:
-        if self.attempt is not None:
-            return  # one attempt at a time
-        if self.phase == UePhase.REGISTERED:
-            return
         self.attempt = Attempt(target_cell=msg.target_cell)
-        self.attempt.awaiting = "scan"
         ctx.emit(Channel.INTERNAL, "__ether__", messages.CellScanRequest())
 
     def _candidate_cells(self) -> list[messages.CellInfo]:
@@ -188,23 +203,20 @@ class Ue(Entity):
                 slice_id=self.config.slice_id,
                 ue_nonce=attempt.ue_nonce,
             ),
-            "rrc_setup",
+            Awaiting.RRC_SETUP,
         )
 
+    @takes(Awaiting.SCAN)
     def on_cell_scan_response(self, msg, event, ctx) -> None:
-        attempt = self.attempt
-        if attempt is None or attempt.awaiting != "scan":
-            ctx.ignore()
-            return
-        attempt.cells = msg.cells
+        self.attempt.cells = msg.cells
         self._select_and_access(ctx)
 
     # -- RRC connection --------------------------------------------------------
 
+    @takes(Awaiting.RRC_SETUP)
     def on_rrc_connection_setup(self, msg, event, ctx) -> None:
         attempt = self.attempt
-        if attempt is None or attempt.awaiting != "rrc_setup" or \
-                attempt.cell is None or event.src != attempt.cell.cell_id:
+        if event.src != attempt.cell.cell_id:
             ctx.ignore()
             return
         if self.config.mode == "NSA":
@@ -224,20 +236,18 @@ class Ue(Entity):
                 ue_nonce=attempt.ue_nonce,
             )
         self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
-                            request, "auth_request")
+                            request, Awaiting.AUTH_REQUEST)
 
+    @takes(*Awaiting)
     def on_rrc_connection_reject(self, msg, event, ctx) -> None:
-        if self.attempt is None:
-            ctx.ignore()
-            return
         self._finish_attempt(f"rrc_rejected:{msg.cause}")
 
     # -- pre-security reject handling -------------------------------------------
 
+    @takes(*_ON_CELL)
     def on_registration_reject(self, msg, event, ctx) -> None:
         attempt = self.attempt
-        if attempt is None or attempt.cell is None or \
-                event.src != attempt.cell.cell_id:
+        if event.src != attempt.cell.cell_id:
             ctx.ignore()
             return
         cell = attempt.cell
@@ -268,12 +278,9 @@ class Ue(Entity):
 
     # -- authentication ----------------------------------------------------------
 
+    @takes(Awaiting.AUTH_REQUEST, UePhase.REGISTERED)
     def on_authentication_request(self, msg, event, ctx) -> None:
-        renewal = self.phase == UePhase.REGISTERED
-        attempt = self.attempt
-        if not renewal and (attempt is None or attempt.awaiting != "auth_request"):
-            ctx.ignore()
-            return
+        attempt = self.attempt  # None when the network renews the context
         try:
             autn = crypto.Autn.from_bytes(msg.autn)
         except ValueError:
@@ -286,30 +293,28 @@ class Ue(Entity):
             cause = type(exc).__name__
             ctx.emit(Channel.RADIO_NAS, event.src,
                      messages.AuthenticationFailure(cause=cause))
-            if not renewal:
+            if attempt is not None:
                 self._finish_attempt(_AUTH_FAILURE_OUTCOMES[cause])
             return
         self.sqn_window = new_window
         name = serving_network_name(
-            self.config.mode, self.serving_plmn if renewal else attempt.cell.plmn)
+            self.config.mode, self.serving_plmn if attempt is None else attempt.cell.plmn)
         self._challenge = (crypto.ue_k_ausf(self.credential, msg.rand, name), name, msg.abba)
-        if not renewal:
-            self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
-                                messages.AuthenticationResponse(res=res), "nas_smc")
-        else:
+        if attempt is None:
             ctx.emit(Channel.RADIO_NAS, event.src,
                      messages.AuthenticationResponse(res=res))
+        else:
+            self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
+                                messages.AuthenticationResponse(res=res), Awaiting.NAS_SMC)
 
+    @takes(*Awaiting)
     def on_authentication_reject(self, msg, event, ctx) -> None:
-        if self.attempt is None:
-            ctx.ignore()
-            return
         self._finish_attempt("auth_rejected")
 
     # -- NAS security ----------------------------------------------------------
 
     def _accept_smc(self, ctx, wrapper, smc, derive, channel, dst, complete,
-                    awaiting: str):
+                    awaiting: Awaiting):
         """(keys, link) of a NAS or AS security mode command, keys from
         ``derive(nea, nia)``, once ``complete`` is sent sealed on the link;
         None (ignored) unless its algorithms run and its own tag verifies."""
@@ -337,7 +342,7 @@ class Ue(Entity):
             partial(crypto.derive_key_chain, k_ausf, name, format_supi(self.identity), abba),
             Channel.RADIO_NAS, reply_dst,
             messages.NasSecurityModeComplete(pei=self.pei.pei if smc.request_pei else ""),
-            "as_smc")
+            Awaiting.AS_SMC)
         if accepted is None:
             return
         keys, self.nas_link = accepted
@@ -348,6 +353,7 @@ class Ue(Entity):
         self.rrc_link = self.up_link = None  # the radio side re-keys from this context
         self._challenge = None  # one command per challenge: replays find none
 
+    @takes(Awaiting.NAS_SMC, Awaiting.REG_ACCEPT, UePhase.REGISTERED)
     def on_secured_nas(self, wrapper, event, ctx) -> None:
         if wrapper.nea_id == 0:
             inner = try_decode(wrapper.body)
@@ -355,9 +361,6 @@ class Ue(Entity):
                 self._handle_nas_smc(wrapper, inner, ctx, event.src)
                 return
         inner = open_secured(self.nas_link, wrapper)
-        if inner is None:
-            ctx.ignore()
-            return
         if isinstance(inner, messages.RegistrationAccept):
             self.guti = inner.guti
             self.phase = UePhase.REGISTERED
@@ -381,24 +384,22 @@ class Ue(Entity):
 
     # -- AS security -------------------------------------------------------------
 
+    @takes(Awaiting.AS_SMC, UePhase.REGISTERED)
     def on_secured_rrc(self, wrapper, event, ctx) -> None:
         smc = try_decode(wrapper.body) if wrapper.nea_id == 0 else None
-        if self.context is None or self.rrc_link is not None \
-                or not isinstance(smc, messages.AsSecurityModeCommand):
+        if self.rrc_link is not None or not isinstance(smc, messages.AsSecurityModeCommand):
             ctx.ignore()
             return
         accepted = self._accept_smc(
             ctx, wrapper, smc, partial(crypto.derive_as_keys, self.context.keys.get("k_gnb")),
-            Channel.RADIO_RRC, event.src, messages.AsSecurityModeComplete(), "reg_accept")
+            Channel.RADIO_RRC, event.src, messages.AsSecurityModeComplete(), Awaiting.REG_ACCEPT)
         if accepted is not None:
             self.as_keys, self.rrc_link = accepted
 
     # -- user plane ---------------------------------------------------------------
 
+    @takes(UePhase.REGISTERED)
     def on_trigger_pdu_session(self, msg, event, ctx) -> None:
-        if self.phase != UePhase.REGISTERED or self.context is None:
-            ctx.ignore()
-            return
         ctx.emit(Channel.RADIO_NAS, self.serving_gnb, self.nas_link.seal(
             messages.PduSessionRequest(slice_id=self.config.slice_id)))
 
@@ -424,10 +425,11 @@ class Ue(Entity):
         self.attempt = None
         self._challenge = None
 
+    # nothing is awaited before the first send (during the cell scan)
+    @takes(*_ON_CELL)
     def on_timer_fired(self, msg, event, ctx) -> None:
         attempt = self.attempt
-        # nothing is awaited before the first send (during the cell scan)
-        if attempt is None or attempt.timer_id != msg.timer_id or attempt.last_send is None:
+        if attempt.timer_id != msg.timer_id:
             ctx.ignore()
             return
         if attempt.retries == 0:

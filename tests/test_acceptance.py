@@ -21,6 +21,7 @@ import pytest
 
 import oracles
 from fivegsim import crypto, messages
+from fivegsim.entities.core import AmfState
 from fivegsim.flows import (
     find_amf_session,
     radio_plaintext_count,
@@ -164,7 +165,7 @@ def test_criterion_3_forged_response_detected():
         outcome = run_registration(world, "ue1")
         session = next(iter(builder.networks["net"].amf.sessions.values()))
         if (outcome.failure == "AuthFailure"
-                and session.state == "auth_failed:home_check"
+                and (session.state, session.cause) == (AmfState.AUTH_FAILED, "home_check")
                 and session.supi is None):
             detected += 1
     _report(f"3c forged response caught by home check ({detected}/{SEED_COUNT})",

@@ -18,7 +18,7 @@ from fivegsim.entities import (
     validate_nf_token,
 )
 from fivegsim.entities.base import open_secured
-from fivegsim.entities.core import TOKEN_TTL, InvalidToken, Nrf, NfProducer
+from fivegsim.entities.core import TOKEN_TTL, AmfState, InvalidToken, Nrf, NfProducer
 from fivegsim.entities.ran import SliceAdmission
 from fivegsim.entities.ue import UePhase
 from fivegsim.flows import (
@@ -412,7 +412,7 @@ def test_unknown_subscriber_is_rejected_by_the_home_network(mode, sbi_path):
     sbi = [f"{e.msg_type}:{e.event.dst}" for e in world.transcript.delivered({Channel.SBI})]
     assert sbi == sbi_path
     [session] = net.amf.sessions.values()
-    assert session.state == "auth_rejected:UnknownSubscriber"
+    assert (session.state, session.cause) == (AmfState.AUTH_REJECTED, "UnknownSubscriber")
     assert session.context is None
 
 
@@ -511,15 +511,32 @@ def test_authentication_answer_is_taken_only_in_the_step_that_waits_for_it(case)
     assert run_registration(world, "ue1", horizon=2500).success
     amf, ue = builder.networks["net"].amf, world.entities["ue1"]
     session = find_amf_session(amf, ue)
-    assert (session.state, session.sbi_sid) == ("registered", "net-amf-a1")
+    assert (session.state, session.sbi_sid) == (AmfState.REGISTERED, "net-amf-a1")
     born_at = session.context.born_at
     channel, src, dst, msg = STALE_ANSWERS[case]
     world.schedule(world.time + 1, channel, src, dst, messages.encode(msg), "attacker")
     world.run_until(world.time + 10_000)
     # the stale answer is ignored and the context renewal still fires
-    assert session.state == "registered"
+    assert session.state is AmfState.REGISTERED
     assert session.context.born_at > born_at
     assert ue.phase == UePhase.REGISTERED
+
+
+def test_smf_answer_naming_an_authentication_id_is_ignored():
+    # the AMF finds an SmfSessionResponse's session only by the id of a PDU
+    # session request it made, never by a session's authentication id
+    world, builder = single_network_world(seed=3)
+    assert run_registration(world, "ue1").success
+    amf = builder.networks["net"].amf
+    session = find_amf_session(amf, world.entities["ue1"])
+    forged = messages.SmfSessionResponse(
+        session=session.sbi_sid, up_ciphering=False, up_integrity=False)
+    start = len(world.transcript.entries)
+    world.schedule(world.time + 1, Channel.SBI, "net-smf", "net-amf",
+                   messages.encode(forged), "attacker")
+    world.run_until(world.time + 100)
+    assert [e.msg_type for e in world.transcript.entries[start:]] == ["SmfSessionResponse"]
+    assert amf.by_sbi == {session.sbi_sid: session.sid}
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +937,7 @@ def test_lost_challenge_leaves_one_amf_session():
     assert len(requests) == 2
     amf = builder.networks["net"].amf
     session = find_amf_session(amf, world.entities["ue1"])
-    assert list(amf.sessions) == [session.sid] and session.state == "registered"
+    assert list(amf.sessions) == [session.sid] and session.state is AmfState.REGISTERED
     assert amf.by_sbi == {session.sbi_sid: session.sid}
 
 
