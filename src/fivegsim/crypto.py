@@ -532,7 +532,7 @@ def derive_as_keys(k_gnb: bytes, nea_id: int, nia_id: int) -> dict[str, bytes]:
 
 
 # algorithm ids that run, and ids registered as stubs that refuse to produce bytes
-RUNNING_ALGORITHMS = frozenset({0, 2})  # null, AES-based
+RUNNING_ALGORITHMS = messages.RUNNING_ALGORITHMS  # null, AES-based; wire declarations use it
 STUB_ALGORITHMS = frozenset({1, 3})
 
 

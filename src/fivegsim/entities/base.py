@@ -17,11 +17,12 @@ _HANDLED = {"on_" + _snake(cls.__name__): cls for cls in messages._REGISTRY}
 
 
 def try_decode(data: bytes):
-    """Decode a nested payload; malformed bytes yield None, never a fault."""
+    """A nested payload decoded; None (never a fault) if malformed or breaking a declaration."""
     try:
-        return messages.decode(data)
+        msg = messages.decode(data)
     except Exception:
         return None
+    return None if type(msg) in messages.CONSTRAINTS and messages.violation(msg) else msg
 
 
 def open_secured(link: crypto.SecureLink | None, wrapper):
@@ -61,7 +62,8 @@ class Entity:
     ``(find, {state: handler})``.  Without ``find`` the state is the
     entity's ``state``; with it, the state is that of the session ``find(
     entity, msg, event)`` returns, and the handler gets the session too.
-    ``step`` checks the tables once, before it dispatches: an unknown
+    ``step`` checks the declared fields (``messages.violation``), then the
+    tables once, before it dispatches: a broken declaration, an unknown
     message type, a session not found or a state outside the table is an
     ignored transition, never a fault; protocol errors are reject/failure
     messages.
@@ -88,11 +90,15 @@ class Entity:
         self.entity_id = entity_id
 
     def step(self, msg, event, ctx) -> None:
-        handler = self._handlers.get(type(msg))
+        cls = type(msg)
+        if cls in messages.CONSTRAINTS and messages.violation(msg):
+            ctx.ignore()
+            return
+        handler = self._handlers.get(cls)
         if handler is not None:
             handler(self, msg, event, ctx)
             return
-        find, by_state = self._states.get(type(msg), _NO_ROW)
+        find, by_state = self._states.get(cls, _NO_ROW)
         session = self if find is None else find(self, msg, event)
         handler = None if session is None else by_state.get(session.state)
         if handler is None:

@@ -8,7 +8,6 @@ from functools import cached_property
 
 from .. import crypto, messages
 from ..identity import (
-    KEY_LEN,
     ConcealedIdentity,
     GutiAllocator,
     LongTermCredential,
@@ -237,9 +236,6 @@ class Amf(Entity):
 
     @takes(AmfState.AUTH_PENDING, find=_by_sbi)
     def on_auth_response_sbi(self, session, msg, ctx) -> None:
-        if len(msg.k_seaf) != KEY_LEN or len(msg.rand) != 16:
-            ctx.ignore()
-            return
         session.hxres = msg.hxres
         session.k_seaf = msg.k_seaf
         self._challenge(ctx, session, msg)
@@ -252,9 +248,6 @@ class Amf(Entity):
 
     @takes(AmfState.AUTH_PENDING, find=_by_sbi)
     def on_udm_auth_response(self, session, msg, ctx) -> None:
-        if len(msg.k_ausf) != KEY_LEN:
-            ctx.ignore()
-            return
         session.xres = msg.xres
         session.k_ausf = msg.k_ausf
         session.supi = msg.supi  # legacy trust model: home hands it over
@@ -278,9 +271,6 @@ class Amf(Entity):
 
     @takes(AmfState.CHALLENGE_SENT, find=_in_uplink_nas)
     def on_authentication_response(self, session, msg, ctx) -> None:
-        if len(msg.res) != 16:
-            ctx.ignore()
-            return
         if session.nsa:
             if msg.res == session.xres:
                 self._establish_context(session, ctx, k_ausf=session.k_ausf)
@@ -429,7 +419,7 @@ class Ausf(Entity):
 
     def on_udm_auth_response(self, msg, event, ctx) -> None:
         session = self.sessions.get(msg.session)
-        if session is None or len(msg.rand) != 16 or len(msg.xres) != 16:
+        if session is None:
             ctx.ignore()
             return
         session.update(supi=msg.supi, xres=msg.xres)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import crypto, messages
-from ..identity import KEY_LEN
 from ..netsim import Channel
 from ..policy import algorithms
 from .base import Entity, open_secured
@@ -47,7 +46,6 @@ class RadioUeContext:
     as_keys: dict[str, bytes] | None = None
     rrc: crypto.SecureLink | None = None
     up: crypto.SecureLink | None = None
-    secured: bool = False
 
 
 class GnbNode(Entity):
@@ -55,7 +53,7 @@ class GnbNode(Entity):
         self,
         entity_id: str,
         plmn: str,
-        kind: str = "gnb",  # gnb | enb | engnb | rogue
+        kind: str = "gnb",  # gnb | enb | engnb (a rogue cell is a gnb with a reject cause)
         strength: int = 10,
         amf_id: str = "",
         upf_id: str = "",
@@ -176,10 +174,6 @@ class GnbNode(Entity):
     # -- AS security --------------------------------------------------------------
 
     def on_initial_context_setup_request(self, msg, event, ctx) -> None:
-        if len(msg.k_gnb) != KEY_LEN \
-                or not {msg.nea_id, msg.nia_id} <= crypto.RUNNING_ALGORITHMS:
-            ctx.ignore()  # no radio keys from a key or algorithms that cannot serve
-            return
         radio = self.ue_contexts.get(msg.ran_ue_id)
         if radio is None:
             # NSA user-plane node: context arrives without a prior RRC setup
@@ -190,7 +184,6 @@ class GnbNode(Entity):
         radio.rrc = crypto.SecureLink(messages.SecuredRrc, radio.as_keys,
                                       msg.nea_id, msg.nia_id, direction=1)
         radio.up = None  # its keys are gone; the next session setup rebuilds it
-        radio.secured = False
         ctx.emit(Channel.N2, event.src,
                  messages.InitialContextSetupResponse(ran_ue_id=msg.ran_ue_id))
         ctx.emit(Channel.RADIO_RRC, radio.ue_id, radio.rrc.seal(
@@ -202,7 +195,6 @@ class GnbNode(Entity):
         radio = self._ue_ctx(event.src)
         inner = open_secured(radio.rrc if radio else None, wrapper)
         if isinstance(inner, messages.AsSecurityModeComplete):
-            radio.secured = True
             if self.amf_id:
                 ctx.emit(Channel.N2, self.amf_id,
                          messages.UeContextActive(ran_ue_id=self.by_ue[event.src]))

@@ -30,14 +30,6 @@ MAX_RETRANSMISSIONS = 2
 _AUTH_FAILURE_OUTCOMES = {"MacMismatch": "auth_failure_mac", "SqnStale": "auth_failure_sqn"}
 
 
-def _acceptable_algorithms(smc) -> bool:
-    """Bidding-down guard for security mode commands: algorithms that run
-    only, never null integrity.  The command's own wrapper must carry the
-    same integrity id, which the link built from it enforces."""
-    running = crypto.RUNNING_ALGORITHMS
-    return smc.nia_id != 0 and smc.nea_id in running and smc.nia_id in running
-
-
 class UePhase(State):
     DEREGISTERED = "deregistered"
     REGISTERED = "registered"
@@ -281,11 +273,7 @@ class Ue(Entity):
     @takes(Awaiting.AUTH_REQUEST, UePhase.REGISTERED)
     def on_authentication_request(self, msg, event, ctx) -> None:
         attempt = self.attempt  # None when the network renews the context
-        try:
-            autn = crypto.Autn.from_bytes(msg.autn)
-        except ValueError:
-            ctx.ignore()
-            return
+        autn = crypto.Autn.from_bytes(msg.autn)  # 16 bytes, as its class declares
         try:
             res, new_window = crypto.ue_verify_challenge(
                 self.credential, msg.rand, autn, self.sqn_window)
@@ -317,8 +305,9 @@ class Ue(Entity):
                     awaiting: Awaiting):
         """(keys, link) of a NAS or AS security mode command, keys from
         ``derive(nea, nia)``, once ``complete`` is sent sealed on the link;
-        None (ignored) unless its algorithms run and its own tag verifies."""
-        if not _acceptable_algorithms(smc):
+        None (ignored) unless its own tag verifies (its ids run, as declared)."""
+        # bidding down: never null integrity (the link checks its wrapper's id)
+        if smc.nia_id == 0:
             ctx.ignore()
             return None
         keys = derive(smc.nea_id, smc.nia_id)

@@ -17,23 +17,47 @@ covers each run of consecutive fixed-width values (ints, booleans,
 length prefixes and list counts).
 The classes are plain, mutable dataclasses: the bus hands the sender's
 object to the receiver, so a handler must never change a message it got.
-"""
 
-from __future__ import annotations
+A constrained field declares its width in bytes or its allowed values
+once, on its class, with ``typing.Annotated`` (``Octets16``, ``Key``,
+``AlgorithmId``); ``CONSTRAINTS`` holds the classes that declare any.
+Entities refuse a message that breaks one (``violation``) where they take
+it; the codec stays permissive, so an adversary's rewrite reaches them.
+"""
 
 import functools
 import struct
 import typing
 from dataclasses import dataclass, fields
 
+from .identity import KEY_LEN
+
 _REGISTRY: list[type] = []  # index = tag
+
+RUNNING_ALGORITHMS = frozenset({0, 2})  # null, AES-based: ``crypto`` refuses the others
+Octets16 = typing.Annotated[bytes, 16]  # RAND, AUTN, RES, XRES
+Key = typing.Annotated[bytes, KEY_LEN]
+AlgorithmId = typing.Annotated[int, RUNNING_ALGORITHMS]
+CONSTRAINTS: dict[type, tuple] = {}  # wire class -> ((field, constraint), ...), if any
 
 
 def wire(cls):
-    """Register a dataclass as a wire message/struct."""
+    """Register a dataclass as a wire message/struct, with its declared constraints."""
     cls = dataclass(cls)
     _REGISTRY.append(cls)
+    if declared := tuple((f.name, f.type.__metadata__[0]) for f in fields(cls)
+                         if typing.get_origin(f.type) is typing.Annotated):
+        CONSTRAINTS[cls] = declared
     return cls
+
+
+def violation(msg) -> str | None:
+    """``Class.field`` of the first declared constraint ``msg`` breaks, or None."""
+    for name, allowed in CONSTRAINTS.get(type(msg), ()):
+        value = getattr(msg, name)
+        if len(value) != allowed if type(allowed) is int else value not in allowed:
+            return f"{type(msg).__name__}.{name}"
+    return None
 
 
 _HEAD = struct.Struct(">IH").pack  # frame length, type tag
@@ -213,8 +237,8 @@ class RrcConnectionReject:
 
 @wire
 class AsSecurityModeCommand:
-    nea_id: int
-    nia_id: int
+    nea_id: AlgorithmId
+    nia_id: AlgorithmId
 
 
 @wire
@@ -267,14 +291,14 @@ class RegistrationReject:
 @wire
 class AuthenticationRequest:
     rand: bytes
-    autn: bytes
+    autn: Octets16
     ngksi: int
     abba: bytes
 
 
 @wire
 class AuthenticationResponse:
-    res: bytes
+    res: Octets16
 
 
 @wire
@@ -289,8 +313,8 @@ class AuthenticationReject:
 
 @wire
 class NasSecurityModeCommand:
-    nea_id: int
-    nia_id: int
+    nea_id: AlgorithmId
+    nia_id: AlgorithmId
     ngksi: int
     request_pei: bool
 
@@ -351,9 +375,9 @@ class DownlinkNas:
 class InitialContextSetupRequest:
     ran_ue_id: int
     ue_radio_ref: str
-    k_gnb: bytes
-    nea_id: int
-    nia_id: int
+    k_gnb: Key
+    nea_id: AlgorithmId
+    nia_id: AlgorithmId
 
 
 @wire
@@ -394,10 +418,10 @@ class AuthRequestSbi:
 @wire
 class AuthResponseSbi:
     session: str
-    rand: bytes
+    rand: Octets16
     autn: bytes
     hxres: bytes
-    k_seaf: bytes
+    k_seaf: Key
 
 
 @wire
@@ -417,10 +441,10 @@ class UdmAuthRequest:
 class UdmAuthResponse:
     session: str
     supi: str
-    rand: bytes
+    rand: Octets16
     autn: bytes
-    xres: bytes
-    k_ausf: bytes
+    xres: Octets16
+    k_ausf: Key
 
 
 @wire

@@ -231,6 +231,10 @@ MALFORMED_CORE_FIELDS = {
     "k_ausf_5_bytes_nsa": ("NSA", "UdmAuthResponse", _set_field("k_ausf", lambda v: v[:5])),
     "rand_5_bytes": ("SA", "UdmAuthResponse", _set_field("rand", lambda v: v[:5])),
     "xres_5_bytes": ("SA", "UdmAuthResponse", _set_field("xres", lambda v: v[:5])),
+    # the same home vector fields, each taken by the entity that once missed it
+    "k_ausf_5_bytes": ("SA", "UdmAuthResponse", _set_field("k_ausf", lambda v: v[:5])),
+    "rand_5_bytes_nsa": ("NSA", "UdmAuthResponse", _set_field("rand", lambda v: v[:5])),
+    "xres_5_bytes_nsa": ("NSA", "UdmAuthResponse", _set_field("xres", lambda v: v[:5])),
 }
 
 
@@ -724,13 +728,15 @@ def test_token_replay_to_wrong_producer_over_the_bus():
 
 def test_as_keys_match_between_ue_and_cell():
     world, builder = single_network_world(seed=19)
-    run_registration(world, "ue1")
+    assert run_registration(world, "ue1").success
     ue = world.entities["ue1"]
     gnb = builder.networks["net"].cells[0]
     radio = next(iter(gnb.ue_contexts.values()))
     for name in ("k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc"):
         assert ue.as_keys.get(name) == radio.as_keys.get(name), name
-    assert radio.secured
+    # the cell reports the context active only once it took the UE's AS complete
+    assert [e.event.src for e in world.transcript.delivered({Channel.N2})
+            if e.msg_type == "UeContextActive"] == [gnb.entity_id]
 
 
 def test_tampered_up_packet_dropped_when_integrity_on():

@@ -5,7 +5,8 @@ sha256 of the exported transcript.  The variants are the twelve threat
 scenarios, the eight mitigated variants of the README table and one
 registration in four worlds no scenario builds.  The same digests are
 recomputed in child processes under different ``PYTHONHASHSEED`` values,
-so determinism is checked across processes, not only within one.
+so determinism is checked across processes, not only within one.  No
+message of a golden world breaks a field constraint its class declares.
 
 Run this module as a script to print the current digests as JSON.
 """
@@ -18,7 +19,7 @@ import sys
 
 import pytest
 
-from fivegsim import flows, scenarios, worldfile
+from fivegsim import flows, messages, netsim, scenarios, worldfile
 from fivegsim.identity import SuciScheme
 from fivegsim.policy import OperatorPolicy
 
@@ -86,6 +87,38 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_transcript_matches_golden(case, golden):
     assert digest(case) == golden[case]
+
+
+def carried(payload: bytes):
+    """The message ``payload`` holds and each message nested in it: the
+    ``nas`` or ``inner`` bytes, or a plaintext ``body``.  Bytes that do not
+    decode yield nothing."""
+    try:
+        msg = messages.decode(payload)
+    except Exception:
+        return
+    yield msg
+    nested = getattr(msg, "nas", None) or getattr(msg, "inner", None)
+    if getattr(msg, "nea_id", None) == 0 and hasattr(msg, "body"):
+        nested = msg.body
+    if nested:
+        yield from carried(nested)
+
+
+def test_no_golden_world_breaks_a_declared_constraint(monkeypatch):
+    # the entities refuse a message that breaks a width or algorithm id its
+    # class declares; no message of a golden world, honest or not, does
+    transcripts = []
+    sha256 = netsim.Transcript.sha256
+    monkeypatch.setattr(netsim.Transcript, "sha256",
+                        lambda self: transcripts.append(self) or sha256(self))
+    for case in CASES:
+        if case.endswith("@0"):
+            digest(case)
+    checked = [msg for transcript in transcripts for entry in transcript.entries
+               for msg in carried(entry.event.payload) if type(msg) in messages.CONSTRAINTS]
+    assert len(transcripts) == len(VARIANTS) and checked
+    assert [messages.violation(msg) for msg in checked] == [None] * len(checked)
 
 
 @pytest.mark.parametrize("hashseed", ["1", "2"])
