@@ -83,6 +83,9 @@ def _cmd_run(args) -> int:
 
     if args.scenario == "registration":
         return _cmd_run_registration(args, overrides, expectations)
+    if args.transcript:
+        print("error: --transcript applies to registration runs only", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.world:
         try:

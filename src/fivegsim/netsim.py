@@ -1,9 +1,9 @@
 """Deterministic discrete-event message bus with adversary interposition.
 
 Events are delivered in (time, seq) order.  Before delivery each event
-passes the jamming model and then every attached adversary hook in
-registration order; hooks may observe, drop, modify or inject depending
-on their capabilities.  A transcript records every delivery and drop, and
+passes every attached adversary hook in attachment order (a jammer is one,
+``JamWindow``); hooks may observe, drop, modify or inject depending on
+their capabilities.  A transcript records every delivery and drop, and
 its export hashes identically across runs with the same seed.
 
 A message an entity emits travels as its encoded payload and, beside the
@@ -207,17 +207,24 @@ class AdversaryHook:
 
 @dataclass(frozen=True)
 class JamWindow:
+    """A jammer on ``target_cell``'s access attempts over [t_start, t_end),
+    as the handler of the hook ``World.apply_jam`` attaches.  A cell with
+    ``jam_suppression_enabled`` is not jammed."""
+
     target_cell: str
     t_start: int
     t_end: int
-    suppressed: bool = False
 
     def __post_init__(self):
         if self.t_start >= self.t_end:
             raise ValueError("jam window must have t_start < t_end")
 
-    def covers(self, t: int) -> bool:
-        return self.t_start <= t < self.t_end
+    def __call__(self, world: "World", hook: AdversaryHook, event: SimEvent) -> Action | None:
+        if (event.dst == self.target_cell and self.t_start <= event.time < self.t_end
+                and _peek(event.payload) == "RrcConnectionRequest"
+                and not getattr(world.entities.get(event.dst), "jam_suppression_enabled", False)):
+            return Action(drop=True)
+        return None
 
 
 class StepContext:
@@ -247,10 +254,6 @@ class StepContext:
         self.ignored = True
 
 
-# Message types whose radio delivery a jammer can suppress (access attempts).
-_REGISTRATION_INITIATING = frozenset({"RrcConnectionRequest"})
-
-
 class World:
     """One simulated deployment: entities, queue, adversaries, transcript."""
 
@@ -267,7 +270,6 @@ class World:
         self._queue: list[tuple[int, int, SimEvent, object]] = []
         self.transcript = Transcript()
         self.adversaries: list[AdversaryHook] = []
-        self.jams: list[JamWindow] = []
         self.link_protected: dict[Channel, bool] = {
             Channel.SEPP_LINK: True,
         }
@@ -291,8 +293,11 @@ class World:
         self.adversaries.append(hook)
         return hook.adversary_id
 
-    def apply_jam(self, jam: JamWindow) -> None:
-        self.jams.append(jam)
+    def apply_jam(self, jam: JamWindow) -> str:
+        """Attach ``jam`` as the handler of a DROP-only hook on the radio channels."""
+        return self.attach_adversary(AdversaryHook(
+            f"jammer:{jam.target_cell}", RADIO_CHANNELS,
+            frozenset({Capability.DROP}), handler=jam))
 
     # -- scheduling --------------------------------------------------------
 
@@ -336,21 +341,6 @@ class World:
         return [cell for cell in cells if cell is not None]
 
     # -- main loop -----------------------------------------------------------
-
-    def _jam_applies(self, event: SimEvent, msg_type: str) -> bool:
-        if event.channel not in RADIO_CHANNELS or msg_type not in _REGISTRATION_INITIATING:
-            return False
-        target = self.entities.get(event.dst)
-        for jam in self.jams:
-            if jam.target_cell == event.dst and jam.covers(event.time):
-                suppression = (
-                    jam.suppressed
-                    and target is not None
-                    and getattr(target, "jam_suppression_enabled", False)
-                )
-                if not suppression:
-                    return True
-        return False
 
     def _run_hooks(self, event: SimEvent) -> tuple[bool, bool]:
         """Pass ``event`` through each hook whose vantage covers its channel,
@@ -396,15 +386,13 @@ class World:
             dst = event.dst
             msg_type = _peek(event.payload) if msg is None else type(msg).__name__
             modified = dropped = False
-            # settle the event's fate, record it once, then deliver it; the jam
-            # scan and the hooks run only while the world has jams or hooks
-            # (checked per event: a scheduled action may add either)
+            # settle the event's fate, record it once, then deliver it; the
+            # hooks run only while the world has one (checked per event: a
+            # scheduled action may attach one)
             if dst == "__world__":
                 fn = self._actions.pop(event.seq, None)
                 if fn is not None:
                     fn(self)
-            elif self.jams and self._jam_applies(event, msg_type):
-                dropped = True
             elif self.adversaries:
                 modified, dropped = self._run_hooks(event)
                 if modified:  # the receiver gets the adversary's bytes, decoded

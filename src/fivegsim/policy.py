@@ -100,8 +100,6 @@ def load_reject_causes() -> dict[int, dict]:
 
 REJECT_CAUSES = load_reject_causes()
 CAUSE_ILLEGAL_UE = 3
-CAUSE_ILLEGAL_ME = 6
-CAUSE_CONGESTION = 22
 
 
 def cause_is_persistent(cause: int) -> bool:

@@ -537,7 +537,7 @@ def _run_ts07(seed: int, overrides: dict) -> tuple[World, dict]:
     builder, net = _stage(seed, _base_policy(overrides))
     builder.add_ue("ue1", net)
     world = builder.world
-    world.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=3000, suppressed=True))
+    world.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=3000))
 
     first = run_registration(world, "ue1", horizon=2800)
     second = run_registration(world, "ue1", horizon=5000)
@@ -651,8 +651,10 @@ def _run_ts11(seed: int, overrides: dict) -> tuple[World, dict]:
 
 
 def _run_ts12(seed: int, overrides: dict) -> tuple[World, dict]:
-    reserved_victim = int(overrides.get("reserved_for_victim", 0))
     capacity = 10
+    reserved_victim = overrides.get("reserved_for_victim", 0)
+    if type(reserved_victim) is not int or not 0 <= reserved_victim <= capacity:
+        raise InvalidOverride(f"reserved_for_victim is 0..{capacity}, got {reserved_victim!r}")
     reserved = {"slice-a": capacity - reserved_victim}
     if reserved_victim:
         reserved["slice-b"] = reserved_victim
@@ -708,11 +710,10 @@ def _normalize_overrides(scenario: ThreatScenario, overrides: dict | None) -> di
         try:
             if key in POLICY_KEYS:
                 out[key] = parse_policy_value(key, value)
-            else:
-                try:
-                    out[key] = parse_bool(value)
-                except ValueError:
-                    out[key] = int(value)
+            elif key == "reserved_for_victim":  # a slot count; _run_ts12 checks its range
+                out[key] = int(value)
+            else:  # every other mitigation is a switch
+                out[key] = parse_bool(value)
         except ValueError as exc:
             raise InvalidOverride(f"{key}={value}: {exc}") from None
     return out

@@ -226,12 +226,21 @@ _CHANNELS = {c.value: c for c in Channel}
 _CAPABILITIES = {c.value: c for c in Capability}
 
 
+def _read(path: str, what: str) -> configparser.ConfigParser:
+    """The INI text at ``path``; unreadable or malformed text is a WorldFileError."""
+    parser = configparser.ConfigParser()
+    try:
+        if parser.read(path):
+            return parser
+    except (configparser.Error, UnicodeDecodeError) as exc:  # no header, a repeated name
+        raise WorldFileError(str(exc)) from exc
+    raise WorldFileError(f"cannot read {what} file {path!r}")
+
+
 def load_override_file(path: str) -> dict[str, str]:
     """Scenario override file: the same key=value text as a world file,
     with overrides in the [policy] and/or [overrides] sections."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise WorldFileError(f"cannot read override file {path!r}")
+    parser = _read(path, "override")
     out: dict[str, str] = {}
     for section in ("policy", "overrides"):
         if parser.has_section(section):
@@ -240,10 +249,7 @@ def load_override_file(path: str) -> dict[str, str]:
 
 
 def load_world_file(path: str) -> tuple[World, WorldBuilder]:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise WorldFileError(f"cannot read world file {path!r}")
+    parser = _read(path, "world")
     try:
         return _build_from_parser(parser)
     except (configparser.Error, KeyError, ValueError) as exc:

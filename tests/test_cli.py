@@ -70,6 +70,27 @@ def test_malformed_override_value_exits_2(capsys, setting):
     assert err.startswith("error: ") and setting.split("=")[0] in err
 
 
+@pytest.mark.parametrize("scenario,setting", [
+    ("TS_12", "reserved_for_victim=yes"), ("TS_12", "reserved_for_victim=-3"),
+    ("TS_12", "reserved_for_victim=11"), ("TS_11", "overlap_cell=7"),
+    ("TS_02", "revoke_stolen_sepp=2"), ("TS_05", "blacklist_rogue=-1"),
+])
+def test_mitigation_knob_out_of_its_type_exits_2(capsys, scenario, setting):
+    # a switch reads only as a boolean, the TS_12 reservation only as 0..10 slots
+    code, _, err = run_cli(capsys, "run", "--scenario", scenario, "--set", setting)
+    assert code == 2
+    assert err.startswith("error: ") and setting.split("=")[0] in err
+
+
+def test_transcript_on_a_scenario_run_exits_2(capsys, tmp_path):
+    transcript = tmp_path / "events.jsonl"
+    code, out, err = run_cli(capsys, "run", "--scenario", "TS_05",
+                             "--transcript", str(transcript))
+    assert code == 2 and out == ""
+    assert "--transcript applies to registration runs only" in err
+    assert not transcript.exists()
+
+
 @pytest.mark.parametrize("scenario", ["TS_01", "registration"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "2**64"])
 def test_out_of_range_seed_exits_2(capsys, scenario, seed):
@@ -261,6 +282,21 @@ def test_world_file_parse_error_exits_3(capsys, tmp_path):
                            "--world", str(bad))
     assert code == 3
     assert "world file" in err
+
+
+@pytest.mark.parametrize("scenario", ["registration", "TS_01"])
+@pytest.mark.parametrize("text", [
+    b"seed = 1\n",  # no section header
+    b"[network a]\nplmn = 00101\n[network a]\nplmn = 00102\n",  # a repeated section
+    b"[world]\nseed = 1\nseed = 2\n",  # a repeated key
+    b"\xff\xfe[world]\n",  # not text
+], ids=["no-header", "repeated-section", "repeated-key", "binary"])
+def test_world_file_that_is_not_ini_exits_3(capsys, tmp_path, scenario, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(text)
+    code, _, err = run_cli(capsys, "run", "--scenario", scenario, "--world", str(bad))
+    assert code == 3
+    assert err.startswith("error: world file: ")
 
 
 def test_world_file_negative_renewal_interval_exits_3(capsys, tmp_path):

@@ -212,18 +212,46 @@ def test_jam_drops_only_access_attempts_in_window():
     assert second.success
 
 
-def test_jam_suppression_requires_policy_and_flag():
-    # suppressible jam + suppression-capable cell -> no effect
+def test_jam_suppression_follows_the_cell_policy():
+    # a cell with jam suppression enabled registers through the jam
     policy = OperatorPolicy(jam_suppression_enabled=True)
     world, _ = single_network_world(seed=7, policy=policy)
-    world.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=2_000,
-                              suppressed=True))
+    world.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=2_000))
     assert run_registration(world, "ue1", horizon=1_800).success
-    # suppressible jam but the cell cannot suppress -> timeout
+    # a plain cell is jammed -> timeout
     world2, _ = single_network_world(seed=7)
-    world2.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=2_000,
-                               suppressed=True))
+    world2.apply_jam(JamWindow(target_cell="cell-a", t_start=0, t_end=2_000))
     assert run_registration(world2, "ue1", horizon=1_800).outcome == "timeout"
+
+
+def test_jammer_is_a_hook_in_attachment_order():
+    # a spy attached before the jammer sees the jammed access attempts,
+    # one attached after it does not; the transcript is the same either way
+    def spy():
+        return AdversaryHook(adversary_id="spy", vantage=frozenset({Channel.RADIO_RRC}),
+                             capabilities=frozenset({Capability.OBSERVE}))
+
+    def requests_seen(hook):
+        return sum(messages.peek_type(p) == "RrcConnectionRequest"
+                   for p in hook.knowledge.payloads(Channel.RADIO_RRC))
+
+    jam = JamWindow(target_cell="cell-a", t_start=0, t_end=2_000)
+    before, _ = single_network_world(seed=7)
+    early = spy()
+    before.attach_adversary(early)
+    assert before.apply_jam(jam) == "jammer:cell-a"
+    after, _ = single_network_world(seed=7)
+    after.apply_jam(jam)
+    late = spy()
+    after.attach_adversary(late)
+    for world in (before, after):
+        assert run_registration(world, "ue1", horizon=1_800).outcome == "timeout"
+
+    jammed = [e for e in before.transcript.entries if e.msg_type == "RrcConnectionRequest"]
+    assert jammed and all(e.annotations == Annotations(dropped=True) for e in jammed)
+    assert requests_seen(early) == len(jammed)
+    assert requests_seen(late) == 0
+    assert before.transcript.sha256() == after.transcript.sha256()
 
 
 def test_a_jam_or_hook_added_by_a_scheduled_action_applies_to_later_events():

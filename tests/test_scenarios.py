@@ -104,6 +104,12 @@ def test_invalid_override_rejected_before_execution():
         run_scenario("TS_05", {"overlap_cell": "true"})  # belongs to TS_11
 
 
+@pytest.mark.parametrize("reserved", [-1, 11, True, 2.0, "yes", "-3"])
+def test_ts12_reservation_is_a_slot_count_within_capacity(reserved):
+    with pytest.raises(InvalidOverride):
+        run_scenario("TS_12", {"reserved_for_victim": reserved})
+
+
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
 def test_default_outcomes(scenario_id):
     report = run_scenario(scenario_id, seed=42)
