@@ -122,9 +122,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_run_registration(args, overrides, expectations) -> int:
-    if overrides:
-        print("error: --set applies to scenarios only", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, given in (("--set", overrides), ("--expect", expectations)):
+        if given:
+            print(f"error: {flag} applies to scenarios only", file=sys.stderr)
+            return EXIT_USAGE
     if args.world:
         try:
             world, builder = load_world_file(args.world)
@@ -145,8 +146,11 @@ def _cmd_run_registration(args, overrides, expectations) -> int:
     }
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
+    elif args.format == "markdown":
         text = "\n".join(f"{ue}: {res}" for ue, res in outcomes.items()) + "\n"
+    else:  # csv, in the shape of a scenario's predicate,value table
+        lines = ["ue,outcome"] + [f"{ue},{res}" for ue, res in outcomes.items()]
+        text = "\n".join(lines) + "\n"
     status = _write_output(text, args.out)
     if status != EXIT_OK:
         return status

@@ -17,6 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -544,16 +545,12 @@ def _require_running(kind: str, alg_id: int) -> None:
 
 
 MAC_I_LEN = 4
+_NULL_TAG = b"\x00" * MAC_I_LEN
 
 
-@dataclass(frozen=True)
-class ProtectedMessage:
+class ProtectedMessage(NamedTuple):
     ciphertext: bytes
     mac_tag: bytes
-
-    def __post_init__(self):
-        if len(self.mac_tag) != MAC_I_LEN:
-            raise ValueError(f"mac tag is {MAC_I_LEN} bytes")
 
 
 # 8-byte big-endian block indices: the low half of a message's counter blocks
@@ -602,8 +599,12 @@ def _keystream(key_enc: bytes | _Keystream | None) -> _Keystream:
     return key_enc if type(key_enc) is _Keystream else _Keystream(key_enc)
 
 
-def _cmac_tag(key_int: bytes, count: int, direction: int, ciphertext: bytes) -> bytes:
-    mac = CMAC(AES(_aes_key(key_int)))
+def _cmac_tag(key_int: bytes | AES, count: int, direction: int,
+              ciphertext: bytes) -> bytes:
+    """128-NIA2: AES-CMAC over COUNT || DIRECTION || the message, cut to
+    MAC_I_LEN.  ``key_int`` is a raw integrity key or a ``SecureLink``'s
+    prepared ``AES`` key object."""
+    mac = CMAC(AES(_aes_key(key_int)) if type(key_int) is bytes else key_int)
     mac.update(count.to_bytes(4, "big") + bytes([direction & 1]) + ciphertext)
     return mac.finalize()[:MAC_I_LEN]
 
@@ -613,27 +614,27 @@ def protect(
     nea_id: int,
     nia_id: int,
     key_enc: bytes | _Keystream | None,
-    key_int: bytes | None,
+    key_int: bytes | AES | None,
     direction: int,
     count: int,
 ) -> ProtectedMessage:
     """Apply ciphering and integrity protection to one message.
 
     The null algorithms pass bytes through but the tag overhead is always
-    present (four zero bytes under null integrity).  ``key_enc`` is the raw
-    ciphering key or a ``SecureLink``'s keystream built from it.
+    present (four zero bytes under null integrity).  ``key_enc`` and
+    ``key_int`` are the raw keys, or a ``SecureLink``'s keystream and
+    prepared integrity key built from them.
     """
-    _require_running("ciphering", nea_id)
-    _require_running("integrity", nia_id)
+    if nea_id not in RUNNING_ALGORITHMS or nia_id not in RUNNING_ALGORITHMS:
+        _require_running("ciphering", nea_id)
+        _require_running("integrity", nia_id)
     if nea_id == 0:
         ciphertext = payload
     else:
         ciphertext = _keystream(key_enc).apply(count, direction, payload)
     if nia_id == 0:
-        tag = b"\x00" * MAC_I_LEN
-    else:
-        tag = _cmac_tag(key_int, count, direction, ciphertext)
-    return ProtectedMessage(ciphertext=ciphertext, mac_tag=tag)
+        return ProtectedMessage(ciphertext, _NULL_TAG)
+    return ProtectedMessage(ciphertext, _cmac_tag(key_int, count, direction, ciphertext))
 
 
 def unprotect(
@@ -641,20 +642,25 @@ def unprotect(
     nea_id: int,
     nia_id: int,
     key_enc: bytes | _Keystream | None,
-    key_int: bytes | None,
+    key_int: bytes | AES | None,
     direction: int,
     count: int,
 ) -> bytes:
-    """Verify the tag (unless null integrity) and decipher."""
-    _require_running("ciphering", nea_id)
-    _require_running("integrity", nia_id)
+    """Verify the tag (unless null integrity) and decipher.  The tag is
+    always MAC_I_LEN bytes, under null integrity too."""
+    ciphertext, mac_tag = msg
+    if len(mac_tag) != MAC_I_LEN:
+        raise ValueError(f"mac tag is {MAC_I_LEN} bytes")
+    if nea_id not in RUNNING_ALGORITHMS or nia_id not in RUNNING_ALGORITHMS:
+        _require_running("ciphering", nea_id)
+        _require_running("integrity", nia_id)
     if nia_id != 0:
-        expected = _cmac_tag(key_int, count, direction, msg.ciphertext)
-        if not hmac_mod.compare_digest(expected, msg.mac_tag):
+        expected = _cmac_tag(key_int, count, direction, ciphertext)
+        if not hmac_mod.compare_digest(expected, mac_tag):
             raise IntegrityFailure("message tag mismatch")
     if nea_id == 0:
-        return msg.ciphertext
-    return _keystream(key_enc).apply(count, direction, msg.ciphertext)
+        return ciphertext
+    return _keystream(key_enc).apply(count, direction, ciphertext)
 
 
 # COUNT is a 32-bit algorithm input.  A wrapper counted above it, or below
@@ -695,6 +701,9 @@ class SecureLink:
         self.key_enc = keys.get(enc_name)
         self.key_int = keys.get(int_name)
         self._stream = _Keystream(self.key_enc)  # its AES context comes with use
+        # the 128-bit integrity key as an algorithm object: each tag is one
+        # CMAC over it, with no key parsing per message
+        self._mac_key = None if self.key_int is None else AES(_aes_key(self.key_int))
         self.nea_id = nea_id
         self.nia_id = nia_id
         self.direction = direction
@@ -708,11 +717,9 @@ class SecureLink:
         count = self.next_tx
         self.next_tx = count + 1
         nea_id = 0 if integrity_only else self.nea_id
-        sealed = protect(messages.encode(inner), nea_id, self.nia_id,
-                         self._stream, self.key_int, self.direction, count)
-        return self.wrapper(count=count, direction=self.direction, nea_id=nea_id,
-                            nia_id=self.nia_id, mac_tag=sealed.mac_tag,
-                            body=sealed.ciphertext)
+        body, mac_tag = protect(messages.encode(inner), nea_id, self.nia_id,
+                                self._stream, self._mac_key, self.direction, count)
+        return self.wrapper(count, self.direction, nea_id, self.nia_id, mac_tag, body)
 
     def open(self, wrapper, integrity_only: bool = False) -> bytes | LinkReject:
         """The inner plaintext, or why the wrapper was refused.  Only an
@@ -730,11 +737,9 @@ class SecureLink:
         if len(wrapper.mac_tag) != MAC_I_LEN:
             return LinkReject.INTEGRITY
         try:
-            payload = unprotect(
-                ProtectedMessage(ciphertext=wrapper.body, mac_tag=wrapper.mac_tag),
-                nea_id, self.nia_id, self._stream, self.key_int,
-                wrapper.direction, count,
-            )
+            payload = unprotect(ProtectedMessage(wrapper.body, wrapper.mac_tag),
+                                nea_id, self.nia_id, self._stream, self._mac_key,
+                                wrapper.direction, count)
         except IntegrityFailure:
             return LinkReject.INTEGRITY
         self.next_rx = count + 1

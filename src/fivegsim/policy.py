@@ -92,6 +92,18 @@ def parse_policy_value(key: str, raw: str):
     return raw
 
 
+def policy_value(key: str, value):
+    """One policy override: text is parsed as ``parse_policy_value`` does,
+    any other value must already have the key's declared type (an int,
+    never a bool, for the renewal interval)."""
+    if isinstance(value, str):
+        return parse_policy_value(key, value)
+    kind = _POLICY_TYPES[key]
+    if type(value) not in ((int, type(None)) if kind == int | None else (kind,)):
+        raise ValueError(f"text or a value of the field's own type expected, got {value!r}")
+    return value
+
+
 def load_reject_causes() -> dict[int, dict]:
     with resources.files("fivegsim.data").joinpath("reject_causes.json").open("rb") as fh:
         raw = json.load(fh)

@@ -32,7 +32,7 @@ from .policy import (
     OperatorPolicy,
     POLICY_KEYS,
     parse_bool,
-    parse_policy_value,
+    policy_value,
     serving_network_name,
 )
 from .risk import Impact, Likelihood, RiskCell, place
@@ -250,6 +250,9 @@ def _open_captured(wrapper, keys):
     """The message inside a captured wrapper, opened as its receiver would
     through a fresh link built from the adversary's keys and the captured
     header; None when those keys do not open it."""
+    if wrapper.nea_id not in crypto.RUNNING_ALGORITHMS or \
+       wrapper.nia_id not in crypto.RUNNING_ALGORITHMS:
+        return None  # no receiver runs the algorithms the header names
     link = crypto.SecureLink(type(wrapper), keys, wrapper.nea_id, wrapper.nia_id,
                              direction=1 - wrapper.direction)
     if (wrapper.nea_id != 0 and link.key_enc is None) or \
@@ -653,7 +656,7 @@ def _run_ts11(seed: int, overrides: dict) -> tuple[World, dict]:
 def _run_ts12(seed: int, overrides: dict) -> tuple[World, dict]:
     capacity = 10
     reserved_victim = overrides.get("reserved_for_victim", 0)
-    if type(reserved_victim) is not int or not 0 <= reserved_victim <= capacity:
+    if not 0 <= reserved_victim <= capacity:
         raise InvalidOverride(f"reserved_for_victim is 0..{capacity}, got {reserved_victim!r}")
     reserved = {"slice-a": capacity - reserved_victim}
     if reserved_victim:
@@ -695,6 +698,20 @@ _RUNNERS = {
 }
 
 
+def _override_value(key: str, value):
+    """One override: text is parsed by the key's rule, and a value of any
+    other kind must already have the type that rule yields."""
+    if key in POLICY_KEYS:
+        return policy_value(key, value)
+    # a slot count (_run_ts12 checks its range), or else a switch
+    kind = int if key == "reserved_for_victim" else bool
+    if isinstance(value, str):
+        return int(value) if kind is int else parse_bool(value)
+    if type(value) is not kind:
+        raise ValueError(f"{kind.__name__} expected, got {value!r}")
+    return value
+
+
 def _normalize_overrides(scenario: ThreatScenario, overrides: dict | None) -> dict:
     if not overrides:
         return {}
@@ -704,16 +721,8 @@ def _normalize_overrides(scenario: ThreatScenario, overrides: dict | None) -> di
         if key not in allowed:
             raise InvalidOverride(
                 f"{key!r} is not a valid override for {scenario.scenario_id}")
-        if not isinstance(value, str):
-            out[key] = value
-            continue
         try:
-            if key in POLICY_KEYS:
-                out[key] = parse_policy_value(key, value)
-            elif key == "reserved_for_victim":  # a slot count; _run_ts12 checks its range
-                out[key] = int(value)
-            else:  # every other mitigation is a switch
-                out[key] = parse_bool(value)
+            out[key] = _override_value(key, value)
         except ValueError as exc:
             raise InvalidOverride(f"{key}={value}: {exc}") from None
     return out

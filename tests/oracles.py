@@ -43,7 +43,7 @@ def hmac_sha256(key: bytes, msg: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# AES-128 (encrypt direction only) and CTR mode
+# AES-128 (encrypt direction only), CTR mode and CMAC
 # ---------------------------------------------------------------------------
 
 _SBOX = [
@@ -130,6 +130,28 @@ def aes128_ctr(key: bytes, icb: bytes, data: bytes) -> bytes:
         chunk = data[i:i + 16]
         out += bytes(a ^ b for a, b in zip(chunk, keystream))
     return bytes(out)
+
+
+def _cmac_double(block: int) -> int:
+    """Doubling in GF(2^128) with the RFC 4493 constant R_128 = 0x87."""
+    block <<= 1
+    return block ^ 0x87 ^ (1 << 128) if block >> 128 else block
+
+
+def cmac(key: bytes, msg: bytes) -> bytes:
+    """AES-CMAC (RFC 4493 section 2.4), the full 16-byte tag."""
+    k1 = _cmac_double(int.from_bytes(aes128_encrypt_block(key, bytes(16)), "big"))
+    k2 = _cmac_double(k1)
+    *head, tail = [msg[i:i + 16] for i in range(0, len(msg), 16)] or [b""]
+    if len(tail) == 16:
+        last = int.from_bytes(tail, "big") ^ k1
+    else:  # padded with a one bit, then zeros
+        last = int.from_bytes(tail + b"\x80" + bytes(15 - len(tail)), "big") ^ k2
+    x = 0
+    for block in head:
+        x = int.from_bytes(aes128_encrypt_block(
+            key, (x ^ int.from_bytes(block, "big")).to_bytes(16, "big")), "big")
+    return aes128_encrypt_block(key, (x ^ last).to_bytes(16, "big"))
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,21 @@ def test_registration_run_default_world(capsys):
     assert payload["transcript_sha256"]
 
 
+def test_expect_on_a_registration_run_exits_2(capsys):
+    # a registration run has no predicates, so the asked-for check cannot run
+    code, out, err = run_cli(capsys, "run", "--scenario", "registration",
+                             "--expect", "nonsense=true")
+    assert code == 2 and out == ""
+    assert "--expect applies to scenarios only" in err
+
+
+def test_registration_run_csv_has_a_header_row(capsys):
+    code, out, _ = run_cli(capsys, "run", "--scenario", "registration",
+                           "--seed", "5", "--format", "csv")
+    assert code == 0
+    assert out == "ue,outcome\nue1,registered\n"
+
+
 def test_registration_run_world_file(capsys, tmp_path):
     world_file = tmp_path / "world.ini"
     world_file.write_text("""

@@ -394,6 +394,22 @@ def test_ciphering_is_aes_ctr_from_count_and_direction(size, count, direction):
     assert crypto.unprotect(sealed, 2, 0, KEY_ENC, None, direction, count) == body
 
 
+RFC4493_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+RFC4493_MESSAGE = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710")
+
+
+@pytest.mark.parametrize("length,tag", [
+    (0, "bb1d6929e95937287fa37d129b756746"),
+    (16, "070a16b46b4d4144f79bdd9dd04a287c"),
+    (40, "dfa66747de9ae63030ca32611497c827"),
+    (64, "51f0bebf7e3b9d92fc49741779363cfe"),
+])
+def test_cmac_oracle_matches_rfc_4493_examples(length, tag):
+    assert oracles.cmac(RFC4493_KEY, RFC4493_MESSAGE[:length]).hex() == tag
+
+
 def test_count_direction_bind_the_tag():
     msg = crypto.protect(b"secret", 2, 2, KEY_ENC, KEY_INT, 0, 3)
     with pytest.raises(crypto.IntegrityFailure):

@@ -1,15 +1,21 @@
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
+from fivegsim import crypto, messages
+from fivegsim.identity import LongTermCredential
 from fivegsim.risk import Impact, Likelihood
 from fivegsim.scenarios import (
     CATALOG,
     InvalidOverride,
     SCENARIO_IDS,
     UnknownScenario,
+    _nas_opened,
+    decrypt_up_payloads,
     list_scenarios,
+    recover_peis,
     run_scenario,
     scenario_matrix,
 )
@@ -110,6 +116,30 @@ def test_ts12_reservation_is_a_slot_count_within_capacity(reserved):
         run_scenario("TS_12", {"reserved_for_victim": reserved})
 
 
+@pytest.mark.parametrize("scenario_id,overrides", [
+    ("TS_11", {"overlap_cell": 7}), ("TS_11", {"overlap_cell": 1}),
+    ("TS_06", {"nas_ciphering": 5}), ("TS_06", {"nas_ciphering": None}),
+    ("TS_04", {"context_renewal_interval": True}),
+    ("TS_04", {"context_renewal_interval": 5000.0}),
+    ("TS_06", {"suci_scheme": 1}), ("TS_06", {"mode": 0}),
+])
+def test_typed_override_of_the_wrong_type_is_refused(scenario_id, overrides):
+    """A value that is not text must already have the type its text parses to."""
+    with pytest.raises(InvalidOverride):
+        run_scenario(scenario_id, overrides)
+
+
+def test_typed_overrides_of_the_right_type_run_as_their_text_does():
+    assert run_scenario("TS_11", {"overlap_cell": True}, seed=42).outcome == \
+        run_scenario("TS_11", {"overlap_cell": "true"}, seed=42).outcome
+    report = run_scenario("TS_06", {"nas_ciphering": True}, seed=3)
+    assert report.overrides == {"nas_ciphering": True}
+    assert report.outcome == run_scenario("TS_06", {"nas_ciphering": "on"}, seed=3).outcome
+    for interval in (5000, None):
+        report = run_scenario("TS_04", {"context_renewal_interval": interval}, seed=42)
+        assert report.overrides == {"context_renewal_interval": interval}
+
+
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
 def test_default_outcomes(scenario_id):
     report = run_scenario(scenario_id, seed=42)
@@ -196,3 +226,43 @@ def test_compromise_scenarios_carry_cost_metadata():
     for scenario_id in ("TS_01", "TS_03", "TS_04", "TS_08", "TS_09", "TS_10"):
         assert CATALOG[scenario_id].attack_cost
         assert CATALOG[scenario_id].threat_agents
+
+
+# ---------------------------------------------------------------------------
+# Offline analytics over captured wrappers
+# ---------------------------------------------------------------------------
+
+STOLEN_K, SUPI, SN_NAME, RAND = bytes(range(16)), "imsi-001010000000001", "5G:00101", bytes(16)
+CHALLENGE = messages.AuthenticationRequest(rand=RAND, autn=bytes(16), ngksi=0, abba=b"\x00\x00")
+CHAIN = crypto.derive_key_chain(
+    crypto.ue_k_ausf(LongTermCredential(k=STOLEN_K, sqn=1), RAND, SN_NAME),
+    SN_NAME, SUPI, b"\x00\x00", 2, 2)
+
+
+def _captured(header: dict) -> tuple[bytes, bytes, bytes]:
+    """The challenge, then an uplink NAS and an uplink UP wrapper sealed
+    under the chain it yields, their headers rewritten to ``header``."""
+    nas = crypto.SecureLink(messages.SecuredNas, CHAIN, 2, 2, direction=0)
+    up = crypto.SecureLink(messages.SecuredUp, CHAIN, 2, 2, direction=0)
+    return (messages.encode(CHALLENGE),
+            messages.encode(replace(nas.seal(messages.NasSecurityModeComplete(pei="pei-1")),
+                                    **header)),
+            messages.encode(replace(up.seal(messages.AppData(payload=b"meter")), **header)))
+
+
+def test_analytics_open_genuine_captured_wrappers():
+    captured = list(_captured({}))
+    assert recover_peis(captured, STOLEN_K, SUPI, SN_NAME) == {"pei-1"}
+    assert decrypt_up_payloads(captured, [CHAIN]) == [b"meter"]
+    assert _nas_opened(captured, CHAIN)
+
+
+@pytest.mark.parametrize("alg", [1, 3, 7])
+@pytest.mark.parametrize("field", ["nea_id", "nia_id"])
+def test_analytics_skip_a_wrapper_naming_an_algorithm_that_does_not_run(field, alg):
+    """No receiver opens such a wrapper, so the adversary cannot either: a
+    stub (1, 3) or unregistered (7) id is a wrapper that stays closed."""
+    captured = list(_captured({field: alg}))
+    assert recover_peis(captured, STOLEN_K, SUPI, SN_NAME) == set()
+    assert decrypt_up_payloads(captured, [CHAIN]) == []
+    assert not _nas_opened(captured, CHAIN)

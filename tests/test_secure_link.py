@@ -7,6 +7,7 @@ an ignored transition: no exception escapes the world and nothing is
 delivered twice.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -74,21 +75,32 @@ def test_secure_link_counts_never_decrease():
 MIXED_SIZES = (17, 0, 1400, 1, 16, 0, 2053, 15, 64, 0, 1400)
 
 
+def nia2_tag(k_int: bytes, count: int, direction: int, body: bytes) -> bytes:
+    """128-NIA2 from the CMAC oracle: COUNT || DIRECTION || body, cut to 4 bytes."""
+    message = count.to_bytes(4, "big") + bytes([direction]) + body
+    return oracles.cmac(k_int[16:], message)[:crypto.MAC_I_LEN]
+
+
 @pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
 def test_a_link_seals_as_one_shot_protect_calls_do(wrapper):
-    """One AES context serves every message of a link; each body equals a
-    fresh protect call with the raw key, and matches the CTR oracle."""
-    ue_end, network_end = _pair(wrapper)
+    """One AES context and one prepared integrity key serve every message
+    of a link; in both directions, each body and tag equals a fresh protect
+    call with the raw keys, and matches the CTR and CMAC oracles."""
     enc_name, int_name = crypto._LINK_KEYS[wrapper]
-    for count, size in enumerate(MIXED_SIZES):
-        inner = messages.AppData(payload=keystream_body(size, salt=count))
-        plaintext = messages.encode(inner)
-        sealed = ue_end.seal(inner)
-        one_shot = crypto.protect(plaintext, 2, 2, KEYS[enc_name], KEYS[int_name], 0, count)
-        assert (sealed.body, sealed.mac_tag) == (one_shot.ciphertext, one_shot.mac_tag)
-        assert sealed.body == oracles.aes128_ctr(KEYS[enc_name][16:], ctr_icb(count, 0),
-                                                 plaintext)
-        assert network_end.open(sealed) == plaintext
+    for direction in (0, 1):
+        sender = crypto.SecureLink(wrapper, KEYS, 2, 2, direction=direction)
+        receiver = crypto.SecureLink(wrapper, KEYS, 2, 2, direction=1 - direction)
+        for count, size in enumerate(MIXED_SIZES):
+            inner = messages.AppData(payload=keystream_body(size, salt=count))
+            plaintext = messages.encode(inner)
+            sealed = sender.seal(inner)
+            one_shot = crypto.protect(plaintext, 2, 2, KEYS[enc_name], KEYS[int_name],
+                                      direction, count)
+            assert (sealed.body, sealed.mac_tag) == (one_shot.ciphertext, one_shot.mac_tag)
+            assert sealed.body == oracles.aes128_ctr(KEYS[enc_name][16:],
+                                                     ctr_icb(count, direction), plaintext)
+            assert sealed.mac_tag == nia2_tag(KEYS[int_name], count, direction, sealed.body)
+            assert receiver.open(sealed) == plaintext
 
 
 @pytest.mark.parametrize("first", [0, crypto.COUNT_MAX + 1 - len(MIXED_SIZES)])
@@ -104,6 +116,33 @@ def test_a_link_opens_empty_and_long_bodies_between_others(first):
         wrapper = messages.SecuredUp(count=count, direction=0, nea_id=2, nia_id=2,
                                      mac_tag=one_shot.mac_tag, body=one_shot.ciphertext)
         assert network_end.open(wrapper) == body
+
+
+def test_each_up_packet_costs_one_protect_one_unprotect_and_a_cmac_per_tag(monkeypatch):
+    """Counts, not timings: once a link pair has carried its first packet,
+    a packet is one protect and one unprotect call and one CMAC per tag,
+    with no AES key object and no cipher context built for it."""
+    calls = Counter()
+
+    def count_calls(name):
+        real = getattr(crypto, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(crypto, name, counted)
+
+    for name in ("protect", "unprotect", "CMAC", "AES", "Cipher"):
+        count_calls(name)
+    ue_end, network_end = _pair(messages.SecuredUp, nea=2, nia=2)
+    packets = [messages.AppData(payload=keystream_body(size, salt=i))
+               for i, size in enumerate((64, 512, 1400) * 10)]
+    assert network_end.open(ue_end.seal(packets[0])) == messages.encode(packets[0])
+    calls.clear()
+    for packet in packets[1:]:
+        assert network_end.open(ue_end.seal(packet)) == messages.encode(packet)
+    sent = len(packets) - 1
+    assert calls == {"protect": sent, "unprotect": sent, "CMAC": 2 * sent}
 
 
 def test_open_rejects_own_direction():
