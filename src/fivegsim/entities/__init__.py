@@ -8,17 +8,14 @@ from .core import (
     Smf,
     TokenExpired,
     UnknownConsumer,
-    UnknownGuti,
     Upf,
     Udm,
     WrongAudience,
     authorize_nf,
-    renew_context,
     validate_nf_token,
 )
 from .ran import GnbNode
 from .sepp import (
-    NetworkNameMismatch,
     PeerRevoked,
     PeerUnknown,
     Sepp,
@@ -26,8 +23,7 @@ from .sepp import (
 from .ue import Ue, UePhase
 
 __all__ = [
-    "Amf", "Ausf", "Entity", "GnbNode", "NetworkNameMismatch", "Nrf",
-    "PeerRevoked", "PeerUnknown", "Sepp", "Smf", "TokenExpired", "Ue",
-    "UePhase", "Udm", "UnknownConsumer", "UnknownGuti", "Upf",
-    "WrongAudience", "authorize_nf", "renew_context", "validate_nf_token",
+    "Amf", "Ausf", "Entity", "GnbNode", "Nrf", "PeerRevoked", "PeerUnknown",
+    "Sepp", "Smf", "TokenExpired", "Ue", "UePhase", "Udm", "UnknownConsumer",
+    "Upf", "WrongAudience", "authorize_nf", "validate_nf_token",
 ]

@@ -26,10 +26,6 @@ from .base import _NO_ROW, Entity, State, open_secured, takes, try_decode
 ABBA = b"\x00\x00"
 
 
-class UnknownGuti(KeyError):
-    """renew_context was asked about a context the AMF does not hold."""
-
-
 class AmfState(State):
     """The step an AMF session is in; ``Amf._states`` says which message
     each step takes.  The last three end an authentication, with the cause
@@ -309,8 +305,7 @@ class Amf(Entity):
         else:
             keys = crypto.derive_chain_from_seaf(k_seaf, session.supi, ABBA, nea, nia)
         session.context = SecurityContext(
-            ng_ksi=session.ngksi, keys=keys, nea_id=nea, nia_id=nia,
-            abba=ABBA, born_at=ctx.now,
+            ng_ksi=session.ngksi, keys=keys, nea_id=nea, nia_id=nia, abba=ABBA,
         )
         session.link = crypto.SecureLink(messages.SecuredNas, keys, nea, nia, direction=1)
         session.state = AmfState.SMC_SENT
@@ -391,10 +386,10 @@ class Amf(Entity):
 
     # -- context renewal ------------------------------------------------------------------
 
+    # the timer is armed once the context is up, for exactly the interval
     @takes(AmfState.REGISTERED, find=_by_timer)
     def on_timer_fired(self, session, msg, ctx) -> None:
-        if renew_context(self, session.guti.hex(), ctx.now):
-            self._start_authentication(ctx, session)
+        self._start_authentication(ctx, session)
 
 
 class Ausf(Entity):
@@ -617,14 +612,3 @@ def validate_nf_token(producer: NfProducer, token: bytes, now: int) -> messages.
         raise TokenExpired(f"expired at {claim.expiry}, now {now}")
     return claim
 
-
-def renew_context(amf: Amf, guti: str, now: int) -> bool:
-    """Whether a held context is due for a forced renewal."""
-    sid = amf.contexts.get(guti)
-    if sid is None:
-        raise UnknownGuti(guti)
-    session = amf.sessions[sid]
-    interval = amf.policy.context_renewal_interval
-    if interval is None or session.context is None:
-        return False
-    return now - session.context.born_at >= interval

@@ -27,10 +27,6 @@ class PeerRevoked(PermissionError):
     pass
 
 
-class NetworkNameMismatch(ValueError):
-    pass
-
-
 # the answers that end an authentication, and with it the route it took
 _FINAL_ANSWERS = (messages.AuthRejectSbi, messages.ConfirmResponseSbi)
 
@@ -205,15 +201,6 @@ class Sepp(Entity):
 
     # -- inbound forwards (home side) ----------------------------------------------
 
-    def check_forward_coherence(self, inner, peer_plmn: str) -> None:
-        """Serving-network-name coherence for forwarded auth requests."""
-        if isinstance(inner, messages.AuthRequestSbi):  # sent by standalone AMFs only
-            expected = serving_network_name("SA", peer_plmn)
-            if inner.serving_network_name != expected:
-                raise NetworkNameMismatch(
-                    f"claimed {inner.serving_network_name!r}, session is with {expected!r}"
-                )
-
     def on_sepp_forward(self, msg, event, ctx) -> None:
         peer_plmn = next((plmn for plmn, session in self.sessions.items()
                           if session.established and session.peer_id == event.src), None)
@@ -225,12 +212,11 @@ class Sepp(Entity):
             ctx.ignore()
             return
         if isinstance(inner, (messages.AuthRequestSbi, messages.ConfirmRequestSbi)):
-            try:
-                self.check_forward_coherence(inner, peer_plmn)
-            except NetworkNameMismatch:
+            # only standalone AMFs send an AuthRequestSbi: it names the peer it came from
+            if isinstance(inner, messages.AuthRequestSbi) and \
+                    inner.serving_network_name != serving_network_name("SA", peer_plmn):
                 self.rejections.append("NetworkNameMismatch")
-                reject = messages.AuthRejectSbi(
-                    session=inner.session, cause="NetworkNameMismatch")
+                reject = messages.AuthRejectSbi(session=inner.session, cause="NetworkNameMismatch")
                 ctx.emit(Channel.SEPP_LINK, event.src,
                          messages.SeppForward(inner=messages.encode(reject)))
                 return

@@ -17,11 +17,10 @@ from ..identity import (
     LongTermCredential,
     SecurityContext,
     SubscriberIdentity,
-    SuciScheme,
     format_supi,
 )
 from ..netsim import Channel
-from ..policy import algorithms, cause_is_persistent, serving_network_name
+from ..policy import OperatorPolicy, algorithms, cause_is_persistent, serving_network_name
 from .base import Entity, State, open_secured, takes, try_decode
 
 REG_TIMER_MS = 200
@@ -52,15 +51,6 @@ _ON_CELL = tuple(step for step in Awaiting if step is not Awaiting.SCAN)
 
 
 @dataclass
-class UeConfig:
-    slice_id: str = "embb"
-    mode: str = "SA"  # "SA" or "NSA"
-    suci_scheme: SuciScheme = SuciScheme.PROFILE_A
-    signed_reject_enabled: bool = False
-    nsa_up_node: str = ""  # user-plane radio node in NSA mode
-
-
-@dataclass
 class Attempt:
     target_cell: str
     cells: list = field(default_factory=list)
@@ -76,6 +66,8 @@ class Attempt:
 
 
 class Ue(Entity):
+    """A subscriber device; mode, concealment and reject checks follow its home's ``policy``."""
+
     def __init__(
         self,
         entity_id: str,
@@ -83,14 +75,18 @@ class Ue(Entity):
         pei: EquipmentIdentity,
         credential: LongTermCredential,
         home_public: crypto.HomeNetworkKeyPair | None,
-        config: UeConfig | None = None,
+        policy: OperatorPolicy,
+        slice_id: str = "embb",
+        nsa_up_node: str = "",  # user-plane radio node in NSA mode; else the serving cell
     ):
         super().__init__(entity_id)
         self.identity = identity
         self.pei = pei
         self.credential = credential
         self.home_public = home_public
-        self.config = config or UeConfig()
+        self.policy = policy
+        self.slice_id = slice_id
+        self.nsa_up_node = nsa_up_node
 
         self.phase = UePhase.DEREGISTERED
         self.sqn_window = 0
@@ -156,7 +152,7 @@ class Ue(Entity):
 
     def _candidate_cells(self) -> list[messages.CellInfo]:
         attempt = self.attempt
-        wanted_kind = "lte" if self.config.mode == "NSA" else "nr"
+        wanted_kind = "lte" if self.policy.mode == "NSA" else "nr"
         blacklist: set[str] = set()
         for cell in attempt.cells:
             blacklist.update(cell.blacklist)
@@ -192,7 +188,7 @@ class Ue(Entity):
             ctx, Channel.RADIO_RRC, cell.cell_id,
             messages.RrcConnectionRequest(
                 c_rnti=c_rnti,
-                slice_id=self.config.slice_id,
+                slice_id=self.slice_id,
                 ue_nonce=attempt.ue_nonce,
             ),
             Awaiting.RRC_SETUP,
@@ -211,27 +207,30 @@ class Ue(Entity):
         if event.src != attempt.cell.cell_id:
             ctx.ignore()
             return
-        if self.config.mode == "NSA":
+        if self.policy.mode == "NSA":
             request = messages.AttachRequest4G(
                 imsi=format_supi(self.identity),
-                slice_id=self.config.slice_id,
+                slice_id=self.slice_id,
                 ue_nonce=attempt.ue_nonce,
             )
         else:
             suci = crypto.conceal_supi(
-                self.identity, self.home_public, self.config.suci_scheme,
+                self.identity, self.home_public, self.policy.suci_scheme,
                 ctx.rng("ecies").take(32),
             )
             request = messages.RegistrationRequest(
                 suci=suci.to_bytes(),
-                slice_id=self.config.slice_id,
+                slice_id=self.slice_id,
                 ue_nonce=attempt.ue_nonce,
             )
         self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
                             request, Awaiting.AUTH_REQUEST)
 
-    @takes(*Awaiting)
+    @takes(Awaiting.RRC_SETUP)
     def on_rrc_connection_reject(self, msg, event, ctx) -> None:
+        if event.src != self.attempt.cell.cell_id:
+            ctx.ignore()
+            return
         self._finish_attempt(f"rrc_rejected:{msg.cause}")
 
     # -- pre-security reject handling -------------------------------------------
@@ -244,7 +243,7 @@ class Ue(Entity):
             return
         cell = attempt.cell
         persistent = cause_is_persistent(msg.cause)
-        signed = self.config.signed_reject_enabled
+        signed = self.policy.signed_reject_enabled
         if signed:
             # authentic: signed with the cell's key, which is the key pinned
             # for its network if there is one
@@ -286,7 +285,7 @@ class Ue(Entity):
             return
         self.sqn_window = new_window
         name = serving_network_name(
-            self.config.mode, self.serving_plmn if attempt is None else attempt.cell.plmn)
+            self.policy.mode, self.serving_plmn if attempt is None else attempt.cell.plmn)
         self._challenge = (crypto.ue_k_ausf(self.credential, msg.rand, name), name, msg.abba)
         if attempt is None:
             ctx.emit(Channel.RADIO_NAS, event.src,
@@ -295,8 +294,11 @@ class Ue(Entity):
             self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
                                 messages.AuthenticationResponse(res=res), Awaiting.NAS_SMC)
 
-    @takes(*Awaiting)
+    @takes(*_ON_CELL)
     def on_authentication_reject(self, msg, event, ctx) -> None:
+        if event.src != self.attempt.cell.cell_id:
+            ctx.ignore()
+            return
         self._finish_attempt("auth_rejected")
 
     # -- NAS security ----------------------------------------------------------
@@ -336,8 +338,7 @@ class Ue(Entity):
             return
         keys, self.nas_link = accepted
         self.context = SecurityContext(
-            ng_ksi=smc.ngksi, keys=keys, nea_id=smc.nea_id, nia_id=smc.nia_id,
-            abba=abba, born_at=ctx.now,
+            ng_ksi=smc.ngksi, keys=keys, nea_id=smc.nea_id, nia_id=smc.nia_id, abba=abba,
         )
         self.rrc_link = self.up_link = None  # the radio side re-keys from this context
         self._challenge = None  # one command per challenge: replays find none
@@ -360,10 +361,7 @@ class Ue(Entity):
                 if key:
                     self.pinned_network_keys.setdefault(self.attempt.cell.plmn, key)
                 self._finish_attempt("registered")
-            if self.config.mode == "NSA" and self.config.nsa_up_node:
-                self.up_node = self.config.nsa_up_node
-            else:
-                self.up_node = self.serving_gnb
+            self.up_node = self.nsa_up_node or self.serving_gnb
         elif isinstance(inner, messages.PduSessionAccept) and self.as_keys is not None:
             nea, nia = algorithms(inner.up_ciphering, inner.up_integrity)
             self.up_link = crypto.SecureLink(messages.SecuredUp, self.as_keys, nea, nia,
@@ -390,7 +388,7 @@ class Ue(Entity):
     @takes(UePhase.REGISTERED)
     def on_trigger_pdu_session(self, msg, event, ctx) -> None:
         ctx.emit(Channel.RADIO_NAS, self.serving_gnb, self.nas_link.seal(
-            messages.PduSessionRequest(slice_id=self.config.slice_id)))
+            messages.PduSessionRequest(slice_id=self.slice_id)))
 
     def on_trigger_app_data(self, msg, event, ctx) -> None:
         if self.up_link is None:

@@ -271,7 +271,6 @@ class SecurityContext:
     nea_id: int
     nia_id: int
     abba: bytes = b"\x00\x00"
-    born_at: int = 0
 
     def __post_init__(self):
         if not 0 <= self.ng_ksi <= 0x0F:

@@ -314,11 +314,6 @@ class World:
         heapq.heappush(self._queue, (time, seq, event, msg))
         return event
 
-    def schedule_message(self, delay: int, channel: Channel, src: str, dst: str,
-                         msg, origin: str | None = None) -> SimEvent:
-        return self.schedule(self.time + delay, channel, src, dst,
-                             messages.encode(msg), origin or f"entity:{src}", msg)
-
     def schedule_action(self, time: int, label: str, fn) -> None:
         """Run a scripted world mutation at a fixed time (deterministic)."""
         event = self.schedule(time, Channel.INTERNAL, "world", "__world__",

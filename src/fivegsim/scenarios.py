@@ -219,31 +219,19 @@ def _decode_all(payloads: list[bytes]) -> list:
     return [m for m in map(try_decode, payloads) if m is not None]
 
 
-def _auth_params(decoded: list) -> list[tuple[bytes, bytes]]:
-    return [(m.rand, m.abba) for m in decoded
-            if isinstance(m, messages.AuthenticationRequest)]
-
-
-def _smc_params(decoded: list) -> list[tuple[int, int]]:
-    params = []
-    for m in decoded:
-        if isinstance(m, messages.SecuredNas) and m.nea_id == 0:
-            inner = try_decode(m.body)
-            if isinstance(inner, messages.NasSecurityModeCommand):
-                params.append((inner.nea_id, inner.nia_id))
-    return params
-
-
 def _candidate_chains(decoded: list, k: bytes, supi: str, sn_name: str) -> list:
     """Every key chain derivable from a stolen long-term key plus the
-    parameters visible in the captured exchange."""
+    parameters visible in the captured exchange (the ids of a security
+    mode command ride in clear, integrity-protected only)."""
     cred = LongTermCredential(k=k, sqn=1)
-    chains = []
-    for rand, abba in _auth_params(decoded):
-        k_ausf = crypto.ue_k_ausf(cred, rand, sn_name)
-        for nea, nia in set(_smc_params(decoded)) or {(2, 2)}:
-            chains.append(crypto.derive_key_chain(k_ausf, sn_name, supi, abba, nea, nia))
-    return chains
+    algs = {(smc.nea_id, smc.nia_id) for m in decoded
+            if isinstance(m, messages.SecuredNas) and m.nea_id == 0
+            for smc in (try_decode(m.body),)
+            if isinstance(smc, messages.NasSecurityModeCommand)} or {(2, 2)}
+    return [crypto.derive_key_chain(k_ausf, sn_name, supi, m.abba, nea, nia)
+            for m in decoded if isinstance(m, messages.AuthenticationRequest)
+            for k_ausf in (crypto.ue_k_ausf(cred, m.rand, sn_name),)
+            for nea, nia in algs]
 
 
 def _open_captured(wrapper, keys):
@@ -261,42 +249,34 @@ def _open_captured(wrapper, keys):
     return open_secured(link, wrapper)
 
 
+def _opened(decoded: list, key_sets, wrapper_cls, keep=lambda wrapper: True) -> list:
+    """The messages inside the captured ``wrapper_cls`` wrappers that ``keep``
+    accepts, opened with each key set in turn: the one pass of the
+    analytics over captured wrappers with keys."""
+    wrappers = [m for m in decoded if isinstance(m, wrapper_cls) and keep(m)]
+    opened = (_open_captured(m, keys) for keys in key_sets for m in wrappers)
+    return [inner for inner in opened if inner is not None]
+
+
 def recover_peis(observed: list[bytes], k: bytes, supi: str, sn_name: str) -> set[str]:
     """Offline attack: with a stolen subscriber key, walk the captured radio
     exchange and decrypt whatever security-mode-complete messages verify."""
     decoded = _decode_all(observed)
-    recovered = set()
-    for chain in _candidate_chains(decoded, k, supi, sn_name):
-        for m in decoded:
-            if not isinstance(m, messages.SecuredNas) or m.direction != 0:
-                continue
-            inner = _open_captured(m, chain)
-            if isinstance(inner, messages.NasSecurityModeComplete) and inner.pei:
-                recovered.add(inner.pei)
-    return recovered
+    return {m.pei for m in _opened(decoded, _candidate_chains(decoded, k, supi, sn_name),
+                                   messages.SecuredNas, lambda wrapper: wrapper.direction == 0)
+            if isinstance(m, messages.NasSecurityModeComplete) and m.pei}
 
 
 def decrypt_up_payloads(observed: list[bytes], as_keys_list: list) -> list[bytes]:
     """Attempt user-plane decryption with each candidate radio key set."""
-    decoded = _decode_all(observed)
-    out = []
-    for keys in as_keys_list:
-        for m in decoded:
-            if not isinstance(m, messages.SecuredUp):
-                continue
-            inner = _open_captured(m, keys)
-            if isinstance(inner, messages.AppData):
-                out.append(inner.payload)
-    return out
+    return [m.payload for m in _opened(_decode_all(observed), as_keys_list, messages.SecuredUp)
+            if isinstance(m, messages.AppData)]
 
 
 def _nas_opened(payloads: list[bytes], keys) -> bool:
     """Whether the keys open any ciphered NAS message among the payloads."""
-    return any(
-        isinstance(m, messages.SecuredNas) and m.nea_id != 0
-        and _open_captured(m, keys) is not None
-        for m in _decode_all(payloads)
-    )
+    return bool(_opened(_decode_all(payloads), [keys], messages.SecuredNas,
+                        lambda wrapper: wrapper.nea_id != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -621,16 +601,13 @@ def _run_ts10(seed: int, overrides: dict) -> tuple[World, dict]:
     _script(world, "ue1", *_TRAFFIC_A)
     world.run_until(HORIZON)
 
-    k_gnb = None
-    alg = (2, 2)
-    for m in _decode_all(spy.knowledge.payloads(Channel.N2)):
-        if isinstance(m, messages.InitialContextSetupRequest):
-            k_gnb = m.k_gnb
-            alg = (m.nea_id, m.nia_id)
-    chains = [crypto.derive_as_keys(k_gnb, *alg)] if k_gnb is not None else []
+    # the radio keys of the last context setup the tap read on N2
+    setups = [m for m in _decode_all(spy.knowledge.payloads(Channel.N2))
+              if isinstance(m, messages.InitialContextSetupRequest)]
+    chains = [crypto.derive_as_keys(m.k_gnb, m.nea_id, m.nia_id) for m in setups[-1:]]
     up = decrypt_up_payloads(spy.knowledge.payloads(), chains)
     outcome = {
-        "k_gnb_extracted": k_gnb is not None,
+        "k_gnb_extracted": bool(setups),
         "up_traffic_exposed": _MARKER_A in up,
     }
     return world, outcome

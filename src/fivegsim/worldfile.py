@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from . import crypto
 from .entities import Amf, Ausf, GnbNode, Nrf, Sepp, Smf, Udm, Ue, Upf
 from .entities.ran import SliceAdmission
-from .entities.ue import UeConfig
 from .identity import (
     EquipmentIdentity,
     LongTermCredential,
@@ -166,14 +165,9 @@ class WorldBuilder:
         credential = LongTermCredential(k=self._seed32(f"{ue_id}:k")[:16], sqn=1)
         home.udm.add_subscriber(format_supi(identity), LongTermCredential(
             k=credential.k, sqn=credential.sqn))
-        policy = home.policy
-        config = UeConfig(
-            slice_id=slice_id, mode=policy.mode, suci_scheme=policy.suci_scheme,
-            signed_reject_enabled=policy.signed_reject_enabled,
-            nsa_up_node=home.engnb.entity_id if home.engnb else "",
-        )
         ue = Ue(ue_id, identity, EquipmentIdentity(pei=pei), credential,
-                home.home_keypair, config)
+                home.home_keypair, home.policy, slice_id=slice_id,
+                nsa_up_node=home.engnb.entity_id if home.engnb else "")
         self.ues[ue_id] = ue
         self.world.add_entity(ue)
         return ue
@@ -224,6 +218,15 @@ class WorldFileError(ValueError):
 
 _CHANNELS = {c.value: c for c in Channel}
 _CAPABILITIES = {c.value: c for c in Capability}
+# section kind -> (whether its header names an entity, the keys it takes; None:
+# checked where read, policy keys as they parse, overrides by the scenario run)
+_SECTIONS = {
+    "world": (False, {"seed"}), "policy": (False, None), "overrides": (False, None),
+    "network": (True, {"plmn"}),
+    "cell": (True, {"network", "strength", "rogue", "reject_cause", "broadcast_own_key"}),
+    "ue": (True, {"network", "msin", "pei", "slice"}),
+    "adversary": (True, {"channels", "capabilities"}),
+}
 
 
 def _read(path: str, what: str) -> configparser.ConfigParser:
@@ -248,8 +251,24 @@ def load_override_file(path: str) -> dict[str, str]:
     return out
 
 
+def _check_sections(parser) -> None:
+    """Refuse a section of an unknown kind, a header that lacks its name or
+    has one it does not take, and a key its section does not read."""
+    for section in parser.sections():
+        kind, _, name = section.partition(" ")
+        named, keys = _SECTIONS.get(kind, (None, None))
+        if named is None:
+            raise WorldFileError(f"unknown section kind [{section}]")
+        if named != bool(name):
+            raise WorldFileError(f"[{section}]: {'needs an id' if named else 'takes no name'}")
+        unknown = sorted(parser[section].keys() - parser.defaults().keys() - keys) if keys else []
+        if unknown:
+            raise WorldFileError(f"[{section}]: unknown key {unknown[0]!r}")
+
+
 def load_world_file(path: str) -> tuple[World, WorldBuilder]:
     parser = _read(path, "world")
+    _check_sections(parser)
     try:
         return _build_from_parser(parser)
     except (configparser.Error, KeyError, ValueError) as exc:

@@ -314,6 +314,34 @@ def test_world_file_that_is_not_ini_exits_3(capsys, tmp_path, scenario, text):
     assert err.startswith("error: world file: ")
 
 
+@pytest.mark.parametrize("section,error", [
+    ("[cell]\nnetwork = home\n", "needs an id"),
+    ("[ue]\nnetwork = home\n", "needs an id"),
+    ("[network]\nplmn = 00102\n", "needs an id"),
+    ("[world 2]\nseed = 1\n", "takes no name"),
+    ("[cel cell-b]\nnetwork = home\n", "unknown section kind"),
+    ("[cell cell-b]\nnetwork = home\nstrenght = 5\n", "unknown key 'strenght'"),
+    ("[ue ue2]\nnetwork = home\nslice_id = embb\n", "unknown key 'slice_id'"),
+    ("[world]\nsed = 1\n", "unknown key 'sed'"),
+], ids=["bare-cell", "bare-ue", "bare-network", "named-world", "unknown-kind",
+        "cell-key", "ue-key", "world-key"])
+def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, section, error):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD + section)
+    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
+                           "--world", str(world_file))
+    assert code == 3
+    assert err.startswith("error: world file: ") and error in err
+
+
+def test_world_file_takes_default_keys_and_scenario_overrides(tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text("[DEFAULT]\nnetwork = home\n" + WORLD_HEAD
+                          + "[ue ue2]\nmsin = 5550001111\n[overrides]\noverlap_cell = true\n")
+    world, _ = load_world_file(str(world_file))
+    assert run_registration(world, "ue2").success
+
+
 def test_world_file_negative_renewal_interval_exits_3(capsys, tmp_path):
     world_file = tmp_path / "world.ini"
     world_file.write_text("[policy]\ncontext_renewal_interval = -5\n" + WORLD_HEAD)

@@ -5,22 +5,20 @@ import pytest
 from fivegsim import crypto, messages
 from fivegsim.entities import (
     Amf,
-    NetworkNameMismatch,
     PeerRevoked,
     PeerUnknown,
     Sepp,
     TokenExpired,
     UnknownConsumer,
-    UnknownGuti,
     WrongAudience,
     authorize_nf,
-    renew_context,
     validate_nf_token,
 )
 from fivegsim.entities.base import open_secured
 from fivegsim.entities.core import TOKEN_TTL, AmfState, InvalidToken, Nrf, NfProducer
 from fivegsim.entities.ran import SliceAdmission
-from fivegsim.entities.ue import UePhase
+from fivegsim.entities.sepp import SeppSession
+from fivegsim.entities.ue import Awaiting, UePhase
 from fivegsim.flows import (
     establish_user_plane,
     find_amf_session,
@@ -30,7 +28,7 @@ from fivegsim.flows import (
     trigger,
 )
 from fivegsim.identity import format_supi
-from fivegsim.netsim import Channel
+from fivegsim.netsim import Channel, SimEvent, StepContext, World
 from fivegsim.policy import OperatorPolicy
 from fivegsim.worldfile import WorldBuilder, roaming_world, single_network_world
 
@@ -315,9 +313,9 @@ def test_registration_continues_after_single_losses():
 def test_unknown_message_is_ignored_not_fatal():
     world, _ = single_network_world(seed=9)
     # a core-side message delivered to a device makes no sense; it is ignored
-    world.schedule_message(1, Channel.SBI, "world", "ue1",
-                           messages.SmfSessionRequest(session="x", slice_id="embb"),
-                           "world")
+    request = messages.SmfSessionRequest(session="x", slice_id="embb")
+    world.schedule(world.time + 1, Channel.SBI, "world", "ue1", messages.encode(request),
+                   "world", request)
     world.run_until(10)
     outcome = run_registration(world, "ue1")
     assert outcome.success
@@ -334,6 +332,25 @@ def _rogue_world(seed, policy=None, cause=3, own_key=True):
     rogue = builder.add_rogue_cell("rogue-z", "00101", strength=99,
                                    reject_cause=cause, broadcast_own_key=own_key)
     return world, builder, rogue
+
+
+# a reject answers a request: one from a node the UE never sent to is ignored
+@pytest.mark.parametrize("channel,reject", [
+    (Channel.RADIO_RRC, messages.RrcConnectionReject(cause="congestion")),
+    (Channel.RADIO_NAS, messages.AuthenticationReject()),
+], ids=["rrc", "auth"])
+def test_reject_from_a_node_the_ue_never_sent_to_is_ignored(channel, reject):
+    world, _ = single_network_world(seed=3)
+    ue = world.entities["ue1"]
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
+    # during the cell scan, then while the UE awaits its challenge
+    for time, awaiting in ((2, Awaiting.SCAN), (8, Awaiting.AUTH_REQUEST)):
+        world.schedule(time, channel, "nobody", "ue1", messages.encode(reject), "world", reject)
+        world.run_until(time)
+        assert ue.state is awaiting
+    world.run_until(2000)
+    assert ue.phase is UePhase.REGISTERED
+    assert ue.attempts_log == ["registered"]
 
 
 def test_persistent_reject_locks_plmn_until_power_cycle():
@@ -437,19 +454,20 @@ def test_full_slice_admission_refuses_the_connection():
 # ---------------------------------------------------------------------------
 
 
-def test_renew_context_directive_logic():
-    world, builder = single_network_world(
-        seed=14, policy=OperatorPolicy(context_renewal_interval=1000))
-    run_registration(world, "ue1", horizon=900)
-    amf = builder.networks["net"].amf
-    guti = world.entities["ue1"].guti.hex()
-    with pytest.raises(UnknownGuti):
-        renew_context(amf, "00" * 10, world.time)
-    session = amf.sessions[amf.contexts[guti]]
-    young = session.context.born_at + 10
-    assert renew_context(amf, guti, young) is False
-    due = session.context.born_at + 1000
-    assert renew_context(amf, guti, due) is True
+@pytest.mark.parametrize("interval", [1000, None])
+def test_renewal_starts_one_authentication_once_its_interval_has_passed(interval):
+    world, _ = single_network_world(
+        seed=14, policy=OperatorPolicy(context_renewal_interval=interval))
+    assert run_registration(world, "ue1", horizon=900).success
+    # the AMF arms its renewal timer when the radio side reports security up
+    active = next(e.event.time for e in world.transcript.delivered({Channel.N2})
+                  if e.msg_type == "UeContextActive")
+    world.run_until(active + 1500)
+    # when the AMF sent each request: a message arrives one tick after its send
+    sent = [e.event.time - 1 for e in world.transcript.delivered({Channel.SBI})
+            if e.msg_type == "AuthRequestSbi"]
+    assert sent[0] < active
+    assert sent[1:] == ([] if interval is None else [active + interval])
 
 
 @pytest.mark.parametrize("interval", [0, 1000, None])
@@ -461,14 +479,6 @@ def test_renewal_interval_of_zero_or_more_is_accepted(interval):
 def test_negative_renewal_interval_is_refused():
     with pytest.raises(ValueError, match="context_renewal_interval"):
         OperatorPolicy(context_renewal_interval=-5)
-
-
-def test_renewal_never_interval_produces_no_directives():
-    world, builder = single_network_world(seed=14)
-    run_registration(world, "ue1")
-    amf = builder.networks["net"].amf
-    guti = world.entities["ue1"].guti.hex()
-    assert renew_context(amf, guti, world.time + 10**9) is False
 
 
 def test_renewal_replaces_keys_end_to_end():
@@ -516,13 +526,13 @@ def test_authentication_answer_is_taken_only_in_the_step_that_waits_for_it(case)
     amf, ue = builder.networks["net"].amf, world.entities["ue1"]
     session = find_amf_session(amf, ue)
     assert (session.state, session.sbi_sid) == (AmfState.REGISTERED, "net-amf-a1")
-    born_at = session.context.born_at
+    keys = session.context.keys
     channel, src, dst, msg = STALE_ANSWERS[case]
     world.schedule(world.time + 1, channel, src, dst, messages.encode(msg), "attacker")
     world.run_until(world.time + 10_000)
     # the stale answer is ignored and the context renewal still fires
     assert session.state is AmfState.REGISTERED
-    assert session.context.born_at > born_at
+    assert session.context.keys.get("k_amf") != keys.get("k_amf")
     assert ue.phase == UePhase.REGISTERED
 
 
@@ -592,16 +602,27 @@ def test_establish_interconnect_checks():
             assert not serving.sessions["99902"].established
 
 
-def test_forward_coherence_rejects_wrong_network_name():
-    sepp = Sepp("h-sepp", "99902", bytes(range(32)))
-    # the literal name, and the one a standalone AMF of PLMN 00101 builds
-    amf_name = Amf("v-amf", "00101", OperatorPolicy()).serving_network_name
-    for name in ("5G:00101", amf_name):
-        request = messages.AuthRequestSbi(session="s1", suci=b"\x00",
-                                          serving_network_name=name)
-        sepp.check_forward_coherence(request, "00101")  # matches: no error
-        with pytest.raises(NetworkNameMismatch):
-            sepp.check_forward_coherence(request, "00199")
+@pytest.mark.parametrize("peer_plmn", ["00101", "00199"])
+def test_home_sepp_forwards_a_request_only_in_its_peers_name(peer_plmn):
+    sepp = Sepp("h-sepp", "99902", bytes(range(32)), ausf_id="h-ausf")
+    sepp.sessions[peer_plmn] = SeppSession(peer_id="v-sepp", established=True)
+    # the name a standalone AMF of PLMN 00101 builds
+    name = Amf("v-amf", "00101", OperatorPolicy()).serving_network_name
+    assert name == "5G:00101"
+    request = messages.AuthRequestSbi(session="s1", suci=b"\x00", serving_network_name=name)
+    forward = messages.SeppForward(inner=messages.encode(request))
+    ctx = StepContext(World(seed=0), sepp.entity_id)
+    sepp.step(forward, SimEvent(time=0, seq=0, channel=Channel.SEPP_LINK, src="v-sepp",
+                                dst=sepp.entity_id, payload=messages.encode(forward)), ctx)
+    sent = [(channel, dst, msg) for _, channel, dst, _, msg in ctx.out]
+    if peer_plmn == "00101":
+        assert sent == [(Channel.SBI, "h-ausf", request)]
+        assert sepp.rejections == []
+    else:
+        reject = messages.AuthRejectSbi(session="s1", cause="NetworkNameMismatch")
+        assert sent == [(Channel.SEPP_LINK, "v-sepp",
+                         messages.SeppForward(inner=messages.encode(reject)))]
+        assert sepp.rejections == ["NetworkNameMismatch"]
 
 
 # ---------------------------------------------------------------------------
@@ -686,11 +707,9 @@ def test_token_flow_over_the_bus():
                     token=msg.token))
 
     world.add_entity(Client())
-    world.schedule_message(1, Channel.SBI, "client", net.nrf.entity_id,
-                           messages.NfTokenRequest(
-                               consumer_id="client",
-                               producer_service="nsmf-pdusession"),
-                           "entity:client")
+    request = messages.NfTokenRequest(consumer_id="client", producer_service="nsmf-pdusession")
+    world.schedule(world.time + 1, Channel.SBI, "client", net.nrf.entity_id,
+                   messages.encode(request), "entity:client", request)
     world.run_until(100)
     responses = [m for m in received if isinstance(m, messages.NfServiceResponse)]
     assert responses and responses[0].ok
@@ -711,11 +730,10 @@ def test_token_replay_to_wrong_producer_over_the_bus():
             received.append(msg)
 
     world.add_entity(Client())
-    world.schedule_message(1, Channel.SBI, "client", net.smf.entity_id,
-                           messages.NfServiceRequest(
-                               consumer_id="client", service="nsmf-pdusession",
-                               token=token),
-                           "entity:client")
+    request = messages.NfServiceRequest(consumer_id="client", service="nsmf-pdusession",
+                                        token=token)
+    world.schedule(world.time + 1, Channel.SBI, "client", net.smf.entity_id,
+                   messages.encode(request), "entity:client", request)
     world.run_until(100)
     assert received and not received[0].ok
     assert received[0].error == "WrongAudience"

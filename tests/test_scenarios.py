@@ -140,22 +140,28 @@ def test_typed_overrides_of_the_right_type_run_as_their_text_does():
         assert report.overrides == {"context_renewal_interval": interval}
 
 
+# 42 and the seeds of the golden transcripts
+OUTCOME_SEEDS = (42, 0, 1, 7)
+
+
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
 def test_default_outcomes(scenario_id):
-    report = run_scenario(scenario_id, seed=42)
-    assert report.outcome == DEFAULT_OUTCOMES[scenario_id]
-    assert report.transcript_sha256
-    assert report.risk.scenario_id == scenario_id
+    for seed in OUTCOME_SEEDS:
+        report = run_scenario(scenario_id, seed=seed)
+        assert report.outcome == DEFAULT_OUTCOMES[scenario_id], seed
+        assert report.transcript_sha256
+        assert report.risk.scenario_id == scenario_id
 
 
 @pytest.mark.parametrize("scenario_id,overrides,predicate,default,mitigated",
                          MITIGATED_HEADLINES)
 def test_mitigation_flips_headline(scenario_id, overrides, predicate,
                                    default, mitigated):
-    base = run_scenario(scenario_id, seed=42)
-    assert base.outcome[predicate] is default
-    fixed = run_scenario(scenario_id, overrides, seed=42)
-    assert fixed.outcome[predicate] is mitigated
+    for seed in OUTCOME_SEEDS:
+        base = run_scenario(scenario_id, seed=seed)
+        assert base.outcome[predicate] is default, seed
+        fixed = run_scenario(scenario_id, overrides, seed=seed)
+        assert fixed.outcome[predicate] is mitigated, seed
 
 
 def test_ts02_name_coherence_refused_across_seeds():

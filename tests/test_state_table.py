@@ -134,7 +134,7 @@ def ue_in(base: Ue, state, keyed: bool, timer_id: int) -> Ue:
     """A UE like ``base`` in ``state``; a keyed one holds the context and
     links that a registration leaves, as a UE registering again after a
     timeout does."""
-    ue = Ue("ue1", base.identity, base.pei, base.credential, base.home_public, base.config)
+    ue = Ue("ue1", base.identity, base.pei, base.credential, base.home_public, base.policy)
     cell = messages.CellInfo(cell_id=SRC, plmn="00101", strength=10, kind="nr",
                              verification_key=b"", blacklist=[])
     if keyed:
