@@ -16,7 +16,7 @@ from . import risk, scenarios, vectors
 from .flows import run_registration
 from .netsim import configure_logging
 from .policy import parse_bool
-from .worldfile import WorldFileError, load_world_file, single_network_world
+from .worldfile import WorldFileError, load_override_file, load_world_file, single_network_world
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -88,12 +88,7 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
 
     if args.world:
-        try:
-            from .worldfile import load_override_file
-            file_overrides = load_override_file(args.world)
-        except WorldFileError as exc:
-            print(f"error: world file: {exc}", file=sys.stderr)
-            return EXIT_WORLD
+        file_overrides = load_override_file(args.world)
         file_overrides.update(overrides)  # explicit --set wins
         overrides = file_overrides
 
@@ -127,11 +122,7 @@ def _cmd_run_registration(args, overrides, expectations) -> int:
             print(f"error: {flag} applies to scenarios only", file=sys.stderr)
             return EXIT_USAGE
     if args.world:
-        try:
-            world, builder = load_world_file(args.world)
-        except WorldFileError as exc:
-            print(f"error: world file: {exc}", file=sys.stderr)
-            return EXIT_WORLD
+        world, builder = load_world_file(args.world)
     else:
         world, builder = single_network_world(seed=args.seed)
     outcomes = {}
@@ -247,7 +238,11 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except WorldFileError as exc:  # from --world, before anything runs
+        print(f"error: world file: {exc}", file=sys.stderr)
+        return EXIT_WORLD
 
 
 if __name__ == "__main__":

@@ -41,10 +41,10 @@ class State(enum.Enum):
     __hash__ = object.__hash__
 
 
-def takes(*states, find=None, message=None):
+def takes(*states, find=None, message=()):
     """Declare the states in which the handler below runs (see ``Entity``)."""
     def declare(handler):
-        handler.states, handler.find, handler.message = states, find, message
+        handler.states, handler.find, handler.messages = states, find, message
         return handler
     return declare
 
@@ -56,17 +56,19 @@ class Entity:
     """Base class: dispatches a decoded message to its handler.
 
     ``on_<message_type>`` handles its message class, in any state unless
-    ``takes`` declares the states it runs in (``takes(message=...)`` names
-    the class of a handler named otherwise).  Both tables are built when
-    the class is created: ``_handlers`` and ``_states``, message class ->
-    ``(find, {state: handler})``.  Without ``find`` the state is the
-    entity's ``state``; with it, the state is that of the session ``find(
-    entity, msg, event)`` returns, and the handler gets the session too.
-    ``step`` checks the declared fields (``messages.violation``), then the
-    tables once, before it dispatches: a broken declaration, an unknown
-    message type, a session not found or a state outside the table is an
-    ignored transition, never a fault; protocol errors are reject/failure
-    messages.
+    ``takes`` declares the states it runs in (``takes(message=(...))``
+    names the classes of a handler named otherwise).  Both tables are built
+    when the class is created: ``_handlers`` and ``_states``, message class
+    -> ``(find, {state: handler})``.  Without ``find`` the state is the
+    entity's ``state``; with it, the state is that of the record ``find(
+    entity, msg, event)`` returns (an AMF session, an AUSF record, a SEPP
+    route, a radio context), or None when there is none, and the handler
+    gets the record before the message: only a row that names None opens a
+    record.  ``step`` checks the declared fields (``messages.violation``),
+    then the tables once, before it dispatches: a broken declaration, an
+    unknown message type, a record not found or a state outside the table
+    is an ignored transition, never a fault; protocol errors are
+    reject/failure messages.
     """
 
     _handlers: dict[type, object] = {}
@@ -80,9 +82,9 @@ class Entity:
             if name.startswith("on_") and name not in _HANDLED:
                 raise TypeError(f"{cls.__name__}: no wire message for {name}")
             if hasattr(handler, "states"):
-                _, by_state = cls._states.setdefault(
-                    handler.message or _HANDLED[name], (handler.find, {}))
-                by_state.update(dict.fromkeys(handler.states, handler))
+                for message in handler.messages or (_HANDLED[name],):
+                    _, by_state = cls._states.setdefault(message, (handler.find, {}))
+                    by_state.update(dict.fromkeys(handler.states, handler))
             elif name.startswith("on_"):
                 cls._handlers[_HANDLED[name]] = handler
 
@@ -99,11 +101,11 @@ class Entity:
             handler(self, msg, event, ctx)
             return
         find, by_state = self._states.get(cls, _NO_ROW)
-        session = self if find is None else find(self, msg, event)
-        handler = None if session is None else by_state.get(session.state)
+        record = self if find is None else find(self, msg, event)
+        handler = by_state.get(None if record is None else record.state)
         if handler is None:
             ctx.ignore()
         elif find is None:
             handler(self, msg, event, ctx)
         else:
-            handler(self, session, msg, ctx)
+            handler(self, record, msg, event, ctx)

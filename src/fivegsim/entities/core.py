@@ -231,19 +231,19 @@ class Amf(Entity):
         )))
 
     @takes(AmfState.AUTH_PENDING, find=_by_sbi)
-    def on_auth_response_sbi(self, session, msg, ctx) -> None:
+    def on_auth_response_sbi(self, session, msg, event, ctx) -> None:
         session.hxres = msg.hxres
         session.k_seaf = msg.k_seaf
         self._challenge(ctx, session, msg)
 
     @takes(AmfState.AUTH_PENDING, find=_by_sbi)
-    def on_auth_reject_sbi(self, session, msg, ctx) -> None:
+    def on_auth_reject_sbi(self, session, msg, event, ctx) -> None:
         self._reject(ctx, session, AmfState.AUTH_REJECTED, msg.cause)
 
     # -- authentication (legacy direct path) ----------------------------------------
 
     @takes(AmfState.AUTH_PENDING, find=_by_sbi)
-    def on_udm_auth_response(self, session, msg, ctx) -> None:
+    def on_udm_auth_response(self, session, msg, event, ctx) -> None:
         session.xres = msg.xres
         session.k_ausf = msg.k_ausf
         session.supi = msg.supi  # legacy trust model: home hands it over
@@ -255,7 +255,7 @@ class Amf(Entity):
     # -- NAS uplink -------------------------------------------------------------------
 
     @takes(*AmfState, find=_by_leg)
-    def on_uplink_nas(self, session, msg, ctx) -> None:
+    def on_uplink_nas(self, session, msg, event, ctx) -> None:
         # the NAS message inside takes its own class's row of the table
         inner = try_decode(msg.nas)
         find, by_state = self._states.get(type(inner), _NO_ROW)
@@ -263,10 +263,10 @@ class Amf(Entity):
         if handler is None:
             ctx.ignore()
             return
-        handler(self, session, inner, ctx)
+        handler(self, session, inner, event, ctx)
 
     @takes(AmfState.CHALLENGE_SENT, find=_in_uplink_nas)
-    def on_authentication_response(self, session, msg, ctx) -> None:
+    def on_authentication_response(self, session, msg, event, ctx) -> None:
         if session.nsa:
             if msg.res == session.xres:
                 self._establish_context(session, ctx, k_ausf=session.k_ausf)
@@ -282,11 +282,11 @@ class Amf(Entity):
         ))
 
     @takes(AmfState.CHALLENGE_SENT, find=_in_uplink_nas)
-    def on_authentication_failure(self, session, msg, ctx) -> None:
+    def on_authentication_failure(self, session, msg, event, ctx) -> None:
         session.state, session.cause = AmfState.AUTH_FAILURE, msg.cause
 
     @takes(AmfState.CONFIRM_PENDING, find=_by_sbi)
-    def on_confirm_response_sbi(self, session, msg, ctx) -> None:
+    def on_confirm_response_sbi(self, session, msg, event, ctx) -> None:
         if not msg.success:
             self._reject(ctx, session, AmfState.AUTH_FAILED, "home_check")
             return
@@ -316,7 +316,7 @@ class Amf(Entity):
     # in any step: a renewal's re-authentication keeps the old link until
     # its security mode command replaces it
     @takes(*AmfState, find=_in_uplink_nas)
-    def on_secured_nas(self, session, wrapper, ctx) -> None:
+    def on_secured_nas(self, session, wrapper, event, ctx) -> None:
         inner = open_secured(session.link, wrapper)
         if isinstance(inner, messages.NasSecurityModeComplete):
             session.pei = inner.pei
@@ -346,7 +346,7 @@ class Amf(Entity):
         pass  # registration continues when the radio side reports security up
 
     @takes(AmfState.NAS_SECURED, find=_by_leg)
-    def on_ue_context_active(self, session, msg, ctx) -> None:
+    def on_ue_context_active(self, session, msg, event, ctx) -> None:
         if session.guti is not None:
             self.contexts.pop(session.guti.hex(), None)
         temp = self._allocator(ctx).allocate()
@@ -359,8 +359,8 @@ class Amf(Entity):
             ctx.timer(self.policy.context_renewal_interval, self._timer_seq)
         self._send_protected_nas(ctx, session, messages.RegistrationAccept(guti=temp.guti))
 
-    @takes(AmfState.REGISTERED, find=_by_leg, message=messages.UeContextActive)
-    def _resend_accept(self, session, msg, ctx) -> None:
+    @takes(AmfState.REGISTERED, find=_by_leg, message=(messages.UeContextActive,))
+    def _resend_accept(self, session, msg, event, ctx) -> None:
         """The UE resent its AS complete: its accept was lost."""
         self._send_protected_nas(ctx, session, messages.RegistrationAccept(guti=session.guti))
 
@@ -373,7 +373,7 @@ class Amf(Entity):
 
     # a PDU session's id is made only once its request came over the NAS link
     @takes(*AmfState, find=_by_pdu)
-    def on_smf_session_response(self, session, msg, ctx) -> None:
+    def on_smf_session_response(self, session, msg, event, ctx) -> None:
         node, ran_ue_id = session.up_leg or (session.gnb, session.ran_ue_id)
         ctx.emit(Channel.N2, node,
                  messages.PduResourceSetup(
@@ -388,62 +388,90 @@ class Amf(Entity):
 
     # the timer is armed once the context is up, for exactly the interval
     @takes(AmfState.REGISTERED, find=_by_timer)
-    def on_timer_fired(self, session, msg, ctx) -> None:
+    def on_timer_fired(self, session, msg, event, ctx) -> None:
         self._start_authentication(ctx, session)
+
+
+class AusfState(State):
+    """The step an AUSF record is in; ``Ausf._states`` says which message
+    each step takes."""
+
+    VECTOR_PENDING = "vector_pending"
+    CHALLENGE_OUT = "challenge_out"  # XRES* is held until the confirm
+
+
+@dataclass
+class AusfSession:
+    reply_to: str
+    serving_network_name: str
+    suci: bytes
+    state: AusfState = AusfState.VECTOR_PENDING
+    supi: str = ""
+    xres: bytes = b""
 
 
 class Ausf(Entity):
     """Home-network authentication server: transforms the home vector so the
-    serving network can check the response without ever knowing it."""
+    serving network can check the response without ever knowing it.
+
+    The confirm or a UDM reject ends a record, and so does a newer request
+    for its SUCI or a newer vector for its SUPI: an ``AuthRejectSbi`` then
+    ends the abandoned record's SEPP routes on its way back."""
 
     def __init__(self, entity_id: str, plmn: str, udm_id: str):
         super().__init__(entity_id)
         self.plmn = plmn
         self.udm_id = udm_id
-        self.sessions: dict[str, dict] = {}
+        self.sessions: dict[str, AusfSession] = {}  # by SBI id
+        self.latest: dict[bytes | str, str] = {}  # a live record's SUCI or SUPI -> its SBI id
 
-    def on_auth_request_sbi(self, msg, event, ctx) -> None:
-        self.sessions[msg.session] = {
-            "reply_to": event.src,
-            "serving_network_name": msg.serving_network_name,
-        }
+    def _by_sbi(self, msg, event) -> AusfSession | None:
+        return self.sessions.get(msg.session)
+
+    def _supersede(self, ctx, subscriber: bytes | str, sid: str) -> None:
+        if subscriber in self.latest:
+            self._end(self.latest[subscriber], ctx, "Superseded")
+        self.latest[subscriber] = sid
+
+    def _end(self, sid: str, ctx, cause: str = "") -> None:
+        session = self.sessions.pop(sid)
+        del self.latest[session.suci]
+        self.latest.pop(session.supi, None)
+        if cause:
+            ctx.emit(Channel.SBI, session.reply_to,
+                     messages.AuthRejectSbi(session=sid, cause=cause))
+
+    @takes(None, find=_by_sbi)
+    def on_auth_request_sbi(self, _, msg, event, ctx) -> None:
+        self._supersede(ctx, msg.suci, msg.session)
+        self.sessions[msg.session] = AusfSession(event.src, msg.serving_network_name, msg.suci)
         ctx.emit(Channel.SBI, self.udm_id, messages.UdmAuthRequest(
             session=msg.session, suci=msg.suci,
             serving_network_name=msg.serving_network_name,
         ))
 
-    def on_udm_auth_response(self, msg, event, ctx) -> None:
-        session = self.sessions.get(msg.session)
-        if session is None:
-            ctx.ignore()
-            return
-        session.update(supi=msg.supi, xres=msg.xres)
+    @takes(AusfState.VECTOR_PENDING, find=_by_sbi)
+    def on_udm_auth_response(self, session, msg, event, ctx) -> None:
+        self._supersede(ctx, msg.supi, msg.session)
+        session.state, session.supi, session.xres = AusfState.CHALLENGE_OUT, msg.supi, msg.xres
         hxres = crypto.res_hash(msg.rand, msg.xres)
-        k_seaf = crypto.derive_k_seaf(msg.k_ausf, session["serving_network_name"])
-        ctx.emit(Channel.SBI, session["reply_to"], messages.AuthResponseSbi(
+        k_seaf = crypto.derive_k_seaf(msg.k_ausf, session.serving_network_name)
+        ctx.emit(Channel.SBI, session.reply_to, messages.AuthResponseSbi(
             session=msg.session, rand=msg.rand, autn=msg.autn,
             hxres=hxres, k_seaf=k_seaf,
         ))
 
-    def on_udm_auth_reject(self, msg, event, ctx) -> None:
-        session = self.sessions.pop(msg.session, None)
-        if session is None:
-            ctx.ignore()
-            return
-        ctx.emit(Channel.SBI, session["reply_to"], messages.AuthRejectSbi(
-            session=msg.session, cause=msg.cause,
-        ))
+    @takes(AusfState.VECTOR_PENDING, find=_by_sbi)
+    def on_udm_auth_reject(self, session, msg, event, ctx) -> None:
+        self._end(msg.session, ctx, msg.cause)
 
-    def on_confirm_request_sbi(self, msg, event, ctx) -> None:
-        session = self.sessions.get(msg.session)
-        if session is None or "xres" not in session:
-            ctx.ignore()
-            return
-        del self.sessions[msg.session]  # the confirm ends the authentication
-        success = msg.res == session["xres"]
+    @takes(AusfState.CHALLENGE_OUT, find=_by_sbi)
+    def on_confirm_request_sbi(self, session, msg, event, ctx) -> None:
+        self._end(msg.session, ctx)  # the confirm ends the authentication
+        success = msg.res == session.xres
         ctx.emit(Channel.SBI, event.src, messages.ConfirmResponseSbi(
             session=msg.session, success=success,
-            supi=session["supi"] if success else "",
+            supi=session.supi if success else "",
         ))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .. import crypto, messages
 from ..netsim import Channel
 from ..policy import algorithms
-from .base import Entity, open_secured
+from .base import Entity, State, open_secured, takes
 
 
 @dataclass
@@ -40,9 +40,21 @@ class SliceAdmission:
         return False
 
 
+class RadioState(State):
+    """How far a radio UE context is; ``GnbNode._states`` says which message
+    each step takes.  A context is found by the UE that sends, or by the
+    RAN UE id the core names."""
+
+    CONNECTED = "connected"
+    SECURED = "secured"  # the AS keys and the RRC link
+    USER_PLANE = "user_plane"  # and the user-plane link
+
+
 @dataclass
 class RadioUeContext:
     ue_id: str
+    ran_ue_id: int
+    state: RadioState = RadioState.CONNECTED
     as_keys: dict[str, bytes] | None = None
     rrc: crypto.SecureLink | None = None
     up: crypto.SecureLink | None = None
@@ -101,11 +113,14 @@ class GnbNode(Entity):
 
     # -- radio access ------------------------------------------------------------
 
-    def _ue_ctx(self, ue_id: str) -> RadioUeContext | None:
-        rid = self.by_ue.get(ue_id)
-        return self.ue_contexts.get(rid) if rid is not None else None
+    def _by_ue(self, msg, event) -> RadioUeContext | None:
+        return self.ue_contexts.get(self.by_ue.get(event.src))
 
-    def on_rrc_connection_request(self, msg, event, ctx) -> None:
+    def _by_ran_ue_id(self, msg, event) -> RadioUeContext | None:
+        return self.ue_contexts.get(msg.ran_ue_id)
+
+    @takes(None, *RadioState, find=_by_ue)
+    def on_rrc_connection_request(self, radio, msg, event, ctx) -> None:
         if not self.active:
             ctx.ignore()
             return
@@ -113,18 +128,19 @@ class GnbNode(Entity):
             ctx.emit(Channel.RADIO_RRC, event.src,
                      messages.RrcConnectionReject(cause="congestion"))
             return
-        rid = self.by_ue.get(event.src)
-        if rid is None:
-            rid = self._next_ran_ue_id
+        if radio is None:
+            self.by_ue[event.src] = self._next_ran_ue_id
             self._next_ran_ue_id += 1
-            self.by_ue[event.src] = rid
-        self.ue_contexts[rid] = RadioUeContext(ue_id=event.src)
+        rid = self.by_ue[event.src]
+        self.ue_contexts[rid] = RadioUeContext(event.src, rid)
         ctx.emit(Channel.RADIO_RRC, event.src,
                  messages.RrcConnectionSetup(c_rnti=msg.c_rnti, ran_ue_id=rid))
 
     # -- NAS transport ------------------------------------------------------------
 
-    def _initial_nas(self, msg, event, ctx) -> None:
+    @takes(*RadioState, find=_by_ue,
+           message=(messages.RegistrationRequest, messages.AttachRequest4G))
+    def _initial_nas(self, radio, msg, event, ctx) -> None:
         """A rejecting cell answers the attempt; any other forwards it."""
         if self.reject_cause is not None:
             signature = b""
@@ -137,53 +153,42 @@ class GnbNode(Entity):
                 cause=self.reject_cause, signature=signature,
             ))
             return
-        if self._ue_ctx(event.src) is None:
-            ctx.ignore()
-            return
         ctx.emit(Channel.N2, self.amf_id, messages.InitialUeMessage(
-            ran_ue_id=self.by_ue[event.src],
+            ran_ue_id=radio.ran_ue_id,
             cell_id=self.entity_id,
             plmn=self.plmn,
             ue_radio_ref=event.src,
             nas=messages.encode(msg),
         ))
 
-    on_registration_request = _initial_nas
-    on_attach_request_4g = _initial_nas
-
-    def _forward_uplink(self, msg, event, ctx) -> None:
-        radio = self._ue_ctx(event.src)
-        if radio is None or not self.amf_id:
+    @takes(*RadioState, find=_by_ue, message=(
+        messages.AuthenticationResponse, messages.AuthenticationFailure, messages.SecuredNas))
+    def _forward_uplink(self, radio, msg, event, ctx) -> None:
+        if not self.amf_id:
             ctx.ignore()
             return
         ctx.emit(Channel.N2, self.amf_id, messages.UplinkNas(
-            ran_ue_id=self.by_ue[event.src], nas=messages.encode(msg),
+            ran_ue_id=radio.ran_ue_id, nas=messages.encode(msg),
         ))
 
-    on_authentication_response = _forward_uplink
-    on_authentication_failure = _forward_uplink
-    on_secured_nas = _forward_uplink
-
-    def on_downlink_nas(self, msg, event, ctx) -> None:
-        radio = self.ue_contexts.get(msg.ran_ue_id)
-        if radio is None:
-            ctx.ignore()
-            return
+    @takes(*RadioState, find=_by_ran_ue_id)
+    def on_downlink_nas(self, radio, msg, event, ctx) -> None:
         ctx.emit_raw(Channel.RADIO_NAS, radio.ue_id, msg.nas)
 
     # -- AS security --------------------------------------------------------------
 
-    def on_initial_context_setup_request(self, msg, event, ctx) -> None:
-        radio = self.ue_contexts.get(msg.ran_ue_id)
+    @takes(None, *RadioState, find=_by_ran_ue_id)
+    def on_initial_context_setup_request(self, radio, msg, event, ctx) -> None:
         if radio is None:
             # NSA user-plane node: context arrives without a prior RRC setup
-            radio = RadioUeContext(ue_id=msg.ue_radio_ref)
+            radio = RadioUeContext(msg.ue_radio_ref, msg.ran_ue_id)
             self.ue_contexts[msg.ran_ue_id] = radio
             self.by_ue[msg.ue_radio_ref] = msg.ran_ue_id
         radio.as_keys = crypto.derive_as_keys(msg.k_gnb, msg.nea_id, msg.nia_id)
         radio.rrc = crypto.SecureLink(messages.SecuredRrc, radio.as_keys,
                                       msg.nea_id, msg.nia_id, direction=1)
-        radio.up = None  # its keys are gone; the next session setup rebuilds it
+        # the user plane's keys are gone; the next session setup rebuilds its link
+        radio.state, radio.up = RadioState.SECURED, None
         ctx.emit(Channel.N2, event.src,
                  messages.InitialContextSetupResponse(ran_ue_id=msg.ran_ue_id))
         ctx.emit(Channel.RADIO_RRC, radio.ue_id, radio.rrc.seal(
@@ -191,31 +196,29 @@ class GnbNode(Entity):
             integrity_only=True,
         ))
 
-    def on_secured_rrc(self, wrapper, event, ctx) -> None:
-        radio = self._ue_ctx(event.src)
-        inner = open_secured(radio.rrc if radio else None, wrapper)
+    @takes(RadioState.SECURED, RadioState.USER_PLANE, find=_by_ue)
+    def on_secured_rrc(self, radio, wrapper, event, ctx) -> None:
+        inner = open_secured(radio.rrc, wrapper)
         if isinstance(inner, messages.AsSecurityModeComplete):
             if self.amf_id:
                 ctx.emit(Channel.N2, self.amf_id,
-                         messages.UeContextActive(ran_ue_id=self.by_ue[event.src]))
+                         messages.UeContextActive(ran_ue_id=radio.ran_ue_id))
         else:
             ctx.ignore()
 
-    def on_pdu_resource_setup(self, msg, event, ctx) -> None:
-        radio = self.ue_contexts.get(msg.ran_ue_id)
-        if radio is None or radio.as_keys is None:
-            ctx.ignore()
-            return
+    @takes(RadioState.SECURED, RadioState.USER_PLANE, find=_by_ran_ue_id)
+    def on_pdu_resource_setup(self, radio, msg, event, ctx) -> None:
         nea, nia = algorithms(msg.up_ciphering, msg.up_integrity)
         radio.up = crypto.SecureLink(messages.SecuredUp, radio.as_keys, nea, nia,
                                      direction=1)
+        radio.state = RadioState.USER_PLANE
 
-    def on_secured_up(self, wrapper, event, ctx) -> None:
-        radio = self._ue_ctx(event.src)
-        inner = open_secured(radio.up if radio else None, wrapper)
+    @takes(RadioState.USER_PLANE, find=_by_ue)
+    def on_secured_up(self, radio, wrapper, event, ctx) -> None:
+        inner = open_secured(radio.up, wrapper)
         if isinstance(inner, messages.AppData) and self.upf_id:
             ctx.emit(Channel.N3, self.upf_id, messages.GtpData(
-                teid=self.by_ue[event.src], payload=inner.payload,
+                teid=radio.ran_ue_id, payload=inner.payload,
             ))
         else:
             ctx.ignore()

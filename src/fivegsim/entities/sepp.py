@@ -4,19 +4,20 @@ between operators.
 A SEPP forwards control-plane traffic only over sessions with allowlisted,
 non-revoked peers, and checks that the serving network name inside a
 forwarded authentication request matches the peer the session was
-established with.
+established with.  Each authentication it carries has a route, found by
+its SBI id, that its answers take back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .. import crypto, messages
 from ..identity import ConcealedIdentity
 from ..netsim import Channel
 from ..policy import serving_network_name
-from .base import Entity, try_decode
+from .base import Entity, State, takes, try_decode
 
 
 class PeerUnknown(KeyError):
@@ -27,12 +28,29 @@ class PeerRevoked(PermissionError):
     pass
 
 
+_ANSWERS = (messages.AuthResponseSbi, messages.AuthRejectSbi, messages.ConfirmResponseSbi)
 # the answers that end an authentication, and with it the route it took
-_FINAL_ANSWERS = (messages.AuthRejectSbi, messages.ConfirmResponseSbi)
+_FINAL_ANSWERS = _ANSWERS[1:]
 
 
 def _hello_context(plmn: str, peer_plmn: str, nonce: bytes) -> bytes:
     return b"sepp-hello|" + plmn.encode() + b"|" + peer_plmn.encode() + b"|" + nonce
+
+
+class RouteState(State):
+    """Which way an authentication's route through a SEPP runs; ``Sepp._states``
+    says which message each way takes."""
+
+    OUT = "out"  # from a local AMF to the home network's SEPP
+    IN = "in"  # from a peer SEPP to the local AUSF
+
+
+@dataclass
+class SeppRoute:
+    state: RouteState
+    back_to: str  # where its answers go: the local AMF, or the peer SEPP
+    suci: bytes
+    home_plmn: str = ""  # out: where its requests go
 
 
 @dataclass
@@ -62,8 +80,8 @@ class Sepp(Entity):
         self.allowlist = allowlist or {}
         self.revoked: set[bytes] = set()
         self.sessions: dict[str, SeppSession] = {}  # by peer plmn
-        self.routes_out: dict[str, tuple[str, str]] = {}  # sbi sid -> (requester, peer plmn)
-        self.routes_in: dict[str, str] = {}  # sbi session -> peer sepp id
+        self.routes: dict[str, SeppRoute] = {}  # by SBI id
+        self.by_suci: dict[bytes, str] = {}  # the SUCI of each route -> its SBI id
         self.rejections: list[str] = []
 
     @cached_property
@@ -115,41 +133,62 @@ class Sepp(Entity):
             session.pending.append(inner_bytes)
         return True
 
-    def on_auth_request_sbi(self, msg, event, ctx) -> None:
-        # local AMF asks the home network of the concealed identity
+    def _route(self, msg, event) -> SeppRoute | None:
+        return self.routes.get(msg.session)
+
+    def _open(self, sid: str, route: SeppRoute) -> None:
+        # a new request for a SUCI: its AMF abandoned the older authentication
+        self.routes.pop(self.by_suci.get(route.suci), None)
+        self.routes[sid], self.by_suci[route.suci] = route, sid
+
+    def _end(self, msg) -> None:
+        if isinstance(msg, _FINAL_ANSWERS):  # the authentication is over
+            del self.by_suci[self.routes.pop(msg.session).suci]
+
+    @takes(None, find=_route)
+    def on_auth_request_sbi(self, _, msg, event, ctx) -> None:
+        if event.channel is Channel.SEPP_LINK:  # a peer asks the local home network
+            # only standalone AMFs send an AuthRequestSbi: it names the peer it came from
+            if msg.serving_network_name == serving_network_name(
+                    "SA", self._peer_plmn(event.src)):
+                self._open(msg.session, SeppRoute(RouteState.IN, event.src, msg.suci))
+                ctx.emit(Channel.SBI, self.ausf_id, msg)
+                return
+            self.rejections.append("NetworkNameMismatch")
+            reject = messages.AuthRejectSbi(session=msg.session, cause="NetworkNameMismatch")
+            ctx.emit(Channel.SEPP_LINK, event.src,
+                     messages.SeppForward(inner=messages.encode(reject)))
+            return
+        # the local AMF asks the home network of the concealed identity
         try:
             home_plmn = ConcealedIdentity.from_bytes(msg.suci).plmn
         except ValueError:
             ctx.ignore()
             return
         if self._forward_out(messages.encode(msg), home_plmn, ctx):
-            self.routes_out[msg.session] = (event.src, home_plmn)
+            self._open(msg.session, SeppRoute(RouteState.OUT, event.src, msg.suci, home_plmn))
         else:
             ctx.emit(Channel.SBI, event.src, messages.AuthRejectSbi(
                 session=msg.session, cause="PeerUnknown"))
 
-    def on_confirm_request_sbi(self, msg, event, ctx) -> None:
-        route = self.routes_out.get(msg.session)
-        if route is None:
-            ctx.ignore()
-            return
-        self._forward_out(messages.encode(msg), route[1], ctx)
+    @takes(RouteState.OUT, find=_route)
+    def on_confirm_request_sbi(self, route, msg, event, ctx) -> None:
+        self._forward_out(messages.encode(msg), route.home_plmn, ctx)
 
-    # -- responses from the local home core (home side) -----------------------------
+    @takes(RouteState.OUT, find=_route, message=_ANSWERS)
+    def _answer_out(self, route, msg, event, ctx) -> None:
+        self._end(msg)
+        ctx.emit(Channel.SBI, route.back_to, msg)
 
-    def _return_in(self, msg, event, ctx) -> None:
-        peer_id = self.routes_in.get(msg.session)
-        if peer_id is None:
-            ctx.ignore()
-            return
-        if isinstance(msg, _FINAL_ANSWERS):
-            del self.routes_in[msg.session]
-        ctx.emit(Channel.SEPP_LINK, peer_id,
+    @takes(RouteState.IN, find=_route, message=(messages.ConfirmRequestSbi,))
+    def _confirm_in(self, route, msg, event, ctx) -> None:
+        ctx.emit(Channel.SBI, self.ausf_id, msg)
+
+    @takes(RouteState.IN, find=_route, message=_ANSWERS)
+    def _answer_in(self, route, msg, event, ctx) -> None:
+        self._end(msg)
+        ctx.emit(Channel.SEPP_LINK, route.back_to,
                  messages.SeppForward(inner=messages.encode(msg)))
-
-    on_auth_response_sbi = _return_in
-    on_auth_reject_sbi = _return_in
-    on_confirm_response_sbi = _return_in
 
     # -- handshake -------------------------------------------------------------------
 
@@ -199,37 +238,17 @@ class Sepp(Entity):
     def on_sepp_reject(self, msg, event, ctx) -> None:
         self.rejections.append(f"peer:{msg.reason}")
 
-    # -- inbound forwards (home side) ----------------------------------------------
+    # -- forwards from a peer --------------------------------------------------------
+
+    def _peer_plmn(self, peer_id: str) -> str | None:
+        return next((plmn for plmn, session in self.sessions.items()
+                     if session.established and session.peer_id == peer_id), None)
 
     def on_sepp_forward(self, msg, event, ctx) -> None:
-        peer_plmn = next((plmn for plmn, session in self.sessions.items()
-                          if session.established and session.peer_id == event.src), None)
-        if peer_plmn is None:
+        if self._peer_plmn(event.src) is None:
             ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="NoSession"))
-            return
-        inner = try_decode(msg.inner)
-        if inner is None:
+        elif type(inner := try_decode(msg.inner)) in self._states:
+            # a request or an answer steps as if it came over the link alone
+            self.step(inner, replace(event, payload=msg.inner), ctx)
+        else:
             ctx.ignore()
-            return
-        if isinstance(inner, (messages.AuthRequestSbi, messages.ConfirmRequestSbi)):
-            # only standalone AMFs send an AuthRequestSbi: it names the peer it came from
-            if isinstance(inner, messages.AuthRequestSbi) and \
-                    inner.serving_network_name != serving_network_name("SA", peer_plmn):
-                self.rejections.append("NetworkNameMismatch")
-                reject = messages.AuthRejectSbi(session=inner.session, cause="NetworkNameMismatch")
-                ctx.emit(Channel.SEPP_LINK, event.src,
-                         messages.SeppForward(inner=messages.encode(reject)))
-                return
-            self.routes_in[inner.session] = event.src
-            ctx.emit(Channel.SBI, self.ausf_id, inner)
-            return
-        # a response coming back to the serving side
-        session_id = getattr(inner, "session", None)
-        route = self.routes_out.get(session_id)
-        if route is None:
-            ctx.ignore()
-            return
-        if isinstance(inner, _FINAL_ANSWERS):
-            del self.routes_out[session_id]
-        ctx.emit(Channel.SBI, route[0], inner)
-

@@ -142,6 +142,16 @@ class Ue(Entity):
     def last_outcome(self) -> str | None:
         return self.attempts_log[-1] if self.attempts_log else None
 
+    # how an attempt's answers find it (see ``Entity``): the UE itself, if
+    # the cell it sent to answers, or the timer it armed last fires
+
+    def _from_its_cell(self, msg, event) -> Ue | None:
+        cell = self.attempt and self.attempt.cell
+        return self if cell and cell.cell_id == event.src else None
+
+    def _by_timer(self, msg, event) -> Ue | None:
+        return self if self.attempt and self.attempt.timer_id == msg.timer_id else None
+
     # -- registration trigger and cell selection ------------------------------
 
     # one attempt at a time, and none while registered
@@ -201,12 +211,9 @@ class Ue(Entity):
 
     # -- RRC connection --------------------------------------------------------
 
-    @takes(Awaiting.RRC_SETUP)
-    def on_rrc_connection_setup(self, msg, event, ctx) -> None:
+    @takes(Awaiting.RRC_SETUP, find=_from_its_cell)
+    def on_rrc_connection_setup(self, _, msg, event, ctx) -> None:
         attempt = self.attempt
-        if event.src != attempt.cell.cell_id:
-            ctx.ignore()
-            return
         if self.policy.mode == "NSA":
             request = messages.AttachRequest4G(
                 imsi=format_supi(self.identity),
@@ -226,21 +233,15 @@ class Ue(Entity):
         self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
                             request, Awaiting.AUTH_REQUEST)
 
-    @takes(Awaiting.RRC_SETUP)
-    def on_rrc_connection_reject(self, msg, event, ctx) -> None:
-        if event.src != self.attempt.cell.cell_id:
-            ctx.ignore()
-            return
+    @takes(Awaiting.RRC_SETUP, find=_from_its_cell)
+    def on_rrc_connection_reject(self, _, msg, event, ctx) -> None:
         self._finish_attempt(f"rrc_rejected:{msg.cause}")
 
     # -- pre-security reject handling -------------------------------------------
 
-    @takes(*_ON_CELL)
-    def on_registration_reject(self, msg, event, ctx) -> None:
+    @takes(*_ON_CELL, find=_from_its_cell)
+    def on_registration_reject(self, _, msg, event, ctx) -> None:
         attempt = self.attempt
-        if event.src != attempt.cell.cell_id:
-            ctx.ignore()
-            return
         cell = attempt.cell
         persistent = cause_is_persistent(msg.cause)
         signed = self.policy.signed_reject_enabled
@@ -294,11 +295,8 @@ class Ue(Entity):
             self._send_awaiting(ctx, Channel.RADIO_NAS, attempt.cell.cell_id,
                                 messages.AuthenticationResponse(res=res), Awaiting.NAS_SMC)
 
-    @takes(*_ON_CELL)
-    def on_authentication_reject(self, msg, event, ctx) -> None:
-        if event.src != self.attempt.cell.cell_id:
-            ctx.ignore()
-            return
+    @takes(*_ON_CELL, find=_from_its_cell)
+    def on_authentication_reject(self, _, msg, event, ctx) -> None:
         self._finish_attempt("auth_rejected")
 
     # -- NAS security ----------------------------------------------------------
@@ -413,12 +411,9 @@ class Ue(Entity):
         self._challenge = None
 
     # nothing is awaited before the first send (during the cell scan)
-    @takes(*_ON_CELL)
-    def on_timer_fired(self, msg, event, ctx) -> None:
+    @takes(*_ON_CELL, find=_by_timer)
+    def on_timer_fired(self, _, msg, event, ctx) -> None:
         attempt = self.attempt
-        if attempt.timer_id != msg.timer_id:
-            ctx.ignore()
-            return
         if attempt.retries == 0:
             self._finish_attempt("timeout")
             return

@@ -230,14 +230,21 @@ _SECTIONS = {
 
 
 def _read(path: str, what: str) -> configparser.ConfigParser:
-    """The INI text at ``path``; unreadable or malformed text is a WorldFileError."""
-    parser = configparser.ConfigParser()
+    """The INI text at ``path``, its values taken as written (no ``%``
+    interpolation); unreadable or malformed text is a WorldFileError."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if parser.read(path):
             return parser
     except (configparser.Error, UnicodeDecodeError) as exc:  # no header, a repeated name
         raise WorldFileError(str(exc)) from exc
     raise WorldFileError(f"cannot read {what} file {path!r}")
+
+
+def _own_items(parser, section: str) -> list[tuple[str, str]]:
+    """The keys ``section`` sets, without those [DEFAULT] gives every section."""
+    return [(key, value) for key, value in parser.items(section)
+            if key not in parser.defaults()]
 
 
 def load_override_file(path: str) -> dict[str, str]:
@@ -247,7 +254,7 @@ def load_override_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for section in ("policy", "overrides"):
         if parser.has_section(section):
-            out.update(dict(parser.items(section)))
+            out.update(_own_items(parser, section))
     return out
 
 
@@ -261,7 +268,7 @@ def _check_sections(parser) -> None:
             raise WorldFileError(f"unknown section kind [{section}]")
         if named != bool(name):
             raise WorldFileError(f"[{section}]: {'needs an id' if named else 'takes no name'}")
-        unknown = sorted(parser[section].keys() - parser.defaults().keys() - keys) if keys else []
+        unknown = sorted({key for key, _ in _own_items(parser, section)} - keys) if keys else []
         if unknown:
             raise WorldFileError(f"[{section}]: unknown key {unknown[0]!r}")
 
@@ -271,8 +278,8 @@ def load_world_file(path: str) -> tuple[World, WorldBuilder]:
     _check_sections(parser)
     try:
         return _build_from_parser(parser)
-    except (configparser.Error, KeyError, ValueError) as exc:
-        raise WorldFileError(str(exc)) from exc
+    except (configparser.Error, KeyError, ValueError) as exc:  # a KeyError's text, not its repr
+        raise WorldFileError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
 
 
 def _build_from_parser(parser) -> tuple[World, WorldBuilder]:
@@ -281,7 +288,7 @@ def _build_from_parser(parser) -> tuple[World, WorldBuilder]:
         seed = parser.getint("world", "seed", fallback=0)
     policy_kwargs = {}
     if parser.has_section("policy"):
-        for key, raw in parser.items("policy"):
+        for key, raw in _own_items(parser, "policy"):
             policy_kwargs[key] = parse_policy_value(key, raw)
     policy = OperatorPolicy(**policy_kwargs)
     builder = WorldBuilder(seed)

@@ -342,6 +342,40 @@ def test_world_file_takes_default_keys_and_scenario_overrides(tmp_path):
     assert run_registration(world, "ue2").success
 
 
+@pytest.mark.parametrize("scenario, outcome", [
+    ("registration", ("outcomes", "ue1", "registered")),
+    ("TS_06", ("outcome", "pei_captured", False)),  # the file's nas_ciphering took
+], ids=["registration", "TS_06"])
+def test_world_file_default_keys_stay_out_of_policy(capsys, tmp_path, scenario, outcome):
+    # [DEFAULT] gives its keys to the cells and UEs; [policy] reads only its own
+    world_file = tmp_path / "world.ini"
+    world_file.write_text("[DEFAULT]\nnetwork = home\n[policy]\nnas_ciphering = true\n"
+                          + WORLD_HEAD)
+    code, out, err = run_cli(capsys, "run", "--scenario", scenario, "--world", str(world_file))
+    assert (code, err) == (0, "")
+    section, key, value = outcome
+    assert json.loads(out)[section][key] == value
+
+
+def test_world_file_unknown_policy_key_is_named_once_quoted(capsys, tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text("[policy]\nbogus = 1\n" + WORLD_HEAD)
+    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
+                           "--world", str(world_file))
+    assert (code, err) == (3, "error: world file: unknown policy key 'bogus'\n")
+
+
+@pytest.mark.parametrize("scenario, text, code", [
+    ("registration", WORLD_HEAD.replace("network = home", "network = ho%me"), 3),
+    ("TS_06", "[policy]\nnas_ciphering = 5%\n", 2),
+], ids=["registration", "TS_06"])
+def test_world_file_values_are_taken_as_written(capsys, tmp_path, scenario, text, code):
+    # a "%" is a character, not the start of an interpolation that raises
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(text)
+    assert run_cli(capsys, "run", "--scenario", scenario, "--world", str(world_file))[0] == code
+
+
 def test_world_file_negative_renewal_interval_exits_3(capsys, tmp_path):
     world_file = tmp_path / "world.ini"
     world_file.write_text("[policy]\ncontext_renewal_interval = -5\n" + WORLD_HEAD)

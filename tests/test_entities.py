@@ -982,11 +982,11 @@ def test_re_registrations_keep_amf_indexes_constant(mode):
         assert run_registration(world, "ue1").success
         assert establish_user_plane(world, "ue1")
         sizes.append((len(amf.sessions), len(amf.by_sbi), len(amf.contexts),
-                      len(amf.by_ran), len(ausf.sessions)))
+                      len(amf.by_ran), len(ausf.sessions), len(ausf.latest)))
         if mode == "roaming":
-            assert serving.sepp.routes_out == {} and home.sepp.routes_in == {}
+            assert serving.sepp.routes == {} and home.sepp.routes == {}
         trigger(world, "ue1", messages.PowerCycle())
         world.run_until(world.time + 10)
     # one session, its authentication SBI id and its context; the initial
     # leg, plus the en-gNB leg in NSA
-    assert sizes == [(1, 1, 1, 1 if mode != "NSA" else 2, 0)] * 20
+    assert sizes == [(1, 1, 1, 1 if mode != "NSA" else 2, 0, 0)] * 20

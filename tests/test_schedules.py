@@ -1,11 +1,15 @@
-"""Every single drop and every single replay over one registration.
+"""Every single drop, every single replay and every drop pair over one
+registration.
 
 A hook on every wire channel numbers the wire events it sees from 0.  A
-drop schedule drops event i; a replay schedule captures event j and
-re-injects it, with delay 1, after event i > j.  Each schedule must end
-without an exception escaping ``run_until`` (the small-scope hypothesis:
-most defects show in small cases).
+drop schedule drops the events it names; a replay schedule captures event
+j and re-injects it, with delay 1, after event i > j.  Each schedule must
+end without an exception escaping ``run_until`` (invariant (a)) and with
+at most one AUSF record and one SEPP route per subscriber (invariant (f)):
+the small-scope hypothesis, most defects show in small cases.
 """
+
+import itertools
 
 import pytest
 
@@ -27,17 +31,17 @@ WORLDS = {
 WIRE_EVENTS = {"single": 25, "roaming": 35, "nsa": 21}
 
 
-def run_schedule(world_name, drop=None, replay=None):
-    """Register ue1 under one drop (an event number) or one replay (a pair
-    (captured, after)); returns the world, its builder and the number of
-    wire events the hook saw."""
+def run_schedule(world_name, drops=(), replay=None):
+    """Register ue1 under the drops of some event numbers or one replay (a
+    pair (captured, after)); returns the world, its builder and the wire
+    events the hook saw."""
     world, builder = WORLDS[world_name]()
     seen, captured = [], []
 
     def handler(w, hook, event):
         index = len(seen)
         seen.append(event)
-        if index == drop:
+        if index in drops:
             return Action(drop=True)
         if replay is not None and index == replay[0]:
             captured.append(event)
@@ -51,28 +55,46 @@ def run_schedule(world_name, drop=None, replay=None):
         capabilities=frozenset({Capability.DROP, Capability.INJECT}), handler=handler))
     trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
     world.run_until(HORIZON)
-    return world, builder, len(seen)
+    return world, builder, seen
+
+
+def assert_invariants(world_name, drops=(), replay=None):
+    """Run one schedule: (a) no exception escapes, and (f) the AUSF and the
+    SEPPs hold at most one record and one route per subscriber."""
+    world, builder, _ = run_schedule(world_name, drops, replay)
+    subscribers = len(builder.ues)
+    for net in builder.networks.values():
+        assert len(net.ausf.sessions) <= subscribers, (drops, replay, net.ausf.sessions)
+        if net.sepp is not None:
+            assert len(net.sepp.routes) <= subscribers, (drops, replay, net.sepp.routes)
+    return world, builder
 
 
 @pytest.mark.parametrize("world_name", sorted(WORLDS))
 def test_honest_registration_has_the_enumerated_wire_events(world_name):
-    world, _, events = run_schedule(world_name)
-    assert events == WIRE_EVENTS[world_name]
+    world, _, seen = run_schedule(world_name)
+    assert len(seen) == WIRE_EVENTS[world_name]
     assert world.entities["ue1"].last_outcome() == "registered"
 
 
 @pytest.mark.parametrize("world_name", sorted(WORLDS))
 def test_every_single_drop_ends_without_a_fault(world_name):
     for i in range(WIRE_EVENTS[world_name]):
-        run_schedule(world_name, drop=i)
+        assert_invariants(world_name, drops=(i,))
 
 
 @pytest.mark.parametrize("world_name", sorted(WORLDS))
 def test_every_single_replay_ends_without_a_fault(world_name):
-    n = WIRE_EVENTS[world_name]
-    for j in range(n):
-        for i in range(j + 1, n):
-            run_schedule(world_name, replay=(j, i))
+    for pair in itertools.combinations(range(WIRE_EVENTS[world_name]), 2):
+        assert_invariants(world_name, replay=pair)
+
+
+@pytest.mark.parametrize("world_name", sorted(WORLDS))
+def test_every_drop_pair_ends_without_a_fault(world_name):
+    # 300, 595 and 210 pairs; a later number counts the events after the
+    # first drop, retransmissions included
+    for pair in itertools.combinations(range(WIRE_EVENTS[world_name]), 2):
+        assert_invariants(world_name, drops=pair)
 
 
 # Replaying the radio RegistrationRequest (event 2) or its InitialUeMessage
@@ -88,7 +110,7 @@ REPLAY_CRASH_SCHEDULES = (
 
 @pytest.mark.parametrize("world_name, captured, after", REPLAY_CRASH_SCHEDULES)
 def test_replayed_initial_message_before_as_security_is_refused(world_name, captured, after):
-    world, builder, _ = run_schedule(world_name, replay=(captured, after))
+    world, builder = assert_invariants(world_name, replay=(captured, after))
     # the UeContextActive is refused outside nas_secured and registered: the
     # UE times out, and the AMF holds only the session the replay opened,
     # whose challenge the UE was no longer waiting for
@@ -96,3 +118,45 @@ def test_replayed_initial_message_before_as_security_is_refused(world_name, capt
     assert world.entities["ue1"].last_outcome() == "timeout"
     [session] = amf.sessions.values()
     assert session.state is AmfState.CHALLENGE_SENT
+
+
+def first_event(world_name, msg_type):
+    """The number of the first wire event of ``msg_type`` in an honest run."""
+    _, _, seen = run_schedule(world_name)
+    return next(i for i, event in enumerate(seen)
+                if messages.peek_type(event.payload) == msg_type)
+
+
+@pytest.mark.parametrize("world_name", ["single", "roaming"])
+def test_a_lost_challenge_leaves_no_authentication_behind(world_name):
+    # the UE resends its RegistrationRequest, and the AMF starts a second
+    # authentication for the same SUCI: it supersedes the first at the AUSF,
+    # which kept its record and its SEPP routes for good before
+    lost = first_event(world_name, "AuthenticationRequest")
+    world, builder = assert_invariants(world_name, drops=(lost,))
+    assert world.entities["ue1"].last_outcome() == "registered"
+    for net in builder.networks.values():
+        assert net.ausf.sessions == {} and net.ausf.latest == {}
+        assert net.sepp is None or (net.sepp.routes == {} and net.sepp.by_suci == {})
+
+
+@pytest.mark.parametrize("world_name", ["single", "roaming"])
+def test_a_duplicate_auth_request_leaves_the_live_record_and_the_registration(world_name):
+    # the AuthRequestSbi replayed while its vector is out: the AUSF refuses
+    # the duplicate of a live SBI id instead of asking the UDM again, so
+    # the record keeps the XRES* the UE's answer matches
+    request = [i for i, event in enumerate(run_schedule(world_name)[2])
+               if messages.peek_type(event.payload) == "AuthRequestSbi"][-1]
+    for after in range(request + 1, request + 6):
+        world, builder = assert_invariants(world_name, replay=(request, after))
+        assert world.entities["ue1"].last_outcome() == "registered", after
+
+
+@pytest.mark.parametrize("world_name", ["single", "roaming"])
+def test_a_second_vector_for_a_held_challenge_is_ignored(world_name):
+    # the UdmAuthRequest replayed: the UDM answers with a fresh vector,
+    # which the AUSF refuses once the record holds its XRES*
+    request = first_event(world_name, "UdmAuthRequest")
+    for after in range(request + 1, request + 6):
+        world, builder = assert_invariants(world_name, replay=(request, after))
+        assert world.entities["ue1"].last_outcome() == "registered", after

@@ -1,11 +1,12 @@
-"""Every (state, message class) pair of the AMF and the UE, and every
-declared field constraint.
+"""Every (state, message class) pair of the AMF, the UE, the AUSF, the
+SEPP and the gNB, and every declared field constraint.
 
-Each state the entity's table names is built, then ``Entity.step`` is
-stepped directly with a well-formed instance of every wire class (and, at
-the AMF, with every wire class inside an ``UplinkNas``).  No pair may
-raise, and every pair outside the table is an ignored transition that
-sends nothing.  A message that breaks a width or algorithm id its class
+Each state the entity's table names is built (for the AUSF, the SEPP and
+the gNB, also the state None: no record), then ``Entity.step`` is stepped
+directly with a well-formed instance of every wire class (and, at the AMF
+and the SEPP, with every wire class inside an ``UplinkNas`` or a
+``SeppForward``).  No pair may raise, and every pair outside the table is
+an ignored transition that sends nothing.  A message that breaks a width or algorithm id its class
 declares is refused the same way by every entity that takes it, on its
 own or nested in another message.
 """
@@ -18,9 +19,11 @@ import typing
 import pytest
 
 from fivegsim import crypto, entities, messages
-from fivegsim.entities import Amf, Entity
+from fivegsim.entities import Amf, Ausf, Entity, GnbNode, Sepp
 from fivegsim.entities.base import try_decode
-from fivegsim.entities.core import ABBA, AmfSession, AmfState
+from fivegsim.entities.core import ABBA, AmfSession, AmfState, AusfSession, AusfState
+from fivegsim.entities.ran import RadioState, RadioUeContext
+from fivegsim.entities.sepp import RouteState, SeppRoute, SeppSession
 from fivegsim.entities.ue import Attempt, Awaiting, Ue, UePhase
 from fivegsim.identity import SecurityContext, format_supi
 from fivegsim.netsim import Channel, SimEvent, StepContext, World
@@ -43,10 +46,10 @@ def table_states(entity_cls) -> set:
     return {state for _, by_state in entity_cls._states.values() for state in by_state}
 
 
-def step(entity, msg, src=SRC):
+def step(entity, msg, src=SRC, channel=Channel.N2):
     world = World(seed=5)
     ctx = StepContext(world, entity.entity_id)
-    event = SimEvent(time=0, seq=0, channel=Channel.N2, src=src, dst=entity.entity_id,
+    event = SimEvent(time=0, seq=0, channel=channel, src=src, dst=entity.entity_id,
                      payload=messages.encode(msg))
     entity.step(msg, event, ctx)
     return ctx
@@ -173,6 +176,120 @@ def test_ue_takes_a_message_only_in_the_states_its_table_names(base, state, keye
         _, by_state = Ue._states.get(cls, (None, {}))
         if cls not in Ue._handlers and state not in by_state:
             assert_refused(ctx)
+
+
+# -- AUSF, SEPP and gNB: one record in a state, or none ------------------------------
+
+SUCI, SUPI = b"suci", "imsi-001010000000001"
+
+
+def test_every_record_state_is_in_the_tables():
+    assert table_states(Ausf) == {None, *AusfState}
+    assert table_states(Sepp) == {None, *RouteState}
+    assert table_states(GnbNode) == {None, *RadioState}
+
+
+def ausf_with(state, msg) -> Ausf:
+    """An AUSF whose record for ``msg``'s SBI id is in ``state`` (None: no record)."""
+    ausf = Ausf("ausf", "00101", "udm")
+    if state is not None:
+        sid = getattr(msg, "session", "amf-a1")
+        held = state is AusfState.CHALLENGE_OUT
+        ausf.sessions[sid] = AusfSession("amf", "5G:00101", SUCI, state,
+                                         supi=SUPI if held else "", xres=bytes(16))
+        ausf.latest.update({SUCI: sid, **({SUPI: sid} if held else {})})
+    return ausf
+
+
+def sepp_with(state, msg) -> Sepp:
+    """A SEPP with an established session to ``SRC`` and, for ``msg``'s SBI
+    id, a route running ``state`` (None: no route)."""
+    sepp = Sepp("sepp", "00101", bytes(32), ausf_id="ausf")
+    sepp.sessions["99902"] = SeppSession(peer_id=SRC, established=True)
+    sid = getattr(msg, "session", None) or getattr(try_decode(getattr(msg, "inner", b"")),
+                                                   "session", "amf-a1")
+    if state is not None:
+        sepp.routes[sid] = SeppRoute(state, "amf", SUCI, "99902")
+        sepp.by_suci[SUCI] = sid
+    return sepp
+
+
+def gnb_with(state, msg) -> GnbNode:
+    """A gNB whose radio context for the UE ``SRC``, under ``msg``'s RAN UE
+    id, is in ``state`` (None: no context), with the links that state has."""
+    gnb = GnbNode("cell-a", "00101", amf_id="amf", upf_id="upf")
+    if state is not None:
+        rid = getattr(msg, "ran_ue_id", 1)
+        radio = RadioUeContext(SRC, rid, state)
+        if state is not RadioState.CONNECTED:
+            radio.as_keys = crypto.derive_as_keys(bytes(32), NEA, NIA)
+            radio.rrc = crypto.SecureLink(messages.SecuredRrc, radio.as_keys, NEA, NIA, 1)
+            radio.up = crypto.SecureLink(messages.SecuredUp, radio.as_keys, NEA, NIA, 1)
+        gnb.ue_contexts[rid], gnb.by_ue[SRC] = radio, rid
+    return gnb
+
+
+RECORD_CASES = ([(Ausf, ausf_with, state) for state in (None, *AusfState)]
+                + [(Sepp, sepp_with, state) for state in (None, *RouteState)]
+                + [(GnbNode, gnb_with, state) for state in (None, *RadioState)])
+
+
+@pytest.mark.parametrize("entity_cls, build, state", RECORD_CASES,
+                         ids=lambda v: getattr(v, "value", getattr(v, "__name__", str(v))))
+@pytest.mark.parametrize("channel", [Channel.SBI, Channel.SEPP_LINK], ids=lambda c: c.value)
+def test_a_record_takes_a_message_only_in_the_states_its_table_names(
+        entity_cls, build, state, channel):
+    for cls in WIRE_CLASSES:
+        msg = well_formed(cls)
+        ctx = step(build(state, msg), msg, channel=channel)
+        _, by_state = entity_cls._states.get(cls, (None, {}))
+        if cls not in entity_cls._handlers and state not in by_state:
+            assert_refused(ctx)
+
+
+@pytest.mark.parametrize("state", [None, *RouteState], ids=lambda v: getattr(v, "value", v))
+def test_a_sepp_takes_a_forwarded_message_only_by_its_route_table(state):
+    for cls in WIRE_CLASSES:
+        msg = messages.SeppForward(inner=messages.encode(well_formed(cls)))
+        ctx = step(sepp_with(state, msg), msg, channel=Channel.SEPP_LINK)
+        if state not in Sepp._states.get(cls, (None, {}))[1]:
+            assert_refused(ctx)
+
+
+def test_a_duplicate_request_or_a_second_vector_leaves_the_ausf_record():
+    ausf = Ausf("ausf", "00101", "udm")
+    request = messages.AuthRequestSbi(session="amf-a1", suci=SUCI,
+                                      serving_network_name="5G:00101")
+    vector = dataclasses.replace(well_formed(messages.UdmAuthResponse),
+                                 session="amf-a1", supi=SUPI)
+    step(ausf, request, channel=Channel.SBI)
+    step(ausf, vector, channel=Channel.SBI)
+    held = dataclasses.replace(ausf.sessions["amf-a1"])
+    assert held.state is AusfState.CHALLENGE_OUT
+    # a duplicate of the live id, then a fresh vector for it: both outside the table
+    assert_refused(step(ausf, request, channel=Channel.SBI))
+    assert_refused(step(ausf, dataclasses.replace(vector, xres=bytes(range(1, 17))),
+                        channel=Channel.SBI))
+    assert ausf.sessions == {"amf-a1": held}
+    assert ausf.latest == {SUCI: "amf-a1", SUPI: "amf-a1"}
+
+
+def test_a_newer_authentication_supersedes_the_older_record():
+    ausf = Ausf("ausf", "00101", "udm")
+    vector = dataclasses.replace(well_formed(messages.UdmAuthResponse), supi=SUPI)
+    for sid, suci in (("amf-a1", b"first"), ("amf-a2", b"second")):
+        step(ausf, messages.AuthRequestSbi(session=sid, suci=suci,
+                                           serving_network_name="5G:00101"))
+        ctx = step(ausf, dataclasses.replace(vector, session=sid))
+    # the second vector for the SUPI ends the first challenge, and says so
+    # back along its route; a third request for the second SUCI ends the second
+    assert [type(msg).__name__ for *_, msg in ctx.out] == ["AuthRejectSbi", "AuthResponseSbi"]
+    assert ctx.out[0][4] == messages.AuthRejectSbi(session="amf-a1", cause="Superseded")
+    assert list(ausf.sessions) == ["amf-a2"]
+    ctx = step(ausf, messages.AuthRequestSbi(session="amf-a3", suci=b"second",
+                                             serving_network_name="5G:00101"))
+    assert ctx.out[0][4] == messages.AuthRejectSbi(session="amf-a2", cause="Superseded")
+    assert list(ausf.sessions) == ["amf-a3"] and ausf.latest == {b"second": "amf-a3"}
 
 
 # -- declared field constraints ---------------------------------------------------------
