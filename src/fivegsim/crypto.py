@@ -46,35 +46,6 @@ from .identity import (
 )
 from .randomness import RandomStream
 
-__all__ = [
-    "AuthVector",
-    "Autn",
-    "HomeNetworkKeyPair",
-    "IntegrityFailure",
-    "LinkReject",
-    "MacMismatch",
-    "ProtectedMessage",
-    "RejectSigningKeyPair",
-    "SecureLink",
-    "SqnStale",
-    "StubAlgorithm",
-    "compute_auth_vector",
-    "conceal_supi",
-    "deconceal_suci",
-    "derive_as_keys",
-    "derive_chain_from_seaf",
-    "derive_k_seaf",
-    "derive_key_chain",
-    "generate_auth_vector",
-    "load_labels",
-    "protect",
-    "res_hash",
-    "sign_reject",
-    "ue_verify_challenge",
-    "unprotect",
-    "verify_reject",
-]
-
 _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 # the authentication management field every challenge carries

@@ -56,19 +56,17 @@ class Entity:
     """Base class: dispatches a decoded message to its handler.
 
     ``on_<message_type>`` handles its message class, in any state unless
-    ``takes`` declares the states it runs in (``takes(message=(...))``
-    names the classes of a handler named otherwise).  Both tables are built
-    when the class is created: ``_handlers`` and ``_states``, message class
-    -> ``(find, {state: handler})``.  Without ``find`` the state is the
-    entity's ``state``; with it, the state is that of the record ``find(
-    entity, msg, event)`` returns (an AMF session, an AUSF record, a SEPP
-    route, a radio context), or None when there is none, and the handler
-    gets the record before the message: only a row that names None opens a
-    record.  ``step`` checks the declared fields (``messages.violation``),
-    then the tables once, before it dispatches: a broken declaration, an
-    unknown message type, a record not found or a state outside the table
-    is an ignored transition, never a fault; protocol errors are
-    reject/failure messages.
+    ``takes`` declares its states (``takes(message=(...))`` names the
+    classes of a handler named otherwise).  Both tables are built with the
+    class: ``_handlers`` and ``_states``, message class -> ``(find, {state:
+    handler})``.  Without ``find`` the state is the entity's ``state``;
+    with it, that of the record ``find(entity, msg, event)`` returns (an
+    AMF session, an AUSF record, a SEPP route, a radio context) or None,
+    and the handler gets the record first: only a row naming None opens one
+    (a later request of its subscriber ends an AUSF record: ``Ausf._supersede``).
+    ``step`` checks the declared fields (``messages.violation``), then the
+    tables, before it dispatches: a broken declaration, an unknown message
+    type or a state outside the table is an ignored transition, no fault.
     """
 
     _handlers: dict[type, object] = {}

@@ -414,9 +414,9 @@ class Ausf(Entity):
     """Home-network authentication server: transforms the home vector so the
     serving network can check the response without ever knowing it.
 
-    The confirm or a UDM reject ends a record, and so does a newer request
-    for its SUCI or a newer vector for its SUPI: an ``AuthRejectSbi`` then
-    ends the abandoned record's SEPP routes on its way back."""
+    The confirm or a UDM reject ends a record, and so does a later request
+    for its SUCI or for its SUPI (see ``_supersede``): an ``AuthRejectSbi``
+    then ends the abandoned record's SEPP routes on its way back."""
 
     def __init__(self, entity_id: str, plmn: str, udm_id: str):
         super().__init__(entity_id)
@@ -428,10 +428,15 @@ class Ausf(Entity):
     def _by_sbi(self, msg, event) -> AusfSession | None:
         return self.sessions.get(msg.session)
 
-    def _supersede(self, ctx, subscriber: bytes | str, sid: str) -> None:
-        if subscriber in self.latest:
-            self._end(self.latest[subscriber], ctx, "Superseded")
-        self.latest[subscriber] = sid
+    def _supersede(self, ctx, subscriber: bytes | str, sid: str) -> bool:
+        """End the earlier request (``sessions`` is in request order) of ``sid``
+        and the record holding ``subscriber``; whether ``sid`` is left."""
+        held = self.latest.setdefault(subscriber, sid)
+        if held != sid:
+            older = next(s for s in self.sessions if s in (held, sid))
+            self._end(older, ctx, "Superseded")
+            self.latest[subscriber] = held if older == sid else sid
+        return sid in self.sessions
 
     def _end(self, sid: str, ctx, cause: str = "") -> None:
         session = self.sessions.pop(sid)
@@ -443,8 +448,8 @@ class Ausf(Entity):
 
     @takes(None, find=_by_sbi)
     def on_auth_request_sbi(self, _, msg, event, ctx) -> None:
-        self._supersede(ctx, msg.suci, msg.session)
         self.sessions[msg.session] = AusfSession(event.src, msg.serving_network_name, msg.suci)
+        self._supersede(ctx, msg.suci, msg.session)
         ctx.emit(Channel.SBI, self.udm_id, messages.UdmAuthRequest(
             session=msg.session, suci=msg.suci,
             serving_network_name=msg.serving_network_name,
@@ -452,7 +457,8 @@ class Ausf(Entity):
 
     @takes(AusfState.VECTOR_PENDING, find=_by_sbi)
     def on_udm_auth_response(self, session, msg, event, ctx) -> None:
-        self._supersede(ctx, msg.supi, msg.session)
+        if not self._supersede(ctx, msg.supi, msg.session):
+            return  # a later authentication of the subscriber holds it
         session.state, session.supi, session.xres = AusfState.CHALLENGE_OUT, msg.supi, msg.xres
         hxres = crypto.res_hash(msg.rand, msg.xres)
         k_seaf = crypto.derive_k_seaf(msg.k_ausf, session.serving_network_name)

@@ -41,9 +41,9 @@ class SliceAdmission:
 
 
 class RadioState(State):
-    """How far a radio UE context is; ``GnbNode._states`` says which message
-    each step takes.  A context is found by the UE that sends, or by the
-    RAN UE id the core names."""
+    """How far a radio UE context is, as the links it holds say;
+    ``GnbNode._states`` says which message each step takes.  A context is
+    found by the UE that sends, or by the RAN UE id the core names."""
 
     CONNECTED = "connected"
     SECURED = "secured"  # the AS keys and the RRC link
@@ -54,10 +54,14 @@ class RadioState(State):
 class RadioUeContext:
     ue_id: str
     ran_ue_id: int
-    state: RadioState = RadioState.CONNECTED
     as_keys: dict[str, bytes] | None = None
     rrc: crypto.SecureLink | None = None
     up: crypto.SecureLink | None = None
+
+    @property
+    def state(self) -> RadioState:
+        return (RadioState.CONNECTED if self.rrc is None else RadioState.SECURED
+                if self.up is None else RadioState.USER_PLANE)
 
 
 class GnbNode(Entity):
@@ -188,7 +192,7 @@ class GnbNode(Entity):
         radio.rrc = crypto.SecureLink(messages.SecuredRrc, radio.as_keys,
                                       msg.nea_id, msg.nia_id, direction=1)
         # the user plane's keys are gone; the next session setup rebuilds its link
-        radio.state, radio.up = RadioState.SECURED, None
+        radio.up = None
         ctx.emit(Channel.N2, event.src,
                  messages.InitialContextSetupResponse(ran_ue_id=msg.ran_ue_id))
         ctx.emit(Channel.RADIO_RRC, radio.ue_id, radio.rrc.seal(
@@ -211,7 +215,6 @@ class GnbNode(Entity):
         nea, nia = algorithms(msg.up_ciphering, msg.up_integrity)
         radio.up = crypto.SecureLink(messages.SecuredUp, radio.as_keys, nea, nia,
                                      direction=1)
-        radio.state = RadioState.USER_PLANE
 
     @takes(RadioState.USER_PLANE, find=_by_ue)
     def on_secured_up(self, radio, wrapper, event, ctx) -> None:

@@ -29,8 +29,6 @@ class PeerRevoked(PermissionError):
 
 
 _ANSWERS = (messages.AuthResponseSbi, messages.AuthRejectSbi, messages.ConfirmResponseSbi)
-# the answers that end an authentication, and with it the route it took
-_FINAL_ANSWERS = _ANSWERS[1:]
 
 
 def _hello_context(plmn: str, peer_plmn: str, nonce: bytes) -> bytes:
@@ -48,7 +46,10 @@ class RouteState(State):
 @dataclass
 class SeppRoute:
     state: RouteState
-    back_to: str  # where its answers go: the local AMF, or the peer SEPP
+    # (channel, entity) of the end that asks and gets the answers: the local AMF or the
+    # peer SEPP; and of the end that answers: the home network's SEPP or the local AUSF
+    asker: tuple[Channel, str]
+    answerer: tuple[Channel, str]
     suci: bytes
     home_plmn: str = ""  # out: where its requests go
 
@@ -81,7 +82,7 @@ class Sepp(Entity):
         self.revoked: set[bytes] = set()
         self.sessions: dict[str, SeppSession] = {}  # by peer plmn
         self.routes: dict[str, SeppRoute] = {}  # by SBI id
-        self.by_suci: dict[bytes, str] = {}  # the SUCI of each route -> its SBI id
+        self.by_suci: dict[tuple, str] = {}  # (asker, SUCI) of each route -> its SBI id
         self.rejections: list[str] = []
 
     @cached_property
@@ -136,14 +137,21 @@ class Sepp(Entity):
     def _route(self, msg, event) -> SeppRoute | None:
         return self.routes.get(msg.session)
 
+    def _from_its_end(self, msg, event) -> SeppRoute | None:
+        """The route, if a confirm comes from its asker or an answer from its answerer."""
+        route = self.routes.get(msg.session)
+        end = route and (route.answerer if isinstance(msg, _ANSWERS) else route.asker)
+        return route if end == (event.channel, event.src) else None
+
     def _open(self, sid: str, route: SeppRoute) -> None:
-        # a new request for a SUCI: its AMF abandoned the older authentication
-        self.routes.pop(self.by_suci.get(route.suci), None)
-        self.routes[sid], self.by_suci[route.suci] = route, sid
+        # a new request for a SUCI from the same asker: it abandoned the older authentication
+        self.routes.pop(self.by_suci.get((route.asker, route.suci)), None)
+        self.routes[sid], self.by_suci[route.asker, route.suci] = route, sid
 
     def _end(self, msg) -> None:
-        if isinstance(msg, _FINAL_ANSWERS):  # the authentication is over
-            del self.by_suci[self.routes.pop(msg.session).suci]
+        if not isinstance(msg, messages.AuthResponseSbi):  # the authentication is over
+            route = self.routes.pop(msg.session)
+            del self.by_suci[route.asker, route.suci]
 
     @takes(None, find=_route)
     def on_auth_request_sbi(self, _, msg, event, ctx) -> None:
@@ -151,7 +159,8 @@ class Sepp(Entity):
             # only standalone AMFs send an AuthRequestSbi: it names the peer it came from
             if msg.serving_network_name == serving_network_name(
                     "SA", self._peer_plmn(event.src)):
-                self._open(msg.session, SeppRoute(RouteState.IN, event.src, msg.suci))
+                self._open(msg.session, SeppRoute(RouteState.IN, (event.channel, event.src),
+                                                  (Channel.SBI, self.ausf_id), msg.suci))
                 ctx.emit(Channel.SBI, self.ausf_id, msg)
                 return
             self.rejections.append("NetworkNameMismatch")
@@ -166,28 +175,30 @@ class Sepp(Entity):
             ctx.ignore()
             return
         if self._forward_out(messages.encode(msg), home_plmn, ctx):
-            self._open(msg.session, SeppRoute(RouteState.OUT, event.src, msg.suci, home_plmn))
+            peer = (Channel.SEPP_LINK, self.sessions[home_plmn].peer_id)
+            self._open(msg.session, SeppRoute(RouteState.OUT, (event.channel, event.src),
+                                              peer, msg.suci, home_plmn))
         else:
             ctx.emit(Channel.SBI, event.src, messages.AuthRejectSbi(
                 session=msg.session, cause="PeerUnknown"))
 
-    @takes(RouteState.OUT, find=_route)
+    @takes(RouteState.OUT, find=_from_its_end)
     def on_confirm_request_sbi(self, route, msg, event, ctx) -> None:
         self._forward_out(messages.encode(msg), route.home_plmn, ctx)
 
-    @takes(RouteState.OUT, find=_route, message=_ANSWERS)
+    @takes(RouteState.OUT, find=_from_its_end, message=_ANSWERS)
     def _answer_out(self, route, msg, event, ctx) -> None:
         self._end(msg)
-        ctx.emit(Channel.SBI, route.back_to, msg)
+        ctx.emit(Channel.SBI, route.asker[1], msg)
 
-    @takes(RouteState.IN, find=_route, message=(messages.ConfirmRequestSbi,))
+    @takes(RouteState.IN, find=_from_its_end, message=(messages.ConfirmRequestSbi,))
     def _confirm_in(self, route, msg, event, ctx) -> None:
         ctx.emit(Channel.SBI, self.ausf_id, msg)
 
-    @takes(RouteState.IN, find=_route, message=_ANSWERS)
+    @takes(RouteState.IN, find=_from_its_end, message=_ANSWERS)
     def _answer_in(self, route, msg, event, ctx) -> None:
         self._end(msg)
-        ctx.emit(Channel.SEPP_LINK, route.back_to,
+        ctx.emit(Channel.SEPP_LINK, route.asker[1],
                  messages.SeppForward(inner=messages.encode(msg)))
 
     # -- handshake -------------------------------------------------------------------

@@ -163,33 +163,20 @@ class Ue(Entity):
     def _candidate_cells(self) -> list[messages.CellInfo]:
         attempt = self.attempt
         wanted_kind = "lte" if self.policy.mode == "NSA" else "nr"
-        blacklist: set[str] = set()
-        for cell in attempt.cells:
-            blacklist.update(cell.blacklist)
-        out = []
-        for cell in attempt.cells:
-            if cell.kind != wanted_kind:
-                continue
-            if cell.plmn in self.forbidden_plmns:
-                continue
-            if cell.cell_id in attempt.excluded:
-                continue
-            if cell.cell_id in blacklist:
-                continue
-            if cell.verification_key and cell.verification_key in self.forbidden_reject_keys:
-                continue
-            if attempt.target_cell and cell.cell_id != attempt.target_cell:
-                continue
-            out.append(cell)
-        return out
+        blacklist = {cell_id for cell in attempt.cells for cell_id in cell.blacklist}
+        return [cell for cell in attempt.cells
+                if cell.kind == wanted_kind and cell.plmn not in self.forbidden_plmns
+                and cell.cell_id not in attempt.excluded and cell.cell_id not in blacklist
+                and not (cell.verification_key
+                         and cell.verification_key in self.forbidden_reject_keys)
+                and (not attempt.target_cell or cell.cell_id == attempt.target_cell)]
 
     def _select_and_access(self, ctx) -> None:
         candidates = self._candidate_cells()
         if not candidates:
             self._finish_attempt("no_cell")
             return
-        candidates.sort(key=lambda c: (-c.strength, c.cell_id))
-        cell = candidates[0]
+        cell = min(candidates, key=lambda c: (-c.strength, c.cell_id))
         attempt = self.attempt
         attempt.cell = cell
         c_rnti = ctx.rng("crnti").take(2)

@@ -242,9 +242,8 @@ def _read(path: str, what: str) -> configparser.ConfigParser:
 
 
 def _own_items(parser, section: str) -> list[tuple[str, str]]:
-    """The keys ``section`` sets, without those [DEFAULT] gives every section."""
-    return [(key, value) for key, value in parser.items(section)
-            if key not in parser.defaults()]
+    """The keys ``section`` sets itself, not those [DEFAULT] gives every section."""
+    return list(parser._sections[section].items())
 
 
 def load_override_file(path: str) -> dict[str, str]:

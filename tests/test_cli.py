@@ -357,6 +357,18 @@ def test_world_file_default_keys_stay_out_of_policy(capsys, tmp_path, scenario, 
     assert json.loads(out)[section][key] == value
 
 
+def test_world_file_policy_key_also_in_default_is_read_from_policy(capsys, tmp_path):
+    # [policy] sets nas_ciphering itself, so its value wins over the [DEFAULT] one
+    world_file = tmp_path / "world.ini"
+    world_file.write_text("[DEFAULT]\nnetwork = home\nnas_ciphering = true\n"
+                          "[policy]\nnas_ciphering = false\n" + WORLD_HEAD)
+    _, builder = load_world_file(str(world_file))
+    assert builder.networks["home"].policy.nas_ciphering is False
+    code, out, err = run_cli(capsys, "run", "--scenario", "TS_06", "--world", str(world_file))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"]["pei_captured"] is True
+
+
 def test_world_file_unknown_policy_key_is_named_once_quoted(capsys, tmp_path):
     world_file = tmp_path / "world.ini"
     world_file.write_text("[policy]\nbogus = 1\n" + WORLD_HEAD)

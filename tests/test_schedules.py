@@ -160,3 +160,40 @@ def test_a_second_vector_for_a_held_challenge_is_ignored(world_name):
     for after in range(request + 1, request + 6):
         world, builder = assert_invariants(world_name, replay=(request, after))
         assert world.entities["ue1"].last_outcome() == "registered", after
+
+
+@pytest.mark.parametrize("world_name", ["single", "roaming"])
+def test_a_late_vector_for_an_abandoned_request_leaves_the_newer_one(world_name):
+    # a first registration whose every vector is lost ends at the UE's
+    # timer, with an AUSF record left waiting for its vector; a second
+    # registration (a new SUCI) has its challenge out when the first
+    # record's UdmAuthRequest is replayed and brings that record a vector.
+    # The vector is the later one, but the request is the earlier: it ends
+    # the first record, and the second registration completes
+    world, builder = WORLDS[world_name]()
+    requests, phase = [], [1]
+
+    def handler(w, hook, event):
+        kind = messages.peek_type(event.payload)
+        if phase[0] == 1 and kind == "UdmAuthRequest":
+            requests.append(event)
+        if phase[0] == 1 and kind == "UdmAuthResponse":
+            return Action(drop=True)
+        if phase[0] == 2 and kind == "AuthenticationRequest":
+            phase[0], old = 3, requests[-1]
+            return Action(inject=[(1, old.channel, old.src, old.dst, old.payload)])
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="schedule", vantage=WIRE_CHANNELS,
+        capabilities=frozenset({Capability.DROP, Capability.INJECT}), handler=handler))
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
+    world.run_until(HORIZON)
+    assert world.entities["ue1"].last_outcome() == "timeout"
+    phase[0] = 2
+    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
+    world.run_until(2 * HORIZON)
+    assert phase[0] == 3 and world.entities["ue1"].last_outcome() == "registered"
+    for net in builder.networks.values():
+        assert net.ausf.sessions == {} and net.ausf.latest == {}
+        assert net.sepp is None or (net.sepp.routes == {} and net.sepp.by_suci == {})

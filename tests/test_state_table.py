@@ -209,8 +209,10 @@ def sepp_with(state, msg) -> Sepp:
     sid = getattr(msg, "session", None) or getattr(try_decode(getattr(msg, "inner", b"")),
                                                    "session", "amf-a1")
     if state is not None:
-        sepp.routes[sid] = SeppRoute(state, "amf", SUCI, "99902")
-        sepp.by_suci[SUCI] = sid
+        amf, peer, ausf = (Channel.SBI, "amf"), (Channel.SEPP_LINK, SRC), (Channel.SBI, "ausf")
+        ends = (amf, peer) if state is RouteState.OUT else (peer, ausf)
+        sepp.routes[sid] = SeppRoute(state, *ends, SUCI, "99902")
+        sepp.by_suci[ends[0], SUCI] = sid
     return sepp
 
 
@@ -220,11 +222,13 @@ def gnb_with(state, msg) -> GnbNode:
     gnb = GnbNode("cell-a", "00101", amf_id="amf", upf_id="upf")
     if state is not None:
         rid = getattr(msg, "ran_ue_id", 1)
-        radio = RadioUeContext(SRC, rid, state)
+        radio = RadioUeContext(SRC, rid)
         if state is not RadioState.CONNECTED:
             radio.as_keys = crypto.derive_as_keys(bytes(32), NEA, NIA)
             radio.rrc = crypto.SecureLink(messages.SecuredRrc, radio.as_keys, NEA, NIA, 1)
+        if state is RadioState.USER_PLANE:
             radio.up = crypto.SecureLink(messages.SecuredUp, radio.as_keys, NEA, NIA, 1)
+        assert radio.state is state
         gnb.ue_contexts[rid], gnb.by_ue[SRC] = radio, rid
     return gnb
 
@@ -254,6 +258,49 @@ def test_a_sepp_takes_a_forwarded_message_only_by_its_route_table(state):
         ctx = step(sepp_with(state, msg), msg, channel=Channel.SEPP_LINK)
         if state not in Sepp._states.get(cls, (None, {}))[1]:
             assert_refused(ctx)
+
+
+def forwarded(msg):
+    return messages.SeppForward(inner=messages.encode(msg))
+
+
+def test_a_route_in_takes_its_answers_only_from_the_local_ausf():
+    # a home SEPP with two established peers; the route is the first peer's
+    sepp = Sepp("sepp", "00101", bytes(32), ausf_id="ausf")
+    sepp.sessions = {"99902": SeppSession("sepp-a", True), "99903": SeppSession("sepp-b", True)}
+    request = messages.AuthRequestSbi(session="serv-amf-a1", suci=SUCI,
+                                      serving_network_name="5G:99902")
+    step(sepp, forwarded(request), src="sepp-a", channel=Channel.SEPP_LINK)
+    route = dataclasses.replace(sepp.routes["serv-amf-a1"])
+    reject = messages.AuthRejectSbi(session="serv-amf-a1", cause="Superseded")
+    confirm = dataclasses.replace(well_formed(messages.ConfirmRequestSbi), session="serv-amf-a1")
+    for msg, src, channel in [
+        (forwarded(reject), "sepp-b", Channel.SEPP_LINK),  # the second peer's forward
+        (forwarded(confirm), "sepp-b", Channel.SEPP_LINK),
+        (reject, "sepp-b", Channel.SEPP_LINK),  # not forwarded at all
+        (reject, "sepp-a", Channel.SEPP_LINK),  # the asker does not answer
+        (reject, "amf", Channel.SBI),  # a local NF that is not the AUSF
+    ]:
+        assert_refused(step(sepp, msg, src=src, channel=channel))
+    assert sepp.routes == {"serv-amf-a1": route}
+    ctx = step(sepp, reject, src="ausf", channel=Channel.SBI)
+    assert [(dst, msg) for _, _, dst, _, msg in ctx.out] == [("sepp-a", forwarded(reject))]
+    assert sepp.routes == {} and sepp.by_suci == {}
+
+
+def test_a_route_out_takes_its_answers_only_from_the_home_sepp():
+    sepp = sepp_with(RouteState.OUT, messages.AuthRejectSbi(session="amf-a1", cause=""))
+    sepp.sessions["99903"] = SeppSession("sepp-b", True)
+    answer = dataclasses.replace(well_formed(messages.AuthResponseSbi), session="amf-a1")
+    for msg, src, channel in [
+        (answer, "ausf", Channel.SBI), (answer, "amf", Channel.SBI),  # raw over SBI
+        (answer, "stranger", Channel.SEPP_LINK),  # raw, from a SEPP with no session
+        (forwarded(answer), "sepp-b", Channel.SEPP_LINK),  # another peer's forward
+    ]:
+        assert_refused(step(sepp, msg, src=src, channel=channel))
+    ctx = step(sepp, forwarded(answer), channel=Channel.SEPP_LINK)
+    assert [(dst, msg) for _, _, dst, _, msg in ctx.out] == [("amf", answer)]
+    assert list(sepp.routes) == ["amf-a1"]  # the challenge does not end the route
 
 
 def test_a_duplicate_request_or_a_second_vector_leaves_the_ausf_record():
@@ -290,6 +337,23 @@ def test_a_newer_authentication_supersedes_the_older_record():
                                              serving_network_name="5G:00101"))
     assert ctx.out[0][4] == messages.AuthRejectSbi(session="amf-a2", cause="Superseded")
     assert list(ausf.sessions) == ["amf-a3"] and ausf.latest == {b"second": "amf-a3"}
+
+
+def test_a_late_vector_for_an_older_request_ends_that_request_not_the_newer_one():
+    # the first request's vector was lost, the second's challenge is out; then
+    # a replayed UdmAuthRequest brings the first request its vector after all
+    ausf = Ausf("ausf", "00101", "udm")
+    vector = dataclasses.replace(well_formed(messages.UdmAuthResponse), supi=SUPI)
+    for sid, suci in (("amf-a1", b"first"), ("amf-a2", b"second")):
+        step(ausf, messages.AuthRequestSbi(session=sid, suci=suci,
+                                           serving_network_name="5G:00101"))
+    step(ausf, dataclasses.replace(vector, session="amf-a2"))
+    ctx = step(ausf, dataclasses.replace(vector, session="amf-a1"))
+    assert [msg for *_, msg in ctx.out] == [
+        messages.AuthRejectSbi(session="amf-a1", cause="Superseded")]
+    assert list(ausf.sessions) == ["amf-a2"]
+    assert ausf.sessions["amf-a2"].state is AusfState.CHALLENGE_OUT
+    assert ausf.latest == {b"second": "amf-a2", SUPI: "amf-a2"}
 
 
 # -- declared field constraints ---------------------------------------------------------
