@@ -15,7 +15,7 @@ import hmac as hmac_mod
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -140,6 +140,16 @@ class HomeNetworkKeyPair:
         return _parse_public(self.scheme, self.public_bytes)
 
 
+# Entries per memo of the concealment key work below.  Each result depends
+# only on its input bytes, and worlds built from one seed repeat those
+# inputs, so each recent key pair and agreement is derived once per
+# process; a raised error is never cached.  A lookup that misses costs
+# under 1 us against tens of us for the step.
+_MEMO_SIZE = 256
+_memo = lru_cache(maxsize=_MEMO_SIZE)
+
+
+@_memo
 def _keypair(scheme: SuciScheme, secret: bytes):
     """(private key, public bytes, private bytes) of a concealment scheme's
     key pair from 32 secret bytes; P-256 maps them to a nonzero scalar."""
@@ -172,6 +182,21 @@ def _ecies_shared(scheme: SuciScheme, private_key, peer_key) -> bytes:
         return private_key.exchange(ec.ECDH(), peer_key)
     except ValueError as exc:
         raise ValueError(f"malformed public point for {scheme.name}") from exc
+
+
+@_memo
+def _ue_agreement(home: HomeNetworkKeyPair, eph_secret: bytes) -> tuple[bytes, bytes]:
+    """(ephemeral public bytes, shared secret) of the UE's agreement with
+    the home network public key."""
+    eph_priv, eph_pub, _ = _keypair(home.scheme, eph_secret)
+    return eph_pub, _ecies_shared(home.scheme, eph_priv, home._public_key)
+
+
+@_memo
+def _home_agreement(home: HomeNetworkKeyPair, eph_pub: bytes) -> bytes:
+    """The home network's shared secret with an ephemeral public key."""
+    return _ecies_shared(home.scheme, home._private_key,
+                         _parse_public(home.scheme, eph_pub))
 
 
 def _x963_kdf(shared: bytes, sharedinfo: bytes, length: int) -> bytes:
@@ -228,8 +253,7 @@ def conceal_supi(
         )
     if ephemeral_randomness is None:
         raise ValueError("ephemeral randomness required for ecies schemes")
-    eph_priv, eph_pub, _ = _keypair(scheme, ephemeral_randomness)
-    shared = _ecies_shared(scheme, eph_priv, home_public._public_key)
+    eph_pub, shared = _ue_agreement(home_public, ephemeral_randomness)
     enc_key, icb, mac_key = _ecies_keys(shared, eph_pub)
     ciphertext = _aes_ctr(enc_key, icb, identity.msin.encode())
     tag = _hmac(mac_key, ciphertext)[: _LABELS["ecies"]["tag_len"]]
@@ -255,10 +279,7 @@ def deconceal_suci(
         raise UnsupportedScheme(f"unknown scheme {suci.scheme}")
     if home_private is None or home_private.scheme != suci.scheme:
         raise ValueError("home private key missing or for the wrong scheme")
-    shared = _ecies_shared(
-        suci.scheme, home_private._private_key,
-        _parse_public(suci.scheme, suci.ephemeral_public_key),
-    )
+    shared = _home_agreement(home_private, suci.ephemeral_public_key)
     enc_key, icb, mac_key = _ecies_keys(shared, suci.ephemeral_public_key)
     expected = _hmac(mac_key, suci.ciphertext)[: _LABELS["ecies"]["tag_len"]]
     if not hmac_mod.compare_digest(expected, suci.mac_tag):

@@ -22,7 +22,7 @@ from .identity import (
     format_supi,
 )
 from .netsim import AdversaryHook, Capability, Channel, Knowledge, World
-from .policy import OperatorPolicy, parse_bool, parse_policy_value
+from .policy import POLICY_KEYS, OperatorPolicy, parse_bool, parse_policy_value
 
 
 @dataclass
@@ -227,6 +227,9 @@ _SECTIONS = {
     "ue": (True, {"network", "msin", "pei", "slice"}),
     "adversary": (True, {"channels", "capabilities"}),
 }
+# the keys a [DEFAULT] section may give: those some section kind takes (a
+# policy key among them, though [policy] reads only the keys it sets itself)
+_DEFAULT_KEYS = POLICY_KEYS.union(*(keys for _, keys in _SECTIONS.values() if keys))
 
 
 def _read(path: str, what: str) -> configparser.ConfigParser:
@@ -259,7 +262,11 @@ def load_override_file(path: str) -> dict[str, str]:
 
 def _check_sections(parser) -> None:
     """Refuse a section of an unknown kind, a header that lacks its name or
-    has one it does not take, and a key its section does not read."""
+    has one it does not take, a key its section does not read and a
+    [DEFAULT] key that no section reads."""
+    unknown = sorted(set(parser.defaults()) - _DEFAULT_KEYS)
+    if unknown:
+        raise WorldFileError(f"[DEFAULT]: unknown key {unknown[0]!r}")
     for section in parser.sections():
         kind, _, name = section.partition(" ")
         named, keys = _SECTIONS.get(kind, (None, None))

@@ -323,8 +323,9 @@ def test_world_file_that_is_not_ini_exits_3(capsys, tmp_path, scenario, text):
     ("[cell cell-b]\nnetwork = home\nstrenght = 5\n", "unknown key 'strenght'"),
     ("[ue ue2]\nnetwork = home\nslice_id = embb\n", "unknown key 'slice_id'"),
     ("[world]\nsed = 1\n", "unknown key 'sed'"),
+    ("[DEFAULT]\nnetwork = home\nstrenght = 5\n", "[DEFAULT]: unknown key 'strenght'"),
 ], ids=["bare-cell", "bare-ue", "bare-network", "named-world", "unknown-kind",
-        "cell-key", "ue-key", "world-key"])
+        "cell-key", "ue-key", "world-key", "default-key"])
 def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, section, error):
     world_file = tmp_path / "world.ini"
     world_file.write_text(WORLD_HEAD + section)

@@ -1,7 +1,10 @@
 import ast
+import dataclasses
+import gc
 import hmac
 import pathlib
 import types
+import weakref
 from collections import Counter
 
 import pytest
@@ -49,6 +52,9 @@ TEST_IDENTITY = SubscriberIdentity(mcc="001", mnc="01", msin="0123456789")
 
 def _keypair(scheme):
     return crypto.HomeNetworkKeyPair.from_seed(scheme, HOME_SEED)
+
+
+_MEMOS = (crypto._keypair, crypto._ue_agreement, crypto._home_agreement)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +138,56 @@ def test_tag_bit_flip_is_integrity_failure():
     )
     with pytest.raises(crypto.IntegrityFailure):
         crypto.deconceal_suci(tampered, keypair)
+
+
+def _with_ephemeral_key(suci: ConcealedIdentity, key: bytes) -> ConcealedIdentity:
+    """``suci`` carrying ``key``, past the width check its constructor makes."""
+    forged = dataclasses.replace(suci)
+    object.__setattr__(forged, "ephemeral_public_key", key)
+    return forged
+
+
+@pytest.mark.parametrize("scheme,key", [
+    (SuciScheme.PROFILE_A, bytes(31)),
+    (SuciScheme.PROFILE_A, bytes(32)),  # the all-zero point: no shared secret
+    (SuciScheme.PROFILE_B, b"\xff" * 33),
+], ids=["short", "zero-x25519", "bad-p256"])
+def test_malformed_ephemeral_point_is_refused_every_time(scheme, key):
+    keypair = _keypair(scheme)
+    suci = crypto.conceal_supi(TEST_IDENTITY, keypair, scheme, bytes(32))
+    forged = _with_ephemeral_key(suci, key)
+    held = crypto._home_agreement.cache_info().currsize
+    for _ in range(2):  # a refusal is not memoized as an answer
+        with pytest.raises(ValueError, match="malformed public point"):
+            crypto.deconceal_suci(forged, keypair)
+    assert crypto._home_agreement.cache_info().currsize == held
+
+
+def test_flipped_tag_fails_after_its_agreement_is_memoized():
+    keypair = _keypair(SuciScheme.PROFILE_A)
+    suci = crypto.conceal_supi(TEST_IDENTITY, keypair, SuciScheme.PROFILE_A, bytes(32))
+    assert crypto.deconceal_suci(suci, keypair) == TEST_IDENTITY
+    hits = crypto._home_agreement.cache_info().hits
+    tampered = dataclasses.replace(
+        suci, mac_tag=bytes([suci.mac_tag[0] ^ 0x01]) + suci.mac_tag[1:])
+    with pytest.raises(crypto.IntegrityFailure):
+        crypto.deconceal_suci(tampered, keypair)
+    assert crypto._home_agreement.cache_info().hits == hits + 1
+    assert crypto.deconceal_suci(suci, keypair) == TEST_IDENTITY
+
+
+def test_memos_stay_bounded_and_hold_no_world():
+    world, builder = single_network_world(5, ue_count=crypto._MEMO_SIZE + 10)
+    for ue_id in builder.ues:
+        assert run_registration(world, ue_id).success
+    for memo in _MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == crypto._MEMO_SIZE
+        assert info.currsize <= info.maxsize < info.misses
+    dropped = weakref.ref(world)
+    del world, builder
+    gc.collect()
+    assert dropped() is None
 
 
 def test_scheme_mismatch_rejected():
@@ -456,7 +512,10 @@ def test_reject_keypair_invariant():
 
 
 def _count_key_parses(monkeypatch) -> Counter:
-    """Count the key constructors crypto calls, by the names it binds."""
+    """Count the key constructors crypto calls, by the names it binds,
+    from cold concealment memos."""
+    for memo in _MEMOS:
+        memo.cache_clear()
     parses = Counter()
 
     def counted(cls, method):
@@ -481,6 +540,18 @@ def test_key_parses_of_ten_registrations(monkeypatch):
     # public key once and each ephemeral one at its deconcealment; the NRF
     # seed never, for no token is checked
     assert parses == {"X25519PrivateKey": 11, "X25519PublicKey": 11}
+
+
+def test_a_second_world_of_the_same_seed_parses_no_concealment_key(monkeypatch):
+    parses = _count_key_parses(monkeypatch)
+    for _ in range(2):
+        parses.clear()
+        world, builder = single_network_world(3, ue_count=10)
+        for ue_id in sorted(builder.ues):
+            assert run_registration(world, ue_id).success
+    # the same home seed and ephemeral secrets: every pair and agreement
+    # is the first world's
+    assert parses == {}
 
 
 def test_key_parses_of_a_roaming_registration(monkeypatch):
