@@ -33,7 +33,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.ciphers.modes import CTR, ECB
 from cryptography.hazmat.primitives.cmac import CMAC
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import messages
 from .identity import (
@@ -157,11 +156,12 @@ def _keypair(scheme: SuciScheme, secret: bytes):
         raise ValueError("key pair secret must be 32 bytes")
     if scheme == SuciScheme.PROFILE_A:
         priv = X25519PrivateKey.from_private_bytes(secret)
-        return priv, priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw), secret
+        return priv, priv.public_key().public_bytes_raw(), secret
     if scheme == SuciScheme.PROFILE_B:
         scalar = int.from_bytes(secret, "big") % (_P256_ORDER - 1) + 1
         priv = ec.derive_private_key(scalar, ec.SECP256R1())
-        pub = priv.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+        point = priv.public_key().public_numbers()  # SEC 1 §2.3.3 compressed point
+        pub = bytes([2 | point.y & 1]) + point.x.to_bytes(32, "big")
         return priv, pub, scalar.to_bytes(32, "big")
     raise ValueError("null scheme has no key pair")
 
@@ -747,7 +747,7 @@ class SecureLink:
 def verification_key(seed: bytes) -> bytes:
     """The raw 32-byte public key of an Ed25519 signing seed."""
     key = Ed25519PrivateKey.from_private_bytes(seed)
-    return key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    return key.public_key().public_bytes_raw()
 
 
 def sign(seed: bytes, message: bytes) -> bytes:

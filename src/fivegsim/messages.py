@@ -41,9 +41,24 @@ AlgorithmId = typing.Annotated[int, RUNNING_ALGORITHMS]
 CONSTRAINTS: dict[type, tuple] = {}  # wire class -> ((field, constraint), ...), if any
 
 
+def _eq(self, other):
+    return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+
+def _repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+    return f"{type(self).__qualname__}({shown})"
+
+
 def wire(cls):
-    """Register a dataclass as a wire message/struct, with its declared constraints."""
-    cls = dataclass(cls)
+    """Register a dataclass as a wire message/struct, with its declared
+    constraints.  Every wire class shares one ``__eq__`` and one
+    ``__repr__`` (the text and the semantics ``dataclass`` would generate),
+    so import compiles no per-class copies; the name docstring spares
+    ``dataclass`` building a signature text."""
+    cls.__doc__ = cls.__doc__ or cls.__name__
+    cls = dataclass(cls, repr=False, eq=False)
+    cls.__eq__, cls.__repr__, cls.__hash__ = _eq, _repr, None
     _REGISTRY.append(cls)
     if declared := tuple((f.name, f.type.__metadata__[0]) for f in fields(cls)
                          if typing.get_origin(f.type) is typing.Annotated):

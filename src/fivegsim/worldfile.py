@@ -8,7 +8,6 @@ per entity.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -22,7 +21,7 @@ from .identity import (
     format_supi,
 )
 from .netsim import AdversaryHook, Capability, Channel, Knowledge, World
-from .policy import POLICY_KEYS, OperatorPolicy, parse_bool, parse_policy_value
+from .policy import OperatorPolicy, parse_bool, parse_policy_value
 
 
 @dataclass
@@ -227,14 +226,16 @@ _SECTIONS = {
     "ue": (True, {"network", "msin", "pei", "slice"}),
     "adversary": (True, {"channels", "capabilities"}),
 }
-# the keys a [DEFAULT] section may give: those some section kind takes (a
-# policy key among them, though [policy] reads only the keys it sets itself)
-_DEFAULT_KEYS = POLICY_KEYS.union(*(keys for _, keys in _SECTIONS.values() if keys))
+# the keys a [DEFAULT] section may give: those a named section kind takes
+# ([policy] reads only the keys it sets itself, so no policy key)
+_DEFAULT_KEYS = frozenset().union(*(keys for _, keys in _SECTIONS.values() if keys))
 
 
-def _read(path: str, what: str) -> configparser.ConfigParser:
+def _read(path: str, what: str):
     """The INI text at ``path``, its values taken as written (no ``%``
     interpolation); unreadable or malformed text is a WorldFileError."""
+    import configparser  # only world and override files need it
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if parser.read(path):
@@ -251,8 +252,10 @@ def _own_items(parser, section: str) -> list[tuple[str, str]]:
 
 def load_override_file(path: str) -> dict[str, str]:
     """Scenario override file: the same key=value text as a world file,
-    with overrides in the [policy] and/or [overrides] sections."""
+    with overrides in the [policy] and/or [overrides] sections, its
+    sections checked as a world file's are."""
     parser = _read(path, "override")
+    _check_sections(parser)
     out: dict[str, str] = {}
     for section in ("policy", "overrides"):
         if parser.has_section(section):
@@ -280,6 +283,8 @@ def _check_sections(parser) -> None:
 
 
 def load_world_file(path: str) -> tuple[World, WorldBuilder]:
+    import configparser  # as in _read: only world and override files need it
+
     parser = _read(path, "world")
     _check_sections(parser)
     try:

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from fivegsim.cli import main
 from fivegsim.flows import run_registration
-from fivegsim.worldfile import load_world_file
+from fivegsim.worldfile import WorldFileError, load_world_file
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parents[1] / "src"
 
 
 # one network with one honest cell and one UE
@@ -324,13 +328,17 @@ def test_world_file_that_is_not_ini_exits_3(capsys, tmp_path, scenario, text):
     ("[ue ue2]\nnetwork = home\nslice_id = embb\n", "unknown key 'slice_id'"),
     ("[world]\nsed = 1\n", "unknown key 'sed'"),
     ("[DEFAULT]\nnetwork = home\nstrenght = 5\n", "[DEFAULT]: unknown key 'strenght'"),
+    # [policy] reads only its own keys, so a policy key in [DEFAULT] would be lost
+    ("[DEFAULT]\nnetwork = home\nnas_ciphering = false\n",
+     "[DEFAULT]: unknown key 'nas_ciphering'"),
 ], ids=["bare-cell", "bare-ue", "bare-network", "named-world", "unknown-kind",
-        "cell-key", "ue-key", "world-key", "default-key"])
-def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, section, error):
+        "cell-key", "ue-key", "world-key", "default-key", "default-policy-key"])
+@pytest.mark.parametrize("scenario", ["registration", "TS_06"])
+def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, scenario,
+                                                             section, error):
     world_file = tmp_path / "world.ini"
     world_file.write_text(WORLD_HEAD + section)
-    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
-                           "--world", str(world_file))
+    code, _, err = run_cli(capsys, "run", "--scenario", scenario, "--world", str(world_file))
     assert code == 3
     assert err.startswith("error: world file: ") and error in err
 
@@ -358,16 +366,16 @@ def test_world_file_default_keys_stay_out_of_policy(capsys, tmp_path, scenario, 
     assert json.loads(out)[section][key] == value
 
 
-def test_world_file_policy_key_also_in_default_is_read_from_policy(capsys, tmp_path):
-    # [policy] sets nas_ciphering itself, so its value wins over the [DEFAULT] one
+def test_world_file_policy_key_also_in_default_exits_3(capsys, tmp_path):
+    # a [policy] section that sets the key too does not make the [DEFAULT] one readable
     world_file = tmp_path / "world.ini"
     world_file.write_text("[DEFAULT]\nnetwork = home\nnas_ciphering = true\n"
                           "[policy]\nnas_ciphering = false\n" + WORLD_HEAD)
-    _, builder = load_world_file(str(world_file))
-    assert builder.networks["home"].policy.nas_ciphering is False
+    with pytest.raises(WorldFileError, match="unknown key 'nas_ciphering'"):
+        load_world_file(str(world_file))
     code, out, err = run_cli(capsys, "run", "--scenario", "TS_06", "--world", str(world_file))
-    assert (code, err) == (0, "")
-    assert json.loads(out)["outcome"]["pei_captured"] is True
+    assert (code, out) == (3, "")
+    assert err == "error: world file: [DEFAULT]: unknown key 'nas_ciphering'\n"
 
 
 def test_world_file_unknown_policy_key_is_named_once_quoted(capsys, tmp_path):
@@ -433,3 +441,23 @@ def test_scenario_override_file(capsys, tmp_path):
                            "--set", "nas_ciphering=false")
     assert code == 0
     assert json.loads(out)["outcome"]["pei_captured"] is True
+
+
+def test_a_run_imports_no_ini_parser_or_key_serializer(tmp_path):
+    # import time counts in every run's wall time: nothing a run never reads
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD)
+    script = (
+        "import sys, fivegsim\n"
+        "from fivegsim.scenarios import run_scenario\n"
+        "from fivegsim.worldfile import load_world_file\n"
+        "run_scenario('TS_01')\n"
+        "print(sorted(sys.modules.keys() & {'configparser',"
+        " 'cryptography.hazmat.primitives.serialization'}))\n"
+        f"print(load_world_file({str(world_file)!r})[1].ues['ue1'].entity_id)\n"
+    )
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\nue1\n"

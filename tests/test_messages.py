@@ -141,6 +141,23 @@ def test_sample_round_trips(cls):
     assert messages.peek_type(raw) == cls.__name__
 
 
+@pytest.mark.parametrize("cls", messages._REGISTRY, ids=lambda cls: cls.__name__)
+def test_shared_eq_and_repr_act_as_the_generated_ones(cls):
+    # the reference: the same fields in a class that dataclass gives eq and repr
+    ref = dataclasses.make_dataclass(cls.__name__, [(f.name, f.type) for f in fields(cls)])
+    msg, twin, other = sample(cls), sample(cls), sample(cls, 1)
+    assert (cls.__eq__, cls.__repr__) == (messages._eq, messages._repr)
+    assert repr(msg) == repr(ref(**vars(msg)))
+    assert msg == twin and not msg != twin
+    for f in fields(cls):  # one field changed
+        changed = dataclasses.replace(msg, **{f.name: getattr(other, f.name)})
+        assert msg != changed and not msg == changed
+    assert msg != ref(**vars(msg)) and msg.__eq__(ref(**vars(msg))) is NotImplemented
+    assert msg != object()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(msg)
+
+
 def _framed(body: bytes) -> bytes:
     return len(body).to_bytes(4, "big") + body
 
