@@ -58,6 +58,7 @@ class SeppRoute:
 class SeppSession:
     peer_id: str
     established: bool = False
+    refused: bool = False  # the peer answered a hello with a SeppReject
     pending: list[bytes] = field(default_factory=list)
 
 
@@ -108,19 +109,16 @@ class Sepp(Entity):
 
     def _session_for(self, peer_plmn: str, ctx) -> SeppSession | None:
         session = self.sessions.get(peer_plmn)
-        if session is not None:
-            return session
-        peer_id = self.peers.get(peer_plmn)
-        if peer_id is None:
-            return None
-        session = SeppSession(peer_id=peer_id)
-        self.sessions[peer_plmn] = session
-        nonce = ctx.rng("nonce").take(16)
-        ctx.emit(Channel.SEPP_LINK, peer_id, messages.SeppHello(
-            plmn=self.plmn, peer_plmn=peer_plmn, nonce=nonce,
-            signature=crypto.sign(self.signing_seed,
-                                  _hello_context(self.plmn, peer_plmn, nonce)),
-        ))
+        if session is None and peer_plmn in self.peers:
+            session = self.sessions[peer_plmn] = SeppSession(peer_id=self.peers[peer_plmn])
+        if session is not None and not (session.established or session.refused):
+            # the first request to the peer, or one after a hello or an ack was lost
+            nonce = ctx.rng("nonce").take(16)
+            ctx.emit(Channel.SEPP_LINK, session.peer_id, messages.SeppHello(
+                plmn=self.plmn, peer_plmn=peer_plmn, nonce=nonce,
+                signature=crypto.sign(self.signing_seed,
+                                      _hello_context(self.plmn, peer_plmn, nonce)),
+            ))
         return session
 
     def _forward_out(self, inner_bytes: bytes, peer_plmn: str, ctx) -> bool:
@@ -248,6 +246,9 @@ class Sepp(Entity):
 
     def on_sepp_reject(self, msg, event, ctx) -> None:
         self.rejections.append(f"peer:{msg.reason}")
+        for session in self.sessions.values():
+            if session.peer_id == event.src and not session.established:
+                session.refused = True
 
     # -- forwards from a peer --------------------------------------------------------
 

@@ -67,15 +67,14 @@ def parse_bool(raw: str) -> bool:
 
 
 # policy key -> declared type, which selects the key's text parser
-_POLICY_TYPES = typing.get_type_hints(OperatorPolicy)
-POLICY_KEYS = frozenset(_POLICY_TYPES)
+POLICY_TYPES = typing.get_type_hints(OperatorPolicy)
 
 
 def parse_policy_value(key: str, raw: str):
     """Parse one ``key=value`` policy override from text."""
-    if key not in _POLICY_TYPES:
+    if key not in POLICY_TYPES:
         raise KeyError(f"unknown policy key {key!r}")
-    kind = _POLICY_TYPES[key]
+    kind = POLICY_TYPES[key]
     if kind is bool:
         try:
             return parse_bool(raw)
@@ -90,18 +89,6 @@ def parse_policy_value(key: str, raw: str):
     if raw not in typing.get_args(kind):  # a Literal of the allowed values
         raise ValueError(f"{key} is {' or '.join(typing.get_args(kind))}, got {raw!r}")
     return raw
-
-
-def policy_value(key: str, value):
-    """One policy override: text is parsed as ``parse_policy_value`` does,
-    any other value must already have the key's declared type (an int,
-    never a bool, for the renewal interval)."""
-    if isinstance(value, str):
-        return parse_policy_value(key, value)
-    kind = _POLICY_TYPES[key]
-    if type(value) not in ((int, type(None)) if kind == int | None else (kind,)):
-        raise ValueError(f"text or a value of the field's own type expected, got {value!r}")
-    return value
 
 
 def load_reject_causes() -> dict[int, dict]:

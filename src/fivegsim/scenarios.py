@@ -30,9 +30,9 @@ from .netsim import (
 from .policy import (
     CAUSE_ILLEGAL_UE,
     OperatorPolicy,
-    POLICY_KEYS,
+    POLICY_TYPES,
     parse_bool,
-    policy_value,
+    parse_policy_value,
     serving_network_name,
 )
 from .risk import Impact, Likelihood, RiskCell, place
@@ -294,7 +294,7 @@ _TRAFFIC_A = ((10, _REGISTER), (1000, _PDU_SESSION),
 
 
 def _base_policy(overrides: dict, **scenario_defaults) -> OperatorPolicy:
-    policy_overrides = {k: v for k, v in overrides.items() if k in POLICY_KEYS}
+    policy_overrides = {k: v for k, v in overrides.items() if k in POLICY_TYPES}
     try:
         return replace(OperatorPolicy(**scenario_defaults), **policy_overrides)
     except ValueError as exc:  # a value the policy refuses
@@ -675,24 +675,30 @@ _RUNNERS = {
 }
 
 
+# the mitigations that are not policy keys -> the type of their value: a
+# switch, or a slot count (_run_ts12 checks its range)
+_KNOBS = {"revoke_stolen_sepp": bool, "blacklist_rogue": bool, "overlap_cell": bool,
+          "reserved_for_victim": int}
+
+
 def _override_value(key: str, value):
     """One override: text is parsed by the key's rule, and a value of any
-    other kind must already have the type that rule yields."""
-    if key in POLICY_KEYS:
-        return policy_value(key, value)
-    # a slot count (_run_ts12 checks its range), or else a switch
-    kind = int if key == "reserved_for_victim" else bool
+    other kind must already have the key's declared type (an int, never a
+    bool, for an int)."""
+    kind = POLICY_TYPES.get(key) or _KNOBS[key]
     if isinstance(value, str):
+        if key in POLICY_TYPES:
+            return parse_policy_value(key, value)
         return int(value) if kind is int else parse_bool(value)
-    if type(value) is not kind:
-        raise ValueError(f"{kind.__name__} expected, got {value!r}")
+    if type(value) not in ((int, type(None)) if kind == int | None else (kind,)):
+        raise ValueError(f"text or a value of the key's own type expected, got {value!r}")
     return value
 
 
 def _normalize_overrides(scenario: ThreatScenario, overrides: dict | None) -> dict:
     if not overrides:
         return {}
-    allowed = set(POLICY_KEYS) | set(scenario.mitigations)
+    allowed = POLICY_TYPES.keys() | set(scenario.mitigations)
     out = {}
     for key, value in overrides.items():
         if key not in allowed:

@@ -20,7 +20,7 @@ from .identity import (
     SuciScheme,
     format_supi,
 )
-from .netsim import AdversaryHook, Capability, Channel, Knowledge, World
+from .netsim import AdversaryHook, Capability, Channel, World
 from .policy import OperatorPolicy, parse_bool, parse_policy_value
 
 
@@ -117,7 +117,7 @@ class WorldBuilder:
         self.world.add_entity(cell)
         return cell
 
-    def add_rogue_cell(self, cell_id: str, plmn: str, strength: int,
+    def add_rogue_cell(self, cell_id: str, plmn: str, strength: int = 10,
                        reject_cause: int | None = 3,
                        broadcast_own_key: bool = False) -> GnbNode:
         """A cell the attacker operates: claims a network, rejects attaches."""
@@ -215,20 +215,26 @@ class WorldFileError(ValueError):
     pass
 
 
-_CHANNELS = {c.value: c for c in Channel}
-_CAPABILITIES = {c.value: c for c in Capability}
-# section kind -> (whether its header names an entity, the keys it takes; None:
-# checked where read, policy keys as they parse, overrides by the scenario run)
+def _list_of(enum):
+    """The reader of a comma list of ``enum`` values."""
+    return lambda text: frozenset(enum(value.strip()) for value in text.split(","))
+
+
+# the keys of a genuine cell -> the reader of each key's text
+_CELL = {"network": str, "strength": int, "rogue": parse_bool}
+# section kind -> (whether its header names an entity, the reader of each key it
+# takes; None: text, policy keys checked as they parse, overrides by the scenario
+# run).  A cell takes the rogue keys only with rogue = true.
 _SECTIONS = {
-    "world": (False, {"seed"}), "policy": (False, None), "overrides": (False, None),
-    "network": (True, {"plmn"}),
-    "cell": (True, {"network", "strength", "rogue", "reject_cause", "broadcast_own_key"}),
-    "ue": (True, {"network", "msin", "pei", "slice"}),
-    "adversary": (True, {"channels", "capabilities"}),
+    "world": (False, {"seed": int}), "policy": (False, None), "overrides": (False, None),
+    "network": (True, {"plmn": str}),
+    "cell": (True, {**_CELL, "reject_cause": int, "broadcast_own_key": parse_bool}),
+    "ue": (True, {"network": str, "msin": str, "pei": str, "slice": str}),
+    "adversary": (True, {"channels": _list_of(Channel), "capabilities": _list_of(Capability)}),
 }
 # the keys a [DEFAULT] section may give: those a named section kind takes
 # ([policy] reads only the keys it sets itself, so no policy key)
-_DEFAULT_KEYS = frozenset().union(*(keys for _, keys in _SECTIONS.values() if keys))
+_DEFAULT_KEYS = frozenset().union(*(readers for _, readers in _SECTIONS.values() if readers))
 
 
 def _read(path: str, what: str):
@@ -245,103 +251,98 @@ def _read(path: str, what: str):
     raise WorldFileError(f"cannot read {what} file {path!r}")
 
 
-def _own_items(parser, section: str) -> list[tuple[str, str]]:
-    """The keys ``section`` sets itself, not those [DEFAULT] gives every section."""
-    return list(parser._sections[section].items())
+class _Values(dict):
+    """One section's values: a key its build needs and it lacks is a WorldFileError."""
+
+    def __init__(self, section: str, values: dict):
+        super().__init__(values)
+        self.section = section
+
+    def __missing__(self, key: str):
+        raise WorldFileError(f"[{self.section}]: missing key {key!r}")
+
+
+def _value(section: str, key: str, reader, text: str):
+    try:
+        return reader(text)
+    except (KeyError, ValueError) as exc:
+        raise WorldFileError(f"[{section}] {key}: {exc}") from None
+
+
+def _read_sections(parser) -> dict[str, _Values]:
+    """Each section's values by its header, in file order: its own keys and
+    the [DEFAULT] keys its kind takes, read by their readers.  Refuses a
+    section of an unknown kind, a header that lacks its name or has one it
+    does not take, a key its section does not read, a [DEFAULT] key that no
+    section reads and a value its reader refuses."""
+    defaults = parser.defaults()
+    unknown = sorted(set(defaults) - _DEFAULT_KEYS)
+    if unknown:
+        raise WorldFileError(f"[DEFAULT]: unknown key {unknown[0]!r}")
+    sections = {}
+    for section in parser.sections():
+        kind, _, name = section.partition(" ")
+        named, readers = _SECTIONS.get(kind, (None, None))
+        if named is None:
+            raise WorldFileError(f"unknown section kind [{section}]")
+        if named != bool(name):
+            raise WorldFileError(f"[{section}]: {'needs an id' if named else 'takes no name'}")
+        own = parser._sections[section]  # the keys it sets itself, without [DEFAULT]'s
+        if readers is None:
+            sections[section] = _Values(section, own)
+            continue
+        if kind == "cell" and not _value(section, "rogue", parse_bool,
+                                         parser.get(section, "rogue", fallback="false")):
+            readers = _CELL
+        unknown = sorted(own.keys() - readers.keys())
+        if unknown:
+            raise WorldFileError(f"[{section}]: unknown key {unknown[0]!r}")
+        sections[section] = _Values(section, {
+            key: _value(section, key, readers[key], text)
+            for key, text in {**defaults, **own}.items() if key in readers})
+    return sections
 
 
 def load_override_file(path: str) -> dict[str, str]:
     """Scenario override file: the same key=value text as a world file,
     with overrides in the [policy] and/or [overrides] sections, its
-    sections checked as a world file's are."""
-    parser = _read(path, "override")
-    _check_sections(parser)
-    out: dict[str, str] = {}
-    for section in ("policy", "overrides"):
-        if parser.has_section(section):
-            out.update(_own_items(parser, section))
-    return out
-
-
-def _check_sections(parser) -> None:
-    """Refuse a section of an unknown kind, a header that lacks its name or
-    has one it does not take, a key its section does not read and a
-    [DEFAULT] key that no section reads."""
-    unknown = sorted(set(parser.defaults()) - _DEFAULT_KEYS)
-    if unknown:
-        raise WorldFileError(f"[DEFAULT]: unknown key {unknown[0]!r}")
-    for section in parser.sections():
-        kind, _, name = section.partition(" ")
-        named, keys = _SECTIONS.get(kind, (None, None))
-        if named is None:
-            raise WorldFileError(f"unknown section kind [{section}]")
-        if named != bool(name):
-            raise WorldFileError(f"[{section}]: {'needs an id' if named else 'takes no name'}")
-        unknown = sorted({key for key, _ in _own_items(parser, section)} - keys) if keys else []
-        if unknown:
-            raise WorldFileError(f"[{section}]: unknown key {unknown[0]!r}")
+    sections checked and read as a world file's are."""
+    sections = _read_sections(_read(path, "override"))
+    return {**sections.get("policy", {}), **sections.get("overrides", {})}
 
 
 def load_world_file(path: str) -> tuple[World, WorldBuilder]:
-    import configparser  # as in _read: only world and override files need it
-
-    parser = _read(path, "world")
-    _check_sections(parser)
+    sections = _read_sections(_read(path, "world"))
     try:
-        return _build_from_parser(parser)
-    except (configparser.Error, KeyError, ValueError) as exc:  # a KeyError's text, not its repr
+        return _build(sections)
+    except (KeyError, ValueError) as exc:  # a KeyError's text, not its repr
         raise WorldFileError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
 
 
-def _build_from_parser(parser) -> tuple[World, WorldBuilder]:
-    seed = 0
-    if parser.has_section("world"):
-        seed = parser.getint("world", "seed", fallback=0)
-    policy_kwargs = {}
-    if parser.has_section("policy"):
-        for key, raw in _own_items(parser, "policy"):
-            policy_kwargs[key] = parse_policy_value(key, raw)
-    policy = OperatorPolicy(**policy_kwargs)
-    builder = WorldBuilder(seed)
-    networks_by_name: dict[str, NetworkHandles] = {}
-    for section in parser.sections():
-        if section.startswith("network "):
-            name = section.split(" ", 1)[1]
-            plmn = parser.get(section, "plmn")
-            networks_by_name[name] = builder.add_network(name, plmn, policy)
-    for section in parser.sections():
-        parts = section.split(" ", 1)
-        if parts[0] == "cell":
-            net = networks_by_name[parser.get(section, "network")]
-            strength = parser.getint(section, "strength", fallback=10)
-            if parse_bool(parser.get(section, "rogue", fallback="false")):
-                builder.add_rogue_cell(
-                    parts[1], net.plmn, strength,
-                    reject_cause=parser.getint(section, "reject_cause", fallback=3),
-                    broadcast_own_key=parse_bool(
-                        parser.get(section, "broadcast_own_key", fallback="false")),
-                )
-            else:
-                builder.add_cell(net, parts[1], strength)
-        elif parts[0] == "ue":
-            net = networks_by_name[parser.get(section, "network")]
-            builder.add_ue(
-                parts[1], net,
-                msin=parser.get(section, "msin", fallback="0123456789"),
-                pei=parser.get(section, "pei", fallback=None),
-                slice_id=parser.get(section, "slice", fallback="embb"),
-            )
-        elif parts[0] == "adversary":
-            vantage = frozenset(
-                _CHANNELS[v.strip()]
-                for v in parser.get(section, "channels").split(",")
-            )
-            capabilities = frozenset(
-                _CAPABILITIES[v.strip()]
-                for v in parser.get(section, "capabilities", fallback="Observe").split(",")
-            )
+def _build(sections: dict[str, _Values]) -> tuple[World, WorldBuilder]:
+    """The world of the read sections: the networks first, for the cells and
+    UEs that name one, then the other entities in file order."""
+    policy = OperatorPolicy(**{key: parse_policy_value(key, text)
+                               for key, text in sections.get("policy", {}).items()})
+    builder = WorldBuilder(sections.get("world", {}).get("seed", 0))
+    networks = {}
+    for section, values in sections.items():
+        kind, _, name = section.partition(" ")
+        if kind == "network":
+            networks[name] = builder.add_network(name, values["plmn"], policy)
+    for section, values in sections.items():
+        kind, _, name = section.partition(" ")
+        args = {key: value for key, value in values.items() if key not in ("network", "rogue")}
+        if kind == "cell" and values.get("rogue"):
+            builder.add_rogue_cell(name, networks[values["network"]].plmn, **args)
+        elif kind == "cell":
+            builder.add_cell(networks[values["network"]], name, **args)
+        elif kind == "ue":
+            if "slice" in args:
+                args["slice_id"] = args.pop("slice")
+            builder.add_ue(name, networks[values["network"]], **args)
+        elif kind == "adversary":
             builder.world.attach_adversary(AdversaryHook(
-                adversary_id=parts[1], vantage=vantage,
-                capabilities=capabilities, knowledge=Knowledge(),
-            ))
+                adversary_id=name, vantage=values["channels"],
+                capabilities=values.get("capabilities", frozenset({Capability.OBSERVE}))))
     return builder.world, builder

@@ -179,9 +179,11 @@ def test_report_markdown_grid(capsys):
 
 
 def test_report_xml_unsupported(capsys):
-    code, _, err = run_cli(capsys, "report", "--format", "xml")
-    assert code == 2
-    assert "unsupported format" in err
+    # argparse refuses a format that render_report does not render
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 def test_gen_vectors_matches_checked_in_copy(capsys, tmp_path):
@@ -331,8 +333,13 @@ def test_world_file_that_is_not_ini_exits_3(capsys, tmp_path, scenario, text):
     # [policy] reads only its own keys, so a policy key in [DEFAULT] would be lost
     ("[DEFAULT]\nnetwork = home\nnas_ciphering = false\n",
      "[DEFAULT]: unknown key 'nas_ciphering'"),
+    # only a rogue cell rejects attaches
+    ("[cell cell-b]\nnetwork = home\nreject_cause = 7\n", "unknown key 'reject_cause'"),
+    ("[cell cell-b]\nnetwork = home\nrogue = no\nbroadcast_own_key = yes\n",
+     "unknown key 'broadcast_own_key'"),
 ], ids=["bare-cell", "bare-ue", "bare-network", "named-world", "unknown-kind",
-        "cell-key", "ue-key", "world-key", "default-key", "default-policy-key"])
+        "cell-key", "ue-key", "world-key", "default-key", "default-policy-key",
+        "genuine-cell-reject-cause", "genuine-cell-own-key"])
 @pytest.mark.parametrize("scenario", ["registration", "TS_06"])
 def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, scenario,
                                                              section, error):
@@ -341,6 +348,37 @@ def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, sc
     code, _, err = run_cli(capsys, "run", "--scenario", scenario, "--world", str(world_file))
     assert code == 3
     assert err.startswith("error: world file: ") and error in err
+
+
+@pytest.mark.parametrize("text, error", [
+    (WORLD_HEAD.replace("network = home\n\n[ue", "network = home\nstrength = strong\n\n[ue"),
+     "[cell cell-a] strength: invalid literal for int() with base 10: 'strong'"),
+    (WORLD_HEAD + "[adversary eve]\nchannels = RadioNas\ncapabilities = Observe, Teleport\n",
+     "[adversary eve] capabilities: 'Teleport' is not a valid Capability"),
+], ids=["strength", "capabilities"])
+@pytest.mark.parametrize("scenario", ["registration", "TS_06"])
+def test_world_file_value_error_names_its_section_and_key(capsys, tmp_path, scenario,
+                                                          text, error):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(text)
+    code, out, err = run_cli(capsys, "run", "--scenario", scenario, "--world", str(world_file))
+    assert (code, out, err) == (3, "", f"error: world file: {error}\n")
+
+
+def test_world_file_key_an_entity_needs_is_named_with_its_section(tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD + "[adversary eve]\ncapabilities = Observe\n")
+    with pytest.raises(WorldFileError, match=r"^\[adversary eve\]: missing key 'channels'$"):
+        load_world_file(str(world_file))
+
+
+def test_world_file_rogue_keys_from_default_reach_only_rogue_cells(tmp_path):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text("[DEFAULT]\nnetwork = home\nreject_cause = 7\n" + WORLD_HEAD
+                          + "[cell rogue-1]\nrogue = true\n")
+    world, _ = load_world_file(str(world_file))
+    assert world.entities["rogue-1"].reject_cause == 7
+    assert world.entities["cell-a"].reject_cause is None
 
 
 def test_world_file_takes_default_keys_and_scenario_overrides(tmp_path):

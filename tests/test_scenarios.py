@@ -110,6 +110,14 @@ def test_invalid_override_rejected_before_execution():
         run_scenario("TS_05", {"overlap_cell": "true"})  # belongs to TS_11
 
 
+def test_every_mitigation_that_is_not_a_policy_key_has_a_declared_type():
+    from fivegsim.policy import POLICY_TYPES
+    from fivegsim.scenarios import _KNOBS
+
+    mitigations = {key for scenario in CATALOG.values() for key in scenario.mitigations}
+    assert _KNOBS.keys() == mitigations - POLICY_TYPES.keys()
+
+
 @pytest.mark.parametrize("reserved", [-1, 11, True, 2.0, "yes", "-3"])
 def test_ts12_reservation_is_a_slot_count_within_capacity(reserved):
     with pytest.raises(InvalidOverride):

@@ -197,3 +197,15 @@ def test_a_late_vector_for_an_abandoned_request_leaves_the_newer_one(world_name)
     for net in builder.networks.values():
         assert net.ausf.sessions == {} and net.ausf.latest == {}
         assert net.sepp is None or (net.sepp.routes == {} and net.sepp.by_suci == {})
+
+
+@pytest.mark.parametrize("lost", ["SeppHello", "SeppHelloAck"])
+def test_a_lost_sepp_hello_or_ack_is_sent_again(lost):
+    # the UE's retransmitted request finds the serving SEPP's session to the
+    # home network unanswered and sends the hello again; the requests that
+    # waited for it go once it is answered, and the newest authentication ends
+    world, builder = assert_invariants("roaming", drops=(first_event("roaming", lost),))
+    assert world.entities["ue1"].last_outcome() == "registered"
+    for net in builder.networks.values():
+        assert net.ausf.sessions == {} and net.ausf.latest == {}
+        assert net.sepp.routes == {} and net.sepp.by_suci == {}
