@@ -14,7 +14,7 @@ import hashlib
 import hmac as hmac_mod
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NamedTuple
@@ -111,28 +111,20 @@ def _aes_key(key32: bytes) -> bytes:
 class HomeNetworkKeyPair:
     """Asymmetric pair the home network publishes for identity concealment.
 
-    Each key is parsed at its first use and kept with the pair; a pair
-    built from a seed keeps the private key that derived its public one.
+    A pair built from a seed keeps the private key that derived its public
+    one; the public key is parsed at its first use and kept with the pair.
     """
 
     scheme: SuciScheme
-    private_bytes: bytes
     public_bytes: bytes
+    # neither compared nor hashed: a pair is named by its public bytes, so the
+    # agreement memos below hit across the worlds one seed builds
+    private_key: object = field(compare=False, repr=False)
 
     @classmethod
     def from_seed(cls, scheme: SuciScheme, seed: bytes) -> "HomeNetworkKeyPair":
-        priv, pub, private_bytes = _keypair(scheme, seed)
-        pair = cls(scheme=scheme, private_bytes=private_bytes, public_bytes=pub)
-        vars(pair)["_private_key"] = priv
-        return pair
-
-    @cached_property
-    def _private_key(self):
-        if self.scheme == SuciScheme.PROFILE_A:
-            return X25519PrivateKey.from_private_bytes(self.private_bytes)
-        return ec.derive_private_key(
-            int.from_bytes(self.private_bytes, "big"), ec.SECP256R1()
-        )
+        priv, pub = _keypair(scheme, seed)
+        return cls(scheme=scheme, public_bytes=pub, private_key=priv)
 
     @cached_property
     def _public_key(self):
@@ -150,19 +142,19 @@ _memo = lru_cache(maxsize=_MEMO_SIZE)
 
 @_memo
 def _keypair(scheme: SuciScheme, secret: bytes):
-    """(private key, public bytes, private bytes) of a concealment scheme's
-    key pair from 32 secret bytes; P-256 maps them to a nonzero scalar."""
+    """(private key, public bytes) of a concealment scheme's key pair from
+    32 secret bytes; P-256 maps them to a nonzero scalar."""
     if len(secret) != 32:
         raise ValueError("key pair secret must be 32 bytes")
     if scheme == SuciScheme.PROFILE_A:
         priv = X25519PrivateKey.from_private_bytes(secret)
-        return priv, priv.public_key().public_bytes_raw(), secret
+        return priv, priv.public_key().public_bytes_raw()
     if scheme == SuciScheme.PROFILE_B:
         scalar = int.from_bytes(secret, "big") % (_P256_ORDER - 1) + 1
         priv = ec.derive_private_key(scalar, ec.SECP256R1())
         point = priv.public_key().public_numbers()  # SEC 1 §2.3.3 compressed point
         pub = bytes([2 | point.y & 1]) + point.x.to_bytes(32, "big")
-        return priv, pub, scalar.to_bytes(32, "big")
+        return priv, pub
     raise ValueError("null scheme has no key pair")
 
 
@@ -188,14 +180,14 @@ def _ecies_shared(scheme: SuciScheme, private_key, peer_key) -> bytes:
 def _ue_agreement(home: HomeNetworkKeyPair, eph_secret: bytes) -> tuple[bytes, bytes]:
     """(ephemeral public bytes, shared secret) of the UE's agreement with
     the home network public key."""
-    eph_priv, eph_pub, _ = _keypair(home.scheme, eph_secret)
+    eph_priv, eph_pub = _keypair(home.scheme, eph_secret)
     return eph_pub, _ecies_shared(home.scheme, eph_priv, home._public_key)
 
 
 @_memo
 def _home_agreement(home: HomeNetworkKeyPair, eph_pub: bytes) -> bytes:
     """The home network's shared secret with an ephemeral public key."""
-    return _ecies_shared(home.scheme, home._private_key,
+    return _ecies_shared(home.scheme, home.private_key,
                          _parse_public(home.scheme, eph_pub))
 
 

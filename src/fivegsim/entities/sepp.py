@@ -121,13 +121,14 @@ class Sepp(Entity):
             ))
         return session
 
-    def _forward_out(self, inner_bytes: bytes, peer_plmn: str, ctx) -> bool:
-        session = self._session_for(peer_plmn, ctx)
-        if session is None:
-            return False
+    def _forward_out(self, inner_bytes: bytes, session: SeppSession, ctx) -> bool:
+        """Send a request over the session, or queue it until the link is up;
+        False, and nothing sent or queued, if the peer refused the link."""
         if session.established:
             ctx.emit(Channel.SEPP_LINK, session.peer_id,
                      messages.SeppForward(inner=inner_bytes))
+        elif session.refused:
+            return False
         else:
             session.pending.append(inner_bytes)
         return True
@@ -146,10 +147,13 @@ class Sepp(Entity):
         self.routes.pop(self.by_suci.get((route.asker, route.suci)), None)
         self.routes[sid], self.by_suci[route.asker, route.suci] = route, sid
 
+    def _close(self, sid: str) -> None:
+        route = self.routes.pop(sid)
+        del self.by_suci[route.asker, route.suci]
+
     def _end(self, msg) -> None:
         if not isinstance(msg, messages.AuthResponseSbi):  # the authentication is over
-            route = self.routes.pop(msg.session)
-            del self.by_suci[route.asker, route.suci]
+            self._close(msg.session)
 
     @takes(None, find=_route)
     def on_auth_request_sbi(self, _, msg, event, ctx) -> None:
@@ -172,17 +176,21 @@ class Sepp(Entity):
         except ValueError:
             ctx.ignore()
             return
-        if self._forward_out(messages.encode(msg), home_plmn, ctx):
-            peer = (Channel.SEPP_LINK, self.sessions[home_plmn].peer_id)
-            self._open(msg.session, SeppRoute(RouteState.OUT, (event.channel, event.src),
-                                              peer, msg.suci, home_plmn))
-        else:
+        session = self._session_for(home_plmn, ctx)
+        if session is None:
             ctx.emit(Channel.SBI, event.src, messages.AuthRejectSbi(
                 session=msg.session, cause="PeerUnknown"))
+        elif self._forward_out(messages.encode(msg), session, ctx):
+            peer = (Channel.SEPP_LINK, session.peer_id)
+            self._open(msg.session, SeppRoute(RouteState.OUT, (event.channel, event.src),
+                                              peer, msg.suci, home_plmn))
+        else:  # toward a peer that refused the link: no route, nothing queued
+            ctx.ignore()
 
     @takes(RouteState.OUT, find=_from_its_end)
     def on_confirm_request_sbi(self, route, msg, event, ctx) -> None:
-        self._forward_out(messages.encode(msg), route.home_plmn, ctx)
+        # never toward a peer that refused the link: its refusal ended the route
+        self._forward_out(messages.encode(msg), self._session_for(route.home_plmn, ctx), ctx)
 
     @takes(RouteState.OUT, find=_from_its_end, message=_ANSWERS)
     def _answer_out(self, route, msg, event, ctx) -> None:
@@ -245,10 +253,16 @@ class Sepp(Entity):
         session.pending.clear()
 
     def on_sepp_reject(self, msg, event, ctx) -> None:
+        """The peer refused the link: what waits for it is dropped, and the
+        authentications it was to answer end."""
         self.rejections.append(f"peer:{msg.reason}")
-        for session in self.sessions.values():
+        for plmn, session in self.sessions.items():
             if session.peer_id == event.src and not session.established:
                 session.refused = True
+                session.pending.clear()
+                for sid in [sid for sid, route in self.routes.items()
+                            if route.home_plmn == plmn]:
+                    self._close(sid)
 
     # -- forwards from a peer --------------------------------------------------------
 

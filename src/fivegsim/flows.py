@@ -1,5 +1,5 @@
-"""High-level drivers: run a registration to quiescence, push user data,
-scan transcripts for identifier leakage."""
+"""High-level drivers: run a registration to quiescence, set up a PDU
+session and push user data over it."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import messages
 from .entities import Amf, Ue
 from .identity import SecurityContext
-from .netsim import Channel, RADIO_CHANNELS, Transcript, World
+from .netsim import Channel, Transcript, World
 
 DEFAULT_HORIZON = 20_000
 
@@ -26,18 +26,6 @@ class RegistrationOutcome:
     ue_context: SecurityContext | None
     amf_context: SecurityContext | None
     transcript: Transcript
-
-    @property
-    def failure(self) -> str | None:
-        """Coarse failure class: Timeout (loss budget exceeded) or
-        AuthFailure (response-hash or home-network check failed)."""
-        if self.success:
-            return None
-        if self.outcome == "timeout":
-            return "Timeout"
-        if self.outcome.startswith(("auth_rejected", "auth_failure")):
-            return "AuthFailure"
-        return self.outcome
 
 
 def find_amf_session(amf: Amf, ue: Ue):
@@ -83,8 +71,3 @@ def send_app_data(world: World, ue_id: str, payload: bytes,
                   horizon: int = 1_000) -> None:
     trigger(world, ue_id, messages.TriggerAppData(payload=payload))
     world.run_until(world.time + horizon)
-
-
-def radio_plaintext_count(transcript: Transcript, pattern: bytes) -> int:
-    """Occurrences of a byte pattern on the two radio channels."""
-    return transcript.scan_payloads(pattern, RADIO_CHANNELS)

@@ -1,7 +1,7 @@
 """Subscriber and equipment identifiers plus the per-session security state.
 
 Covers the permanent identity (SUPI), its concealed form (SUCI), the
-equipment identity (PEI), temporary identifiers (5G-GUTI / S-TMSI), the
+equipment identity (PEI), temporary identifiers (5G-GUTI), the
 long-term subscriber credential and the per-session security context,
 whose keys are a plain name -> key dict that ``crypto`` derives along the
 chain of ``data/kdf_labels.json``.
@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from .randomness import RandomStream
 
 GUTI_LEN = 10
-S_TMSI_LEN = 6
 KEY_LEN = 32
 SQN_MAX = 2**48 - 1
 
@@ -195,7 +194,7 @@ class UnsupportedScheme(ValueError):
 
 @dataclass(frozen=True)
 class TemporaryIdentity:
-    """5G-GUTI with its S-TMSI truncation and an allocation epoch."""
+    """5G-GUTI with its allocation epoch."""
 
     guti: bytes
     allocation_epoch: int
@@ -205,20 +204,6 @@ class TemporaryIdentity:
             raise ValueError(f"guti must be {GUTI_LEN} bytes")
         if self.allocation_epoch < 1:
             raise ValueError("allocation epoch starts at 1")
-
-    @property
-    def s_tmsi(self) -> bytes:
-        return self.guti[-S_TMSI_LEN:]
-
-    def encode(self) -> str:
-        return self.guti.hex()
-
-
-def parse_guti(text: str) -> bytes:
-    raw = bytes.fromhex(text)
-    if len(raw) != GUTI_LEN:
-        raise ValueError(f"guti must be {GUTI_LEN} bytes")
-    return raw
 
 
 class GutiAllocator:

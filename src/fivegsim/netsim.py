@@ -142,13 +142,6 @@ class Transcript:
             if channels is None or entry.event.channel in channels:
                 yield entry
 
-    def scan_payloads(self, pattern: bytes, channels=None) -> int:
-        """Count occurrences of a byte pattern across delivered payloads."""
-        total = 0
-        for entry in self.delivered(channels):
-            total += entry.event.payload.count(pattern)
-        return total
-
 
 class Capability(enum.Enum):
     OBSERVE = "Observe"

@@ -21,10 +21,6 @@ def stride_set(letters: str) -> frozenset[Stride]:
     return frozenset(Stride(letter) for letter in letters)
 
 
-def stride_letters(categories: frozenset[Stride]) -> str:
-    return "".join(s.value for s in Stride if s in categories)
-
-
 class ComponentKind(enum.Enum):
     EXTERNAL_ENTITY = "ExternalEntity"
     PROCESS = "Process"

@@ -66,14 +66,3 @@ def generate_vectors() -> str:
         emit(f"chain_{name}", chain[name])
 
     return "\n".join(lines) + "\n"
-
-
-def parse_vectors(text: str) -> dict[str, bytes]:
-    out: dict[str, bytes] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.partition(" = ")
-        out[name] = bytes.fromhex(value)
-    return out

@@ -333,14 +333,19 @@ def _build(sections: dict[str, _Values]) -> tuple[World, WorldBuilder]:
     for section, values in sections.items():
         kind, _, name = section.partition(" ")
         args = {key: value for key, value in values.items() if key not in ("network", "rogue")}
+        if kind in ("cell", "ue"):
+            network = networks.get(values["network"])
+            if network is None:
+                raise WorldFileError(
+                    f"[{section}] network: unknown network {values['network']!r}")
         if kind == "cell" and values.get("rogue"):
-            builder.add_rogue_cell(name, networks[values["network"]].plmn, **args)
+            builder.add_rogue_cell(name, network.plmn, **args)
         elif kind == "cell":
-            builder.add_cell(networks[values["network"]], name, **args)
+            builder.add_cell(network, name, **args)
         elif kind == "ue":
             if "slice" in args:
                 args["slice_id"] = args.pop("slice")
-            builder.add_ue(name, networks[values["network"]], **args)
+            builder.add_ue(name, network, **args)
         elif kind == "adversary":
             builder.world.attach_adversary(AdversaryHook(
                 adversary_id=name, vantage=values["channels"],

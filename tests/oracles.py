@@ -11,6 +11,10 @@ functions and the package is a genuine dual-route check.
 The shared inputs are the domain-label file src/fivegsim/data/
 kdf_labels.json, which is the protocol definition itself, and the list of
 wire classes that ``encode_wire`` and ``decode_wire`` are given.
+
+The last section reads what the package wrote, and computes none of it:
+identifiers readable on the radio in a transcript, and the values of the
+known-answer vector file.
 """
 
 from __future__ import annotations
@@ -492,3 +496,27 @@ def encode_wire(registry: tuple, msg) -> bytes:
     """The framed encoding of ``msg``; its tag is its class's index in ``registry``."""
     body = registry.index(type(msg)).to_bytes(2, "big") + _body(type(msg), msg, registry)
     return len(body).to_bytes(4, "big") + body
+
+
+# ---------------------------------------------------------------------------
+# Readers of the package's outputs
+# ---------------------------------------------------------------------------
+
+def radio_plaintext_count(transcript, pattern: bytes) -> int:
+    """Occurrences of a byte pattern in the payloads a transcript shows
+    delivered on the two radio channels: an identifier sent in the clear."""
+    from fivegsim.netsim import RADIO_CHANNELS
+
+    return sum(entry.event.payload.count(pattern)
+               for entry in transcript.delivered(RADIO_CHANNELS))
+
+
+def parse_vectors(text: str) -> dict[str, bytes]:
+    """The ``name = hex`` lines of a known-answer vector file, by name."""
+    out = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            name, _, value = line.partition(" = ")
+            out[name] = bytes.fromhex(value)
+    return out

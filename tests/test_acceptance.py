@@ -22,11 +22,7 @@ import pytest
 import oracles
 from fivegsim import crypto, messages
 from fivegsim.entities.core import AmfState
-from fivegsim.flows import (
-    find_amf_session,
-    radio_plaintext_count,
-    run_registration,
-)
+from fivegsim.flows import find_amf_session, run_registration
 from fivegsim.identity import (
     LongTermCredential,
     SubscriberIdentity,
@@ -66,14 +62,14 @@ def test_criterion_1_catalog_fidelity():
         ok &= scenario.stride == row["stride"]
         ok &= [v.label for v in likelihood] == row["likelihood"]
         ok &= [v.label for v in impact] == row["impact"]
-    from fivegsim.risk import ComponentKind, stride_exposure, stride_letters
-    exposure = {kind: stride_letters(stride_exposure(kind)) for kind in ComponentKind}
+    from fivegsim.risk import ComponentKind, stride_exposure, stride_set
+    exposure = {kind: stride_exposure(kind) for kind in ComponentKind}
     ok &= exposure == {
-        ComponentKind.EXTERNAL_ENTITY: "SR",
-        ComponentKind.PROCESS: "STRIDE",
-        ComponentKind.DATA_STORE: "TID",
-        ComponentKind.DATA_FLOW: "TID",
-        ComponentKind.DEVICE: "STIDE",
+        ComponentKind.EXTERNAL_ENTITY: stride_set("SR"),
+        ComponentKind.PROCESS: stride_set("STRIDE"),
+        ComponentKind.DATA_STORE: stride_set("TID"),
+        ComponentKind.DATA_FLOW: stride_set("TID"),
+        ComponentKind.DEVICE: stride_set("STIDE"),
     }
     _report("1 catalog fidelity", ok)
 
@@ -164,7 +160,7 @@ def test_criterion_3_forged_response_detected():
             capabilities=frozenset({Capability.MODIFY}), handler=_forge_res))
         outcome = run_registration(world, "ue1")
         session = next(iter(builder.networks["net"].amf.sessions.values()))
-        if (outcome.failure == "AuthFailure"
+        if (outcome.outcome == "auth_rejected"
                 and (session.state, session.cause) == (AmfState.AUTH_FAILED, "home_check")
                 and session.supi is None):
             detected += 1
@@ -182,8 +178,8 @@ def test_criterion_4_concealed_identities_stay_off_the_air():
         outcome = run_registration(world, "ue1")
         ue = world.entities["ue1"]
         if (outcome.success
-                and radio_plaintext_count(world.transcript, ue.identity.msin.encode()) == 0
-                and radio_plaintext_count(world.transcript, ue.pei.pei.encode()) == 0):
+                and oracles.radio_plaintext_count(world.transcript, ue.identity.msin.encode()) == 0
+                and oracles.radio_plaintext_count(world.transcript, ue.pei.pei.encode()) == 0):
             clean += 1
     _report(f"4a concealed mode leaks nothing ({clean}/{SEED_COUNT})",
             clean == SEED_COUNT)
@@ -196,7 +192,7 @@ def test_criterion_4_pei_exposed_without_ciphering():
         world, _ = single_network_world(seed=seed, policy=policy)
         outcome = run_registration(world, "ue1")
         ue = world.entities["ue1"]
-        if outcome.success and radio_plaintext_count(
+        if outcome.success and oracles.radio_plaintext_count(
                 world.transcript, ue.pei.pei.encode()) >= 1:
             exposed += 1
     _report(f"4b equipment identity readable without ciphering "
@@ -213,8 +209,8 @@ def test_criterion_4_legacy_attach_shows_imsi_exactly_once():
         imsi = format_supi(ue.identity).encode()
         msin = ue.identity.msin.encode()
         if (outcome.success
-                and radio_plaintext_count(world.transcript, imsi) == 1
-                and radio_plaintext_count(world.transcript, msin) == 1):
+                and oracles.radio_plaintext_count(world.transcript, imsi) == 1
+                and oracles.radio_plaintext_count(world.transcript, msin) == 1):
             exact += 1
     _report(f"4c legacy attach shows the identity exactly once "
             f"({exact}/{SEED_COUNT})", exact == SEED_COUNT)

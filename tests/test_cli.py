@@ -372,6 +372,16 @@ def test_world_file_key_an_entity_needs_is_named_with_its_section(tmp_path):
         load_world_file(str(world_file))
 
 
+@pytest.mark.parametrize("section", ["cell orphan", "ue orphan"])
+def test_world_file_unknown_network_is_named_with_its_section(capsys, tmp_path, section):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD + f"[{section}]\nnetwork = nowhere\n")
+    code, out, err = run_cli(capsys, "run", "--scenario", "registration",
+                             "--world", str(world_file))
+    assert (code, out, err) == (
+        3, "", f"error: world file: [{section}] network: unknown network 'nowhere'\n")
+
+
 def test_world_file_rogue_keys_from_default_reach_only_rogue_cells(tmp_path):
     world_file = tmp_path / "world.ini"
     world_file.write_text("[DEFAULT]\nnetwork = home\nreject_cause = 7\n" + WORLD_HEAD

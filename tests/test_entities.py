@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from oracles import radio_plaintext_count
 from fivegsim import crypto, messages
 from fivegsim.entities import (
     Amf,
@@ -22,7 +23,6 @@ from fivegsim.entities.ue import Awaiting, UePhase
 from fivegsim.flows import (
     establish_user_plane,
     find_amf_session,
-    radio_plaintext_count,
     run_registration,
     send_app_data,
     trigger,

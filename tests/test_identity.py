@@ -10,10 +10,8 @@ from fivegsim.identity import (
     SecurityContext,
     SubscriberIdentity,
     SuciScheme,
-    TemporaryIdentity,
     format_pei,
     format_supi,
-    parse_guti,
     parse_pei,
     parse_supi,
 )
@@ -65,13 +63,6 @@ def test_pei_round_trip_randomized(n):
     assert parse_pei(format_pei(ident)) == ident
 
 
-@given(st.binary(min_size=10, max_size=10))
-@settings(max_examples=1000, deadline=None)
-def test_guti_round_trip_randomized(raw):
-    ident = TemporaryIdentity(guti=raw, allocation_epoch=1)
-    assert parse_guti(ident.encode()) == raw
-
-
 def test_pei_length_enforced():
     with pytest.raises(ValueError):
         EquipmentIdentity(pei="123")
@@ -85,12 +76,6 @@ def test_guti_allocator_distinct_and_monotone():
     second = alloc.allocate()
     assert first.guti != second.guti
     assert (first.allocation_epoch, second.allocation_epoch) == (1, 2)
-
-
-def test_s_tmsi_is_low_six_bytes():
-    alloc = GutiAllocator(RandomStream(7, "guti"))
-    temp = alloc.allocate()
-    assert temp.s_tmsi == temp.guti[-6:]
 
 
 def test_guti_sequence_replays_under_same_seed():

@@ -180,7 +180,6 @@ def test_drop_all_radio_nas_forces_timeout():
     ))
     outcome = run_registration(world, "ue1", horizon=5_000)
     assert outcome.outcome == "timeout"
-    assert outcome.failure == "Timeout"
     assert any(e.annotations.dropped for e in world.transcript.entries)
 
 
@@ -313,12 +312,6 @@ def test_injection_into_the_past_is_ignored():
     clean, _ = single_network_world(seed=3)
     run_registration(clean, "ue1")
     assert world.transcript.sha256() == clean.transcript.sha256()
-
-
-def test_transcript_scan_counts_payload_bytes():
-    world, _ = single_network_world(seed=3)
-    run_registration(world, "ue1")
-    assert world.transcript.scan_payloads(b"\x00" * 200) == 0
 
 
 # Strings JSON must escape: non-ASCII, quote, backslash, newline, control

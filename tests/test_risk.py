@@ -8,28 +8,29 @@ from fivegsim.risk import (
     Impact,
     Likelihood,
     RiskLevel,
+    Stride,
     UnsupportedFormat,
     build_risk_matrix,
     classify_risk,
     place,
     render_report,
     stride_exposure,
-    stride_letters,
     stride_set,
 )
 from fivegsim.scenarios import list_scenarios
 
 
 def test_exposure_table():
-    assert stride_letters(stride_exposure(ComponentKind.PROCESS)) == "STRIDE"
-    assert stride_letters(stride_exposure(ComponentKind.DATA_FLOW)) == "TID"
-    assert stride_letters(stride_exposure(ComponentKind.DATA_STORE)) == "TID"
-    assert stride_letters(stride_exposure(ComponentKind.EXTERNAL_ENTITY)) == "SR"
-    assert stride_letters(stride_exposure(ComponentKind.DEVICE)) == "STIDE"
+    assert stride_exposure(ComponentKind.PROCESS) == stride_set("STRIDE")
+    assert stride_exposure(ComponentKind.DATA_FLOW) == stride_set("TID")
+    assert stride_exposure(ComponentKind.DATA_STORE) == stride_set("TID")
+    assert stride_exposure(ComponentKind.EXTERNAL_ENTITY) == stride_set("SR")
+    assert stride_exposure(ComponentKind.DEVICE) == stride_set("STIDE")
 
 
-def test_stride_set_round_trip():
-    assert stride_letters(stride_set("DIT")) == "TID"  # canonical letter order
+def test_stride_set_reads_letters_in_any_order():
+    assert stride_set("DIT") == {Stride.TAMPERING, Stride.INFORMATION_DISCLOSURE,
+                                 Stride.DENIAL_OF_SERVICE}
 
 
 def test_grid_examples():

@@ -13,6 +13,7 @@ from fivegsim.scenarios import (
     SCENARIO_IDS,
     UnknownScenario,
     _nas_opened,
+    _run_ts02,
     decrypt_up_payloads,
     list_scenarios,
     recover_peis,
@@ -177,6 +178,19 @@ def test_ts02_name_coherence_refused_across_seeds():
         report = run_scenario("TS_02", seed=seed)
         assert report.outcome["other_network_name_refused"]
         assert report.outcome["name_mismatch_detected"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_ts02_revoked_proxy_keeps_nothing_for_the_peer_that_refused_it(seed):
+    # the home SEPP refuses the attacker's hello: the requests it queued
+    # for that peer are dropped, the routes that peer was to answer end,
+    # and later requests toward it are ignored steps
+    world, _ = _run_ts02(seed, {"revoke_stolen_sepp": True})
+    atk_sepp = world.entities["atk-sepp"]
+    assert atk_sepp.rejections == ["peer:PeerRevoked"]
+    [session] = atk_sepp.sessions.values()
+    assert session.refused and session.pending == []
+    assert atk_sepp.routes == {} and atk_sepp.by_suci == {}
 
 
 def test_ts05_power_cycle_recovery_in_both_modes():

@@ -5,8 +5,9 @@ A hook on every wire channel numbers the wire events it sees from 0.  A
 drop schedule drops the events it names; a replay schedule captures event
 j and re-injects it, with delay 1, after event i > j.  Each schedule must
 end without an exception escaping ``run_until`` (invariant (a)) and with
-at most one AUSF record and one SEPP route per subscriber (invariant (f)):
-the small-scope hypothesis, most defects show in small cases.
+at most one AUSF record and one SEPP route per subscriber, and no route or
+queued request toward a peer that refused the link (invariant (f)): the
+small-scope hypothesis, most defects show in small cases.
 """
 
 import itertools
@@ -60,13 +61,20 @@ def run_schedule(world_name, drops=(), replay=None):
 
 def assert_invariants(world_name, drops=(), replay=None):
     """Run one schedule: (a) no exception escapes, and (f) the AUSF and the
-    SEPPs hold at most one record and one route per subscriber."""
+    SEPPs hold at most one record and one route per subscriber, and a SEPP
+    keeps no route and no pending request toward a peer that refused it."""
     world, builder, _ = run_schedule(world_name, drops, replay)
     subscribers = len(builder.ues)
     for net in builder.networks.values():
         assert len(net.ausf.sessions) <= subscribers, (drops, replay, net.ausf.sessions)
         if net.sepp is not None:
             assert len(net.sepp.routes) <= subscribers, (drops, replay, net.sepp.routes)
+            refused = {plmn for plmn, session in net.sepp.sessions.items()
+                       if session.refused and not session.established}
+            assert not any(net.sepp.sessions[plmn].pending for plmn in refused), \
+                (drops, replay, net.sepp.sessions)
+            assert all(route.home_plmn not in refused for route in net.sepp.routes.values()), \
+                (drops, replay, net.sepp.routes)
     return world, builder
 
 

@@ -18,7 +18,6 @@ from fivegsim.entities.base import try_decode
 from fivegsim.flows import (
     establish_user_plane,
     find_amf_session,
-    radio_plaintext_count,
     run_registration,
     send_app_data,
 )
@@ -421,5 +420,5 @@ def test_ue_refuses_null_integrity_security_mode_command(inner_algorithms):
     _attach(world, bid_down, Capability.MODIFY, {Channel.RADIO_NAS})
     outcome = run_registration(world, "ue1")
     assert not outcome.success
-    assert radio_plaintext_count(world.transcript, ue.pei.pei.encode()) == 0
+    assert oracles.radio_plaintext_count(world.transcript, ue.pei.pei.encode()) == 0
     assert ue.context is None and ue.nas_link is None
