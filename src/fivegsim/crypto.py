@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
-from cryptography.hazmat.primitives.ciphers.modes import CTR, ECB
+from cryptography.hazmat.primitives.ciphers.modes import CTR
 from cryptography.hazmat.primitives.cmac import CMAC
 
 from . import messages
@@ -210,11 +210,11 @@ def _ecies_keys(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes, bytes]:
     return enc_key, icb, mac_key
 
 
-def _aes_ctr(key: bytes, icb: bytes, data: bytes) -> bytes:
-    """AES-128-CTR from a full 16-byte initial counter block (ECIES)."""
-    cipher = Cipher(AES(key), CTR(icb))
-    enc = cipher.encryptor()
-    return enc.update(data) + enc.finalize()
+def _aes_ctr(key: bytes, icb: bytes):
+    """An AES-128-CTR encryptor from a full 16-byte initial counter block
+    (ECIES, 128-NEA2).  CTR holds back no partial block, so ``update``
+    returns the whole output and ``finalize`` adds nothing."""
+    return Cipher(AES(key), CTR(icb)).encryptor()
 
 
 def conceal_supi(
@@ -247,7 +247,7 @@ def conceal_supi(
         raise ValueError("ephemeral randomness required for ecies schemes")
     eph_pub, shared = _ue_agreement(home_public, ephemeral_randomness)
     enc_key, icb, mac_key = _ecies_keys(shared, eph_pub)
-    ciphertext = _aes_ctr(enc_key, icb, identity.msin.encode())
+    ciphertext = _aes_ctr(enc_key, icb).update(identity.msin.encode())
     tag = _hmac(mac_key, ciphertext)[: _LABELS["ecies"]["tag_len"]]
     return ConcealedIdentity(
         mcc=identity.mcc,
@@ -276,7 +276,7 @@ def deconceal_suci(
     expected = _hmac(mac_key, suci.ciphertext)[: _LABELS["ecies"]["tag_len"]]
     if not hmac_mod.compare_digest(expected, suci.mac_tag):
         raise IntegrityFailure("suci tag mismatch")
-    msin = _aes_ctr(enc_key, icb, suci.ciphertext).decode(errors="replace")
+    msin = _aes_ctr(enc_key, icb).update(suci.ciphertext).decode(errors="replace")
     return SubscriberIdentity(mcc=suci.mcc, mnc=suci.mnc, msin=msin)
 
 
@@ -537,45 +537,38 @@ class ProtectedMessage(NamedTuple):
     mac_tag: bytes
 
 
-# 8-byte big-endian block indices: the low half of a message's counter blocks
-_BLOCK_INDEX = tuple(i.to_bytes(8, "big") for i in range(128))
-# DIRECTION and the zero bits after it, up to the block index
-_DIRECTION_PAD = (b"\x00\x00\x00\x00", b"\x01\x00\x00\x00")
+# DIRECTION and the 11 zero bytes after it: a message's initial counter
+# block is COUNT || _DIRECTION_PAD[DIRECTION]
+_DIRECTION_PAD = (bytes(12), b"\x01" + bytes(11))
 
 
 class _Keystream:
-    """128-NEA2 under one ciphering key, from one AES-ECB context.
+    """128-NEA2 under one ciphering key, from one AES-CTR encryptor.
 
-    A message's counter blocks start at COUNT (4 bytes) || DIRECTION
-    (1 byte) || 11 zero bytes (TS 33.501 Annex D) and count up (CTR mode,
-    SP 800-38A).  Block i never carries out of the low 8 bytes, so it is
-    COUNT || DIRECTION || 000 || i, and the ECB encryption of those blocks
-    laid end to end is the whole keystream.  The context is built at the
-    first message and only ever gets whole blocks, so nothing is left
-    buffered in it from one message to the next.
+    A message's keystream counts up (CTR mode, SP 800-38A) from its own
+    initial counter block, COUNT (4 bytes) || DIRECTION (1 byte) || 11
+    zero bytes (TS 33.501 Annex D).  The encryptor is built by
+    ``_aes_ctr`` at the first message; each later message re-points it at
+    its own block with ``reset_nonce``, which also drops the keystream
+    left over when the message before ended mid-block.  A raw key's
+    keystream is used once, so it is a one-shot encryptor.
     """
 
-    __slots__ = ("_key", "_ecb")
+    __slots__ = ("_key", "_ctr")
 
     def __init__(self, key32: bytes | None):
         self._key = key32
-        self._ecb = None
+        self._ctr = None
 
     def apply(self, count: int, direction: int, data: bytes) -> bytes:
         """``data`` XOR its keystream: enciphers and deciphers alike."""
-        nonce = count.to_bytes(4, "big") + _DIRECTION_PAD[direction & 1]
-        ecb = self._ecb
-        if ecb is None:
-            ecb = self._ecb = Cipher(AES(_aes_key(self._key)), ECB()).encryptor()
-        size = len(data)
-        if not size:
-            return b""  # no counter blocks: a bare nonce would be a partial block
-        blocks = (size + 15) >> 4
-        index = (_BLOCK_INDEX[:blocks] if blocks <= len(_BLOCK_INDEX)
-                 else [i.to_bytes(8, "big") for i in range(blocks)])
-        stream = ecb.update(nonce + nonce.join(index))
-        return (int.from_bytes(data, "big")
-                ^ int.from_bytes(stream[:size], "big")).to_bytes(size, "big")
+        icb = count.to_bytes(4, "big") + _DIRECTION_PAD[direction & 1]
+        ctr = self._ctr
+        if ctr is None:
+            ctr = self._ctr = _aes_ctr(_aes_key(self._key), icb)
+        else:
+            ctr.reset_nonce(icb)
+        return ctr.update(data)
 
 
 def _keystream(key_enc: bytes | _Keystream | None) -> _Keystream:

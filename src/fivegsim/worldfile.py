@@ -274,7 +274,8 @@ def _read_sections(parser) -> dict[str, _Values]:
     the [DEFAULT] keys its kind takes, read by their readers.  Refuses a
     section of an unknown kind, a header that lacks its name or has one it
     does not take, a key its section does not read, a [DEFAULT] key that no
-    section reads and a value its reader refuses."""
+    section reads, a value its reader refuses and a cell or UE on a network
+    that no section declares."""
     defaults = parser.defaults()
     unknown = sorted(set(defaults) - _DEFAULT_KEYS)
     if unknown:
@@ -297,9 +298,11 @@ def _read_sections(parser) -> dict[str, _Values]:
         unknown = sorted(own.keys() - readers.keys())
         if unknown:
             raise WorldFileError(f"[{section}]: unknown key {unknown[0]!r}")
-        sections[section] = _Values(section, {
+        values = sections[section] = _Values(section, {
             key: _value(section, key, readers[key], text)
             for key, text in {**defaults, **own}.items() if key in readers})
+        if kind in ("cell", "ue") and not parser.has_section(f"network {values['network']}"):
+            raise WorldFileError(f"[{section}] network: unknown network {values['network']!r}")
     return sections
 
 
@@ -334,10 +337,7 @@ def _build(sections: dict[str, _Values]) -> tuple[World, WorldBuilder]:
         kind, _, name = section.partition(" ")
         args = {key: value for key, value in values.items() if key not in ("network", "rogue")}
         if kind in ("cell", "ue"):
-            network = networks.get(values["network"])
-            if network is None:
-                raise WorldFileError(
-                    f"[{section}] network: unknown network {values['network']!r}")
+            network = networks[values["network"]]
         if kind == "cell" and values.get("rogue"):
             builder.add_rogue_cell(name, network.plmn, **args)
         elif kind == "cell":

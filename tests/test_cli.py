@@ -372,11 +372,13 @@ def test_world_file_key_an_entity_needs_is_named_with_its_section(tmp_path):
         load_world_file(str(world_file))
 
 
+@pytest.mark.parametrize("scenario", ["registration", "TS_06"])
 @pytest.mark.parametrize("section", ["cell orphan", "ue orphan"])
-def test_world_file_unknown_network_is_named_with_its_section(capsys, tmp_path, section):
+def test_world_file_unknown_network_is_named_with_its_section(capsys, tmp_path, section,
+                                                              scenario):
     world_file = tmp_path / "world.ini"
     world_file.write_text(WORLD_HEAD + f"[{section}]\nnetwork = nowhere\n")
-    code, out, err = run_cli(capsys, "run", "--scenario", "registration",
+    code, out, err = run_cli(capsys, "run", "--scenario", scenario,
                              "--world", str(world_file))
     assert (code, out, err) == (
         3, "", f"error: world file: [{section}] network: unknown network 'nowhere'\n")

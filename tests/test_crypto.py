@@ -426,8 +426,8 @@ def test_protect_round_trip_property(payload, count, direction):
     assert crypto.unprotect(msg, 2, 2, KEY_ENC, KEY_INT, direction, count) == payload
 
 
-# bodies around the 16-byte block, a full-size packet and one longer than the
-# 128 precomputed block indices
+# bodies around the 16-byte block, a full-size packet and a long message of
+# more than 128 blocks
 KEYSTREAM_SIZES = (0, 1, 15, 16, 17, 1400, 16 * 128 + 5)
 
 

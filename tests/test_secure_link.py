@@ -70,7 +70,7 @@ def test_secure_link_counts_never_decrease():
 
 
 # a run of bodies of mixed sizes: empty ones, partial blocks, whole blocks,
-# full-size packets and one past the precomputed block indices
+# full-size packets and one of more than 128 blocks
 MIXED_SIZES = (17, 0, 1400, 1, 16, 0, 2053, 15, 64, 0, 1400)
 
 
@@ -115,6 +115,47 @@ def test_a_link_opens_empty_and_long_bodies_between_others(first):
         wrapper = messages.SecuredUp(count=count, direction=0, nea_id=2, nia_id=2,
                                      mac_tag=one_shot.mac_tag, body=one_shot.ciphertext)
         assert network_end.open(wrapper) == body
+
+
+# bodies that end mid-block, and empty ones
+MID_BLOCK_SIZES = (1, 0, 17, 1399, 0, 17, 1)
+
+
+def test_one_link_end_seals_and_opens_through_one_keystream():
+    """The network end alternately seals downlink and opens uplink bodies
+    that end mid-block, so its one AES context serves both directions and
+    must carry nothing over from one message to the next: each body is the
+    CTR oracle's at its own count and direction."""
+    _, network_end = _pair(messages.SecuredUp)
+    key_enc, key_int = KEYS["k_up_enc"], KEYS["k_up_int"]
+    for count, size in enumerate(MID_BLOCK_SIZES):
+        inner = messages.AppData(payload=keystream_body(size, salt=count))
+        plaintext = messages.encode(inner)
+        sealed = network_end.seal(inner)
+        assert sealed.body == oracles.aes128_ctr(key_enc[16:], ctr_icb(count, 1), plaintext)
+        body = keystream_body(size, salt=count + 1)
+        ciphertext = oracles.aes128_ctr(key_enc[16:], ctr_icb(count, 0), body)
+        wrapper = messages.SecuredUp(count=count, direction=0, nea_id=2, nia_id=2,
+                                     mac_tag=nia2_tag(key_int, count, 0, ciphertext),
+                                     body=ciphertext)
+        assert network_end.open(wrapper) == body
+
+
+def test_a_forged_body_leaves_the_next_packet_deciphered_at_its_own_count():
+    """Without UP integrity a forged body is deciphered as any other; it
+    ends mid-block, and the genuine packets on either side of it still
+    match the CTR oracle."""
+    ue_end, network_end = _pair(messages.SecuredUp, nea=2, nia=0)
+    key = KEYS["k_up_enc"][16:]
+    forged = messages.SecuredUp(count=7, direction=0, nea_id=2, nia_id=0,
+                                mac_tag=bytes(crypto.MAC_I_LEN), body=keystream_body(5))
+    for count, packet in enumerate((messages.AppData(payload=keystream_body(1389)),
+                                    messages.AppData(payload=keystream_body(7, salt=1)))):
+        plaintext = messages.encode(packet)
+        sealed = ue_end.seal(packet)
+        assert sealed.body == oracles.aes128_ctr(key, ctr_icb(count, 0), plaintext)
+        assert network_end.open(sealed) == plaintext
+        assert network_end.open(forged) == oracles.aes128_ctr(key, ctr_icb(7, 0), forged.body)
 
 
 def test_each_up_packet_costs_one_protect_one_unprotect_and_a_cmac_per_tag(monkeypatch):
