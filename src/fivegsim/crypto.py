@@ -131,11 +131,14 @@ class HomeNetworkKeyPair:
         return _parse_public(self.scheme, self.public_bytes)
 
 
-# Entries per memo of the concealment key work below.  Each result depends
-# only on its input bytes, and worlds built from one seed repeat those
-# inputs, so each recent key pair and agreement is derived once per
-# process; a raised error is never cached.  A lookup that misses costs
-# under 1 us against tens of us for the step.
+# Entries per memo of the key work in this module: concealment key pairs
+# and agreements, AES-CTR contexts and Ed25519 key parses.  Each result
+# depends only on its input bytes, and worlds built from one seed repeat
+# those inputs, so each recent one is derived once per process; a raised
+# error is never cached.  A lookup that misses costs under 1 us against
+# 10 us and more for the step.  A memoized object with state (an AES-CTR
+# context) is shared by every caller of its key, which is safe because
+# one thread runs worlds, as it runs the bus.
 _MEMO_SIZE = 256
 _memo = lru_cache(maxsize=_MEMO_SIZE)
 
@@ -210,11 +213,20 @@ def _ecies_keys(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes, bytes]:
     return enc_key, icb, mac_key
 
 
+@_memo
+def _ctr_context(key: bytes):
+    return Cipher(AES(key), CTR(bytes(16))).encryptor()
+
+
 def _aes_ctr(key: bytes, icb: bytes):
-    """An AES-128-CTR encryptor from a full 16-byte initial counter block
-    (ECIES, 128-NEA2).  CTR holds back no partial block, so ``update``
+    """The AES-128-CTR encryptor of a 16-byte key (ECIES, 128-NEA2), one
+    per key and process, re-pointed at a full 16-byte initial counter
+    block.  Re-pointing also drops keystream left over from a use that
+    ended mid-block.  CTR holds back no partial block, so ``update``
     returns the whole output and ``finalize`` adds nothing."""
-    return Cipher(AES(key), CTR(icb)).encryptor()
+    ctr = _ctr_context(key)
+    ctr.reset_nonce(icb)
+    return ctr
 
 
 def conceal_supi(
@@ -547,11 +559,12 @@ class _Keystream:
 
     A message's keystream counts up (CTR mode, SP 800-38A) from its own
     initial counter block, COUNT (4 bytes) || DIRECTION (1 byte) || 11
-    zero bytes (TS 33.501 Annex D).  The encryptor is built by
-    ``_aes_ctr`` at the first message; each later message re-points it at
-    its own block with ``reset_nonce``, which also drops the keystream
-    left over when the message before ended mid-block.  A raw key's
-    keystream is used once, so it is a one-shot encryptor.
+    zero bytes (TS 33.501 Annex D).  The encryptor is the key's one from
+    ``_aes_ctr``, taken at the first message and kept, so a later message
+    makes no memo lookup; each message re-points it at its own block with
+    ``reset_nonce``, since the other end of the link, or another holder
+    of the key, may have used it since.  A raw key's keystream is used
+    once.
     """
 
     __slots__ = ("_key", "_ctr")
@@ -729,14 +742,18 @@ class SecureLink:
 # ---------------------------------------------------------------------------
 
 
+@_memo
+def _ed25519_private(seed: bytes):
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
 def verification_key(seed: bytes) -> bytes:
     """The raw 32-byte public key of an Ed25519 signing seed."""
-    key = Ed25519PrivateKey.from_private_bytes(seed)
-    return key.public_key().public_bytes_raw()
+    return _ed25519_private(seed).public_key().public_bytes_raw()
 
 
 def sign(seed: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+    return _ed25519_private(seed).sign(message)
 
 
 def verify(key: bytes, message: bytes, signature: bytes) -> bool:

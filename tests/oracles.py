@@ -14,7 +14,8 @@ wire classes that ``encode_wire`` and ``decode_wire`` are given.
 
 The last section reads what the package wrote, and computes none of it:
 identifiers readable on the radio in a transcript, and the values of the
-known-answer vector file.
+known-answer vector file.  It also empties the package's crypto memos,
+so that a test counting key work starts from cold ones.
 """
 
 from __future__ import annotations
@@ -520,3 +521,13 @@ def parse_vectors(text: str) -> dict[str, bytes]:
             name, _, value = line.partition(" = ")
             out[name] = bytes.fromhex(value)
     return out
+
+
+def clear_crypto_memos() -> None:
+    """Empty every memo in ``fivegsim.crypto``: each module-level name
+    with a ``cache_clear``, so a memo added later is cleared too."""
+    from fivegsim import crypto
+
+    for value in vars(crypto).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

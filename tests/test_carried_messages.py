@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 import test_golden
 from fivegsim import crypto, messages
 from fivegsim.entities import Entity
@@ -183,21 +184,21 @@ def test_a_payload_written_in_place_without_modify_is_undone(received):
 
 
 # A storm of 50 registrations on three cells, and the codec and crypto
-# calls it may make per registration, from cold concealment memos.
+# calls it may make per registration, from cold crypto memos.
 STORM_UES = 50
 CODEC_BUDGET = {"encode": 41, "decode": 11, "peek_type": 3}
 # HMAC-SHA-256 in the key chain, the AKA functions and the SUCI tag; one
 # CMAC per integrity tag; one X25519 exchange each to conceal and deconceal
 CRYPTO_BUDGET = {"_hmac": 32, "CMAC": 10, "_ecies_shared": 2}
 EVENT_BUDGET = 33  # bus events, 5 of them timers
-# AES cipher contexts per registration: one each to conceal and deconceal
-# the SUCI, then one per secure link, however many messages it carries
-ECIES_CONTEXTS = 2
+# AES cipher contexts per registration: one per distinct key (the SUCI's,
+# NAS's and RRC's), shared by both sides of the SUCI and both ends of each
+# link, however many messages they carry
+CIPHER_CONTEXTS = 3
 
 
 def test_codec_work_per_registration_stays_within_budget(monkeypatch):
-    for memo in (crypto._keypair, crypto._ue_agreement, crypto._home_agreement):
-        memo.cache_clear()
+    oracles.clear_crypto_memos()
     calls = Counter()
     for module, names in ((messages, CODEC_BUDGET), (crypto, CRYPTO_BUDGET)):
         for name in names:
@@ -230,5 +231,4 @@ def test_codec_work_per_registration_stays_within_budget(monkeypatch):
     assert all(per_registration[name] <= budget[name] for name in budget), per_registration
     # 6 today: 4 links (NAS and RRC, each end) carry 6 ciphered messages
     assert per_registration["link"] <= 4, per_registration
-    assert per_registration["cipher"] <= ECIES_CONTEXTS + per_registration["link"], \
-        per_registration
+    assert per_registration["cipher"] <= CIPHER_CONTEXTS, per_registration

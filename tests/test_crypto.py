@@ -54,7 +54,9 @@ def _keypair(scheme):
     return crypto.HomeNetworkKeyPair.from_seed(scheme, HOME_SEED)
 
 
-_MEMOS = (crypto._keypair, crypto._ue_agreement, crypto._home_agreement)
+# the memos a registration world fills; the Ed25519 one is fed on its own
+_MEMOS = (crypto._keypair, crypto._ue_agreement, crypto._home_agreement,
+          crypto._ctr_context)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +190,18 @@ def test_memos_stay_bounded_and_hold_no_world():
     del world, builder
     gc.collect()
     assert dropped() is None
+
+
+def test_ed25519_memo_stays_bounded():
+    # no registration world parses this many signing seeds
+    seeds = [i.to_bytes(32, "big") for i in range(crypto._MEMO_SIZE + 10)]
+    keys = [crypto.verification_key(seed) for seed in seeds]
+    info = crypto._ed25519_private.cache_info()
+    assert info.maxsize == crypto._MEMO_SIZE
+    assert info.currsize <= info.maxsize < info.misses
+    # the oldest seed was evicted and is parsed again, to the same key
+    assert crypto.verification_key(seeds[0]) == keys[0]
+    assert crypto._ed25519_private.cache_info().misses == info.misses + 1
 
 
 def test_scheme_mismatch_rejected():
@@ -513,9 +527,8 @@ def test_reject_keypair_invariant():
 
 def _count_key_parses(monkeypatch) -> Counter:
     """Count the key constructors crypto calls, by the names it binds,
-    from cold concealment memos."""
-    for memo in _MEMOS:
-        memo.cache_clear()
+    from cold memos."""
+    oracles.clear_crypto_memos()
     parses = Counter()
 
     def counted(cls, method):
@@ -558,9 +571,9 @@ def test_key_parses_of_a_roaming_registration(monkeypatch):
     parses = _count_key_parses(monkeypatch)
     world, _ = roaming_world(3)
     assert run_registration(world, "ue1").success
-    # each proxy's seed for the other's allowlist and to sign its half of
-    # the handshake; neither NRF's seed
-    assert parses["Ed25519PrivateKey"] == 4
+    # each proxy's seed once, for the other's allowlist and to sign its
+    # half of the handshake; neither NRF's seed
+    assert parses["Ed25519PrivateKey"] == 2
 
 
 def test_only_crypto_imports_cryptography():

@@ -21,10 +21,11 @@ from fivegsim.flows import (
     run_registration,
     send_app_data,
 )
+from fivegsim.identity import SuciScheme
 from fivegsim.netsim import RADIO_CHANNELS, Action, AdversaryHook, Capability, Channel
 from fivegsim.policy import OperatorPolicy
 from fivegsim.worldfile import single_network_world
-from test_crypto import ctr_icb, keystream_body
+from test_crypto import HOME_SEED, TEST_IDENTITY, ctr_icb, keystream_body
 
 KEYS = {
     name: bytes([i + 1]) * 32
@@ -156,6 +157,59 @@ def test_a_forged_body_leaves_the_next_packet_deciphered_at_its_own_count():
         assert sealed.body == oracles.aes128_ctr(key, ctr_icb(count, 0), plaintext)
         assert network_end.open(sealed) == plaintext
         assert network_end.open(forged) == oracles.aes128_ctr(key, ctr_icb(7, 0), forged.body)
+
+
+def _send_checked(sender, receiver, count: int, size: int) -> None:
+    """One message from ``sender`` at ``count``: its body is the CTR
+    oracle's at that count and the sender's direction, and it opens."""
+    inner = messages.AppData(payload=keystream_body(size, salt=count + sender.direction))
+    plaintext = messages.encode(inner)
+    sealed = sender.seal(inner)
+    assert sealed.count == count
+    assert sealed.body == oracles.aes128_ctr(sender.key_enc[16:],
+                                             ctr_icb(count, sender.direction), plaintext)
+    assert receiver.open(sealed) == plaintext
+
+
+def test_the_two_ends_of_a_link_share_one_context():
+    """Both ends of a link cipher with their key's one AES context.  They
+    alternate on bodies that end mid-block, and each body is still the CTR
+    oracle's at its own count and direction."""
+    oracles.clear_crypto_memos()
+    ue_end, network_end = _pair(messages.SecuredNas)
+    for count, size in enumerate(MID_BLOCK_SIZES):
+        _send_checked(ue_end, network_end, count, size)
+        _send_checked(network_end, ue_end, count, size)
+    assert ue_end._stream._ctr is network_end._stream._ctr
+
+
+def test_a_link_whose_context_was_evicted_still_seals_and_opens():
+    """A link end keeps its context after the memo has dropped it."""
+    oracles.clear_crypto_memos()
+    ue_end, network_end = _pair(messages.SecuredRrc)
+    _send_checked(ue_end, network_end, 0, 17)
+    for i in range(crypto._MEMO_SIZE):  # every entry is now another key's
+        crypto._aes_ctr(b"\xee" + i.to_bytes(15, "big"), bytes(16))
+    _send_checked(ue_end, network_end, 1, 1399)
+    _send_checked(network_end, ue_end, 0, 1)
+    # an end made after the eviction builds a new context for the key and
+    # still reads the older end
+    late_end = crypto.SecureLink(messages.SecuredRrc, KEYS, 2, 2, direction=1)
+    _send_checked(ue_end, late_end, 2, 33)
+    assert late_end._stream._ctr is not ue_end._stream._ctr
+
+
+@pytest.mark.parametrize("scheme", [SuciScheme.PROFILE_A, SuciScheme.PROFILE_B],
+                         ids=lambda s: s.name)
+def test_a_suci_deconceals_after_a_link_ciphers_in_between(scheme):
+    """Concealment and deconcealment share the SUCI key's one AES context;
+    a link message ciphered between them, under its own key, leaves the
+    identity recoverable."""
+    oracles.clear_crypto_memos()
+    keypair = crypto.HomeNetworkKeyPair.from_seed(scheme, HOME_SEED)
+    suci = crypto.conceal_supi(TEST_IDENTITY, keypair, scheme, bytes(32))
+    _send_checked(*_pair(messages.SecuredNas), 0, 17)
+    assert crypto.deconceal_suci(suci, keypair) == TEST_IDENTITY
 
 
 def test_each_up_packet_costs_one_protect_one_unprotect_and_a_cmac_per_tag(monkeypatch):
