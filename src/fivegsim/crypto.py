@@ -17,7 +17,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -534,20 +533,15 @@ STUB_ALGORITHMS = frozenset({1, 3})
 
 
 def _require_running(kind: str, alg_id: int) -> None:
+    if alg_id in RUNNING_ALGORITHMS:
+        return
     if alg_id in STUB_ALGORITHMS:
         raise StubAlgorithm(f"{kind} algorithm {alg_id} is a stub in this build")
-    if alg_id not in RUNNING_ALGORITHMS:
-        raise ValueError(f"unknown algorithm id {alg_id}")
+    raise ValueError(f"unknown algorithm id {alg_id}")
 
 
 MAC_I_LEN = 4
 _NULL_TAG = b"\x00" * MAC_I_LEN
-
-
-class ProtectedMessage(NamedTuple):
-    ciphertext: bytes
-    mac_tag: bytes
-
 
 # DIRECTION and the 11 zero bytes after it: a message's initial counter
 # block is COUNT || _DIRECTION_PAD[DIRECTION]
@@ -563,13 +557,12 @@ class _Keystream:
     ``_aes_ctr``, taken at the first message and kept, so a later message
     makes no memo lookup; each message re-points it at its own block with
     ``reset_nonce``, since the other end of the link, or another holder
-    of the key, may have used it since.  A raw key's keystream is used
-    once.
+    of the key, may have used it since.
     """
 
     __slots__ = ("_key", "_ctr")
 
-    def __init__(self, key32: bytes | None):
+    def __init__(self, key32: bytes):
         self._key = key32
         self._ctr = None
 
@@ -584,17 +577,10 @@ class _Keystream:
         return ctr.update(data)
 
 
-def _keystream(key_enc: bytes | _Keystream | None) -> _Keystream:
-    """A link's own keystream, or a one-shot one for a raw key."""
-    return key_enc if type(key_enc) is _Keystream else _Keystream(key_enc)
-
-
-def _cmac_tag(key_int: bytes | AES, count: int, direction: int,
-              ciphertext: bytes) -> bytes:
+def _cmac_tag(mac_key: AES, count: int, direction: int, ciphertext: bytes) -> bytes:
     """128-NIA2: AES-CMAC over COUNT || DIRECTION || the message, cut to
-    MAC_I_LEN.  ``key_int`` is a raw integrity key or a ``SecureLink``'s
-    prepared ``AES`` key object."""
-    mac = CMAC(AES(_aes_key(key_int)) if type(key_int) is bytes else key_int)
+    MAC_I_LEN, under a ``SecureLink``'s prepared integrity key."""
+    mac = CMAC(mac_key)
     mac.update(count.to_bytes(4, "big") + bytes([direction & 1]) + ciphertext)
     return mac.finalize()[:MAC_I_LEN]
 
@@ -603,54 +589,40 @@ def protect(
     payload: bytes,
     nea_id: int,
     nia_id: int,
-    key_enc: bytes | _Keystream | None,
-    key_int: bytes | AES | None,
+    stream: _Keystream | None,
+    mac_key: AES | None,
     direction: int,
     count: int,
-) -> ProtectedMessage:
-    """Apply ciphering and integrity protection to one message.
+) -> tuple[bytes, bytes]:
+    """(ciphertext, tag) of one message under a ``SecureLink``'s keystream
+    and prepared integrity key.
 
     The null algorithms pass bytes through but the tag overhead is always
-    present (four zero bytes under null integrity).  ``key_enc`` and
-    ``key_int`` are the raw keys, or a ``SecureLink``'s keystream and
-    prepared integrity key built from them.
+    present (four zero bytes under null integrity).
     """
-    if nea_id not in RUNNING_ALGORITHMS or nia_id not in RUNNING_ALGORITHMS:
-        _require_running("ciphering", nea_id)
-        _require_running("integrity", nia_id)
-    if nea_id == 0:
-        ciphertext = payload
-    else:
-        ciphertext = _keystream(key_enc).apply(count, direction, payload)
+    ciphertext = payload if nea_id == 0 else stream.apply(count, direction, payload)
     if nia_id == 0:
-        return ProtectedMessage(ciphertext, _NULL_TAG)
-    return ProtectedMessage(ciphertext, _cmac_tag(key_int, count, direction, ciphertext))
+        return ciphertext, _NULL_TAG
+    return ciphertext, _cmac_tag(mac_key, count, direction, ciphertext)
 
 
 def unprotect(
-    msg: ProtectedMessage,
+    ciphertext: bytes,
+    mac_tag: bytes,
     nea_id: int,
     nia_id: int,
-    key_enc: bytes | _Keystream | None,
-    key_int: bytes | AES | None,
+    stream: _Keystream | None,
+    mac_key: AES | None,
     direction: int,
     count: int,
 ) -> bytes:
-    """Verify the tag (unless null integrity) and decipher.  The tag is
-    always MAC_I_LEN bytes, under null integrity too."""
-    ciphertext, mac_tag = msg
-    if len(mac_tag) != MAC_I_LEN:
-        raise ValueError(f"mac tag is {MAC_I_LEN} bytes")
-    if nea_id not in RUNNING_ALGORITHMS or nia_id not in RUNNING_ALGORITHMS:
-        _require_running("ciphering", nea_id)
-        _require_running("integrity", nia_id)
+    """Verify the tag (unless null integrity) and decipher, under a
+    ``SecureLink``'s keystream and prepared integrity key."""
     if nia_id != 0:
-        expected = _cmac_tag(key_int, count, direction, ciphertext)
+        expected = _cmac_tag(mac_key, count, direction, ciphertext)
         if not hmac_mod.compare_digest(expected, mac_tag):
             raise IntegrityFailure("message tag mismatch")
-    if nea_id == 0:
-        return ciphertext
-    return _keystream(key_enc).apply(count, direction, ciphertext)
+    return ciphertext if nea_id == 0 else stream.apply(count, direction, ciphertext)
 
 
 # COUNT is a 32-bit algorithm input.  A wrapper counted above it, or below
@@ -677,23 +649,26 @@ _LINK_KEYS = {
 class SecureLink:
     """One end of a protected NAS, RRC or user-plane link.
 
-    Holds the plane's two keys (picked from ``keys`` by wrapper type), the
-    negotiated algorithms, the direction this end sends in (0 uplink,
-    1 downlink) and one counter per direction.  ``open`` checks the header
-    against the link before any cryptography, so a relabeled, replayed or
-    out-of-range wrapper is a typed rejection, never an exception.
+    The one place that knows a link's algorithms and keys: it refuses ids
+    that do not run, and reads from ``keys`` (by wrapper type) only the
+    keys its algorithms use, once, when it is built.  Holds the direction
+    this end sends in (0 uplink, 1 downlink) and one counter per
+    direction.  ``open`` checks the header against the link before any
+    cryptography, so a relabeled, replayed or out-of-range wrapper is a
+    typed rejection, never an exception.
     """
 
     def __init__(self, wrapper: type, keys, nea_id: int, nia_id: int,
                  direction: int):
+        _require_running("ciphering", nea_id)
+        _require_running("integrity", nia_id)
         enc_name, int_name = _LINK_KEYS[wrapper]
         self.wrapper = wrapper
-        self.key_enc = keys.get(enc_name)
-        self.key_int = keys.get(int_name)
-        self._stream = _Keystream(self.key_enc)  # its AES context comes with use
-        # the 128-bit integrity key as an algorithm object: each tag is one
-        # CMAC over it, with no key parsing per message
-        self._mac_key = None if self.key_int is None else AES(_aes_key(self.key_int))
+        # a null algorithm needs no key; a missing one is a KeyError here.
+        # The keystream's AES context comes with use, and the integrity key
+        # is an algorithm object: each tag is one CMAC, with no key parsing
+        self._stream = _Keystream(keys[enc_name]) if nea_id else None
+        self._mac_key = AES(_aes_key(keys[int_name])) if nia_id else None
         self.nea_id = nea_id
         self.nia_id = nia_id
         self.direction = direction
@@ -727,9 +702,8 @@ class SecureLink:
         if len(wrapper.mac_tag) != MAC_I_LEN:
             return LinkReject.INTEGRITY
         try:
-            payload = unprotect(ProtectedMessage(wrapper.body, wrapper.mac_tag),
-                                nea_id, self.nia_id, self._stream, self._mac_key,
-                                wrapper.direction, count)
+            payload = unprotect(wrapper.body, wrapper.mac_tag, nea_id, self.nia_id,
+                                self._stream, self._mac_key, wrapper.direction, count)
         except IntegrityFailure:
             return LinkReject.INTEGRITY
         self.next_rx = count + 1

@@ -238,14 +238,11 @@ def _open_captured(wrapper, keys):
     """The message inside a captured wrapper, opened as its receiver would
     through a fresh link built from the adversary's keys and the captured
     header; None when those keys do not open it."""
-    if wrapper.nea_id not in crypto.RUNNING_ALGORITHMS or \
-       wrapper.nia_id not in crypto.RUNNING_ALGORITHMS:
-        return None  # no receiver runs the algorithms the header names
-    link = crypto.SecureLink(type(wrapper), keys, wrapper.nea_id, wrapper.nia_id,
-                             direction=1 - wrapper.direction)
-    if (wrapper.nea_id != 0 and link.key_enc is None) or \
-       (wrapper.nia_id != 0 and link.key_int is None):
-        return None  # the adversary simply lacks the material
+    try:
+        link = crypto.SecureLink(type(wrapper), keys, wrapper.nea_id, wrapper.nia_id,
+                                 direction=1 - wrapper.direction)
+    except (KeyError, ValueError, crypto.StubAlgorithm):
+        return None  # no receiver runs the header's ids, or the keys lack one
     return open_secured(link, wrapper)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fivegsim import crypto
+from fivegsim import crypto, messages
 from fivegsim.identity import (
     ConcealedIdentity,
     LongTermCredential,
@@ -386,68 +386,94 @@ def test_chain_root_of_wrong_length_is_refused(derive, length):
 
 KEY_ENC = bytes(range(32))
 KEY_INT = bytes(range(32, 64))
-
-
-def test_null_algorithms_are_transparent_with_tag_overhead():
-    msg = crypto.protect(b"payload-bytes", 0, 0, None, None, 0, 0)
-    assert msg.ciphertext == b"payload-bytes"
-    assert msg.mac_tag == b"\x00\x00\x00\x00"
-    assert crypto.unprotect(msg, 0, 0, None, None, 0, 0) == b"payload-bytes"
-
-
-def test_protect_round_trip_aes():
-    msg = crypto.protect(b"secret", 2, 2, KEY_ENC, KEY_INT, 1, 7)
-    assert msg.ciphertext != b"secret"
-    assert crypto.unprotect(msg, 2, 2, KEY_ENC, KEY_INT, 1, 7) == b"secret"
-
-
-def test_stub_algorithms_refuse():
-    """Ids 0 and 2 run, 1 and 3 are registered stubs and 7 is not registered,
-    for ciphering and integrity alike, in protect and in unprotect."""
-    assert crypto.RUNNING_ALGORITHMS == {0, 2} and crypto.STUB_ALGORITHMS == {1, 3}
-    sealed = crypto.protect(b"x", 0, 0, None, None, 0, 0)
-    for alg, error in ((1, crypto.StubAlgorithm), (3, crypto.StubAlgorithm), (7, ValueError)):
-        for nea, nia in ((alg, 0), (0, alg)):  # ciphering, then integrity
-            with pytest.raises(error):
-                crypto.protect(b"x", nea, nia, KEY_ENC, KEY_INT, 0, 0)
-            with pytest.raises(error):
-                crypto.unprotect(sealed, nea, nia, KEY_ENC, KEY_INT, 0, 0)
-    assert not issubclass(crypto.StubAlgorithm, ValueError)
-
-
-def test_tamper_detected_under_real_integrity():
-    msg = crypto.protect(b"secret", 2, 2, KEY_ENC, KEY_INT, 0, 3)
-    forged = crypto.ProtectedMessage(
-        ciphertext=bytes([msg.ciphertext[0] ^ 1]) + msg.ciphertext[1:],
-        mac_tag=msg.mac_tag,
-    )
-    with pytest.raises(crypto.IntegrityFailure):
-        crypto.unprotect(forged, 2, 2, KEY_ENC, KEY_INT, 0, 3)
-
-
-def test_tamper_accepted_under_null_integrity():
-    msg = crypto.protect(b"secret", 0, 0, None, None, 0, 3)
-    forged = crypto.ProtectedMessage(
-        ciphertext=b"sEcret", mac_tag=msg.mac_tag
-    )
-    assert crypto.unprotect(forged, 0, 0, None, None, 0, 3) == b"sEcret"
-
-
-@given(st.binary(max_size=256), st.integers(0, 2**24 - 1), st.integers(0, 1))
-@settings(max_examples=200, deadline=None)
-def test_protect_round_trip_property(payload, count, direction):
-    msg = crypto.protect(payload, 2, 2, KEY_ENC, KEY_INT, direction, count)
-    assert crypto.unprotect(msg, 2, 2, KEY_ENC, KEY_INT, direction, count) == payload
-
-
-# bodies around the 16-byte block, a full-size packet and a long message of
-# more than 128 blocks
-KEYSTREAM_SIZES = (0, 1, 15, 16, 17, 1400, 16 * 128 + 5)
+NAS_KEYS = {"k_nas_enc": KEY_ENC, "k_nas_int": KEY_INT}
+INNER = messages.AppData(payload=b"secret")
 
 
 def ctr_icb(count: int, direction: int) -> bytes:
     """The initial counter block of one message: COUNT, DIRECTION, zeros."""
     return count.to_bytes(4, "big") + bytes([direction]) + bytes(11)
+
+
+def nia2_tag(k_int: bytes, count: int, direction: int, body: bytes) -> bytes:
+    """128-NIA2 from the CMAC oracle: COUNT || DIRECTION || body, cut to 4 bytes."""
+    message = count.to_bytes(4, "big") + bytes([direction]) + body
+    return oracles.cmac(k_int[16:], message)[:crypto.MAC_I_LEN]
+
+
+def oracle_wrapper(wrapper, key_enc, key_int, body, count, direction, nea=2, nia=2):
+    """A wrapper of ``body`` built by the CTR and CMAC oracles alone."""
+    if nea:
+        body = oracles.aes128_ctr(key_enc[16:], ctr_icb(count, direction), body)
+    tag = nia2_tag(key_int, count, direction, body) if nia else bytes(crypto.MAC_I_LEN)
+    return wrapper(count=count, direction=direction, nea_id=nea, nia_id=nia,
+                   mac_tag=tag, body=body)
+
+
+def nas_wrapper(body, count, direction, nea=2, nia=2):
+    return oracle_wrapper(messages.SecuredNas, KEY_ENC, KEY_INT, body, count, direction,
+                          nea, nia)
+
+
+def nas_end(direction, nea=2, nia=2, next_tx=0, next_rx=0):
+    """One end of a NAS link under ``NAS_KEYS``, its counters set."""
+    end = crypto.SecureLink(messages.SecuredNas, NAS_KEYS, nea, nia, direction)
+    end.next_tx, end.next_rx = next_tx, next_rx
+    return end
+
+
+def test_a_link_runs_ids_0_and_2_and_refuses_the_others():
+    """Ids 0 and 2 run, 1 and 3 are registered stubs and 7 is not
+    registered, for ciphering and integrity alike."""
+    assert crypto.RUNNING_ALGORITHMS == {0, 2} and crypto.STUB_ALGORITHMS == {1, 3}
+    for nea, nia in ((0, 0), (2, 0), (0, 2), (2, 2)):  # implemented, both kinds
+        assert nas_end(1, nea, nia).open(nas_end(0, nea, nia).seal(INNER)) == \
+            messages.encode(INNER)
+    for alg, error in ((1, crypto.StubAlgorithm), (3, crypto.StubAlgorithm), (7, ValueError)):
+        for nea, nia in ((alg, 0), (0, alg)):  # ciphering, then integrity
+            with pytest.raises(error):
+                nas_end(0, nea, nia)
+    assert not issubclass(crypto.StubAlgorithm, ValueError)
+
+
+def test_null_algorithms_are_transparent_with_tag_overhead():
+    sealed = crypto.SecureLink(messages.SecuredNas, {}, 0, 0, 0).seal(INNER)
+    assert (sealed.body, sealed.mac_tag) == (messages.encode(INNER), b"\x00\x00\x00\x00")
+    receiver = crypto.SecureLink(messages.SecuredNas, {}, 0, 0, 1)
+    assert receiver.open(nas_wrapper(b"payload-bytes", 0, 0, 0, 0)) == b"payload-bytes"
+
+
+def test_a_link_round_trip_aes():
+    sealed = nas_end(1, next_tx=7).seal(INNER)
+    plaintext = messages.encode(INNER)
+    assert sealed.count == 7 and sealed.body != plaintext
+    assert sealed == nas_wrapper(plaintext, 7, 1)
+    assert nas_end(0).open(sealed) == plaintext
+
+
+def test_tamper_detected_under_real_integrity():
+    sealed = nas_end(0, next_tx=3).seal(INNER)
+    forged = dataclasses.replace(sealed, body=bytes([sealed.body[0] ^ 1]) + sealed.body[1:])
+    assert nas_end(1).open(forged) is crypto.LinkReject.INTEGRITY
+
+
+def test_tamper_accepted_under_null_integrity():
+    assert nas_end(1, 0, 0).open(nas_wrapper(b"sEcret", 3, 0, 0, 0)) == b"sEcret"
+
+
+@given(st.binary(max_size=256), st.integers(0, 2**24 - 1), st.integers(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_a_link_round_trip_property(payload, count, direction):
+    receiver = nas_end(1 - direction, next_rx=count)
+    assert receiver.open(nas_wrapper(payload, count, direction)) == payload
+    inner = messages.AppData(payload=payload)
+    sealed = nas_end(direction, next_tx=count).seal(inner)
+    assert nas_end(1 - direction, next_rx=count).open(sealed) == messages.encode(inner)
+
+
+# bodies around the 16-byte block, a full-size packet and a long message of
+# more than 128 blocks
+KEYSTREAM_SIZES = (0, 1, 15, 16, 17, 1400, 16 * 128 + 5)
 
 
 def keystream_body(size: int, salt: int = 0) -> bytes:
@@ -459,9 +485,11 @@ def keystream_body(size: int, salt: int = 0) -> bytes:
 @pytest.mark.parametrize("direction", [0, 1])
 def test_ciphering_is_aes_ctr_from_count_and_direction(size, count, direction):
     body = keystream_body(size)
-    sealed = crypto.protect(body, 2, 0, KEY_ENC, None, direction, count)
-    assert sealed.ciphertext == oracles.aes128_ctr(KEY_ENC[16:], ctr_icb(count, direction), body)
-    assert crypto.unprotect(sealed, 2, 0, KEY_ENC, None, direction, count) == body
+    receiver = nas_end(1 - direction, 2, 0)
+    assert receiver.open(nas_wrapper(body, count, direction, 2, 0)) == body
+    inner = messages.AppData(payload=body)
+    sealed = nas_end(direction, 2, 0, next_tx=count).seal(inner)
+    assert sealed == nas_wrapper(messages.encode(inner), count, direction, 2, 0)
 
 
 RFC4493_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -481,11 +509,12 @@ def test_cmac_oracle_matches_rfc_4493_examples(length, tag):
 
 
 def test_count_direction_bind_the_tag():
-    msg = crypto.protect(b"secret", 2, 2, KEY_ENC, KEY_INT, 0, 3)
-    with pytest.raises(crypto.IntegrityFailure):
-        crypto.unprotect(msg, 2, 2, KEY_ENC, KEY_INT, 0, 4)
-    with pytest.raises(crypto.IntegrityFailure):
-        crypto.unprotect(msg, 2, 2, KEY_ENC, KEY_INT, 1, 3)
+    sealed = nas_end(0, next_tx=3).seal(INNER)
+    assert nas_end(1).open(dataclasses.replace(sealed, count=4)) is crypto.LinkReject.INTEGRITY
+    # an end that sends uplink reads the relabeled downlink wrapper
+    assert nas_end(0).open(dataclasses.replace(sealed, direction=1)) is \
+        crypto.LinkReject.INTEGRITY
+    assert nas_end(1).open(sealed) == messages.encode(INNER)
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +646,3 @@ def test_vector_file_values_match_frozen_kat():
     values = oracles.parse_vectors((DATA / "known_answers.txt").read_text())
     for name, hexval in KAT.items():
         assert values[name].hex() == hexval, name
-
-
-def test_algorithm_registry_statuses():
-    assert crypto.RUNNING_ALGORITHMS == {0, 2}
-    assert crypto.STUB_ALGORITHMS == {1, 3}
-    for nea, nia in ((0, 0), (2, 0), (0, 2), (2, 2)):  # implemented, both kinds
-        crypto.protect(b"x", nea, nia, KEY_ENC, KEY_INT, 0, 0)
-    for alg in (1, 3):  # stubs, ciphering then integrity
-        for nea, nia in ((alg, 0), (0, alg)):
-            with pytest.raises(crypto.StubAlgorithm):
-                crypto.protect(b"x", nea, nia, KEY_ENC, KEY_INT, 0, 0)

@@ -49,7 +49,6 @@ ALLOWED = {
     "fivegsim.messages:_repr":
         "test_messages.py::test_shared_eq_and_repr_act_as_the_generated_ones",
     # error paths
-    "fivegsim.crypto:_require_running": "test_crypto.py::test_stub_algorithms_refuse",
     "fivegsim.worldfile:_Values.__missing__":
         "test_cli.py::test_world_file_key_an_entity_needs_is_named_with_its_section",
     # protocol answers to a loss, a refusal or a forgery

@@ -4,17 +4,22 @@ registration.
 A hook on every wire channel numbers the wire events it sees from 0.  A
 drop schedule drops the events it names; a replay schedule captures event
 j and re-injects it, with delay 1, after event i > j.  Each schedule must
-end without an exception escaping ``run_until`` (invariant (a)) and with
-at most one AUSF record and one SEPP route per subscriber, and no route or
-queued request toward a peer that refused the link (invariant (f)): the
-small-scope hypothesis, most defects show in small cases.
+end without an exception escaping ``run_until`` (invariant (a)), with no
+link end that runs integrity accepting one (direction, count) twice
+(invariant (b)), and with at most one AUSF record and one SEPP route per
+subscriber, and no route or queued request toward a peer that refused the
+link (invariant (f)): the small-scope hypothesis, most defects show in
+small cases.  A fourth world adds a PDU session and two packets to the
+registration, so that N3 and the user-plane links carry wire events too.
 """
 
+import contextlib
 import itertools
+from collections import defaultdict
 
 import pytest
 
-from fivegsim import messages
+from fivegsim import crypto, messages
 from fivegsim.entities.core import AmfState
 from fivegsim.flows import trigger
 from fivegsim.netsim import WIRE_CHANNELS, Action, AdversaryHook, Capability
@@ -28,15 +33,25 @@ WORLDS = {
     "roaming": lambda: roaming_world(3),
     "nsa": lambda: single_network_world(3, policy=OperatorPolicy(mode="NSA")),
 }
-# wire events of one honest registration in each world
-WIRE_EVENTS = {"single": 25, "roaming": 35, "nsa": 21}
+# the user-plane world: after its registration, ue1 opens a PDU session
+# under UP integrity and sends two packets
+UP_WORLD = "user_plane"
+BUILDS = {**WORLDS,
+          UP_WORLD: lambda: single_network_world(3, policy=OperatorPolicy(up_integrity=True))}
+MARKERS = (b"marker-1", b"marker-2")
+SESSION_TRIGGERS = ((3000, messages.TriggerPduSession()),
+                    (4000, messages.TriggerAppData(payload=MARKERS[0])),
+                    (4500, messages.TriggerAppData(payload=MARKERS[1])))
+# wire events of one honest run in each world
+WIRE_EVENTS = {"single": 25, "roaming": 35, "nsa": 21, UP_WORLD: 36}
 
 
 def run_schedule(world_name, drops=(), replay=None):
-    """Register ue1 under the drops of some event numbers or one replay (a
-    pair (captured, after)); returns the world, its builder and the wire
+    """Register ue1 (and, in the user-plane world, open its session and
+    send its packets) under the drops of some event numbers or one replay
+    (a pair (captured, after)); returns the world, its builder and the wire
     events the hook saw."""
-    world, builder = WORLDS[world_name]()
+    world, builder = BUILDS[world_name]()
     seen, captured = [], []
 
     def handler(w, hook, event):
@@ -55,15 +70,41 @@ def run_schedule(world_name, drops=(), replay=None):
         adversary_id="schedule", vantage=WIRE_CHANNELS,
         capabilities=frozenset({Capability.DROP, Capability.INJECT}), handler=handler))
     trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
+    for delay, msg in SESSION_TRIGGERS if world_name == UP_WORLD else ():
+        trigger(world, "ue1", msg, delay)
     world.run_until(HORIZON)
     return world, builder, seen
 
 
+@contextlib.contextmanager
+def accepted_opens():
+    """Record, per link end that runs integrity, the (direction, count) of
+    each wrapper its ``open`` accepts."""
+    accepted = defaultdict(list)
+    real = crypto.SecureLink.open
+
+    def recording(link, wrapper, integrity_only=False):
+        payload = real(link, wrapper, integrity_only)
+        if link.nia_id and not isinstance(payload, crypto.LinkReject):
+            accepted[link].append((wrapper.direction, wrapper.count))
+        return payload
+
+    crypto.SecureLink.open = recording
+    try:
+        yield accepted
+    finally:
+        crypto.SecureLink.open = real
+
+
 def assert_invariants(world_name, drops=(), replay=None):
-    """Run one schedule: (a) no exception escapes, and (f) the AUSF and the
+    """Run one schedule: (a) no exception escapes, (b) no link end that runs
+    integrity accepts one (direction, count) twice, and (f) the AUSF and the
     SEPPs hold at most one record and one route per subscriber, and a SEPP
     keeps no route and no pending request toward a peer that refused it."""
-    world, builder, _ = run_schedule(world_name, drops, replay)
+    with accepted_opens() as accepted:
+        world, builder, _ = run_schedule(world_name, drops, replay)
+    for opens in accepted.values():
+        assert len(opens) == len(set(opens)), (drops, replay, opens)
     subscribers = len(builder.ues)
     for net in builder.networks.values():
         assert len(net.ausf.sessions) <= subscribers, (drops, replay, net.ausf.sessions)
@@ -85,13 +126,19 @@ def test_honest_registration_has_the_enumerated_wire_events(world_name):
     assert world.entities["ue1"].last_outcome() == "registered"
 
 
-@pytest.mark.parametrize("world_name", sorted(WORLDS))
+def test_the_user_plane_world_delivers_both_packets():
+    _, builder, seen = run_schedule(UP_WORLD)
+    assert len(seen) == WIRE_EVENTS[UP_WORLD]
+    assert [p for _, p in builder.networks["net"].upf.received] == list(MARKERS)
+
+
+@pytest.mark.parametrize("world_name", sorted(WIRE_EVENTS))
 def test_every_single_drop_ends_without_a_fault(world_name):
     for i in range(WIRE_EVENTS[world_name]):
         assert_invariants(world_name, drops=(i,))
 
 
-@pytest.mark.parametrize("world_name", sorted(WORLDS))
+@pytest.mark.parametrize("world_name", sorted(WIRE_EVENTS))
 def test_every_single_replay_ends_without_a_fault(world_name):
     for pair in itertools.combinations(range(WIRE_EVENTS[world_name]), 2):
         assert_invariants(world_name, replay=pair)

@@ -25,7 +25,14 @@ from fivegsim.identity import SuciScheme
 from fivegsim.netsim import RADIO_CHANNELS, Action, AdversaryHook, Capability, Channel
 from fivegsim.policy import OperatorPolicy
 from fivegsim.worldfile import single_network_world
-from test_crypto import HOME_SEED, TEST_IDENTITY, ctr_icb, keystream_body
+from test_crypto import (
+    HOME_SEED,
+    TEST_IDENTITY,
+    ctr_icb,
+    keystream_body,
+    nia2_tag,
+    oracle_wrapper,
+)
 
 KEYS = {
     name: bytes([i + 1]) * 32
@@ -58,6 +65,23 @@ def test_seal_then_open_round_trip(wrapper, nea, nia):
     assert network_end.open(sealed) == messages.encode(INNER)
 
 
+@pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
+def test_a_link_refuses_at_construction(wrapper):
+    """A link checks its ids and keys once, when it is built: a stub or an
+    unknown id, or a missing key of a non-null algorithm, never reaches a
+    seal.  The null algorithms need no key."""
+    for alg, error in ((1, crypto.StubAlgorithm), (3, crypto.StubAlgorithm), (7, ValueError)):
+        for nea, nia in ((alg, 0), (0, alg)):  # ciphering, then integrity
+            with pytest.raises(error):
+                crypto.SecureLink(wrapper, KEYS, nea, nia, direction=0)
+    for missing, (nea, nia) in zip(crypto._LINK_KEYS[wrapper], ((2, 0), (0, 2))):
+        keys = {name: key for name, key in KEYS.items() if name != missing}
+        with pytest.raises(KeyError):
+            crypto.SecureLink(wrapper, keys, nea, nia, direction=0)
+    ue_end, network_end = (crypto.SecureLink(wrapper, {}, 0, 0, d) for d in (0, 1))
+    assert network_end.open(ue_end.seal(INNER)) == messages.encode(INNER)
+
+
 def test_secure_link_counts_never_decrease():
     ue_end, network_end = _pair()
     first, second = ue_end.seal(INNER), ue_end.seal(INNER)
@@ -70,22 +94,22 @@ def test_secure_link_counts_never_decrease():
     assert ue_end.open(network_end.seal(INNER)) == messages.encode(INNER)
 
 
+def _up_wrapper(body: bytes, count: int, direction: int):
+    """A user-plane wrapper of ``body`` under ``KEYS`` from the oracles."""
+    return oracle_wrapper(messages.SecuredUp, KEYS["k_up_enc"], KEYS["k_up_int"], body,
+                          count, direction)
+
+
 # a run of bodies of mixed sizes: empty ones, partial blocks, whole blocks,
 # full-size packets and one of more than 128 blocks
 MIXED_SIZES = (17, 0, 1400, 1, 16, 0, 2053, 15, 64, 0, 1400)
 
 
-def nia2_tag(k_int: bytes, count: int, direction: int, body: bytes) -> bytes:
-    """128-NIA2 from the CMAC oracle: COUNT || DIRECTION || body, cut to 4 bytes."""
-    message = count.to_bytes(4, "big") + bytes([direction]) + body
-    return oracles.cmac(k_int[16:], message)[:crypto.MAC_I_LEN]
-
-
 @pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
-def test_a_link_seals_as_one_shot_protect_calls_do(wrapper):
+def test_a_link_seals_as_the_ctr_and_cmac_oracles_do(wrapper):
     """One AES context and one prepared integrity key serve every message
-    of a link; in both directions, each body and tag equals a fresh protect
-    call with the raw keys, and matches the CTR and CMAC oracles."""
+    of a link; in both directions, each body and tag matches the CTR and
+    CMAC oracles."""
     enc_name, int_name = crypto._LINK_KEYS[wrapper]
     for direction in (0, 1):
         sender = crypto.SecureLink(wrapper, KEYS, 2, 2, direction=direction)
@@ -94,9 +118,6 @@ def test_a_link_seals_as_one_shot_protect_calls_do(wrapper):
             inner = messages.AppData(payload=keystream_body(size, salt=count))
             plaintext = messages.encode(inner)
             sealed = sender.seal(inner)
-            one_shot = crypto.protect(plaintext, 2, 2, KEYS[enc_name], KEYS[int_name],
-                                      direction, count)
-            assert (sealed.body, sealed.mac_tag) == (one_shot.ciphertext, one_shot.mac_tag)
             assert sealed.body == oracles.aes128_ctr(KEYS[enc_name][16:],
                                                      ctr_icb(count, direction), plaintext)
             assert sealed.mac_tag == nia2_tag(KEYS[int_name], count, direction, sealed.body)
@@ -109,13 +130,9 @@ def test_a_link_opens_empty_and_long_bodies_between_others(first):
     always has a header to cipher); the messages after them still open."""
     _, network_end = _pair(messages.SecuredUp)
     network_end.next_rx = first
-    key_enc, key_int = KEYS["k_up_enc"], KEYS["k_up_int"]
     for count, size in enumerate(MIXED_SIZES, start=first):
         body = keystream_body(size, salt=count)
-        one_shot = crypto.protect(body, 2, 2, key_enc, key_int, 0, count)
-        wrapper = messages.SecuredUp(count=count, direction=0, nea_id=2, nia_id=2,
-                                     mac_tag=one_shot.mac_tag, body=one_shot.ciphertext)
-        assert network_end.open(wrapper) == body
+        assert network_end.open(_up_wrapper(body, count, 0)) == body
 
 
 # bodies that end mid-block, and empty ones
@@ -128,18 +145,14 @@ def test_one_link_end_seals_and_opens_through_one_keystream():
     must carry nothing over from one message to the next: each body is the
     CTR oracle's at its own count and direction."""
     _, network_end = _pair(messages.SecuredUp)
-    key_enc, key_int = KEYS["k_up_enc"], KEYS["k_up_int"]
+    key_enc = KEYS["k_up_enc"]
     for count, size in enumerate(MID_BLOCK_SIZES):
         inner = messages.AppData(payload=keystream_body(size, salt=count))
         plaintext = messages.encode(inner)
         sealed = network_end.seal(inner)
         assert sealed.body == oracles.aes128_ctr(key_enc[16:], ctr_icb(count, 1), plaintext)
         body = keystream_body(size, salt=count + 1)
-        ciphertext = oracles.aes128_ctr(key_enc[16:], ctr_icb(count, 0), body)
-        wrapper = messages.SecuredUp(count=count, direction=0, nea_id=2, nia_id=2,
-                                     mac_tag=nia2_tag(key_int, count, 0, ciphertext),
-                                     body=ciphertext)
-        assert network_end.open(wrapper) == body
+        assert network_end.open(_up_wrapper(body, count, 0)) == body
 
 
 def test_a_forged_body_leaves_the_next_packet_deciphered_at_its_own_count():
@@ -166,8 +179,9 @@ def _send_checked(sender, receiver, count: int, size: int) -> None:
     plaintext = messages.encode(inner)
     sealed = sender.seal(inner)
     assert sealed.count == count
-    assert sealed.body == oracles.aes128_ctr(sender.key_enc[16:],
-                                             ctr_icb(count, sender.direction), plaintext)
+    key_enc = KEYS[crypto._LINK_KEYS[sender.wrapper][0]]
+    assert sealed.body == oracles.aes128_ctr(key_enc[16:], ctr_icb(count, sender.direction),
+                                             plaintext)
     assert receiver.open(sealed) == plaintext
 
 
