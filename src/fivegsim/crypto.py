@@ -214,18 +214,20 @@ def _ecies_keys(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes, bytes]:
 
 @_memo
 def _ctr_context(key: bytes):
+    """The AES-128-CTR encryptor of a 16-byte key (ECIES, 128-NEA2), one
+    per key and process; ``_aes_ctr`` re-points it at every use."""
     return Cipher(AES(key), CTR(bytes(16))).encryptor()
 
 
-def _aes_ctr(key: bytes, icb: bytes):
-    """The AES-128-CTR encryptor of a 16-byte key (ECIES, 128-NEA2), one
-    per key and process, re-pointed at a full 16-byte initial counter
-    block.  Re-pointing also drops keystream left over from a use that
-    ended mid-block.  CTR holds back no partial block, so ``update``
-    returns the whole output and ``finalize`` adds nothing."""
-    ctr = _ctr_context(key)
+def _aes_ctr(ctr, icb: bytes, data: bytes) -> bytes:
+    """``data`` XOR the keystream of an AES-128-CTR encryptor from a full
+    16-byte initial counter block: enciphers and deciphers alike.  Both
+    ends of a link and both sides of a SUCI share their key's encryptor,
+    so each use re-points it, which also drops keystream left over from a
+    use that ended mid-block.  CTR holds back no partial block, so
+    ``update`` returns the whole output and ``finalize`` adds nothing."""
     ctr.reset_nonce(icb)
-    return ctr
+    return ctr.update(data)
 
 
 def conceal_supi(
@@ -258,7 +260,7 @@ def conceal_supi(
         raise ValueError("ephemeral randomness required for ecies schemes")
     eph_pub, shared = _ue_agreement(home_public, ephemeral_randomness)
     enc_key, icb, mac_key = _ecies_keys(shared, eph_pub)
-    ciphertext = _aes_ctr(enc_key, icb).update(identity.msin.encode())
+    ciphertext = _aes_ctr(_ctr_context(enc_key), icb, identity.msin.encode())
     tag = _hmac(mac_key, ciphertext)[: _LABELS["ecies"]["tag_len"]]
     return ConcealedIdentity(
         mcc=identity.mcc,
@@ -287,7 +289,7 @@ def deconceal_suci(
     expected = _hmac(mac_key, suci.ciphertext)[: _LABELS["ecies"]["tag_len"]]
     if not hmac_mod.compare_digest(expected, suci.mac_tag):
         raise IntegrityFailure("suci tag mismatch")
-    msin = _aes_ctr(enc_key, icb).update(suci.ciphertext).decode(errors="replace")
+    msin = _aes_ctr(_ctr_context(enc_key), icb, suci.ciphertext).decode(errors="replace")
     return SubscriberIdentity(mcc=suci.mcc, mnc=suci.mnc, msin=msin)
 
 
@@ -543,38 +545,10 @@ def _require_running(kind: str, alg_id: int) -> None:
 MAC_I_LEN = 4
 _NULL_TAG = b"\x00" * MAC_I_LEN
 
-# DIRECTION and the 11 zero bytes after it: a message's initial counter
-# block is COUNT || _DIRECTION_PAD[DIRECTION]
+# 128-NEA2 (TS 33.501 Annex D) counts up from a message's initial counter
+# block, COUNT (4 bytes) || DIRECTION (1 byte) || 11 zero bytes: the pad
+# is DIRECTION and the 11 zero bytes after it
 _DIRECTION_PAD = (bytes(12), b"\x01" + bytes(11))
-
-
-class _Keystream:
-    """128-NEA2 under one ciphering key, from one AES-CTR encryptor.
-
-    A message's keystream counts up (CTR mode, SP 800-38A) from its own
-    initial counter block, COUNT (4 bytes) || DIRECTION (1 byte) || 11
-    zero bytes (TS 33.501 Annex D).  The encryptor is the key's one from
-    ``_aes_ctr``, taken at the first message and kept, so a later message
-    makes no memo lookup; each message re-points it at its own block with
-    ``reset_nonce``, since the other end of the link, or another holder
-    of the key, may have used it since.
-    """
-
-    __slots__ = ("_key", "_ctr")
-
-    def __init__(self, key32: bytes):
-        self._key = key32
-        self._ctr = None
-
-    def apply(self, count: int, direction: int, data: bytes) -> bytes:
-        """``data`` XOR its keystream: enciphers and deciphers alike."""
-        icb = count.to_bytes(4, "big") + _DIRECTION_PAD[direction & 1]
-        ctr = self._ctr
-        if ctr is None:
-            ctr = self._ctr = _aes_ctr(_aes_key(self._key), icb)
-        else:
-            ctr.reset_nonce(icb)
-        return ctr.update(data)
 
 
 def _cmac_tag(mac_key: AES, count: int, direction: int, ciphertext: bytes) -> bytes:
@@ -585,44 +559,35 @@ def _cmac_tag(mac_key: AES, count: int, direction: int, ciphertext: bytes) -> by
     return mac.finalize()[:MAC_I_LEN]
 
 
-def protect(
-    payload: bytes,
-    nea_id: int,
-    nia_id: int,
-    stream: _Keystream | None,
-    mac_key: AES | None,
-    direction: int,
-    count: int,
-) -> tuple[bytes, bytes]:
-    """(ciphertext, tag) of one message under a ``SecureLink``'s keystream
-    and prepared integrity key.
+def protect(payload: bytes, ctr, mac_key: AES | None, direction: int,
+            count: int) -> tuple[bytes, bytes]:
+    """(ciphertext, tag) of one message under a ``SecureLink``'s ciphering
+    encryptor and prepared integrity key; ``None`` is the null algorithm.
 
     The null algorithms pass bytes through but the tag overhead is always
     present (four zero bytes under null integrity).
     """
-    ciphertext = payload if nea_id == 0 else stream.apply(count, direction, payload)
-    if nia_id == 0:
-        return ciphertext, _NULL_TAG
-    return ciphertext, _cmac_tag(mac_key, count, direction, ciphertext)
+    if ctr is not None:
+        payload = _aes_ctr(ctr, count.to_bytes(4, "big") + _DIRECTION_PAD[direction & 1],
+                           payload)
+    if mac_key is None:
+        return payload, _NULL_TAG
+    return payload, _cmac_tag(mac_key, count, direction, payload)
 
 
-def unprotect(
-    ciphertext: bytes,
-    mac_tag: bytes,
-    nea_id: int,
-    nia_id: int,
-    stream: _Keystream | None,
-    mac_key: AES | None,
-    direction: int,
-    count: int,
-) -> bytes:
+def unprotect(ciphertext: bytes, mac_tag: bytes, ctr, mac_key: AES | None,
+              direction: int, count: int) -> bytes:
     """Verify the tag (unless null integrity) and decipher, under a
-    ``SecureLink``'s keystream and prepared integrity key."""
-    if nia_id != 0:
+    ``SecureLink``'s ciphering encryptor and prepared integrity key;
+    ``None`` is the null algorithm."""
+    if mac_key is not None:
         expected = _cmac_tag(mac_key, count, direction, ciphertext)
         if not hmac_mod.compare_digest(expected, mac_tag):
             raise IntegrityFailure("message tag mismatch")
-    return ciphertext if nea_id == 0 else stream.apply(count, direction, ciphertext)
+    if ctr is None:
+        return ciphertext
+    return _aes_ctr(ctr, count.to_bytes(4, "big") + _DIRECTION_PAD[direction & 1],
+                    ciphertext)
 
 
 # COUNT is a 32-bit algorithm input.  A wrapper counted above it, or below
@@ -665,9 +630,10 @@ class SecureLink:
         enc_name, int_name = _LINK_KEYS[wrapper]
         self.wrapper = wrapper
         # a null algorithm needs no key; a missing one is a KeyError here.
-        # The keystream's AES context comes with use, and the integrity key
-        # is an algorithm object: each tag is one CMAC, with no key parsing
-        self._stream = _Keystream(keys[enc_name]) if nea_id else None
+        # The end keeps its key's AES-CTR encryptor, so a message makes no
+        # memo lookup, and its integrity key is an algorithm object: each
+        # tag is one CMAC, with no key parsing
+        self._ctr = _ctr_context(_aes_key(keys[enc_name])) if nea_id else None
         self._mac_key = AES(_aes_key(keys[int_name])) if nia_id else None
         self.nea_id = nea_id
         self.nia_id = nia_id
@@ -681,9 +647,9 @@ class SecureLink:
         name before it can derive the keys."""
         count = self.next_tx
         self.next_tx = count + 1
-        nea_id = 0 if integrity_only else self.nea_id
-        body, mac_tag = protect(messages.encode(inner), nea_id, self.nia_id,
-                                self._stream, self._mac_key, self.direction, count)
+        ctr, nea_id = (None, 0) if integrity_only else (self._ctr, self.nea_id)
+        body, mac_tag = protect(messages.encode(inner), ctr, self._mac_key,
+                                self.direction, count)
         return self.wrapper(count, self.direction, nea_id, self.nia_id, mac_tag, body)
 
     def open(self, wrapper, integrity_only: bool = False) -> bytes | LinkReject:
@@ -693,7 +659,7 @@ class SecureLink:
         forged count must not block the packets after it."""
         if wrapper.direction != 1 - self.direction:
             return LinkReject.DIRECTION
-        nea_id = 0 if integrity_only else self.nea_id
+        ctr, nea_id = (None, 0) if integrity_only else (self._ctr, self.nea_id)
         if wrapper.nea_id != nea_id or wrapper.nia_id != self.nia_id:
             return LinkReject.ALGORITHM
         count = wrapper.count
@@ -702,8 +668,8 @@ class SecureLink:
         if len(wrapper.mac_tag) != MAC_I_LEN:
             return LinkReject.INTEGRITY
         try:
-            payload = unprotect(wrapper.body, wrapper.mac_tag, nea_id, self.nia_id,
-                                self._stream, self._mac_key, wrapper.direction, count)
+            payload = unprotect(wrapper.body, wrapper.mac_tag, ctr, self._mac_key,
+                                wrapper.direction, count)
         except IntegrityFailure:
             return LinkReject.INTEGRITY
         self.next_rx = count + 1

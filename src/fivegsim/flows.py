@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import messages
 from .entities import Amf, Ue
 from .identity import SecurityContext
-from .netsim import Channel, Transcript, World
+from .netsim import Channel, World
 
 DEFAULT_HORIZON = 20_000
 
@@ -25,7 +25,6 @@ class RegistrationOutcome:
     outcome: str
     ue_context: SecurityContext | None
     amf_context: SecurityContext | None
-    transcript: Transcript
 
 
 def find_amf_session(amf: Amf, ue: Ue):
@@ -56,7 +55,6 @@ def run_registration(world: World, ue_id: str, target_cell: str = "",
         outcome=outcome,
         ue_context=ue.context,
         amf_context=amf_context,
-        transcript=world.transcript,
     )
 
 

@@ -194,7 +194,18 @@ def test_the_two_ends_of_a_link_share_one_context():
     for count, size in enumerate(MID_BLOCK_SIZES):
         _send_checked(ue_end, network_end, count, size)
         _send_checked(network_end, ue_end, count, size)
-    assert ue_end._stream._ctr is network_end._stream._ctr
+    assert ue_end._ctr is network_end._ctr
+
+
+def test_a_ciphering_link_end_holds_its_key_context_from_construction():
+    """A link end takes its key's one AES-CTR encryptor when it is built,
+    before it seals anything; a null-ciphering end holds none."""
+    oracles.clear_crypto_memos()
+    for wrapper in WRAPPERS:
+        key_enc = KEYS[crypto._LINK_KEYS[wrapper][0]]
+        end = crypto.SecureLink(wrapper, KEYS, 2, 2, direction=0)
+        assert end._ctr is crypto._ctr_context(key_enc[16:])
+        assert crypto.SecureLink(wrapper, KEYS, 0, 2, direction=0)._ctr is None
 
 
 def test_a_link_whose_context_was_evicted_still_seals_and_opens():
@@ -203,14 +214,14 @@ def test_a_link_whose_context_was_evicted_still_seals_and_opens():
     ue_end, network_end = _pair(messages.SecuredRrc)
     _send_checked(ue_end, network_end, 0, 17)
     for i in range(crypto._MEMO_SIZE):  # every entry is now another key's
-        crypto._aes_ctr(b"\xee" + i.to_bytes(15, "big"), bytes(16))
+        crypto._ctr_context(b"\xee" + i.to_bytes(15, "big"))
     _send_checked(ue_end, network_end, 1, 1399)
     _send_checked(network_end, ue_end, 0, 1)
     # an end made after the eviction builds a new context for the key and
     # still reads the older end
     late_end = crypto.SecureLink(messages.SecuredRrc, KEYS, 2, 2, direction=1)
     _send_checked(ue_end, late_end, 2, 33)
-    assert late_end._stream._ctr is not ue_end._stream._ctr
+    assert late_end._ctr is not ue_end._ctr
 
 
 @pytest.mark.parametrize("scheme", [SuciScheme.PROFILE_A, SuciScheme.PROFILE_B],
@@ -467,6 +478,48 @@ def test_null_algorithm_nas_forgery_opens_no_session():
     assert _delivered(world, Channel.SBI, "SmfSessionRequest") == []
     session = find_amf_session(builder.networks["net"].amf, world.entities["ue1"])
     assert session.link.open(forged) is crypto.LinkReject.ALGORITHM
+
+
+# rrc_ciphering or up_ciphering off, and the AES-CTR contexts a world
+# builds from cleared memos: one per ciphering key, the SUCI's (SA only),
+# NAS's and that of whichever of RRC and the user plane still ciphers
+NULL_CIPHERING = {
+    "rrc-sa": (OperatorPolicy(rrc_ciphering=False), 3),
+    "rrc-nsa": (OperatorPolicy(mode="NSA", rrc_ciphering=False), 2),
+    "up": (OperatorPolicy(up_ciphering=False, up_integrity=True), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(NULL_CIPHERING))
+def test_a_null_ciphered_link_carries_a_session_and_a_packet(case):
+    """Both ends of a link under null ciphering hold no encryptor, its
+    wrappers read (nea, nia) = (0, 2), and a registration, a PDU session
+    and one packet still go through."""
+    policy, contexts = NULL_CIPHERING[case]
+    oracles.clear_crypto_memos()
+    world, builder = single_network_world(1, policy)
+    assert run_registration(world, "ue1").success
+    assert establish_user_plane(world, "ue1")
+    send_app_data(world, "ue1", b"in-clear")
+    net = builder.networks["net"]
+    assert [p for _, p in net.upf.received] == [b"in-clear"]
+    node = net.engnb or net.cells[0]  # NSA runs AS security on its en-gNB
+    ue, radio = world.entities["ue1"], node.ue_contexts[node.by_ue["ue1"]]
+    if case == "up":
+        ends = (ue.up_link, radio.up)
+        [packet] = [messages.decode(e.event.payload)
+                    for e in _delivered(world, Channel.RADIO_RRC, "SecuredUp")]
+        assert (packet.nea_id, packet.nia_id) == (0, 2)
+        assert packet.body == messages.encode(messages.AppData(payload=b"in-clear"))
+        assert packet.mac_tag == nia2_tag(ue.as_keys["k_up_int"], packet.count,
+                                          packet.direction, packet.body)
+    else:
+        ends = (ue.rrc_link, radio.rrc)
+        sealed = [messages.decode(e.event.payload)
+                  for e in _delivered(world, Channel.RADIO_RRC, "SecuredRrc")]
+        assert sealed and {(w.nea_id, w.nia_id) for w in sealed} == {(0, 2)}
+    assert [end._ctr for end in ends] == [None, None]
+    assert crypto._ctr_context.cache_info().misses == contexts
 
 
 HEADERS = {
