@@ -47,6 +47,10 @@ class Channel(enum.Enum):
     SBI = "Sbi"
     INTERNAL = "Internal"  # timers, triggers, administration; never a wire
 
+    # members are singletons: hashing by identity keeps each vantage, link
+    # and table lookup in C
+    __hash__ = object.__hash__
+
 
 WIRE_CHANNELS = frozenset(
     {Channel.RADIO_RRC, Channel.RADIO_NAS, Channel.N2, Channel.N3,
@@ -92,17 +96,18 @@ class TranscriptEntry:
 # One exported line: the bytes json.dumps(..., sort_keys=True) writes for the
 # entry's 11 fields.  Observations stay in the adversary's knowledge, so a
 # purely passive adversary leaves the export byte-identical to an unobserved run.
-_LINE = ('{"channel": %s, "dropped": %s, "dst": %s, "injected": %s, "modified": %s, '
-         '"msg": %s, "origin": %s, "payload": "%s", "seq": %d, "src": %s, "time": %d}')
+# Each channel's name is quoted once, here.
+_CHANNEL_JSON = {channel: _quote(channel.value) for channel in Channel}
 _FLAG = ("false", "true")
 
 
 def _line(entry: TranscriptEntry) -> str:
     event, notes = entry.event, entry.annotations
-    return _LINE % (_quote(event.channel.value), _FLAG[notes.dropped], _quote(event.dst),
-                    _FLAG[notes.injected], _FLAG[notes.modified], _quote(entry.msg_type),
-                    _quote(event.origin), event.payload.hex(), event.seq,
-                    _quote(event.src), event.time)
+    return (f'{{"channel": {_CHANNEL_JSON[event.channel]}, "dropped": {_FLAG[notes.dropped]}, '
+            f'"dst": {_quote(event.dst)}, "injected": {_FLAG[notes.injected]}, '
+            f'"modified": {_FLAG[notes.modified]}, "msg": {_quote(entry.msg_type)}, '
+            f'"origin": {_quote(event.origin)}, "payload": "{event.payload.hex()}", '
+            f'"seq": {event.seq}, "src": {_quote(event.src)}, "time": {event.time}}}')
 
 
 def _peek(payload: bytes) -> str:
@@ -149,6 +154,8 @@ class Capability(enum.Enum):
     INJECT = "Inject"
     MODIFY = "Modify"
     IMPERSONATE = "Impersonate"
+
+    __hash__ = object.__hash__  # as ``Channel``'s
 
 
 class Knowledge:
@@ -313,15 +320,6 @@ class World:
                               messages.encode(messages.WorldAction(label=label)), "world")
         self._actions[event.seq] = fn
 
-    # -- adversary/link visibility ------------------------------------------
-
-    def channel_readable(self, hook: AdversaryHook, channel: Channel) -> bool:
-        if channel in RADIO_CHANNELS:
-            return True
-        if not self.link_protected.get(channel, False):
-            return True
-        return f"link:{channel.value}" in hook.knowledge.keys
-
     # -- cells ---------------------------------------------------------------
 
     def active_cells(self) -> list[messages.CellInfo]:
@@ -333,14 +331,23 @@ class World:
     def _run_hooks(self, event: SimEvent) -> tuple[bool, bool]:
         """Pass ``event`` through each hook whose vantage covers its channel,
         in attachment order, until one drops it.  Returns (modified, dropped).
+        A hook that may OBSERVE sees the event when it can read the channel:
+        a radio channel, a link in the clear, or a protected link whose key
+        (``link:<channel>``) it was granted.  Link protection is read once
+        per event, before the first hook runs.
         A handler may also write ``event.payload`` itself: that counts as a
         modification when its hook may MODIFY and is undone when it may not."""
         modified = False
+        channel = event.channel
+        # the key an observer needs to read a protected link; None for the
+        # radio and for a link in the clear
+        key = (f"link:{channel.value}" if channel not in RADIO_CHANNELS
+               and self.link_protected.get(channel, False) else None)
         for hook in self.adversaries:
-            if event.channel not in hook.vantage:
+            if channel not in hook.vantage:
                 continue
-            if hook.can(Capability.OBSERVE) and self.channel_readable(hook, event.channel):
-                hook.knowledge.see(event.channel, event.payload, event.time)
+            if hook.can(Capability.OBSERVE) and (key is None or key in hook.knowledge.keys):
+                hook.knowledge.see(channel, event.payload, event.time)
             if hook.handler is None:
                 continue
             before = event.payload
@@ -356,10 +363,10 @@ class World:
                 event.payload = action.replace_payload
                 modified = True
             if action.inject and hook.can(Capability.INJECT):
-                for delay, channel, src, dst, payload in action.inject:
+                for delay, to, src, dst, payload in action.inject:
                     if delay < 0:
                         continue  # nothing can be sent into the past: ignored
-                    self.schedule(self.time + delay, channel, src, dst,
+                    self.schedule(self.time + delay, to, src, dst,
                                   payload, f"adversary:{hook.adversary_id}")
             if action.drop and hook.can(Capability.DROP):
                 return modified, True

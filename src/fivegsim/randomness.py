@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import hashlib
 
+# stream byte -> the ASCII digit it draws (b % 10), and the bytes that draw
+# none: 250 up, so each digit is uniform
+_DIGIT = bytes(0x30 + b % 10 for b in range(256))
+_REDRAWN = bytes(range(250, 256))
+
 
 class RandomStream:
     """Counter-mode SHA-256 byte stream, seeded by (seed, label)."""
@@ -32,19 +37,13 @@ class RandomStream:
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
 
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        nbytes = (bound.bit_length() + 7) // 8
-        limit = (256**nbytes // bound) * bound
-        while True:
-            v = int.from_bytes(self.take(nbytes), "big")
-            if v < limit:
-                return v % bound
-
     def digits(self, n: int) -> str:
-        return "".join(str(self.below(10)) for _ in range(n))
+        """n uniform decimal digits, each ``b % 10`` of one stream byte ``b``;
+        a byte from 250 up is redrawn, as rejection sampling does."""
+        out = b""
+        while len(out) < n:
+            out += self.take(n - len(out)).translate(_DIGIT, _REDRAWN)
+        return out.decode()
 
 
 class StreamFactory:

@@ -500,6 +500,22 @@ def encode_wire(registry: tuple, msg) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# Uniform draws by rejection sampling
+# ---------------------------------------------------------------------------
+
+def below(rng, bound: int) -> int:
+    """Uniform integer in [0, bound) from a byte stream with ``take(n)``, by
+    rejection sampling over whole bytes; ``RandomStream.digits`` is this
+    sampler at bound 10."""
+    nbytes = (bound.bit_length() + 7) // 8
+    limit = (256**nbytes // bound) * bound
+    while True:
+        value = int.from_bytes(rng.take(nbytes), "big")
+        if value < limit:
+            return value % bound
+
+
+# ---------------------------------------------------------------------------
 # Readers of the package's outputs
 # ---------------------------------------------------------------------------
 

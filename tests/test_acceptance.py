@@ -354,8 +354,8 @@ def test_criterion_7_single_bit_sensitivity():
     baseline = crypto.derive_key_chain(**base)
     good = 0
     for _ in range(100):
-        name, bits, affected = _FLIP_TARGETS[rng.below(len(_FLIP_TARGETS))]
-        flipped = _flip(base, name, rng.below(bits))
+        name, bits, affected = _FLIP_TARGETS[oracles.below(rng, len(_FLIP_TARGETS))]
+        flipped = _flip(base, name, oracles.below(rng, bits))
         if flipped == base:
             continue
         chain = crypto.derive_key_chain(**flipped)

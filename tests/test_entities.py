@@ -937,6 +937,38 @@ def test_lost_registration_accept_is_resent_without_a_second_context():
     assert list(amf._timers.values()) == [session.sid]
 
 
+def test_lost_nas_security_mode_command_resends_the_authentication_response():
+    # the DownlinkNas carrying the NAS security mode command is lost; while
+    # the UE awaits the command, each expiry of its timer sends its
+    # AuthenticationResponse again, with the same RES
+    from fivegsim.netsim import Action, AdversaryHook, Capability
+    world, _ = single_network_world(seed=3)
+    lost = []
+
+    def drop_first_command(w, hook, event):
+        if not lost and messages.peek_type(event.payload) == "DownlinkNas":
+            wrapper = messages.decode(messages.decode(event.payload).nas)
+            if isinstance(wrapper, messages.SecuredNas) and wrapper.nea_id == 0 \
+                    and isinstance(messages.decode(wrapper.body), messages.NasSecurityModeCommand):
+                lost.append(event.time)
+                return Action(drop=True)
+        return None
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="loss", vantage=frozenset({Channel.N2}),
+        capabilities=frozenset({Capability.DROP}), handler=drop_first_command))
+    run_registration(world, "ue1")
+    assert lost
+    delivered = list(world.transcript.delivered())
+    responses = [e.event for e in delivered
+                 if e.event.src == "ue1" and e.msg_type == "AuthenticationResponse"]
+    assert len(responses) >= 2
+    assert len({messages.decode(event.payload).res for event in responses}) == 1
+    fired = {e.event.time for e in delivered
+             if e.event.dst == "ue1" and e.msg_type == "TimerFired"}
+    assert all(event.time - 1 in fired for event in responses[1:])
+
+
 def test_lost_challenge_leaves_one_amf_session():
     # the first downlink AuthenticationRequest is lost, so the UE resends its
     # RegistrationRequest on the same RAN leg; the AMF retires the session

@@ -17,6 +17,8 @@ from fivegsim.identity import (
 )
 from fivegsim.randomness import RandomStream
 
+from oracles import below
+
 
 def test_format_supi_example():
     ident = SubscriberIdentity(mcc="001", mnc="01", msin="0123456789")
@@ -68,6 +70,16 @@ def test_pei_length_enforced():
         EquipmentIdentity(pei="123")
     with pytest.raises(ValueError):
         EquipmentIdentity(pei="12345678901234X")
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 64, 300])
+def test_digits_draw_as_the_rejection_sampler_and_leave_the_stream_where_it_does(n):
+    for seed in range(8):
+        fast, slow = RandomStream(seed, "build:ue1:pei"), RandomStream(seed, "build:ue1:pei")
+        assert fast.digits(n) == "".join(str(below(slow, 10)) for _ in range(n))
+        assert fast.take(40) == slow.take(40)
+    # the 300 digits of seed 0 redraw at least one byte
+    assert max(RandomStream(0, "build:ue1:pei").take(300)) >= 250
 
 
 def test_guti_allocator_distinct_and_monotone():

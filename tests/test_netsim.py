@@ -405,6 +405,39 @@ def test_adversary_hooks_apply_in_registration_order():
     assert seen_by_second and seen_by_second[0] == "stamped"
 
 
+def test_a_hook_injecting_on_another_channel_leaves_later_hooks_the_event_channel():
+    world = World(seed=0)
+    handled = {"replayer": [], "spy": [], "n2": []}
+
+    def replay_on_n2(w, hook, event):
+        handled["replayer"].append(event.channel)
+        return Action(inject=[(1, Channel.N2, "eve", "ghost", event.payload)])
+
+    def record(name):
+        def handler(w, hook, event):
+            handled[name].append(event.channel)
+        return handler
+
+    world.attach_adversary(AdversaryHook(
+        adversary_id="replayer", vantage=frozenset({Channel.RADIO_NAS}),
+        capabilities=frozenset({Capability.INJECT}), handler=replay_on_n2))
+    world.attach_adversary(AdversaryHook(
+        adversary_id="spy", vantage=frozenset({Channel.RADIO_NAS}),
+        capabilities=frozenset({Capability.OBSERVE}), handler=record("spy")))
+    world.attach_adversary(AdversaryHook(
+        adversary_id="n2", vantage=frozenset({Channel.N2}),
+        capabilities=frozenset({Capability.OBSERVE}), handler=record("n2")))
+    for t in (1, 5):
+        world.schedule(t, Channel.RADIO_NAS, "ue1", "ghost", _payload(t), "entity:ue1")
+    world.run_until(20)
+    assert handled == {"replayer": [Channel.RADIO_NAS] * 2,
+                       "spy": [Channel.RADIO_NAS] * 2,
+                       "n2": [Channel.N2] * 2}
+    spy, n2 = world.adversaries[1].knowledge, world.adversaries[2].knowledge
+    assert [(c, t) for c, _, t in spy.seen] == [("RadioNas", 1), ("RadioNas", 5)]
+    assert [(c, t) for c, _, t in n2.seen] == [("N2", 2), ("N2", 6)]
+
+
 def test_world_file_adversary_placement(tmp_path):
     from fivegsim.worldfile import load_world_file
     path = tmp_path / "world.ini"

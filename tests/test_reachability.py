@@ -57,7 +57,7 @@ ALLOWED = {
     "fivegsim.entities.core:Amf._resend_accept":
         "test_entities.py::test_lost_registration_accept_is_resent_without_a_second_context",
     "fivegsim.entities.core:Amf.on_authentication_failure":
-        "test_state_table.py::test_amf_takes_a_nas_message_in_an_uplink_nas_only_in_its_states",
+        "test_state_table.py::test_an_authentication_failure_ends_the_challenge_with_its_cause",
     "fivegsim.entities.core:Ausf.on_udm_auth_reject":
         "test_entities.py::test_unknown_subscriber_is_rejected_by_the_home_network",
     "fivegsim.entities.ue:Ue.on_rrc_connection_reject":

@@ -316,6 +316,17 @@ def test_open_rejects_integrity_failure(field, value):
     assert network_end.open(sealed) == messages.encode(INNER)
 
 
+@pytest.mark.parametrize("nea", [0, 2])
+def test_null_integrity_refuses_a_tag_that_is_not_four_bytes(nea):
+    # no tag is compared under null integrity, so only its length is checked
+    ue_end, network_end = _pair(nea=nea, nia=0)
+    sealed = ue_end.seal(INNER)
+    assert sealed.mac_tag == bytes(4)
+    for tag in (bytes(3), bytes(5)):
+        assert network_end.open(replace(sealed, mac_tag=tag)) is crypto.LinkReject.INTEGRITY
+    assert network_end.open(sealed) == messages.encode(INNER)
+
+
 def test_security_mode_command_is_integrity_only():
     ue_end, network_end = _pair()
     command = network_end.seal(INNER, integrity_only=True)

@@ -414,6 +414,16 @@ def test_a_message_that_breaks_a_declaration_is_refused(cls, name, allowed):
             assert_refused(step(entity, bad))
 
 
+def test_an_authentication_failure_ends_the_challenge_with_its_cause():
+    nas = messages.encode(messages.AuthenticationFailure(cause="MacMismatch"))
+    msg = messages.UplinkNas(ran_ue_id=1, nas=nas)
+    amf = amf_in(AmfState.CHALLENGE_SENT, False, msg)
+    ctx = step(amf, msg)
+    session = amf.sessions["amf-s1"]
+    assert (session.state, session.cause) == (AmfState.AUTH_FAILURE, "MacMismatch")
+    assert not ctx.ignored and not ctx.out
+
+
 def test_an_uplink_nas_with_a_short_res_is_refused_by_the_amf():
     nas = messages.encode(messages.AuthenticationResponse(res=bytes(3)))
     msg = messages.UplinkNas(ran_ue_id=1, nas=nas)
