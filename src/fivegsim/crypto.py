@@ -13,7 +13,7 @@ import enum
 import hashlib
 import hmac as hmac_mod
 import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -117,7 +117,7 @@ class HomeNetworkKeyPair:
     scheme: SuciScheme
     public_bytes: bytes
     # neither compared nor hashed: a pair is named by its public bytes, so the
-    # agreement memos below hit across the worlds one seed builds
+    # agreement memo below hits across the worlds one seed builds
     private_key: object = field(compare=False, repr=False)
 
     @classmethod
@@ -130,12 +130,12 @@ class HomeNetworkKeyPair:
         return _parse_public(self.scheme, self.public_bytes)
 
 
-# Entries per memo of the key work in this module: concealment key pairs
-# and agreements, AES-CTR contexts and Ed25519 key parses.  Each result
-# depends only on its input bytes, and worlds built from one seed repeat
-# those inputs, so each recent one is derived once per process; a raised
-# error is never cached.  A lookup that misses costs under 1 us against
-# 10 us and more for the step.  A memoized object with state (an AES-CTR
+# Entries per memo of the key work in this module: concealment key pairs,
+# AES-CTR contexts and Ed25519 key parses by their input bytes, and ECIES
+# agreements by both public keys.  Worlds built from one seed repeat those
+# inputs, so each recent one is derived once per process; a raised error
+# is never cached.  A lookup that misses costs under 1 us against 10 us
+# and more for the step.  A memoized object with state (an AES-CTR
 # context) is shared by every caller of its key, which is safe because
 # one thread runs worlds, as it runs the bus.
 _MEMO_SIZE = 256
@@ -178,19 +178,29 @@ def _ecies_shared(scheme: SuciScheme, private_key, peer_key) -> bytes:
         raise ValueError(f"malformed public point for {scheme.name}") from exc
 
 
-@_memo
-def _ue_agreement(home: HomeNetworkKeyPair, eph_secret: bytes) -> tuple[bytes, bytes]:
-    """(ephemeral public bytes, shared secret) of the UE's agreement with
-    the home network public key."""
-    eph_priv, eph_pub = _keypair(home.scheme, eph_secret)
-    return eph_pub, _ecies_shared(home.scheme, eph_priv, home._public_key)
+# ECIES keys (enc_key, icb, mac_key) of an agreement by its two public
+# keys, the home pair and the ephemeral one.  Both sides' exchanges give one
+# shared secret (the Diffie-Hellman property, RFC 7748 §6.1), so whichever
+# side computes it first fills the entry and the other reads it: the home
+# network reads the exchange its UE ran.  The oldest entry is dropped first.
+_agreements: dict[tuple[HomeNetworkKeyPair, bytes], tuple[bytes, bytes, bytes]] = {}
 
 
-@_memo
-def _home_agreement(home: HomeNetworkKeyPair, eph_pub: bytes) -> bytes:
-    """The home network's shared secret with an ephemeral public key."""
-    return _ecies_shared(home.scheme, home.private_key,
-                         _parse_public(home.scheme, eph_pub))
+def _agreement(home: HomeNetworkKeyPair, eph_pub: bytes,
+               exchange: Callable[[], bytes]) -> tuple[bytes, bytes, bytes]:
+    """The ECIES keys of ``home`` with ``eph_pub``; ``exchange()`` runs the
+    agreement on a miss, and an error it raises is not memoized."""
+    key = (home, eph_pub)
+    keys = _agreements.get(key)
+    if keys is None:
+        keys = _ecies_keys(exchange(), eph_pub)
+        if len(_agreements) >= _MEMO_SIZE:
+            del _agreements[next(iter(_agreements))]
+        _agreements[key] = keys
+    return keys
+
+
+_agreement.cache_clear = _agreements.clear
 
 
 def _x963_kdf(shared: bytes, sharedinfo: bytes, length: int) -> bytes:
@@ -258,8 +268,9 @@ def conceal_supi(
         )
     if ephemeral_randomness is None:
         raise ValueError("ephemeral randomness required for ecies schemes")
-    eph_pub, shared = _ue_agreement(home_public, ephemeral_randomness)
-    enc_key, icb, mac_key = _ecies_keys(shared, eph_pub)
+    eph_priv, eph_pub = _keypair(scheme, ephemeral_randomness)
+    enc_key, icb, mac_key = _agreement(home_public, eph_pub, lambda: _ecies_shared(
+        scheme, eph_priv, home_public._public_key))
     ciphertext = _aes_ctr(_ctr_context(enc_key), icb, identity.msin.encode())
     tag = _hmac(mac_key, ciphertext)[: _LABELS["ecies"]["tag_len"]]
     return ConcealedIdentity(
@@ -284,8 +295,9 @@ def deconceal_suci(
         raise UnsupportedScheme(f"unknown scheme {suci.scheme}")
     if home_private is None or home_private.scheme != suci.scheme:
         raise ValueError("home private key missing or for the wrong scheme")
-    shared = _home_agreement(home_private, suci.ephemeral_public_key)
-    enc_key, icb, mac_key = _ecies_keys(shared, suci.ephemeral_public_key)
+    eph_pub = suci.ephemeral_public_key
+    enc_key, icb, mac_key = _agreement(home_private, eph_pub, lambda: _ecies_shared(
+        suci.scheme, home_private.private_key, _parse_public(suci.scheme, eph_pub)))
     expected = _hmac(mac_key, suci.ciphertext)[: _LABELS["ecies"]["tag_len"]]
     if not hmac_mod.compare_digest(expected, suci.mac_tag):
         raise IntegrityFailure("suci tag mismatch")

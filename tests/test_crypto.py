@@ -54,9 +54,9 @@ def _keypair(scheme):
     return crypto.HomeNetworkKeyPair.from_seed(scheme, HOME_SEED)
 
 
-# the memos a registration world fills; the Ed25519 one is fed on its own
-_MEMOS = (crypto._keypair, crypto._ue_agreement, crypto._home_agreement,
-          crypto._ctr_context)
+# the least-recently-used memos a registration world fills, beside the
+# agreement memo; the Ed25519 one is fed on its own
+_MEMOS = (crypto._keypair, crypto._ctr_context)
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +130,16 @@ def test_ecies_round_trip(scheme):
         assert crypto.deconceal_suci(suci, keypair) == ident
 
 
+def _flipped_tag(suci: ConcealedIdentity) -> ConcealedIdentity:
+    return dataclasses.replace(
+        suci, mac_tag=bytes([suci.mac_tag[0] ^ 0x01]) + suci.mac_tag[1:])
+
+
 def test_tag_bit_flip_is_integrity_failure():
     keypair = _keypair(SuciScheme.PROFILE_A)
     suci = crypto.conceal_supi(TEST_IDENTITY, keypair, SuciScheme.PROFILE_A, bytes(32))
-    tampered = ConcealedIdentity(
-        mcc=suci.mcc, mnc=suci.mnc, scheme=suci.scheme, ciphertext=suci.ciphertext,
-        ephemeral_public_key=suci.ephemeral_public_key,
-        mac_tag=bytes([suci.mac_tag[0] ^ 0x01]) + suci.mac_tag[1:],
-    )
     with pytest.raises(crypto.IntegrityFailure):
-        crypto.deconceal_suci(tampered, keypair)
+        crypto.deconceal_suci(_flipped_tag(suci), keypair)
 
 
 def _with_ephemeral_key(suci: ConcealedIdentity, key: bytes) -> ConcealedIdentity:
@@ -158,24 +158,82 @@ def test_malformed_ephemeral_point_is_refused_every_time(scheme, key):
     keypair = _keypair(scheme)
     suci = crypto.conceal_supi(TEST_IDENTITY, keypair, scheme, bytes(32))
     forged = _with_ephemeral_key(suci, key)
-    held = crypto._home_agreement.cache_info().currsize
+    held = dict(crypto._agreements)
     for _ in range(2):  # a refusal is not memoized as an answer
         with pytest.raises(ValueError, match="malformed public point"):
             crypto.deconceal_suci(forged, keypair)
-    assert crypto._home_agreement.cache_info().currsize == held
+    assert crypto._agreements == held
 
 
-def test_flipped_tag_fails_after_its_agreement_is_memoized():
+def _counted_exchanges(monkeypatch) -> list:
+    """The scheme of each ECIES exchange run from here on, in order."""
+    schemes = []
+
+    def counted(scheme, *args, _fn=crypto._ecies_shared):
+        schemes.append(scheme)
+        return _fn(scheme, *args)
+
+    monkeypatch.setattr(crypto, "_ecies_shared", counted)
+    return schemes
+
+
+def test_flipped_tag_fails_after_its_agreement_is_memoized(monkeypatch):
     keypair = _keypair(SuciScheme.PROFILE_A)
     suci = crypto.conceal_supi(TEST_IDENTITY, keypair, SuciScheme.PROFILE_A, bytes(32))
+    assert (keypair, suci.ephemeral_public_key) in crypto._agreements
+    exchanges = _counted_exchanges(monkeypatch)
     assert crypto.deconceal_suci(suci, keypair) == TEST_IDENTITY
-    hits = crypto._home_agreement.cache_info().hits
-    tampered = dataclasses.replace(
-        suci, mac_tag=bytes([suci.mac_tag[0] ^ 0x01]) + suci.mac_tag[1:])
     with pytest.raises(crypto.IntegrityFailure):
-        crypto.deconceal_suci(tampered, keypair)
-    assert crypto._home_agreement.cache_info().hits == hits + 1
+        crypto.deconceal_suci(_flipped_tag(suci), keypair)
     assert crypto.deconceal_suci(suci, keypair) == TEST_IDENTITY
+    assert exchanges == []  # each of the three read the UE's agreement
+
+
+@pytest.mark.parametrize("scheme,letter", [
+    (SuciScheme.PROFILE_A, "a"),
+    (SuciScheme.PROFILE_B, "b"),
+])
+def test_the_home_exchange_gives_the_keys_the_ue_left(scheme, letter, monkeypatch):
+    # Diffie-Hellman symmetry: home private x ephemeral public is the
+    # secret the UE computed as ephemeral private x home public
+    rng = RandomStream(98, f"ecies-dh-{letter}")
+    exchanges = _counted_exchanges(monkeypatch)
+    for _ in range(25):
+        home_seed, eph, msin = rng.take(32), rng.take(32), rng.digits(10)
+        ident = SubscriberIdentity(mcc="001", mnc="01", msin=msin)
+        keypair = crypto.HomeNetworkKeyPair.from_seed(scheme, home_seed)
+        suci = crypto.conceal_supi(ident, keypair, scheme, eph)
+        agreement = (keypair, suci.ephemeral_public_key)
+        ue_keys = crypto._agreements[agreement]
+        oracles.clear_crypto_memos()
+        exchanges.clear()
+        assert crypto.deconceal_suci(suci, keypair) == ident
+        assert exchanges == [scheme]
+        assert crypto._agreements == {agreement: ue_keys}
+        ref = oracles.ecies_conceal(letter, home_seed, eph, msin)
+        assert (suci.ciphertext, suci.mac_tag) == (ref["ciphertext"], ref["tag"])
+
+
+@pytest.mark.parametrize("scheme,letter", [
+    (SuciScheme.PROFILE_A, "a"),
+    (SuciScheme.PROFILE_B, "b"),
+])
+def test_a_suci_concealed_elsewhere_is_read_by_the_home_exchange(scheme, letter):
+    # no UE in this process made the ephemeral key, so the home side runs
+    # the agreement itself: a path honest runs never take
+    rng = RandomStream(97, f"ecies-home-{letter}")
+    home_seed, eph, msin = rng.take(32), rng.take(32), rng.digits(10)
+    ref = oracles.ecies_conceal(letter, home_seed, eph, msin)
+    keypair = crypto.HomeNetworkKeyPair.from_seed(scheme, home_seed)
+    suci = ConcealedIdentity(
+        mcc="001", mnc="01", scheme=scheme, ciphertext=ref["ciphertext"],
+        ephemeral_public_key=ref["ephemeral_public"], mac_tag=ref["tag"])
+    oracles.clear_crypto_memos()
+    with pytest.raises(crypto.IntegrityFailure):
+        crypto.deconceal_suci(_flipped_tag(suci), keypair)
+    oracles.clear_crypto_memos()
+    assert crypto.deconceal_suci(suci, keypair) == SubscriberIdentity(
+        mcc="001", mnc="01", msin=msin)
 
 
 def test_memos_stay_bounded_and_hold_no_world():
@@ -186,6 +244,8 @@ def test_memos_stay_bounded_and_hold_no_world():
         info = memo.cache_info()
         assert info.maxsize == crypto._MEMO_SIZE
         assert info.currsize <= info.maxsize < info.misses
+    # one agreement per registration, 10 more than the memo keeps
+    assert len(crypto._agreements) == crypto._MEMO_SIZE
     dropped = weakref.ref(world)
     del world, builder
     gc.collect()
@@ -579,9 +639,9 @@ def test_key_parses_of_ten_registrations(monkeypatch):
     for ue_id in sorted(builder.ues):
         assert run_registration(world, ue_id).success
     # the home key once and one ephemeral key per concealment; the home
-    # public key once and each ephemeral one at its deconcealment; the NRF
-    # seed never, for no token is checked
-    assert parses == {"X25519PrivateKey": 11, "X25519PublicKey": 11}
+    # public key once, and no ephemeral one, for the home reads the
+    # agreement its UE ran; the NRF seed never, for no token is checked
+    assert parses == {"X25519PrivateKey": 11, "X25519PublicKey": 1}
 
 
 def test_a_second_world_of_the_same_seed_parses_no_concealment_key(monkeypatch):
