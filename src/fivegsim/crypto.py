@@ -765,9 +765,7 @@ def verify_reject(
     ue_nonce: bytes,
     signature: bytes,
 ) -> bool:
-    if len(verification_key) != 32:
-        raise ValueError("verification key is 32 bytes")
-    if len(signature) != 64:
-        return False
+    if len(verification_key) != 32 or len(signature) != 64:
+        return False  # no Ed25519 key or signature can verify
     return verify(verification_key, _reject_message(reject_cause, cell_id, ue_nonce),
                   signature)

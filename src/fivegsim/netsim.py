@@ -21,7 +21,7 @@ import hashlib
 import heapq
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote  # the escaper JSONEncoder uses
 
 from . import messages
@@ -72,40 +72,25 @@ class SimEvent:
     dst: str
     payload: bytes
     origin: str = ""  # "entity:<id>", "adversary:<id>" or "world"
-
-
-@dataclass(frozen=True, slots=True)
-class Annotations:
+    # set by ``World.run_until`` once the hooks have settled the event
+    msg_type: str = ""
     modified: bool = False
-    injected: bool = False
     dropped: bool = False
 
 
-# the eight possible annotations, one shared instance each, by (modified, injected, dropped)
-_NOTES = {(m, i, d): Annotations(m, i, d)
-          for m in (False, True) for i in (False, True) for d in (False, True)}
-
-
-@dataclass(slots=True)
-class TranscriptEntry:
-    event: SimEvent
-    msg_type: str
-    annotations: Annotations
-
-
 # One exported line: the bytes json.dumps(..., sort_keys=True) writes for the
-# entry's 11 fields.  Observations stay in the adversary's knowledge, so a
+# event's 11 fields.  Observations stay in the adversary's knowledge, so a
 # purely passive adversary leaves the export byte-identical to an unobserved run.
 # Each channel's name is quoted once, here.
 _CHANNEL_JSON = {channel: _quote(channel.value) for channel in Channel}
 _FLAG = ("false", "true")
 
 
-def _line(entry: TranscriptEntry) -> str:
-    event, notes = entry.event, entry.annotations
-    return (f'{{"channel": {_CHANNEL_JSON[event.channel]}, "dropped": {_FLAG[notes.dropped]}, '
-            f'"dst": {_quote(event.dst)}, "injected": {_FLAG[notes.injected]}, '
-            f'"modified": {_FLAG[notes.modified]}, "msg": {_quote(entry.msg_type)}, '
+def _line(event: SimEvent) -> str:
+    return (f'{{"channel": {_CHANNEL_JSON[event.channel]}, "dropped": {_FLAG[event.dropped]}, '
+            f'"dst": {_quote(event.dst)}, '
+            f'"injected": {_FLAG[event.origin.startswith("adversary:")]}, '
+            f'"modified": {_FLAG[event.modified]}, "msg": {_quote(event.msg_type)}, '
             f'"origin": {_quote(event.origin)}, "payload": "{event.payload.hex()}", '
             f'"seq": {event.seq}, "src": {_quote(event.src)}, "time": {event.time}}}')
 
@@ -119,14 +104,14 @@ def _peek(payload: bytes) -> str:
 
 
 class Transcript:
-    """Append-only record of every delivered or dropped event."""
+    """Append-only record of every delivered or dropped event, as settled."""
 
     def __init__(self):
-        self.entries: list[TranscriptEntry] = []
+        self.entries: list[SimEvent] = []
 
-    def append(self, event: SimEvent, annotations: Annotations, msg_type: str) -> None:
-        """Record ``event``; ``msg_type`` is ``_peek`` of its payload."""
-        self.entries.append(TranscriptEntry(event, msg_type, annotations))
+    def append(self, event: SimEvent) -> None:
+        """Record ``event`` once the hooks have settled it."""
+        self.entries.append(event)
 
     def to_jsonl(self) -> str:
         return "\n".join(map(_line, self.entries))
@@ -141,11 +126,9 @@ class Transcript:
         return digest.hexdigest()
 
     def delivered(self, channels=None):
-        for entry in self.entries:
-            if entry.annotations.dropped:
-                continue
-            if channels is None or entry.event.channel in channels:
-                yield entry
+        for event in self.entries:
+            if not event.dropped and (channels is None or event.channel in channels):
+                yield event
 
 
 class Capability(enum.Enum):
@@ -328,16 +311,14 @@ class World:
 
     # -- main loop -----------------------------------------------------------
 
-    def _run_hooks(self, event: SimEvent) -> tuple[bool, bool]:
+    def _run_hooks(self, event: SimEvent) -> None:
         """Pass ``event`` through each hook whose vantage covers its channel,
-        in attachment order, until one drops it.  Returns (modified, dropped).
-        A hook that may OBSERVE sees the event when it can read the channel:
-        a radio channel, a link in the clear, or a protected link whose key
-        (``link:<channel>``) it was granted.  Link protection is read once
-        per event, before the first hook runs.
-        A handler may also write ``event.payload`` itself: that counts as a
-        modification when its hook may MODIFY and is undone when it may not."""
-        modified = False
+        in attachment order, until one drops it; sets its ``modified`` and
+        ``dropped``.  A hook that may OBSERVE sees the event when it can read
+        the channel: a radio channel, a link in the clear, or a protected link
+        whose key (``link:<channel>``) it was granted.  Link protection is
+        read once per event, before the first hook runs.  A handler gets a
+        copy of the event: only the Action it returns acts."""
         channel = event.channel
         # the key an observer needs to read a protected link; None for the
         # radio and for a link in the clear
@@ -350,18 +331,12 @@ class World:
                 hook.knowledge.see(channel, event.payload, event.time)
             if hook.handler is None:
                 continue
-            before = event.payload
-            action = hook.handler(self, hook, event)
-            if event.payload is not before:
-                if hook.can(Capability.MODIFY):
-                    modified = True
-                else:
-                    event.payload = before
+            action = hook.handler(self, hook, replace(event))
             if action is None:
                 continue
             if action.replace_payload is not None and hook.can(Capability.MODIFY):
                 event.payload = action.replace_payload
-                modified = True
+                event.modified = True
             if action.inject and hook.can(Capability.INJECT):
                 for delay, to, src, dst, payload in action.inject:
                     if delay < 0:
@@ -369,8 +344,8 @@ class World:
                     self.schedule(self.time + delay, to, src, dst,
                                   payload, f"adversary:{hook.adversary_id}")
             if action.drop and hook.can(Capability.DROP):
-                return modified, True
-        return modified, False
+                event.dropped = True
+                return
 
     def run_until(self, t_end: int) -> Transcript:
         queue, entities, transcript = self._queue, self.entities, self.transcript
@@ -380,7 +355,6 @@ class World:
             self.time = now = event.time
             dst = event.dst
             msg_type = _peek(event.payload) if msg is None else type(msg).__name__
-            modified = dropped = False
             # settle the event's fate, record it once, then deliver it; the
             # hooks run only while the world has one (checked per event: a
             # scheduled action may attach one)
@@ -389,13 +363,13 @@ class World:
                 if fn is not None:
                     fn(self)
             elif self.adversaries:
-                modified, dropped = self._run_hooks(event)
-                if modified:  # the receiver gets the adversary's bytes, decoded
+                self._run_hooks(event)
+                if event.modified:  # the receiver gets the adversary's bytes, decoded
                     msg_type = _peek(event.payload)
                     msg = None
-            transcript.append(event, _NOTES[modified, event.origin.startswith("adversary:"),
-                                            dropped], msg_type)
-            if dropped:
+            event.msg_type = msg_type
+            transcript.append(event)
+            if event.dropped:
                 continue
             if dst == "__ether__":
                 reply = messages.CellScanResponse(cells=self.active_cells())

@@ -655,7 +655,7 @@ def _run_ts12(seed: int, overrides: dict) -> tuple[World, dict]:
     for entry in world.transcript.delivered({Channel.RADIO_RRC}):
         if entry.msg_type == "RrcConnectionSetup":
             for prefix in granted:
-                if entry.event.dst.startswith(prefix):
+                if entry.dst.startswith(prefix):
                     granted[prefix] += 1
     outcome = {
         "victim_slice_starved": granted["victim"] == 0,

@@ -220,6 +220,14 @@ def _list_of(enum):
     return lambda text: frozenset(enum(value.strip()) for value in text.split(","))
 
 
+def _octet(text: str) -> int:
+    """A 5GMM cause, which is one octet (TS 24.501 9.11.3.2)."""
+    value = int(text)
+    if not 0 <= value <= 255:
+        raise ValueError(f"{value} is not one octet (0..255)")
+    return value
+
+
 # the keys of a genuine cell -> the reader of each key's text
 _CELL = {"network": str, "strength": int, "rogue": parse_bool}
 # section kind -> (whether its header names an entity, the reader of each key it
@@ -228,7 +236,7 @@ _CELL = {"network": str, "strength": int, "rogue": parse_bool}
 _SECTIONS = {
     "world": (False, {"seed": int}), "policy": (False, None), "overrides": (False, None),
     "network": (True, {"plmn": str}),
-    "cell": (True, {**_CELL, "reject_cause": int, "broadcast_own_key": parse_bool}),
+    "cell": (True, {**_CELL, "reject_cause": _octet, "broadcast_own_key": parse_bool}),
     "ue": (True, {"network": str, "msin": str, "pei": str, "slice": str}),
     "adversary": (True, {"channels": _list_of(Channel), "capabilities": _list_of(Capability)}),
 }

@@ -524,7 +524,7 @@ def radio_plaintext_count(transcript, pattern: bytes) -> int:
     delivered on the two radio channels: an identifier sent in the clear."""
     from fivegsim.netsim import RADIO_CHANNELS
 
-    return sum(entry.event.payload.count(pattern)
+    return sum(entry.payload.count(pattern)
                for entry in transcript.delivered(RADIO_CHANNELS))
 
 

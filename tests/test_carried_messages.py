@@ -16,7 +16,7 @@ import test_golden
 from fivegsim import crypto, messages
 from fivegsim.entities import Entity
 from fivegsim.flows import trigger
-from fivegsim.netsim import Action, AdversaryHook, Annotations, Capability, Channel
+from fivegsim.netsim import Action, AdversaryHook, Capability, Channel
 from fivegsim.worldfile import single_network_world
 
 
@@ -81,10 +81,22 @@ def _rrc_request(slice_id: str) -> messages.RrcConnectionRequest:
                                          ue_nonce=bytes(8))
 
 
-@pytest.mark.parametrize("how", ["action", "in_place"])
+@pytest.fixture
+def received(monkeypatch):
+    """Every (seq, message) an entity is handed, in delivery order."""
+    deliveries, step = [], Entity.step
+
+    def recording_step(self, msg, event, ctx):
+        deliveries.append((event.seq, msg))
+        step(self, msg, event, ctx)
+
+    monkeypatch.setattr(Entity, "step", recording_step)
+    return deliveries
+
+
 @pytest.mark.parametrize("replacement", ["forged", "garbage"])
 def test_a_rewritten_payload_reaches_the_receiver_as_the_adversary_wrote_it(
-        how, replacement, monkeypatch):
+        replacement, received):
     world, _ = single_network_world(seed=3)
     payload = (messages.encode(_rrc_request("forged")) if replacement == "forged"
                else b"\x00\x00\x00\x02\xde\xad")
@@ -94,29 +106,19 @@ def test_a_rewritten_payload_reaches_the_receiver_as_the_adversary_wrote_it(
         if rewritten or messages.peek_type(event.payload) != "RrcConnectionRequest":
             return None
         rewritten.append(event.seq)
-        if how == "action":
-            return Action(replace_payload=payload)
-        event.payload = payload  # a handler that writes the event itself
-        return None
+        return Action(replace_payload=payload)
 
     world.attach_adversary(AdversaryHook(
         adversary_id="mitm", vantage=frozenset({Channel.RADIO_RRC}),
         capabilities=frozenset({Capability.MODIFY}), handler=rewrite))
-    received, step = [], Entity.step
-
-    def recording_step(self, msg, event, ctx):
-        received.append((event.seq, msg))
-        step(self, msg, event, ctx)
-
-    monkeypatch.setattr(Entity, "step", recording_step)
     trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
     world.run_until(20_000)
 
     (seq,) = rewritten
     got = [msg for at, msg in received if at == seq]
     assert got == ([_rrc_request("forged")] if replacement == "forged" else [])
-    entry = next(e for e in world.transcript.entries if e.event.seq == seq)
-    assert entry.event.payload == payload
+    entry = next(e for e in world.transcript.entries if e.seq == seq)
+    assert entry.payload == payload
 
 
 def _write_first_rrc_request(world, capabilities, payload: bytes):
@@ -138,46 +140,20 @@ def _write_first_rrc_request(world, capabilities, payload: bytes):
     return rewritten
 
 
-@pytest.fixture
-def received(monkeypatch):
-    """Every (seq, message) an entity is handed, in delivery order."""
-    deliveries, step = [], Entity.step
-
-    def recording_step(self, msg, event, ctx):
-        deliveries.append((event.seq, msg))
-        step(self, msg, event, ctx)
-
-    monkeypatch.setattr(Entity, "step", recording_step)
-    return deliveries
-
-
-def test_a_payload_written_in_place_under_modify_is_recorded_as_a_modification(received):
-    world, _ = single_network_world(seed=3)
-    forged = messages.AppData(payload=b"forged")
-    rewritten = _write_first_rrc_request(world, {Capability.MODIFY},
-                                         messages.encode(forged))
-    trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
-    world.run_until(20_000)
-
-    ((seq, _),) = rewritten
-    entry = next(e for e in world.transcript.entries if e.event.seq == seq)
-    assert entry.annotations == Annotations(modified=True)
-    assert entry.msg_type == "AppData"  # read from the payload the handler wrote
-    assert entry.event.payload == messages.encode(forged)
-    assert [msg for at, msg in received if at == seq] == [forged]
-
-
-def test_a_payload_written_in_place_without_modify_is_undone(received):
+@pytest.mark.parametrize("capability", [Capability.OBSERVE, Capability.MODIFY])
+def test_a_payload_written_in_place_reaches_nothing(capability, received):
+    # a handler gets a copy of the event: only the Action it returns acts,
+    # even when its hook may MODIFY
     world, _ = single_network_world(seed=3)
     rewritten = _write_first_rrc_request(
-        world, {Capability.OBSERVE}, messages.encode(_rrc_request("forged")))
+        world, {capability}, messages.encode(_rrc_request("forged")))
     trigger(world, "ue1", messages.TriggerRegistration(target_cell=""))
     world.run_until(20_000)
 
     ((seq, original),) = rewritten
-    entry = next(e for e in world.transcript.entries if e.event.seq == seq)
-    assert entry.annotations == Annotations()
-    assert (entry.msg_type, entry.event.payload) == ("RrcConnectionRequest", original)
+    entry = next(e for e in world.transcript.entries if e.seq == seq)
+    assert not entry.modified and not entry.dropped
+    assert (entry.msg_type, entry.payload) == ("RrcConnectionRequest", original)
     (got,) = [msg for at, msg in received if at == seq]
     assert got.slice_id != "forged" and messages.encode(got) == original
     assert world.entities["ue1"].last_outcome() == "registered"

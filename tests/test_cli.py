@@ -355,7 +355,11 @@ def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, sc
      "[cell cell-a] strength: invalid literal for int() with base 10: 'strong'"),
     (WORLD_HEAD + "[adversary eve]\nchannels = RadioNas\ncapabilities = Observe, Teleport\n",
      "[adversary eve] capabilities: 'Teleport' is not a valid Capability"),
-], ids=["strength", "capabilities"])
+    # a 5GMM cause is one octet
+    *((WORLD_HEAD + "[cell rogue-z]\nnetwork = home\nrogue = true\nbroadcast_own_key = true\n"
+       f"reject_cause = {cause}\n",
+       f"[cell rogue-z] reject_cause: {cause} is not one octet (0..255)") for cause in (300, -1)),
+], ids=["strength", "capabilities", "reject-cause-300", "reject-cause-negative"])
 @pytest.mark.parametrize("scenario", ["registration", "TS_06"])
 def test_world_file_value_error_names_its_section_and_key(capsys, tmp_path, scenario,
                                                           text, error):

@@ -589,11 +589,15 @@ def test_reject_sign_verify_round_trip():
     assert crypto.verify_reject(pair.verification_key, 3, "cell-1", b"nonce123", sig)
 
 
-def test_reject_wrong_key_refused():
+@pytest.mark.parametrize("wrong", ["other", "short", "long"])
+def test_reject_wrong_key_refused(wrong):
     pair = crypto.RejectSigningKeyPair.from_seed(bytes(range(64, 96)))
-    other = crypto.RejectSigningKeyPair.from_seed(bytes(range(96, 128)))
+    # another pair's key, and keys of 31 and 33 bytes, which no Ed25519 key is
+    key = {"other": crypto.RejectSigningKeyPair.from_seed(bytes(range(96, 128))).verification_key,
+           "short": pair.verification_key[:31],
+           "long": pair.verification_key + b"\x00"}[wrong]
     sig = crypto.sign_reject(pair.signing_key, 3, "cell-1", b"nonce123")
-    assert not crypto.verify_reject(other.verification_key, 3, "cell-1", b"nonce123", sig)
+    assert not crypto.verify_reject(key, 3, "cell-1", b"nonce123", sig)
 
 
 def test_reject_replay_with_new_nonce_refused():

@@ -52,7 +52,7 @@ def test_registration_request_carries_suci_never_supi():
     run_registration(world, "ue1")
     ue = world.entities["ue1"]
     requests = [
-        messages.decode(e.event.payload)
+        messages.decode(e.payload)
         for e in world.transcript.delivered({Channel.RADIO_NAS})
         if e.msg_type == "RegistrationRequest"
     ]
@@ -86,8 +86,8 @@ def test_supi_reaches_amf_only_with_home_confirmation():
     session = next(iter(amf.sessions.values()))
     assert session.supi == format_supi(world.entities["ue1"].identity)
     confirm_times = [
-        e.event.time for e in world.transcript.delivered({Channel.SBI})
-        if e.msg_type == "ConfirmResponseSbi" and e.event.dst == amf.entity_id
+        e.time for e in world.transcript.delivered({Channel.SBI})
+        if e.msg_type == "ConfirmResponseSbi" and e.dst == amf.entity_id
     ]
     assert confirm_times and session.supi_learned_at == confirm_times[0]
 
@@ -287,7 +287,7 @@ def test_short_challenge_rand_is_ignored_by_the_amf():
         capabilities=frozenset({Capability.MODIFY, Capability.INJECT}), handler=mangle))
     assert run_registration(world, "ue1").success  # nothing escapes
     assert rewritten
-    assert [e.annotations.injected for e in world.transcript.entries
+    assert [e.origin.startswith("adversary:") for e in world.transcript.entries
             if e.msg_type == "AuthenticationResponse"][0]
 
 
@@ -420,6 +420,28 @@ def test_unsigned_reject_is_ignored_when_mitigation_on():
     assert world.entities["ue1"].serving_gnb == "cell-a"
 
 
+@pytest.mark.parametrize("key_length", [31, 33])
+def test_a_reject_signed_under_a_key_of_the_wrong_length_is_refused(key_length):
+    # a scanning UE takes a scan response from any sender: an injected one
+    # lists a cell whose key is no Ed25519 key, and that cell's "signed"
+    # reject must be refused without raising out of the run
+    world, _ = single_network_world(seed=1, policy=OperatorPolicy(signed_reject_enabled=True))
+    key = bytes(range(key_length))
+    fake = messages.CellInfo(cell_id="fake", plmn="00101", strength=99, kind="nr",
+                             verification_key=key, blacklist=[])
+    for time, src, msg in ((2, "__ether__", messages.CellScanResponse(cells=[fake])),
+                           (5, "fake", messages.RegistrationReject(cause=3,
+                                                                   signature=bytes(64)))):
+        world.schedule(time, Channel.RADIO_RRC, src, "ue1", messages.encode(msg),
+                       "adversary:mallory")
+    run_registration(world, "ue1")
+    ue = world.entities["ue1"]
+    assert key not in ue.forbidden_reject_keys
+    assert ue.phase != UePhase.PERMANENTLY_DEREGISTERED
+    assert [e.msg_type for e in world.transcript.delivered()
+            if e.origin == "adversary:mallory"] == ["CellScanResponse", "RegistrationReject"]
+
+
 @pytest.mark.parametrize("mode, sbi_path", [
     ("SA", ["AuthRequestSbi:net-ausf", "UdmAuthRequest:net-udm",
             "UdmAuthReject:net-ausf", "AuthRejectSbi:net-amf"]),
@@ -430,7 +452,7 @@ def test_unknown_subscriber_is_rejected_by_the_home_network(mode, sbi_path):
     net = builder.networks["net"]
     net.udm.subscribers.clear()
     assert run_registration(world, "ue1").outcome == "auth_rejected"
-    sbi = [f"{e.msg_type}:{e.event.dst}" for e in world.transcript.delivered({Channel.SBI})]
+    sbi = [f"{e.msg_type}:{e.dst}" for e in world.transcript.delivered({Channel.SBI})]
     assert sbi == sbi_path
     [session] = net.amf.sessions.values()
     assert (session.state, session.cause) == (AmfState.AUTH_REJECTED, "UnknownSubscriber")
@@ -460,11 +482,11 @@ def test_renewal_starts_one_authentication_once_its_interval_has_passed(interval
         seed=14, policy=OperatorPolicy(context_renewal_interval=interval))
     assert run_registration(world, "ue1", horizon=900).success
     # the AMF arms its renewal timer when the radio side reports security up
-    active = next(e.event.time for e in world.transcript.delivered({Channel.N2})
+    active = next(e.time for e in world.transcript.delivered({Channel.N2})
                   if e.msg_type == "UeContextActive")
     world.run_until(active + 1500)
     # when the AMF sent each request: a message arrives one tick after its send
-    sent = [e.event.time - 1 for e in world.transcript.delivered({Channel.SBI})
+    sent = [e.time - 1 for e in world.transcript.delivered({Channel.SBI})
             if e.msg_type == "AuthRequestSbi"]
     assert sent[0] < active
     assert sent[1:] == ([] if interval is None else [active + interval])
@@ -753,7 +775,7 @@ def test_as_keys_match_between_ue_and_cell():
     for name in ("k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc"):
         assert ue.as_keys.get(name) == radio.as_keys.get(name), name
     # the cell reports the context active only once it took the UE's AS complete
-    assert [e.event.src for e in world.transcript.delivered({Channel.N2})
+    assert [e.src for e in world.transcript.delivered({Channel.N2})
             if e.msg_type == "UeContextActive"] == [gnb.entity_id]
 
 
@@ -894,10 +916,10 @@ def test_lost_security_mode_complete_is_resent_sealed_afresh(seed):
     outcome = run_registration(world, "ue1")
     assert dropped
     assert outcome.outcome == "registered"
-    resent = [messages.decode(e.event.payload) for e in world.transcript.delivered()
-              if e.event.src == "ue1" and e.msg_type == "SecuredNas"]
+    resent = [messages.decode(e.payload) for e in world.transcript.delivered()
+              if e.src == "ue1" and e.msg_type == "SecuredNas"]
     assert resent[0].count > dropped[0].count
-    ue_sent = [e.msg_type for e in world.transcript.entries if e.event.src == "ue1"]
+    ue_sent = [e.msg_type for e in world.transcript.entries if e.src == "ue1"]
     assert ue_sent.count("AuthenticationResponse") == 1
 
 
@@ -960,12 +982,12 @@ def test_lost_nas_security_mode_command_resends_the_authentication_response():
     run_registration(world, "ue1")
     assert lost
     delivered = list(world.transcript.delivered())
-    responses = [e.event for e in delivered
-                 if e.event.src == "ue1" and e.msg_type == "AuthenticationResponse"]
+    responses = [e for e in delivered
+                 if e.src == "ue1" and e.msg_type == "AuthenticationResponse"]
     assert len(responses) >= 2
     assert len({messages.decode(event.payload).res for event in responses}) == 1
-    fired = {e.event.time for e in delivered
-             if e.event.dst == "ue1" and e.msg_type == "TimerFired"}
+    fired = {e.time for e in delivered
+             if e.dst == "ue1" and e.msg_type == "TimerFired"}
     assert all(event.time - 1 in fired for event in responses[1:])
 
 

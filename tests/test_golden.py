@@ -116,7 +116,7 @@ def test_no_golden_world_breaks_a_declared_constraint(monkeypatch):
         if case.endswith("@0"):
             digest(case)
     checked = [msg for transcript in transcripts for entry in transcript.entries
-               for msg in carried(entry.event.payload) if type(msg) in messages.CONSTRAINTS]
+               for msg in carried(entry.payload) if type(msg) in messages.CONSTRAINTS]
     assert len(transcripts) == len(VARIANTS) and checked
     assert [messages.violation(msg) for msg in checked] == [None] * len(checked)
 

@@ -208,7 +208,7 @@ def test_malformed_payload_is_a_decode_error_and_undecodable_at_the_bus(name):
 
     delivered, world = _deliver([payload, _GOOD])
     assert delivered == [messages.decode(_GOOD)]
-    assert [e.event.payload for e in world.transcript.entries] == [payload, _GOOD]
+    assert [e.payload for e in world.transcript.entries] == [payload, _GOOD]
 
 
 def _refused_variants(cls) -> list[bytes]:

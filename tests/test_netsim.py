@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,7 +9,6 @@ from fivegsim.flows import run_registration
 from fivegsim.netsim import (
     Action,
     AdversaryHook,
-    Annotations,
     Capability,
     Channel,
     JamWindow,
@@ -59,7 +57,7 @@ def test_unknown_destination_is_noop():
     world.schedule(1, Channel.INTERNAL, "world", "ghost", _payload(), "world")
     world.run_until(10)
     assert len(world.transcript.entries) == 1
-    assert not world.transcript.entries[0].annotations.dropped
+    assert not world.transcript.entries[0].dropped
 
 
 def test_same_seed_same_transcript_hash():
@@ -76,14 +74,28 @@ def test_conservation_every_delivery_has_origin():
     world, _ = single_network_world(seed=3)
     run_registration(world, "ue1")
     for entry in world.transcript.entries:
-        origin = entry.event.origin
+        origin = entry.origin
         assert origin == "world" or origin.startswith(("entity:", "adversary:"))
         if origin.startswith("entity:"):
             name = origin.split(":", 1)[1]
             assert name in world.entities or name == "__ether__"
 
 
-def test_passive_adversary_never_alters_transcript():
+def _writing(name: str):
+    """A handler that writes the field ``name`` of each event it is handed
+    and returns no Action."""
+    value = b"forged" if name == "payload" else "adversary:eve"
+
+    def write(world, hook, event):
+        setattr(event, name, value)
+
+    return write
+
+
+@pytest.mark.parametrize("writes", [None, "src", "dst", "origin", "payload"])
+def test_passive_adversary_never_alters_transcript(writes):
+    # a handler gets a copy of the event: what it writes there reaches
+    # neither delivery nor the export
     base, _ = single_network_world(seed=9)
     run_registration(base, "ue1")
     observed, _ = single_network_world(seed=9)
@@ -91,8 +103,9 @@ def test_passive_adversary_never_alters_transcript():
         adversary_id="eve",
         vantage=WIRE_CHANNELS,
         capabilities=frozenset({Capability.OBSERVE}),
+        handler=None if writes is None else _writing(writes),
     ))
-    run_registration(observed, "ue1")
+    assert run_registration(observed, "ue1").success
     assert base.transcript.to_jsonl() == observed.transcript.to_jsonl()
     assert base.transcript.sha256() == observed.transcript.sha256()
 
@@ -180,7 +193,7 @@ def test_drop_all_radio_nas_forces_timeout():
     ))
     outcome = run_registration(world, "ue1", horizon=5_000)
     assert outcome.outcome == "timeout"
-    assert any(e.annotations.dropped for e in world.transcript.entries)
+    assert any(e.dropped for e in world.transcript.entries)
 
 
 def test_drop_without_capability_is_ignored():
@@ -247,7 +260,7 @@ def test_jammer_is_a_hook_in_attachment_order():
         assert run_registration(world, "ue1", horizon=1_800).outcome == "timeout"
 
     jammed = [e for e in before.transcript.entries if e.msg_type == "RrcConnectionRequest"]
-    assert jammed and all(e.annotations == Annotations(dropped=True) for e in jammed)
+    assert jammed and all(e.dropped and not e.modified for e in jammed)
     assert requests_seen(early) == len(jammed)
     assert requests_seen(late) == 0
     assert before.transcript.sha256() == after.transcript.sha256()
@@ -268,16 +281,15 @@ def test_a_jam_or_hook_added_by_a_scheduled_action_applies_to_later_events():
     assert eve.knowledge.seen
 
 
-def test_annotations_are_frozen_and_shared():
+def test_the_exported_injected_flag_is_read_from_the_origin():
     world, _ = single_network_world(seed=8)
     world.schedule(5, Channel.RADIO_RRC, "bot", "cell-a", b"\x00", "adversary:flood")
     run_registration(world, "ue1")
-    notes = [entry.annotations for entry in world.transcript.entries]
-    assert notes.count(Annotations(injected=True)) == 1
-    # every entry holds one of two instances: the clean one and the injected one
-    assert len({id(n) for n in notes}) == 2 and len(notes) > 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        notes[0].dropped = True
+    lines = [json.loads(line) for line in world.transcript.to_jsonl().split("\n")]
+    assert len(lines) == len(world.transcript.entries) > 2
+    assert [line["injected"] for line in lines] == [
+        line["origin"].startswith("adversary:") for line in lines]
+    assert sum(line["injected"] for line in lines) == 1
 
 
 def test_injected_events_are_annotated():
@@ -287,8 +299,8 @@ def test_injected_events_are_annotated():
                        c_rnti=b"\x00\x01", slice_id="embb", ue_nonce=b"n" * 8)),
                    "adversary:flood")
     world.run_until(100)
-    injected = [e for e in world.transcript.entries if e.annotations.injected]
-    assert injected and injected[0].event.src == "bot"
+    injected = [e for e in world.transcript.entries if e.origin.startswith("adversary:")]
+    assert injected and injected[0].src == "bot"
 
 
 def test_injection_into_the_past_is_ignored():
@@ -308,7 +320,7 @@ def test_injection_into_the_past_is_ignored():
         capabilities=frozenset({Capability.INJECT}), handler=into_the_past))
     assert run_registration(world, "ue1").success
     assert calls
-    assert not any(e.annotations.injected for e in world.transcript.entries)
+    assert not any(e.origin.startswith("adversary:") for e in world.transcript.entries)
     clean, _ = single_network_world(seed=3)
     run_registration(clean, "ue1")
     assert world.transcript.sha256() == clean.transcript.sha256()
@@ -323,35 +335,34 @@ _AWKWARD = ["ue-\u00fc1", 'a"b', "back\\slash", "line\nbreak", "ctl\x01\x1f",
 def _reference_export(entry) -> dict:
     """The transcript line as a dict, for json.dumps(..., sort_keys=True)."""
     return {
-        "time": entry.event.time,
-        "seq": entry.event.seq,
-        "channel": entry.event.channel.value,
-        "src": entry.event.src,
-        "dst": entry.event.dst,
+        "time": entry.time,
+        "seq": entry.seq,
+        "channel": entry.channel.value,
+        "src": entry.src,
+        "dst": entry.dst,
         "msg": entry.msg_type,
-        "payload": entry.event.payload.hex(),
-        "origin": entry.event.origin,
-        "modified": entry.annotations.modified,
-        "injected": entry.annotations.injected,
-        "dropped": entry.annotations.dropped,
+        "payload": entry.payload.hex(),
+        "origin": entry.origin,
+        "modified": entry.modified,
+        "injected": entry.origin.startswith("adversary:"),
+        "dropped": entry.dropped,
     }
 
 
 def test_transcript_lines_match_json_dumps():
     transcript = Transcript()
     channels = list(Channel)
-    flags = list(itertools.product((False, True), repeat=3))
-    for i, (text, (dropped, modified, injected)) in enumerate(
+    flags = list(itertools.product((False, True), (False, True), ("adversary:", "entity:")))
+    for i, (text, (dropped, modified, origin)) in enumerate(
             itertools.product(_AWKWARD, flags)):
-        event = SimEvent(time=2**40 + 7 * i, seq=2**41 + i,
-                         channel=channels[i % len(channels)],
-                         src=f"src {text}", dst=f"{text} dst",
-                         payload=b"" if i % 2 else bytes(range(200)) * 7,
-                         origin=f"adversary:{text}")
-        transcript.append(event, Annotations(modified=modified, injected=injected,
-                                             dropped=dropped), f"Msg{text}")
+        transcript.append(SimEvent(time=2**40 + 7 * i, seq=2**41 + i,
+                                   channel=channels[i % len(channels)],
+                                   src=f"src {text}", dst=f"{text} dst",
+                                   payload=b"" if i % 2 else bytes(range(200)) * 7,
+                                   origin=origin + text, msg_type=f"Msg{text}",
+                                   modified=modified, dropped=dropped))
     assert len(transcript.entries) == len(_AWKWARD) * 8
-    assert len(transcript.entries[0].event.payload) == 1400
+    assert len(transcript.entries[0].payload) == 1400
 
     exported = transcript.to_jsonl()
     assert exported.isascii()

@@ -369,7 +369,7 @@ def _delivered(world, channel, msg_type):
 
 
 def _assert_nothing_twice(world, builder):
-    active = [e.event.payload for e in _delivered(world, Channel.N2, "UeContextActive")]
+    active = [e.payload for e in _delivered(world, Channel.N2, "UeContextActive")]
     assert len(active) == len(set(active))
     payloads = [p for _, p in builder.networks["net"].upf.received]
     assert len(payloads) == len(set(payloads))
@@ -422,9 +422,9 @@ def test_replayed_nas_security_mode_command_ignored():
     ue = world.entities["ue1"]
     link = ue.nas_link
     command = next(
-        e.event.payload for e in _delivered(world, Channel.RADIO_NAS, "SecuredNas")
-        if e.event.dst == "ue1" and isinstance(
-            try_decode(messages.decode(e.event.payload).body),
+        e.payload for e in _delivered(world, Channel.RADIO_NAS, "SecuredNas")
+        if e.dst == "ue1" and isinstance(
+            try_decode(messages.decode(e.payload).body),
             messages.NasSecurityModeCommand))
     world.schedule(world.time + 1, Channel.RADIO_NAS, "cell-a", "ue1", command,
                    "adversary:mitm")
@@ -437,8 +437,8 @@ def test_replayed_as_security_mode_command_ignored():
     world, builder = single_network_world(seed=38)
     assert run_registration(world, "ue1").success
     link = world.entities["ue1"].rrc_link
-    command = next(e.event.payload for e in _delivered(world, Channel.RADIO_RRC, "SecuredRrc")
-                   if e.event.dst == "ue1")
+    command = next(e.payload for e in _delivered(world, Channel.RADIO_RRC, "SecuredRrc")
+                   if e.dst == "ue1")
     before = len(_delivered(world, Channel.RADIO_RRC, "SecuredRrc"))
     world.schedule(world.time + 1, Channel.RADIO_RRC, "cell-a", "ue1", command,
                    "adversary:mitm")
@@ -452,7 +452,7 @@ def test_replayed_smf_session_response_keeps_the_up_links():
     # a second SmfSessionResponse for the same request must not rebuild the
     # user-plane links at count 0, which would reuse the AES-CTR keystream
     world, builder = _user_plane_world(39)
-    response = _delivered(world, Channel.SBI, "SmfSessionResponse")[-1].event
+    response = _delivered(world, Channel.SBI, "SmfSessionResponse")[-1]
     send_app_data(world, "ue1", b"first")
     ue_link, radio_link = world.entities["ue1"].up_link, _radio(builder).up
     world.schedule(world.time + 1, Channel.SBI, response.src, response.dst,
@@ -460,7 +460,7 @@ def test_replayed_smf_session_response_keeps_the_up_links():
     world.run_until(world.time + 100)
     send_app_data(world, "ue1", b"second")
     assert world.entities["ue1"].up_link is ue_link and _radio(builder).up is radio_link
-    counts = [messages.decode(e.event.payload).count
+    counts = [messages.decode(e.payload).count
               for e in _delivered(world, Channel.RADIO_RRC, "SecuredUp")]
     assert counts == [0, 1]
 
@@ -518,7 +518,7 @@ def test_a_null_ciphered_link_carries_a_session_and_a_packet(case):
     ue, radio = world.entities["ue1"], node.ue_contexts[node.by_ue["ue1"]]
     if case == "up":
         ends = (ue.up_link, radio.up)
-        [packet] = [messages.decode(e.event.payload)
+        [packet] = [messages.decode(e.payload)
                     for e in _delivered(world, Channel.RADIO_RRC, "SecuredUp")]
         assert (packet.nea_id, packet.nia_id) == (0, 2)
         assert packet.body == messages.encode(messages.AppData(payload=b"in-clear"))
@@ -526,7 +526,7 @@ def test_a_null_ciphered_link_carries_a_session_and_a_packet(case):
                                           packet.direction, packet.body)
     else:
         ends = (ue.rrc_link, radio.rrc)
-        sealed = [messages.decode(e.event.payload)
+        sealed = [messages.decode(e.payload)
                   for e in _delivered(world, Channel.RADIO_RRC, "SecuredRrc")]
         assert sealed and {(w.nea_id, w.nia_id) for w in sealed} == {(0, 2)}
     assert [end._ctr for end in ends] == [None, None]
