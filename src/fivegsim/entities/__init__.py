@@ -15,15 +15,11 @@ from .core import (
     validate_nf_token,
 )
 from .ran import GnbNode
-from .sepp import (
-    PeerRevoked,
-    PeerUnknown,
-    Sepp,
-)
+from .sepp import Sepp
 from .ue import Ue, UePhase
 
 __all__ = [
-    "Amf", "Ausf", "Entity", "GnbNode", "Nrf", "PeerRevoked", "PeerUnknown",
-    "Sepp", "Smf", "TokenExpired", "Ue", "UePhase", "Udm", "UnknownConsumer",
-    "Upf", "WrongAudience", "authorize_nf", "validate_nf_token",
+    "Amf", "Ausf", "Entity", "GnbNode", "Nrf", "Sepp", "Smf", "TokenExpired", "Ue",
+    "UePhase", "Udm", "UnknownConsumer", "Upf", "WrongAudience", "authorize_nf",
+    "validate_nf_token",
 ]

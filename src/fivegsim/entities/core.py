@@ -87,8 +87,6 @@ class Amf(Entity):
         ausf_id: str = "",
         udm_id: str = "",
         smf_id: str = "",
-        sepp_id: str = "",
-        engnb_id: str = "",
     ):
         super().__init__(entity_id)
         self.plmn = plmn
@@ -96,14 +94,13 @@ class Amf(Entity):
         self.ausf_id = ausf_id
         self.udm_id = udm_id
         self.smf_id = smf_id
-        self.sepp_id = sepp_id
-        self.engnb_id = engnb_id
+        self.sepp_id = ""  # set with the network's SEPP, if it has one
+        self.engnb_id = ""  # set with the network's en-gNB (NSA)
         self.serving_network_name = serving_network_name(policy.mode, plmn)
         self.sessions: dict[str, AmfSession] = {}
         self.by_ran: dict[tuple[str, int], str] = {}
         self.by_sbi: dict[str, str] = {}  # authentication SBI id -> session id
         self.by_pdu: dict[str, str] = {}  # PDU session SBI id -> session id, until answered
-        self.contexts: dict[str, str] = {}  # guti hex -> session id
         self._session_seq = 0
         self._sbi_seq = 0
         self._timer_seq = 0
@@ -157,8 +154,6 @@ class Amf(Entity):
         """Drop a session from every index: its UE started a new registration."""
         del self.sessions[session.sid]
         self.by_sbi.pop(session.sbi_sid, None)
-        if session.guti is not None:
-            self.contexts.pop(session.guti.hex(), None)
         for leg in ((session.gnb, session.ran_ue_id), session.up_leg):
             if self.by_ran.get(leg) == session.sid:
                 del self.by_ran[leg]
@@ -347,12 +342,9 @@ class Amf(Entity):
 
     @takes(AmfState.NAS_SECURED, find=_by_leg)
     def on_ue_context_active(self, session, msg, event, ctx) -> None:
-        if session.guti is not None:
-            self.contexts.pop(session.guti.hex(), None)
         temp = self._allocator(ctx).allocate()
         session.guti = temp.guti
         session.state = AmfState.REGISTERED
-        self.contexts[temp.guti.hex()] = session.sid
         if self.policy.context_renewal_interval is not None:
             self._timer_seq += 1
             self._timers[self._timer_seq] = session.sid

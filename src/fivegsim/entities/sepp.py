@@ -20,14 +20,6 @@ from ..policy import serving_network_name
 from .base import Entity, State, takes, try_decode
 
 
-class PeerUnknown(KeyError):
-    pass
-
-
-class PeerRevoked(PermissionError):
-    pass
-
-
 _ANSWERS = (messages.AuthResponseSbi, messages.AuthRejectSbi, messages.ConfirmResponseSbi)
 
 
@@ -97,13 +89,13 @@ class Sepp(Entity):
 
     # -- peer validation -------------------------------------------------------
 
-    def _validate_peer(self, plmn: str) -> bytes:
+    def _refusal(self, plmn: str) -> str | None:
+        """Why the peer of ``plmn`` is refused, or None: it is not on the
+        allowlist, or its allowlisted key is revoked."""
         key = self.allowlist.get(plmn)
         if key is None:
-            raise PeerUnknown(plmn)
-        if key in self.revoked:
-            raise PeerRevoked(plmn)
-        return key
+            return "PeerUnknown"
+        return "PeerRevoked" if key in self.revoked else None
 
     # -- outbound (serving side) --------------------------------------------------
 
@@ -210,18 +202,14 @@ class Sepp(Entity):
     # -- handshake -------------------------------------------------------------------
 
     def on_sepp_hello(self, msg, event, ctx) -> None:
-        try:
-            key = self._validate_peer(msg.plmn)
-        except (PeerUnknown, PeerRevoked) as exc:
-            reason = type(exc).__name__
+        reason = self._refusal(msg.plmn)
+        if reason is None and (msg.peer_plmn != self.plmn or not crypto.verify(
+                self.allowlist[msg.plmn], _hello_context(msg.plmn, msg.peer_plmn, msg.nonce),
+                msg.signature)):
+            reason = "BadSignature"
+        if reason is not None:
             self.rejections.append(reason)
             ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason=reason))
-            return
-        if msg.peer_plmn != self.plmn or not crypto.verify(
-            key, _hello_context(msg.plmn, msg.peer_plmn, msg.nonce), msg.signature
-        ):
-            self.rejections.append("BadSignature")
-            ctx.emit(Channel.SEPP_LINK, event.src, messages.SeppReject(reason="BadSignature"))
             return
         session = self.sessions.setdefault(msg.plmn, SeppSession(peer_id=event.src))
         session.peer_id = event.src
@@ -237,12 +225,11 @@ class Sepp(Entity):
         if session is None:
             ctx.ignore()
             return
-        try:
-            key = self._validate_peer(msg.plmn)
-        except (PeerUnknown, PeerRevoked):
+        if self._refusal(msg.plmn) is not None:
             self.rejections.append("PeerInvalidOnAck")
             return
-        if not crypto.verify(key, _hello_context(msg.plmn, self.plmn, msg.echo_nonce),
+        if not crypto.verify(self.allowlist[msg.plmn],
+                             _hello_context(msg.plmn, self.plmn, msg.echo_nonce),
                              msg.signature):
             self.rejections.append("BadSignature")
             return

@@ -29,18 +29,16 @@ class RegistrationOutcome:
 
 def find_amf_session(amf: Amf, ue: Ue):
     """The AMF session owning this device's current temporary identity."""
-    if ue.guti is not None:
-        sid = amf.contexts.get(ue.guti.hex())
-        if sid is not None:
-            return amf.sessions[sid]
+    if ue.guti is not None:  # the AMF never issues one GUTI twice
+        return next((s for s in amf.sessions.values() if s.guti == ue.guti), None)
     return None
 
 
-def run_registration(world: World, ue_id: str, target_cell: str = "",
+def run_registration(world: World, ue_id: str,
                      horizon: int = DEFAULT_HORIZON) -> RegistrationOutcome:
     """Trigger one registration and drive the world to quiescence."""
     ue = world.entities[ue_id]
-    trigger(world, ue_id, messages.TriggerRegistration(target_cell=target_cell))
+    trigger(world, ue_id, messages.TriggerRegistration(target_cell=""))
     world.run_until(world.time + horizon)
     outcome = ue.last_outcome() or "stalled"
     amf_context = None
@@ -58,14 +56,12 @@ def run_registration(world: World, ue_id: str, target_cell: str = "",
     )
 
 
-def establish_user_plane(world: World, ue_id: str,
-                         horizon: int = 2_000) -> bool:
+def establish_user_plane(world: World, ue_id: str) -> bool:
     trigger(world, ue_id, messages.TriggerPduSession())
-    world.run_until(world.time + horizon)
+    world.run_until(world.time + 2_000)
     return world.entities[ue_id].up_link is not None
 
 
-def send_app_data(world: World, ue_id: str, payload: bytes,
-                  horizon: int = 1_000) -> None:
+def send_app_data(world: World, ue_id: str, payload: bytes) -> None:
     trigger(world, ue_id, messages.TriggerAppData(payload=payload))
-    world.run_until(world.time + horizon)
+    world.run_until(world.time + 1_000)

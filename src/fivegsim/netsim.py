@@ -224,8 +224,8 @@ class StepContext:
     def emit(self, channel: Channel, dst: str, msg, delay: int = 1) -> None:
         self.out.append((delay, channel, dst, messages.encode(msg), msg))
 
-    def emit_raw(self, channel: Channel, dst: str, payload: bytes, delay: int = 1) -> None:
-        self.out.append((delay, channel, dst, payload, None))
+    def emit_raw(self, channel: Channel, dst: str, payload: bytes) -> None:
+        self.out.append((1, channel, dst, payload, None))
 
     def timer(self, delay: int, timer_id: int) -> None:
         self.emit(Channel.INTERNAL, self.entity_id, messages.TimerFired(timer_id=timer_id), delay)

@@ -161,9 +161,11 @@ class WorldBuilder:
         identity = SubscriberIdentity(mcc=mcc, mnc=mnc, msin=msin)
         if pei is None:
             pei = self.world.streams.stream(f"build:{ue_id}:pei").digits(15)
+        supi = format_supi(identity)
+        if supi in home.udm.subscribers:  # a second key would replace the first UE's
+            raise ValueError(f"msin: {supi} is already a subscriber of {home.name}")
         credential = LongTermCredential(k=self._seed32(f"{ue_id}:k")[:16], sqn=1)
-        home.udm.add_subscriber(format_supi(identity), LongTermCredential(
-            k=credential.k, sqn=credential.sqn))
+        home.udm.add_subscriber(supi, LongTermCredential(k=credential.k, sqn=credential.sqn))
         ue = Ue(ue_id, identity, EquipmentIdentity(pei=pei), credential,
                 home.home_keypair, home.policy, slice_id=slice_id,
                 nsa_up_node=home.engnb.entity_id if home.engnb else "")
@@ -185,20 +187,13 @@ def single_network_world(seed: int = 0, policy: OperatorPolicy | None = None,
     return builder.world, builder
 
 
-def roaming_world(seed: int = 0, home_routed_data: bool = False,
-                  ) -> tuple[World, WorldBuilder]:
-    """A subscriber of network B under coverage of network A only.
-
-    ``home_routed_data`` switches the user plane from local breakout at
-    the serving network to routing through the home network; the only
-    visible difference is which user-plane function the data reaches.
-    """
+def roaming_world(seed: int = 0) -> tuple[World, WorldBuilder]:
+    """A subscriber of network B under coverage of network A only, its user
+    plane broken out at the serving network."""
     builder = WorldBuilder(seed)
     serving = builder.add_network("serv", "00101")
     home = builder.add_network("home", "99902")
-    cell = builder.add_cell(serving, "cell-a", strength=10)
-    if home_routed_data:
-        cell.upf_id = home.upf.entity_id
+    builder.add_cell(serving, "cell-a", strength=10)
     builder.add_sepp(serving)
     builder.add_sepp(home)
     builder.connect_sepps(serving, home)
@@ -220,12 +215,26 @@ def _list_of(enum):
     return lambda text: frozenset(enum(value.strip()) for value in text.split(","))
 
 
-def _octet(text: str) -> int:
-    """A 5GMM cause, which is one octet (TS 24.501 9.11.3.2)."""
-    value = int(text)
-    if not 0 <= value <= 255:
-        raise ValueError(f"{value} is not one octet (0..255)")
-    return value
+def _up_to(top: int, what: str):
+    """The reader of an integer in 0..``top``."""
+    def read(text: str) -> int:
+        value = int(text)
+        if not 0 <= value <= top:
+            raise ValueError(f"{value} is not {what}")
+        return value
+    return read
+
+
+# a 5GMM cause is one octet (TS 24.501 9.11.3.2); a world seed, 64 bits
+_octet = _up_to(255, "one octet (0..255)")
+_seed = _up_to(2**64 - 1, "an unsigned 64-bit integer (0..2^64-1)")
+
+
+def _plmn(text: str) -> str:
+    """An MCC of 3 decimal digits and an MNC of 2 or 3 (TS 23.003 2.2)."""
+    if not (text.isascii() and text.isdigit() and len(text) in (5, 6)):
+        raise ValueError(f"{text!r} is not 5 or 6 decimal digits")
+    return text
 
 
 # the keys of a genuine cell -> the reader of each key's text
@@ -234,8 +243,8 @@ _CELL = {"network": str, "strength": int, "rogue": parse_bool}
 # takes; None: text, policy keys checked as they parse, overrides by the scenario
 # run).  A cell takes the rogue keys only with rogue = true.
 _SECTIONS = {
-    "world": (False, {"seed": int}), "policy": (False, None), "overrides": (False, None),
-    "network": (True, {"plmn": str}),
+    "world": (False, {"seed": _seed}), "policy": (False, None), "overrides": (False, None),
+    "network": (True, {"plmn": _plmn}),
     "cell": (True, {**_CELL, "reject_cause": _octet, "broadcast_own_key": parse_bool}),
     "ue": (True, {"network": str, "msin": str, "pei": str, "slice": str}),
     "adversary": (True, {"channels": _list_of(Channel), "capabilities": _list_of(Capability)}),
@@ -353,7 +362,10 @@ def _build(sections: dict[str, _Values]) -> tuple[World, WorldBuilder]:
         elif kind == "ue":
             if "slice" in args:
                 args["slice_id"] = args.pop("slice")
-            builder.add_ue(name, network, **args)
+            try:
+                builder.add_ue(name, network, **args)
+            except ValueError as exc:  # a refused msin or pei: its text starts with the key
+                raise WorldFileError(f"[{section}] {exc}") from None
         elif kind == "adversary":
             builder.world.attach_adversary(AdversaryHook(
                 adversary_id=name, vantage=values["channels"],

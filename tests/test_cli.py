@@ -359,7 +359,17 @@ def test_world_file_section_or_key_it_does_not_read_exits_3(capsys, tmp_path, sc
     *((WORLD_HEAD + "[cell rogue-z]\nnetwork = home\nrogue = true\nbroadcast_own_key = true\n"
        f"reject_cause = {cause}\n",
        f"[cell rogue-z] reject_cause: {cause} is not one octet (0..255)") for cause in (300, -1)),
-], ids=["strength", "capabilities", "reject-cause-300", "reject-cause-negative"])
+    # a PLMN is an MCC of 3 digits and an MNC of 2 or 3
+    *((WORLD_HEAD.replace("plmn = 00101", f"plmn = {plmn}"),
+       f"[network home] plmn: '{plmn}' is not 5 or 6 decimal digits")
+      for plmn in ("abc", "0010", "0010100", "00a01")),
+    # a world seed is 64 bits
+    *((f"[world]\nseed = {seed}\n" + WORLD_HEAD,
+       f"[world] seed: {seed} is not an unsigned 64-bit integer (0..2^64-1)")
+      for seed in (-1, 2**64)),
+], ids=["strength", "capabilities", "reject-cause-300", "reject-cause-negative",
+        "plmn-letters", "plmn-4-digits", "plmn-7-digits", "plmn-mixed",
+        "seed-negative", "seed-2^64"])
 @pytest.mark.parametrize("scenario", ["registration", "TS_06"])
 def test_world_file_value_error_names_its_section_and_key(capsys, tmp_path, scenario,
                                                           text, error):
@@ -367,6 +377,22 @@ def test_world_file_value_error_names_its_section_and_key(capsys, tmp_path, scen
     world_file.write_text(text)
     code, out, err = run_cli(capsys, "run", "--scenario", scenario, "--world", str(world_file))
     assert (code, out, err) == (3, "", f"error: world file: {error}\n")
+
+
+@pytest.mark.parametrize("ue2, error", [
+    # a second UE of one SUPI would replace the first UE's key at the UDM
+    ("msin = 0000000001", "msin: imsi-001010000000001 is already a subscriber of home"),
+    ("msin = 12345678901", "msin must be 1..10 digits"),
+    ("pei = 12", "pei must be exactly 15 digits"),
+], ids=["msin-repeated", "msin-11-digits", "pei-2-digits"])
+def test_world_file_ue_identity_error_names_its_section(capsys, tmp_path, ue2, error):
+    world_file = tmp_path / "world.ini"
+    world_file.write_text(WORLD_HEAD.replace("[ue ue1]\nnetwork = home\n",
+                                             "[ue ue1]\nnetwork = home\nmsin = 0000000001\n")
+                          + f"[ue ue2]\nnetwork = home\n{ue2}\n")
+    code, out, err = run_cli(capsys, "run", "--scenario", "registration",
+                             "--world", str(world_file))
+    assert (code, out, err) == (3, "", f"error: world file: [ue ue2] {error}\n")
 
 
 def test_world_file_key_an_entity_needs_is_named_with_its_section(tmp_path):

@@ -6,8 +6,6 @@ from oracles import radio_plaintext_count
 from fivegsim import crypto, messages
 from fivegsim.entities import (
     Amf,
-    PeerRevoked,
-    PeerUnknown,
     Sepp,
     TokenExpired,
     UnknownConsumer,
@@ -129,7 +127,9 @@ def test_guti_allocated_and_used_for_context():
     run_registration(world, "ue1")
     ue = world.entities["ue1"]
     amf = builder.networks["net"].amf
-    assert ue.guti is not None and ue.guti.hex() in amf.contexts
+    session = find_amf_session(amf, ue)
+    assert ue.guti is not None and session is not None
+    assert session.context.keys.get("k_amf") == ue.context.keys.get("k_amf")
 
 
 def test_concurrent_registrations_across_cells_keep_their_sessions():
@@ -150,7 +150,7 @@ def test_concurrent_registrations_across_cells_keep_their_sessions():
         assert ue.serving_gnb == cell
         session = find_amf_session(amf, ue)
         assert session.context.keys.get("k_amf") == ue.context.keys.get("k_amf"), ue_id
-    assert len(amf.contexts) == 12
+    assert len({find_amf_session(amf, world.entities[ue_id]).sid for ue_id in cells}) == 12
 
 
 def test_nsa_engnb_keeps_ues_of_two_enbs_apart():
@@ -520,10 +520,10 @@ def test_renewal_replaces_keys_end_to_end():
     for name in SHARED_KEYS:
         assert session.context.keys.get(name) == ue.context.keys.get(name)
     # a renewal keeps the UE registered; its re-authentication drops the last
-    # SBI id and its new GUTI the last context
+    # SBI id, and its one session holds the new GUTI
     assert ue.phase == UePhase.REGISTERED
     assert amf.by_sbi == {session.sbi_sid: session.sid}
-    assert amf.contexts == {ue.guti.hex(): session.sid}
+    assert list(amf.sessions) == [session.sid] and session.guti == ue.guti
 
 
 # One answer of each kind, injected after the UE registered: each belongs to
@@ -603,8 +603,8 @@ def test_establish_interconnect_checks():
     def refuse_other_key(home, serving):
         home.allowlist[serving.plmn] = home.verification_key
 
-    for tamper, reason in ((None, None), (refuse_unknown, PeerUnknown.__name__),
-                           (refuse_revoked, PeerRevoked.__name__),
+    for tamper, reason in ((None, None), (refuse_unknown, "PeerUnknown"),
+                           (refuse_revoked, "PeerRevoked"),
                            (refuse_other_key, "BadSignature")):
         world, builder = roaming_world(seed=16)
         serving, home = builder.networks["serv"].sepp, builder.networks["home"].sepp
@@ -622,6 +622,30 @@ def test_establish_interconnect_checks():
             assert serving.rejections == [f"peer:{reason}"]
             assert "00101" not in home.sessions
             assert not serving.sessions["99902"].established
+
+
+# the serving proxy checks the home proxy's ack as the home proxy checks its
+# hello: against its own allowlist and revocations
+ACK_REFUSALS = {
+    "revoked": (lambda serving, home: serving.revoke(home.verification_key), "PeerInvalidOnAck"),
+    "unlisted": (lambda serving, home: serving.allowlist.pop(home.plmn), "PeerInvalidOnAck"),
+    "other-key": (lambda serving, home: serving.allowlist.update(
+        {home.plmn: serving.verification_key}), "BadSignature"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACK_REFUSALS))
+def test_serving_sepp_refuses_an_ack_its_peer_does_not_pass(case):
+    tamper, reason = ACK_REFUSALS[case]
+    world, builder = roaming_world(seed=16)
+    serving, home = builder.networks["serv"].sepp, builder.networks["home"].sepp
+    tamper(serving, home)
+    outcome = run_registration(world, "ue1")
+    # each of the UE's three attempts sends a hello, and each ack is refused
+    assert outcome.outcome == "timeout"
+    assert serving.rejections == [reason] * 3
+    assert home.rejections == []
+    assert not serving.sessions["99902"].established
 
 
 @pytest.mark.parametrize("peer_plmn", ["00101", "00199"])
@@ -811,7 +835,9 @@ def test_roaming_data_routing_flag_moves_upf():
     assert builder.networks["serv"].upf.received
     assert not builder.networks["home"].upf.received
 
-    world2, builder2 = roaming_world(seed=21, home_routed_data=True)
+    # home-routed: the serving cell sends its uplink to the home network's UPF
+    world2, builder2 = roaming_world(seed=21)
+    builder2.networks["serv"].cells[0].upf_id = builder2.networks["home"].upf.entity_id
     run_registration(world2, "ue1")
     establish_user_plane(world2, "ue1")
     send_app_data(world2, "ue1", b"home-routed-bytes")
@@ -955,7 +981,7 @@ def test_lost_registration_accept_is_resent_without_a_second_context():
                              lost.nea_id, lost.nia_id, direction=0)
     assert isinstance(open_secured(link, lost), messages.RegistrationAccept)
     assert session.guti == ue.guti
-    assert amf.contexts == {ue.guti.hex(): session.sid}
+    assert list(amf.sessions) == [session.sid]
     assert list(amf._timers.values()) == [session.sid]
 
 
@@ -1035,12 +1061,13 @@ def test_re_registrations_keep_amf_indexes_constant(mode):
     for _ in range(20):
         assert run_registration(world, "ue1").success
         assert establish_user_plane(world, "ue1")
-        sizes.append((len(amf.sessions), len(amf.by_sbi), len(amf.contexts),
+        assert find_amf_session(amf, world.entities["ue1"]) is not None
+        sizes.append((len(amf.sessions), len(amf.by_sbi),
                       len(amf.by_ran), len(ausf.sessions), len(ausf.latest)))
         if mode == "roaming":
             assert serving.sepp.routes == {} and home.sepp.routes == {}
         trigger(world, "ue1", messages.PowerCycle())
         world.run_until(world.time + 10)
-    # one session, its authentication SBI id and its context; the initial
-    # leg, plus the en-gNB leg in NSA
-    assert sizes == [(1, 1, 1, 1 if mode != "NSA" else 2, 0, 0)] * 20
+    # one session, the UE's GUTI's, and its authentication SBI id; the
+    # initial leg, plus the en-gNB leg in NSA
+    assert sizes == [(1, 1, 1 if mode != "NSA" else 2, 0, 0)] * 20

@@ -86,7 +86,6 @@ def amf_in(state: AmfState, keyed: bool, msg) -> Amf:
         session.context = SecurityContext(ng_ksi=1, keys=keys, nea_id=NEA, nia_id=NIA)
         session.link = crypto.SecureLink(messages.SecuredNas, keys, NEA, NIA, direction=1)
         session.guti = bytes(10)
-        amf.contexts[session.guti.hex()] = session.sid
         amf.by_pdu[getattr(msg, "session", "amf-p2")] = session.sid
     amf.sessions[session.sid] = session
     for leg in ((SRC, 1), (SRC, getattr(msg, "ran_ue_id", 1))):
