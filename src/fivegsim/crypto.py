@@ -131,13 +131,14 @@ class HomeNetworkKeyPair:
 
 
 # Entries per memo of the key work in this module: concealment key pairs,
-# AES-CTR contexts and Ed25519 key parses by their input bytes, and ECIES
-# agreements by both public keys.  Worlds built from one seed repeat those
-# inputs, so each recent one is derived once per process; a raised error
-# is never cached.  A lookup that misses costs under 1 us against 10 us
-# and more for the step.  A memoized object with state (an AES-CTR
-# context) is shared by every caller of its key, which is safe because
-# one thread runs worlds, as it runs the bus.
+# AES-CTR and keyed CMAC contexts and Ed25519 key parses by their input
+# bytes, and ECIES agreements by both public keys.  Worlds built from one
+# seed repeat those inputs, so each recent one is derived once per
+# process; a raised error is never cached.  A lookup that misses costs
+# under 1 us against 2 us and more for the step.  A memoized object with
+# state (an AES-CTR context) is shared by every caller of its key, which
+# is safe because one thread runs worlds, as it runs the bus; a keyed
+# CMAC is only ever copied, so its state never moves.
 _MEMO_SIZE = 256
 _memo = lru_cache(maxsize=_MEMO_SIZE)
 
@@ -227,6 +228,13 @@ def _ctr_context(key: bytes):
     """The AES-128-CTR encryptor of a 16-byte key (ECIES, 128-NEA2), one
     per key and process; ``_aes_ctr`` re-points it at every use."""
     return Cipher(AES(key), CTR(bytes(16))).encryptor()
+
+
+@_memo
+def _cmac_context(key: bytes):
+    """The AES-CMAC context keyed by a 16-byte key (128-NIA2), one per key
+    and process; ``_cmac_tag`` computes each tag on a copy of it."""
+    return CMAC(AES(key))
 
 
 def _aes_ctr(ctr, icb: bytes, data: bytes) -> bytes:
@@ -563,18 +571,19 @@ _NULL_TAG = b"\x00" * MAC_I_LEN
 _DIRECTION_PAD = (bytes(12), b"\x01" + bytes(11))
 
 
-def _cmac_tag(mac_key: AES, count: int, direction: int, ciphertext: bytes) -> bytes:
+def _cmac_tag(mac, count: int, direction: int, ciphertext: bytes) -> bytes:
     """128-NIA2: AES-CMAC over COUNT || DIRECTION || the message, cut to
-    MAC_I_LEN, under a ``SecureLink``'s prepared integrity key."""
-    mac = CMAC(mac_key)
+    MAC_I_LEN, on a copy of a ``SecureLink``'s keyed CMAC, which never
+    absorbs a message itself."""
+    mac = mac.copy()
     mac.update(count.to_bytes(4, "big") + bytes([direction & 1]) + ciphertext)
     return mac.finalize()[:MAC_I_LEN]
 
 
-def protect(payload: bytes, ctr, mac_key: AES | None, direction: int,
+def protect(payload: bytes, ctr, mac, direction: int,
             count: int) -> tuple[bytes, bytes]:
     """(ciphertext, tag) of one message under a ``SecureLink``'s ciphering
-    encryptor and prepared integrity key; ``None`` is the null algorithm.
+    encryptor and keyed CMAC; ``None`` is the null algorithm.
 
     The null algorithms pass bytes through but the tag overhead is always
     present (four zero bytes under null integrity).
@@ -582,18 +591,18 @@ def protect(payload: bytes, ctr, mac_key: AES | None, direction: int,
     if ctr is not None:
         payload = _aes_ctr(ctr, count.to_bytes(4, "big") + _DIRECTION_PAD[direction & 1],
                            payload)
-    if mac_key is None:
+    if mac is None:
         return payload, _NULL_TAG
-    return payload, _cmac_tag(mac_key, count, direction, payload)
+    return payload, _cmac_tag(mac, count, direction, payload)
 
 
-def unprotect(ciphertext: bytes, mac_tag: bytes, ctr, mac_key: AES | None,
+def unprotect(ciphertext: bytes, mac_tag: bytes, ctr, mac,
               direction: int, count: int) -> bytes:
     """Verify the tag (unless null integrity) and decipher, under a
-    ``SecureLink``'s ciphering encryptor and prepared integrity key;
-    ``None`` is the null algorithm."""
-    if mac_key is not None:
-        expected = _cmac_tag(mac_key, count, direction, ciphertext)
+    ``SecureLink``'s ciphering encryptor and keyed CMAC; ``None`` is the
+    null algorithm."""
+    if mac is not None:
+        expected = _cmac_tag(mac, count, direction, ciphertext)
         if not hmac_mod.compare_digest(expected, mac_tag):
             raise IntegrityFailure("message tag mismatch")
     if ctr is None:
@@ -642,11 +651,10 @@ class SecureLink:
         enc_name, int_name = _LINK_KEYS[wrapper]
         self.wrapper = wrapper
         # a null algorithm needs no key; a missing one is a KeyError here.
-        # The end keeps its key's AES-CTR encryptor, so a message makes no
-        # memo lookup, and its integrity key is an algorithm object: each
-        # tag is one CMAC, with no key parsing
+        # The end keeps its key's AES-CTR encryptor and keyed CMAC, so a
+        # message makes no memo lookup and builds no context
         self._ctr = _ctr_context(_aes_key(keys[enc_name])) if nea_id else None
-        self._mac_key = AES(_aes_key(keys[int_name])) if nia_id else None
+        self._mac = _cmac_context(_aes_key(keys[int_name])) if nia_id else None
         self.nea_id = nea_id
         self.nia_id = nia_id
         self.direction = direction
@@ -660,7 +668,7 @@ class SecureLink:
         count = self.next_tx
         self.next_tx = count + 1
         ctr, nea_id = (None, 0) if integrity_only else (self._ctr, self.nea_id)
-        body, mac_tag = protect(messages.encode(inner), ctr, self._mac_key,
+        body, mac_tag = protect(messages.encode(inner), ctr, self._mac,
                                 self.direction, count)
         return self.wrapper(count, self.direction, nea_id, self.nia_id, mac_tag, body)
 
@@ -680,7 +688,7 @@ class SecureLink:
         if len(wrapper.mac_tag) != MAC_I_LEN:
             return LinkReject.INTEGRITY
         try:
-            payload = unprotect(wrapper.body, wrapper.mac_tag, ctr, self._mac_key,
+            payload = unprotect(wrapper.body, wrapper.mac_tag, ctr, self._mac,
                                 wrapper.direction, count)
         except IntegrityFailure:
             return LinkReject.INTEGRITY

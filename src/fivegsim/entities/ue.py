@@ -313,10 +313,16 @@ class Ue(Entity):
             ctx.ignore()
             return
         k_ausf, name, abba = self._challenge
+
+        def derive(nea_id: int, nia_id: int) -> dict[str, bytes]:
+            # the NAS context stops at k_gnb, as the AMF's does: the AS keys
+            # come from the AS command's ids (on_secured_rrc)
+            k_seaf = crypto.derive_k_seaf(k_ausf, name)
+            return {"k_ausf": k_ausf, **crypto.derive_chain_from_seaf(
+                k_seaf, format_supi(self.identity), abba, nea_id, nia_id)}
+
         accepted = self._accept_smc(
-            ctx, wrapper, smc,
-            partial(crypto.derive_key_chain, k_ausf, name, format_supi(self.identity), abba),
-            Channel.RADIO_NAS, reply_dst,
+            ctx, wrapper, smc, derive, Channel.RADIO_NAS, reply_dst,
             messages.NasSecurityModeComplete(pei=self.pei.pei if smc.request_pei else ""),
             Awaiting.AS_SMC)
         if accepted is None:

@@ -325,14 +325,20 @@ def _read_sections(parser) -> dict[str, _Values]:
 
 def load_override_file(path: str) -> dict[str, str]:
     """Scenario override file: the same key=value text as a world file,
-    with overrides in the [policy] and/or [overrides] sections, its
-    sections checked and read as a world file's are."""
+    with overrides in the [policy] and/or [overrides] sections.  Its
+    other sections are built into a world that is discarded, so a scenario
+    run refuses every entity a registration run refuses; the scenario
+    parses the overrides, [policy] among them, as it parses ``--set``."""
     sections = _read_sections(_read(path, "override"))
+    _checked_build({name: values for name, values in sections.items() if name != "policy"})
     return {**sections.get("policy", {}), **sections.get("overrides", {})}
 
 
 def load_world_file(path: str) -> tuple[World, WorldBuilder]:
-    sections = _read_sections(_read(path, "world"))
+    return _checked_build(_read_sections(_read(path, "world")))
+
+
+def _checked_build(sections: dict[str, _Values]) -> tuple[World, WorldBuilder]:
     try:
         return _build(sections)
     except (KeyError, ValueError) as exc:  # a KeyError's text, not its repr

@@ -385,12 +385,14 @@ def test_world_file_value_error_names_its_section_and_key(capsys, tmp_path, scen
     ("msin = 12345678901", "msin must be 1..10 digits"),
     ("pei = 12", "pei must be exactly 15 digits"),
 ], ids=["msin-repeated", "msin-11-digits", "pei-2-digits"])
-def test_world_file_ue_identity_error_names_its_section(capsys, tmp_path, ue2, error):
+@pytest.mark.parametrize("scenario", ["registration", "TS_06"])
+def test_world_file_ue_identity_error_names_its_section(capsys, tmp_path, ue2, error,
+                                                        scenario):
     world_file = tmp_path / "world.ini"
     world_file.write_text(WORLD_HEAD.replace("[ue ue1]\nnetwork = home\n",
                                              "[ue ue1]\nnetwork = home\nmsin = 0000000001\n")
                           + f"[ue ue2]\nnetwork = home\n{ue2}\n")
-    code, out, err = run_cli(capsys, "run", "--scenario", "registration",
+    code, out, err = run_cli(capsys, "run", "--scenario", scenario,
                              "--world", str(world_file))
     assert (code, out, err) == (3, "", f"error: world file: [ue ue2] {error}\n")
 

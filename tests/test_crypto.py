@@ -56,7 +56,7 @@ def _keypair(scheme):
 
 # the least-recently-used memos a registration world fills, beside the
 # agreement memo; the Ed25519 one is fed on its own
-_MEMOS = (crypto._keypair, crypto._ctr_context)
+_MEMOS = (crypto._keypair, crypto._ctr_context, crypto._cmac_context)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.cmac import CMAC
 
 import oracles
 from fivegsim import crypto, messages
@@ -174,7 +176,8 @@ def test_a_forged_body_leaves_the_next_packet_deciphered_at_its_own_count():
 
 def _send_checked(sender, receiver, count: int, size: int) -> None:
     """One message from ``sender`` at ``count``: its body is the CTR
-    oracle's at that count and the sender's direction, and it opens."""
+    oracle's at that count and the sender's direction, its tag the CMAC
+    oracle's, and it opens."""
     inner = messages.AppData(payload=keystream_body(size, salt=count + sender.direction))
     plaintext = messages.encode(inner)
     sealed = sender.seal(inner)
@@ -182,6 +185,8 @@ def _send_checked(sender, receiver, count: int, size: int) -> None:
     key_enc = KEYS[crypto._LINK_KEYS[sender.wrapper][0]]
     assert sealed.body == oracles.aes128_ctr(key_enc[16:], ctr_icb(count, sender.direction),
                                              plaintext)
+    key_int = KEYS[crypto._LINK_KEYS[sender.wrapper][1]]
+    assert sealed.mac_tag == nia2_tag(key_int, count, sender.direction, sealed.body)
     assert receiver.open(sealed) == plaintext
 
 
@@ -208,20 +213,59 @@ def test_a_ciphering_link_end_holds_its_key_context_from_construction():
         assert crypto.SecureLink(wrapper, KEYS, 0, 2, direction=0)._ctr is None
 
 
-def test_a_link_whose_context_was_evicted_still_seals_and_opens():
-    """A link end keeps its context after the memo has dropped it."""
+@pytest.mark.parametrize("memo, handle", [("_ctr_context", "_ctr"), ("_cmac_context", "_mac")],
+                         ids=["ctr", "cmac"])
+def test_a_link_whose_context_was_evicted_still_seals_and_opens(memo, handle):
+    """A link end keeps its AES-CTR encryptor and its keyed CMAC after
+    their memo has dropped them."""
     oracles.clear_crypto_memos()
     ue_end, network_end = _pair(messages.SecuredRrc)
     _send_checked(ue_end, network_end, 0, 17)
     for i in range(crypto._MEMO_SIZE):  # every entry is now another key's
-        crypto._ctr_context(b"\xee" + i.to_bytes(15, "big"))
+        getattr(crypto, memo)(b"\xee" + i.to_bytes(15, "big"))
     _send_checked(ue_end, network_end, 1, 1399)
     _send_checked(network_end, ue_end, 0, 1)
     # an end made after the eviction builds a new context for the key and
     # still reads the older end
     late_end = crypto.SecureLink(messages.SecuredRrc, KEYS, 2, 2, direction=1)
     _send_checked(ue_end, late_end, 2, 33)
-    assert late_end._ctr is not ue_end._ctr
+    assert getattr(late_end, handle) is not getattr(ue_end, handle)
+
+
+def test_both_ends_of_a_link_hold_one_keyed_cmac_from_construction():
+    """A link end takes its key's one keyed CMAC when it is built, and the
+    other end of the link takes the same one; a null-integrity end holds
+    none."""
+    oracles.clear_crypto_memos()
+    for wrapper in WRAPPERS:
+        key_int = KEYS[crypto._LINK_KEYS[wrapper][1]]
+        ue_end, network_end = _pair(wrapper)
+        assert ue_end._mac is network_end._mac is crypto._cmac_context(key_int[16:])
+        assert crypto.SecureLink(wrapper, KEYS, 2, 0, direction=0)._mac is None
+
+
+def test_tags_on_one_shared_cmac_stay_the_oracles_over_many_messages():
+    """Every tag is computed on a copy of the link's one keyed CMAC, so no
+    seal or open moves it: over 1,000 messages that alternate direction
+    and size, each tag is the one a CMAC keyed for that message alone
+    gives, and one in eleven is checked against the RFC 4493 oracle too
+    (which costs milliseconds per tag)."""
+    oracles.clear_crypto_memos()
+    ue_end, network_end = _pair(messages.SecuredUp)
+    key_int = KEYS["k_up_int"]
+    for i in range(1000):
+        sender, receiver = (ue_end, network_end) if i % 2 == 0 else (network_end, ue_end)
+        inner = messages.AppData(payload=keystream_body((64, 512, 1400)[i % 3], salt=i))
+        sealed = sender.seal(inner)
+        fresh = CMAC(AES(key_int[16:]))
+        fresh.update(sealed.count.to_bytes(4, "big") + bytes([sender.direction]) + sealed.body)
+        assert sealed.mac_tag == fresh.finalize()[:crypto.MAC_I_LEN]
+        if i % 11 == 0:
+            assert sealed.mac_tag == nia2_tag(key_int, sealed.count, sender.direction,
+                                              sealed.body)
+        assert receiver.open(sealed) == messages.encode(inner)
+    assert (ue_end.next_tx, network_end.next_tx) == (500, 500)
+    assert ue_end._mac is network_end._mac
 
 
 @pytest.mark.parametrize("scheme", [SuciScheme.PROFILE_A, SuciScheme.PROFILE_B],
@@ -237,10 +281,11 @@ def test_a_suci_deconceals_after_a_link_ciphers_in_between(scheme):
     assert crypto.deconceal_suci(suci, keypair) == TEST_IDENTITY
 
 
-def test_each_up_packet_costs_one_protect_one_unprotect_and_a_cmac_per_tag(monkeypatch):
+def test_each_up_packet_costs_one_protect_one_unprotect_and_no_cmac_built(monkeypatch):
     """Counts, not timings: once a link pair has carried its first packet,
-    a packet is one protect and one unprotect call and one CMAC per tag,
-    with no AES key object and no cipher context built for it."""
+    a packet is one protect and one unprotect call, with no CMAC, no AES
+    key object and no cipher context built for it (each tag copies the
+    link's keyed CMAC)."""
     calls = Counter()
 
     def count_calls(name):
@@ -261,7 +306,8 @@ def test_each_up_packet_costs_one_protect_one_unprotect_and_a_cmac_per_tag(monke
     for packet in packets[1:]:
         assert network_end.open(ue_end.seal(packet)) == messages.encode(packet)
     sent = len(packets) - 1
-    assert calls == {"protect": sent, "unprotect": sent, "CMAC": 2 * sent}
+    assert calls["CMAC"] == 0
+    assert calls == {"protect": sent, "unprotect": sent}
 
 
 def test_open_rejects_own_direction():
