@@ -13,7 +13,7 @@ import enum
 import hashlib
 import hmac as hmac_mod
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -460,28 +460,13 @@ def _derive_edge(parent_key: bytes, child: str, ctx: dict[str, bytes]) -> bytes:
     return _hmac(parent_key, msg)
 
 
-def _field(value: bytes) -> bytes:
-    return len(value).to_bytes(2, "big") + value
+def _context(**values: bytes) -> dict[str, bytes]:
+    """Each input a cut holds as it enters an edge: 2-byte length, then value;
+    an edge that reads an input its cut does not hold is a KeyError."""
+    return {name: len(value).to_bytes(2, "big") + value for name, value in values.items()}
 
 
-def _chain_context(
-    serving_network_name: str,
-    supi: str,
-    abba: bytes,
-    nea_id: int,
-    nia_id: int,
-) -> dict[str, bytes]:
-    """Each context input as it enters an edge: 2-byte length, then value."""
-    return {
-        "serving_network_name": _field(serving_network_name.encode()),
-        "supi": _field(supi.encode()),
-        "abba": _field(abba),
-        "nea_id": _field(bytes([nea_id])),
-        "nia_id": _field(bytes([nia_id])),
-    }
-
-
-def _derive_from(root: str, key: bytes, names: Iterable[str],
+def _derive_from(root: str, key: bytes, names: list[str],
                  ctx: dict[str, bytes]) -> dict[str, bytes]:
     """``{root: key}`` plus each of ``names`` derived from its parent, in order."""
     if len(key) != KEY_LEN:
@@ -508,22 +493,9 @@ _SERVING_KEYS = [name for name in _below("k_seaf") if name not in _AS_KEYS]
 
 
 def derive_k_seaf(k_ausf: bytes, serving_network_name: str) -> bytes:
-    """Single anchor-to-serving edge, used by the home network alone."""
-    ctx = _chain_context(serving_network_name, "", b"\x00\x00", 0, 0)
-    return _derive_edge(k_ausf, "k_seaf", ctx)
-
-
-def derive_key_chain(
-    k_ausf: bytes,
-    serving_network_name: str,
-    supi: str,
-    abba: bytes,
-    nea_id: int,
-    nia_id: int,
-) -> dict[str, bytes]:
-    """Populate the whole derivation DAG from the anchor key (UE side)."""
-    ctx = _chain_context(serving_network_name, supi, abba, nea_id, nia_id)
-    return _derive_from("k_ausf", k_ausf, KEY_PARENT, ctx)
+    """Home-network chain: the anchor-to-serving edge alone."""
+    ctx = _context(serving_network_name=serving_network_name.encode())
+    return _derive_from("k_ausf", k_ausf, ["k_seaf"], ctx)["k_seaf"]
 
 
 def derive_chain_from_seaf(
@@ -534,13 +506,14 @@ def derive_chain_from_seaf(
     nia_id: int,
 ) -> dict[str, bytes]:
     """Serving-network chain: the AMF never sees the anchor key above k_seaf."""
-    ctx = _chain_context("", supi, abba, nea_id, nia_id)
+    ctx = _context(supi=supi.encode(), abba=abba,
+                   nea_id=bytes([nea_id]), nia_id=bytes([nia_id]))
     return _derive_from("k_seaf", k_seaf, _SERVING_KEYS, ctx)
 
 
 def derive_as_keys(k_gnb: bytes, nea_id: int, nia_id: int) -> dict[str, bytes]:
     """Radio-side chain: the gNB starts from k_gnb and derives only AS keys."""
-    ctx = _chain_context("", "", b"\x00\x00", nea_id, nia_id)
+    ctx = _context(nea_id=bytes([nea_id]), nia_id=bytes([nia_id]))
     return _derive_from("k_gnb", k_gnb, _AS_KEYS, ctx)
 
 

@@ -59,7 +59,6 @@ class AmfSession:
     hxres: bytes = b""
     k_seaf: bytes = b""
     xres: bytes = b""  # NSA only: legacy direct check
-    k_ausf: bytes = b""  # NSA only
     supi: str | None = None
     supi_learned_at: int | None = None
     pei: str = ""
@@ -240,7 +239,7 @@ class Amf(Entity):
     @takes(AmfState.AUTH_PENDING, find=_by_sbi)
     def on_udm_auth_response(self, session, msg, event, ctx) -> None:
         session.xres = msg.xres
-        session.k_ausf = msg.k_ausf
+        session.k_seaf = crypto.derive_k_seaf(msg.k_ausf, self.serving_network_name)
         session.supi = msg.supi  # legacy trust model: home hands it over
         session.supi_learned_at = ctx.now
         self._challenge(ctx, session, msg)
@@ -264,7 +263,7 @@ class Amf(Entity):
     def on_authentication_response(self, session, msg, event, ctx) -> None:
         if session.nsa:
             if msg.res == session.xres:
-                self._establish_context(session, ctx, k_ausf=session.k_ausf)
+                self._establish_context(session, ctx)
             else:
                 self._reject(ctx, session, AmfState.AUTH_FAILED, "res_mismatch")
             return
@@ -288,17 +287,11 @@ class Amf(Entity):
         # the one transition where the serving network learns the identity
         session.supi = msg.supi
         session.supi_learned_at = ctx.now
-        self._establish_context(session, ctx, k_seaf=session.k_seaf)
+        self._establish_context(session, ctx)
 
-    def _establish_context(self, session: AmfSession, ctx,
-                           k_seaf: bytes = b"", k_ausf: bytes = b"") -> None:
+    def _establish_context(self, session: AmfSession, ctx) -> None:
         nea, nia = algorithms(self.policy.nas_ciphering, True)
-        if k_ausf:
-            keys = crypto.derive_key_chain(
-                k_ausf, self.serving_network_name, session.supi, ABBA, nea, nia,
-            )
-        else:
-            keys = crypto.derive_chain_from_seaf(k_seaf, session.supi, ABBA, nea, nia)
+        keys = crypto.derive_chain_from_seaf(session.k_seaf, session.supi, ABBA, nea, nia)
         session.context = SecurityContext(
             ng_ksi=session.ngksi, keys=keys, nea_id=nea, nia_id=nia, abba=ABBA,
         )

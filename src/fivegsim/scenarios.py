@@ -220,7 +220,7 @@ def _decode_all(payloads: list[bytes]) -> list:
 
 
 def _candidate_chains(decoded: list, k: bytes, supi: str, sn_name: str) -> list:
-    """Every key chain derivable from a stolen long-term key plus the
+    """Every NAS key set derivable from a stolen long-term key plus the
     parameters visible in the captured exchange (the ids of a security
     mode command ride in clear, integrity-protected only)."""
     cred = LongTermCredential(k=k, sqn=1)
@@ -228,10 +228,10 @@ def _candidate_chains(decoded: list, k: bytes, supi: str, sn_name: str) -> list:
             if isinstance(m, messages.SecuredNas) and m.nea_id == 0
             for smc in (try_decode(m.body),)
             if isinstance(smc, messages.NasSecurityModeCommand)} or {(2, 2)}
-    return [crypto.derive_key_chain(k_ausf, sn_name, supi, m.abba, nea, nia)
-            for m in decoded if isinstance(m, messages.AuthenticationRequest)
-            for k_ausf in (crypto.ue_k_ausf(cred, m.rand, sn_name),)
-            for nea, nia in algs]
+    k_seafs = [(m.abba, crypto.derive_k_seaf(crypto.ue_k_ausf(cred, m.rand, sn_name), sn_name))
+               for m in decoded if isinstance(m, messages.AuthenticationRequest)]
+    return [crypto.derive_chain_from_seaf(k_seaf, supi, abba, nea, nia)
+            for abba, k_seaf in k_seafs for nea, nia in algs]
 
 
 def _open_captured(wrapper, keys):

@@ -58,9 +58,12 @@ def generate_vectors() -> str:
 
     emit("res_hash_zero", crypto.res_hash(bytes(16), bytes(16)))
 
-    chain = crypto.derive_key_chain(
-        CHAIN_K_AUSF, SERVING_NETWORK, CHAIN_SUPI, CHAIN_ABBA, CHAIN_NEA, CHAIN_NIA
+    # the three cuts the home network, the AMF and the gNB run, composed
+    chain = crypto.derive_chain_from_seaf(
+        crypto.derive_k_seaf(CHAIN_K_AUSF, SERVING_NETWORK),
+        CHAIN_SUPI, CHAIN_ABBA, CHAIN_NEA, CHAIN_NIA,
     )
+    chain.update(crypto.derive_as_keys(chain["k_gnb"], CHAIN_NEA, CHAIN_NIA))
     emit("chain_k_ausf", CHAIN_K_AUSF)
     for name in crypto.KEY_PARENT:
         emit(f"chain_{name}", chain[name])

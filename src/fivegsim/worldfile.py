@@ -325,12 +325,12 @@ def _read_sections(parser) -> dict[str, _Values]:
 
 def load_override_file(path: str) -> dict[str, str]:
     """Scenario override file: the same key=value text as a world file,
-    with overrides in the [policy] and/or [overrides] sections.  Its
-    other sections are built into a world that is discarded, so a scenario
-    run refuses every entity a registration run refuses; the scenario
-    parses the overrides, [policy] among them, as it parses ``--set``."""
+    with overrides in the [policy] and/or [overrides] sections.  All its
+    sections are built into a world that is discarded, so a scenario run
+    refuses every policy value and entity a registration run refuses; the
+    scenario parses the overrides as it parses ``--set``."""
     sections = _read_sections(_read(path, "override"))
-    _checked_build({name: values for name, values in sections.items() if name != "policy"})
+    _checked_build(sections)
     return {**sections.get("policy", {}), **sections.get("overrides", {})}
 
 

@@ -20,6 +20,7 @@ import pathlib
 import pytest
 
 import oracles
+from key_cuts import composed_chain
 from fivegsim import crypto, messages
 from fivegsim.entities.core import AmfState
 from fivegsim.flows import find_amf_session, run_registration
@@ -281,7 +282,6 @@ _KEY_FLOW_AUDIT = {
     "ue_k_ausf": (("k",), ("k_ausf",)),
     "res_hash": ((), ()),
     "derive_k_seaf": (("k_ausf",), ("k_seaf",)),
-    "derive_key_chain": (("k_ausf",), tuple(_CHAIN_BELOW_AUSF)),
     "derive_chain_from_seaf": (("k_seaf",),
                                ("k_amf", "k_nas_int", "k_nas_enc", "k_gnb")),
     "derive_as_keys": (("k_gnb",),
@@ -351,14 +351,14 @@ def test_criterion_7_single_bit_sensitivity():
         "nea_id": 2,
         "nia_id": 2,
     }
-    baseline = crypto.derive_key_chain(**base)
+    baseline = composed_chain(**base)
     good = 0
     for _ in range(100):
         name, bits, affected = _FLIP_TARGETS[oracles.below(rng, len(_FLIP_TARGETS))]
         flipped = _flip(base, name, oracles.below(rng, bits))
         if flipped == base:
             continue
-        chain = crypto.derive_key_chain(**flipped)
+        chain = composed_chain(**flipped)
         ref = oracles.key_chain(
             flipped["k_ausf"], flipped["serving_network_name"], flipped["supi"],
             flipped["abba"], flipped["nea_id"], flipped["nia_id"],

@@ -460,17 +460,27 @@ def test_world_file_policy_key_also_in_default_exits_3(capsys, tmp_path):
     assert err == "error: world file: [DEFAULT]: unknown key 'nas_ciphering'\n"
 
 
-def test_world_file_unknown_policy_key_is_named_once_quoted(capsys, tmp_path):
+@pytest.mark.parametrize("scenario", ["registration", "TS_04"])
+def test_world_file_unknown_policy_key_is_named_once_quoted(capsys, tmp_path, scenario):
     world_file = tmp_path / "world.ini"
     world_file.write_text("[policy]\nbogus = 1\n" + WORLD_HEAD)
-    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
+    code, _, err = run_cli(capsys, "run", "--scenario", scenario,
                            "--world", str(world_file))
     assert (code, err) == (3, "error: world file: unknown policy key 'bogus'\n")
 
 
+def test_world_file_mitigation_belongs_in_overrides_not_policy(capsys, tmp_path):
+    # [policy] takes operator policy keys alone, in a scenario run too
+    world_file = tmp_path / "world.ini"
+    for section, code in (("policy", 3), ("overrides", 0)):
+        world_file.write_text(f"[{section}]\noverlap_cell = true\n")
+        assert run_cli(capsys, "run", "--scenario", "TS_11", "--world", str(world_file),
+                       "--expect", "coverage_lost=false")[0] == code, section
+
+
 @pytest.mark.parametrize("scenario, text, code", [
     ("registration", WORLD_HEAD.replace("network = home", "network = ho%me"), 3),
-    ("TS_06", "[policy]\nnas_ciphering = 5%\n", 2),
+    ("TS_06", "[policy]\nnas_ciphering = 5%\n", 3),
 ], ids=["registration", "TS_06"])
 def test_world_file_values_are_taken_as_written(capsys, tmp_path, scenario, text, code):
     # a "%" is a character, not the start of an interpolation that raises
@@ -479,10 +489,11 @@ def test_world_file_values_are_taken_as_written(capsys, tmp_path, scenario, text
     assert run_cli(capsys, "run", "--scenario", scenario, "--world", str(world_file))[0] == code
 
 
-def test_world_file_negative_renewal_interval_exits_3(capsys, tmp_path):
+@pytest.mark.parametrize("scenario", ["registration", "TS_04"])
+def test_world_file_negative_renewal_interval_exits_3(capsys, tmp_path, scenario):
     world_file = tmp_path / "world.ini"
     world_file.write_text("[policy]\ncontext_renewal_interval = -5\n" + WORLD_HEAD)
-    code, _, err = run_cli(capsys, "run", "--scenario", "registration",
+    code, _, err = run_cli(capsys, "run", "--scenario", scenario,
                            "--world", str(world_file))
     assert code == 3
     assert "context_renewal_interval" in err

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from key_cuts import composed_chain
 from fivegsim import crypto, messages
 from fivegsim.identity import (
     ConcealedIdentity,
@@ -378,22 +379,22 @@ CHAIN_ARGS = (bytes(range(32)), "5G:test", "imsi-001010123456789", b"\x00\x00", 
 
 
 def test_chain_known_answer_and_determinism():
-    h1 = crypto.derive_key_chain(*CHAIN_ARGS)
-    h2 = crypto.derive_key_chain(*CHAIN_ARGS)
+    h1 = composed_chain(*CHAIN_ARGS)
+    h2 = composed_chain(*CHAIN_ARGS)
     assert h1.get("k_nas_enc").hex() == KAT["chain_k_nas_enc"]
     assert h1 == h2
 
 
 def test_chain_matches_oracle():
     ref = oracles.key_chain(*CHAIN_ARGS)
-    hier = crypto.derive_key_chain(*CHAIN_ARGS)
+    hier = composed_chain(*CHAIN_ARGS)
     for name, value in ref.items():
         assert hier.get(name) == value, name
 
 
 def test_abba_change_moves_k_amf_but_not_k_seaf():
-    base = crypto.derive_key_chain(*CHAIN_ARGS)
-    other = crypto.derive_key_chain(
+    base = composed_chain(*CHAIN_ARGS)
+    other = composed_chain(
         CHAIN_ARGS[0], CHAIN_ARGS[1], CHAIN_ARGS[2], b"\x00\x01", 2, 2
     )
     assert base.get("k_seaf") == other.get("k_seaf")
@@ -411,30 +412,27 @@ _AS_CHAIN = ["k_gnb", "k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc"]
 
 
 def test_partial_chains_agree_with_full_chain():
-    full = crypto.derive_key_chain(*CHAIN_ARGS)
-    # each chain is its root, then the root's descendants in file order
-    assert list(full) == ["k_ausf", *oracles.LABELS["chain"]]
-    assert list(full) == ["k_ausf", *_SERVING_CHAIN, *_AS_CHAIN[1:]]
+    # each cut agrees with the oracle's whole chain, and is its root, then
+    # the root's descendants in file order
+    full = oracles.key_chain(*CHAIN_ARGS)
+    assert [*_SERVING_CHAIN, *_AS_CHAIN[1:]] == list(oracles.LABELS["chain"])
+    assert crypto.derive_k_seaf(CHAIN_ARGS[0], CHAIN_ARGS[1]) == full["k_seaf"]
     amf_side = crypto.derive_chain_from_seaf(
-        full.get("k_seaf"), CHAIN_ARGS[2], CHAIN_ARGS[3], 2, 2
+        full["k_seaf"], CHAIN_ARGS[2], CHAIN_ARGS[3], 2, 2
     )
-    for name in ("k_amf", "k_nas_int", "k_nas_enc", "k_gnb"):
-        assert amf_side.get(name) == full.get(name)
+    assert amf_side == {name: full[name] for name in _SERVING_CHAIN}
     assert list(amf_side) == _SERVING_CHAIN
-    assert "k_ausf" not in amf_side
-    gnb_side = crypto.derive_as_keys(full.get("k_gnb"), 2, 2)
-    for name in ("k_rrc_int", "k_rrc_enc", "k_up_int", "k_up_enc"):
-        assert gnb_side.get(name) == full.get(name)
+    gnb_side = crypto.derive_as_keys(full["k_gnb"], 2, 2)
+    assert gnb_side == {name: full[name] for name in _AS_CHAIN}
     assert list(gnb_side) == _AS_CHAIN
-    assert "k_amf" not in gnb_side and "k_nas_enc" not in gnb_side
 
 
 @pytest.mark.parametrize("length", [0, 31, 33])
 @pytest.mark.parametrize("derive", [
-    lambda root: crypto.derive_key_chain(root, *CHAIN_ARGS[1:]),
+    lambda root: crypto.derive_k_seaf(root, CHAIN_ARGS[1]),
     lambda root: crypto.derive_chain_from_seaf(root, *CHAIN_ARGS[2:]),
     lambda root: crypto.derive_as_keys(root, 2, 2),
-], ids=["derive_key_chain", "derive_chain_from_seaf", "derive_as_keys"])
+], ids=["derive_k_seaf", "derive_chain_from_seaf", "derive_as_keys"])
 def test_chain_root_of_wrong_length_is_refused(derive, length):
     with pytest.raises(ValueError):
         derive(bytes(length))

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from oracles import radio_plaintext_count
+from oracles import clear_crypto_memos, radio_plaintext_count
 from fivegsim import crypto, messages
 from fivegsim.entities import (
     Amf,
@@ -63,18 +63,37 @@ def test_registration_request_carries_suci_never_supi():
     assert radio_plaintext_count(world.transcript, ue.identity.msin.encode()) == 0
 
 
-def test_gnb_never_holds_nas_keys_amf_never_holds_k():
-    world, builder = single_network_world(seed=3)
-    run_registration(world, "ue1")
-    gnb = builder.networks["net"].cells[0]
+# (mode, HMAC-SHA-256 calls of one registration from cold memos): in both,
+# the key DAG takes 18, each of its edges derived once on each side, and
+# the AKA functions 8; SA adds the SUCI's tag, computed and checked
+AMF_CUTS = [("SA", 28), ("NSA", 26)]
+
+
+@pytest.mark.parametrize("mode, hmacs", AMF_CUTS, ids=[mode for mode, _ in AMF_CUTS])
+def test_gnb_never_holds_nas_keys_amf_never_holds_k(monkeypatch, mode, hmacs):
+    # each party holds its cut of the key DAG: the AMF k_seaf down to k_gnb,
+    # the radio node (the en-gNB in NSA) k_gnb and the AS keys
+    world, builder = single_network_world(seed=3, policy=OperatorPolicy(mode=mode))
+    clear_crypto_memos()
+    calls = []
+
+    def counted(*args, _fn=crypto._hmac):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(crypto, "_hmac", counted)
+    assert run_registration(world, "ue1").success
+    net = builder.networks["net"]
+    gnb = net.engnb if mode == "NSA" else net.cells[0]
     radio = next(iter(gnb.ue_contexts.values()))
     assert set(radio.as_keys) == {"k_gnb", "k_rrc_int", "k_rrc_enc",
                                   "k_up_int", "k_up_enc"}
-    amf = builder.networks["net"].amf
     ue = world.entities["ue1"]
-    session = find_amf_session(amf, ue)
-    assert "k_ausf" not in session.context.keys
+    session = find_amf_session(net.amf, ue)
+    assert set(session.context.keys) == {"k_seaf", "k_amf", "k_nas_int", "k_nas_enc", "k_gnb"}
+    assert session.context.keys["k_gnb"] == ue.context.keys["k_gnb"]
     assert ue.credential.k not in session.context.keys.values()
+    assert len(calls) == hmacs
 
 
 def test_supi_reaches_amf_only_with_home_confirmation():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from key_cuts import composed_chain
 from fivegsim import crypto, messages
 from fivegsim.identity import LongTermCredential
 from fivegsim.risk import Impact, Likelihood
@@ -207,6 +208,14 @@ def test_ts06_supi_never_captured_either_way():
                         seed=3).outcome["supi_captured"] is False
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_ts09_nsa_amf_dump_exposes_nas_but_not_the_root_key(seed):
+    # the NSA AMF derives k_seaf from the home vector's k_ausf and keeps
+    # only its cut, as the SA AMF does
+    outcome = run_scenario("TS_09", {"mode": "NSA"}, seed).outcome
+    assert outcome == {"nas_traffic_exposed": True, "root_key_not_exposed": True}
+
+
 def test_scenarios_deterministic_under_seed():
     for scenario_id in SCENARIO_IDS:
         first = run_scenario(scenario_id, seed=7)
@@ -262,7 +271,7 @@ def test_compromise_scenarios_carry_cost_metadata():
 
 STOLEN_K, SUPI, SN_NAME, RAND = bytes(range(16)), "imsi-001010000000001", "5G:00101", bytes(16)
 CHALLENGE = messages.AuthenticationRequest(rand=RAND, autn=bytes(16), ngksi=0, abba=b"\x00\x00")
-CHAIN = crypto.derive_key_chain(
+CHAIN = composed_chain(
     crypto.ue_k_ausf(LongTermCredential(k=STOLEN_K, sqn=1), RAND, SN_NAME),
     SN_NAME, SUPI, b"\x00\x00", 2, 2)
 

@@ -29,6 +29,7 @@ from fivegsim.identity import SecurityContext, format_supi
 from fivegsim.netsim import Channel, SimEvent, StepContext, World
 from fivegsim.policy import OperatorPolicy
 from fivegsim.worldfile import single_network_world
+from key_cuts import composed_chain
 from test_messages import sample
 
 SRC = "cell-a"
@@ -140,8 +141,7 @@ def ue_in(base: Ue, state, keyed: bool, timer_id: int) -> Ue:
     cell = messages.CellInfo(cell_id=SRC, plmn="00101", strength=10, kind="nr",
                              verification_key=b"", blacklist=[])
     if keyed:
-        keys = crypto.derive_key_chain(bytes(32), "5G:00101", format_supi(ue.identity),
-                                       ABBA, NEA, NIA)
+        keys = composed_chain(bytes(32), "5G:00101", format_supi(ue.identity), ABBA, NEA, NIA)
         ue.context = SecurityContext(ng_ksi=1, keys=keys, nea_id=NEA, nia_id=NIA)
         ue.nas_link = crypto.SecureLink(messages.SecuredNas, keys, NEA, NIA, direction=0)
         ue.as_keys = crypto.derive_as_keys(keys["k_gnb"], NEA, NIA)
